@@ -46,29 +46,27 @@ class CouplingScenario(Protocol):
 
 @dataclass(frozen=True)
 class DressedSystem:
-    """Derived quantities of one (Omega_R, Delta) pair: generalized Rabi
-    frequency Omega, coupling angle theta_c, eigenenergies [J]."""
+    """Derived quantities of (Omega_R, Delta): generalized Rabi frequency
+    Omega, coupling angle theta_c, eigenenergies [J]. Fields are scalars,
+    or arrays of one shape for a whole sweep."""
 
-    omega_r: float
-    detuning: float
-    omega: float
-    theta_c: float
-    e_plus: float
-    e_minus: float
+    omega_r: float | np.ndarray
+    detuning: float | np.ndarray
+    omega: float | np.ndarray
+    theta_c: float | np.ndarray
+    e_plus: float | np.ndarray
+    e_minus: float | np.ndarray
 
     @classmethod
-    def from_coupling(cls, omega_r: float, detuning: float) -> "DressedSystem":
-        if omega_r < 0.0:
-            raise DomainError(f"vacuum Rabi frequency must be >= 0, got {omega_r}")
-        omega = math.hypot(omega_r, detuning)
+    def from_coupling(cls, omega_r, detuning) -> "DressedSystem":
         theta_c = coupling_angle(omega_r, detuning)
         e_plus, e_minus = eigenenergies(omega_r, detuning)
-        return cls(omega_r, detuning, omega, theta_c, e_plus, e_minus)
+        return cls(omega_r, detuning, np.hypot(omega_r, detuning), theta_c, e_plus, e_minus)
 
     def __post_init__(self):
-        if self.omega_r < 0.0:
-            raise DomainError(f"vacuum Rabi frequency must be >= 0, got {self.omega_r}")
-        if not math.isclose(self.omega, math.hypot(self.omega_r, self.detuning), rel_tol=1e-9):
+        _require_nonnegative_rabi(self.omega_r)
+        ref = np.hypot(self.omega_r, self.detuning)
+        if not np.all(np.abs(self.omega - ref) <= 1e-9 * np.maximum(np.abs(self.omega), ref)):
             raise DomainError("Omega must equal hypot(Omega_R, Delta)")
 
 
@@ -102,29 +100,48 @@ def hamiltonian_matrix(sys: DressedSystem) -> np.ndarray:
     return np.array([[0.0, half], [half, sys.detuning]])
 
 
-def eigenenergies(omega_r: float, detuning: float) -> tuple[float, float]:
+def _require_nonnegative_rabi(omega_r) -> None:
+    low = np.asarray(omega_r).min()
+    if low < 0.0:
+        raise DomainError(f"vacuum Rabi frequency must be >= 0, got {low}")
+
+
+def eigenenergies(omega_r, detuning):
     """(E+, E-) = hbar Delta/2 +- hbar Omega/2 [J]; E+ >= E-."""
-    if omega_r < 0.0:
-        raise DomainError(f"vacuum Rabi frequency must be >= 0, got {omega_r}")
-    omega = math.hypot(omega_r, detuning)
+    _require_nonnegative_rabi(omega_r)
+    omega = np.hypot(omega_r, detuning)
     return (HBAR * (detuning + omega) / 2.0, HBAR * (detuning - omega) / 2.0)
 
 
-def coupling_angle(omega_r: float, detuning: float) -> float:
+def _omega_plus_minus_detuning(omega_r, detuning):
+    """(Omega + Delta, Omega - Delta) without cancellation: the larger of the
+    two is Omega + |Delta| and their product is Omega_R^2, so the smaller is
+    Omega_R^2 over the larger; both are sums of nonnegative terms."""
+    _require_nonnegative_rabi(omega_r)
+    larger = np.hypot(omega_r, detuning) + np.abs(detuning)
+    if np.asarray(larger == 0.0).any():
+        raise DomainError("coupling angle is degenerate at Omega_R = Delta = 0")
+    smaller = omega_r**2 / larger
+    above = np.asarray(detuning) >= 0.0
+    return np.where(above, larger, smaller), np.where(above, smaller, larger)
+
+
+def coupling_angle(omega_r, detuning):
     """theta_c = atan2(Delta + Omega, Omega_R); pi/4 at Delta = 0, tending to
     pi/2 for Delta -> +inf and 0 for Delta -> -inf."""
-    if omega_r < 0.0:
-        raise DomainError(f"vacuum Rabi frequency must be >= 0, got {omega_r}")
-    if omega_r == 0.0 and detuning == 0.0:
-        raise DomainError("coupling angle is degenerate at Omega_R = Delta = 0")
-    omega = math.hypot(omega_r, detuning)
-    if detuning >= 0.0:
-        num = detuning + omega
-    else:
-        # Delta + Omega cancels catastrophically for Delta << -Omega_R;
-        # the equivalent Omega_R^2/(Omega - Delta) adds two positives
-        num = omega_r**2 / (omega - detuning)
-    return math.atan2(num, omega_r)
+    # Delta + Omega cancels catastrophically for Delta << -Omega_R
+    plus, _ = _omega_plus_minus_detuning(omega_r, detuning)
+    return np.arctan2(plus, omega_r)
+
+
+def strong_coupling_potentials(omega_r, detuning):
+    """Dressed ladder (U+, U-) = (+hbar (Omega - Delta) / 2, -hbar (Omega - Delta) / 2)
+    [J], the strong-coupling counterpart of the far-detuned weak limit; exact
+    for either sign of Delta, including Delta >> Omega_R where Omega - Delta
+    would cancel."""
+    _, minus = _omega_plus_minus_detuning(omega_r, detuning)
+    u = HBAR * minus / 2.0
+    return (u, -u)
 
 
 def dressed_coefficients(theta_c: float) -> np.ndarray:
@@ -133,18 +150,19 @@ def dressed_coefficients(theta_c: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
-def potential_pm(omega: float) -> tuple[float, float]:
+def potential_pm(omega):
     """(U+, U-) = (+hbar Omega/2, -hbar Omega/2) [J]."""
-    if omega < 0.0:
-        raise DomainError(f"generalized Rabi frequency must be >= 0, got {omega}")
+    low = np.asarray(omega).min()
+    if low < 0.0:
+        raise DomainError(f"generalized Rabi frequency must be >= 0, got {low}")
     u = HBAR * omega / 2.0
     return (u, -u)
 
 
-def potential_theta(theta, sys: DressedSystem) -> float:
+def potential_theta(theta, sys: DressedSystem):
     """(hbar Omega / 2) cos(2 (theta - theta_c)) [J]."""
     th = _theta_value(theta)
-    return HBAR * sys.omega / 2.0 * math.cos(2.0 * (th - sys.theta_c))
+    return HBAR * sys.omega / 2.0 * np.cos(2.0 * (th - sys.theta_c))
 
 
 @dataclass(frozen=True)
@@ -241,6 +259,27 @@ def force_eigenstate(
     return -sign * (HBAR / 2.0) * math.sin(2.0 * theta_c) * grad.value
 
 
+def theta_force(theta, grad_omega_r, omega_r=None, detuning=None, variant: str = "corrected"):
+    """Superposition force from a gradient of Omega_R [N]; arrays allowed.
+
+    corrected: -(hbar/2) sin(2 theta) grad Omega_R, the -grad U_theta form.
+    as-printed: the same scaled by 1/sin(2 theta_c(Omega_R, Delta)); requires
+    Omega_R > 0.
+    """
+    th = _theta_value(theta)
+    base = -(HBAR / 2.0) * math.sin(2.0 * th) * grad_omega_r
+    if variant == "corrected":
+        return base
+    if variant == "as-printed":
+        if np.any(np.asarray(omega_r) == 0.0):
+            raise DomainError(
+                "as-printed superposition force is singular at sin(2 theta_c) = 0 "
+                "(uncoupled point, Omega_R = 0)"
+            )
+        return base / np.sin(2.0 * coupling_angle(omega_r, detuning))
+    raise DomainError(f"unknown variant {variant!r}; use 'corrected' or 'as-printed'")
+
+
 def force_theta(
     scenario: CouplingScenario,
     theta,
@@ -248,23 +287,11 @@ def force_theta(
     variant: str = "corrected",
     step: StepControl | None = None,
 ) -> np.ndarray:
-    """Force on the chosen atom in the prescribed superposition [N].
-
-    corrected: -(hbar/2) sin(2 theta) grad Omega_R, the -grad U_theta form.
-    as-printed: the same scaled by 1/sin(2 theta_c); requires Omega_R > 0.
-    """
-    th = _theta_value(theta)
+    """Force on the chosen atom in the prescribed superposition [N], with the
+    finite-difference gradient of grad_rabi; see theta_force for the
+    variants."""
     grad = grad_rabi(scenario, atom, step)
-    base = -(HBAR / 2.0) * math.sin(2.0 * th) * grad.value
-    if variant == "corrected":
-        return base
+    omega_r = None
     if variant == "as-printed":
         omega_r = scenario.rabi(scenario.position_a, scenario.position_b)
-        if omega_r == 0.0:
-            raise DomainError(
-                "as-printed superposition force is singular at sin(2 theta_c) = 0 "
-                "(uncoupled point, Omega_R = 0)"
-            )
-        theta_c = coupling_angle(omega_r, scenario.detuning)
-        return base / math.sin(2.0 * theta_c)
-    raise DomainError(f"unknown variant {variant!r}; use 'corrected' or 'as-printed'")
+    return theta_force(theta, grad.value, omega_r, scenario.detuning, variant)

@@ -22,12 +22,15 @@ from typing import Literal
 
 import numpy as np
 
-from .constants import C, HBAR, MU0
+from .constants import EPS0, HBAR, MU0
 from .errors import DomainError
 from .greens import ComplexDyad, QuadratureControl, SpectralFunction, kk_real_from_imag
 from .modecoupling import AtomSpec, ModeModel, lorentzian_profile
 
 _REAL_OK = ("full", "scattering-only")
+
+# half-width of the principal-value support window, in mode widths
+KK_WINDOW_WIDTHS = 5.0e4
 
 
 @dataclass(frozen=True)
@@ -101,17 +104,17 @@ def free_space_resonant_potential(d_a, d_b, k: float, r) -> float:
     ee = np.outer(e, e)
     trans = (eye - ee) * (k**2 * math.cos(x) / rmag)
     near = (eye - 3.0 * ee) * (k * math.sin(x) / rmag**2 + math.cos(x) / rmag**3)
-    eps0 = 1.0 / (MU0 * C**2)
-    return float(-(1.0 / (4.0 * math.pi * eps0)) * (da @ (trans - near) @ db))
+    return float(-(1.0 / (4.0 * math.pi * EPS0)) * (da @ (trans - near) @ db))
 
 
-def weak_limit_potentials(gamma_nu: float, mode_norm: float, detuning: float) -> tuple[float, float]:
-    """(U+, U-) = (+, -) hbar gamma_nu pi N / (4 Delta) [J]."""
+def weak_limit_potentials(gamma_nu: float, mode_norm: float, detuning):
+    """(U+, U-) = (+, -) hbar gamma_nu pi N / (4 Delta) [J]; Delta scalar or
+    array."""
     if not gamma_nu > 0.0:
         raise DomainError(f"mode width must be positive, got {gamma_nu}")
     if mode_norm < 0.0:
         raise DomainError(f"collective norm must be >= 0, got {mode_norm}")
-    if detuning == 0.0:
+    if np.any(np.asarray(detuning) == 0.0):
         raise DomainError("weak-coupling limit is undefined on resonance (Delta = 0)")
     u = HBAR * gamma_nu * math.pi * mode_norm / (4.0 * detuning)
     return (u, -u)
@@ -149,6 +152,18 @@ def narrow_mode_real_contraction(
             f"got {ratio:.3g} widths"
         )
     return gamma_nu * g2_peak / (2.0 * (omega_nu - omega))
+
+
+def lorentzian_spectral_function(g2_peak: float, omega_nu: float, gamma_nu: float) -> SpectralFunction:
+    """The Lorentzian profile as input to kk_real_from_imag: support
+    omega_nu +- KK_WINDOW_WIDTHS gamma_nu, hints at the peak and its
+    half-width points."""
+    span = KK_WINDOW_WIDTHS * gamma_nu
+    return SpectralFunction(
+        func=lambda w: lorentzian_profile(g2_peak, omega_nu, gamma_nu, w),
+        support=(omega_nu - span, omega_nu + span),
+        hint_points=(omega_nu - gamma_nu, omega_nu, omega_nu + gamma_nu),
+    )
 
 
 class NarrowModeGreens:
@@ -200,12 +215,7 @@ class NarrowModeGreens:
         if self.real_route == "closed-form":
             dw = m.omega_nu - omega
             return g2_peak * (m.gamma_nu / 2.0) * dw / (dw**2 + m.gamma_nu**2 / 4.0)
-        span = 5.0e4 * m.gamma_nu
-        sf = SpectralFunction(
-            func=lambda w: lorentzian_profile(g2_peak, m.omega_nu, m.gamma_nu, w),
-            support=(m.omega_nu - span, m.omega_nu + span),
-            hint_points=(m.omega_nu - m.gamma_nu, m.omega_nu, m.omega_nu + m.gamma_nu),
-        )
+        sf = lorentzian_spectral_function(g2_peak, m.omega_nu, m.gamma_nu)
         return kk_real_from_imag(sf, omega, self.control) / math.pi
 
     def tensor(self, r1, r2, omega: float) -> ComplexDyad:

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from cavityvdw.cli import export, main, run
@@ -105,9 +106,8 @@ def test_kk_offsets_floor(tmp_path):
 # ------------------------------------------------------------------ export
 
 def test_export_csv_shape_and_roundtrip(tmp_path):
-    t = Table(columns=("a", "b"),
-              rows=({"a": 1.0 / 3.0, "b": 1e300}, {"a": -2.5e-17, "b": 0.1},
-                    {"a": 4.0, "b": math.pi}))
+    t = Table({"a": np.array([1.0 / 3.0, -2.5e-17, 4.0]),
+               "b": np.array([1e300, 0.1, math.pi])})
     out = tmp_path / "t.csv"
     export(t, out, "csv")
     lines = out.read_text().split("\n")
@@ -118,7 +118,7 @@ def test_export_csv_shape_and_roundtrip(tmp_path):
 
 
 def test_export_jsonl_roundtrip(tmp_path):
-    t = Table(columns=("x", "label"), rows=({"x": 1.0 / 7.0, "label": "pass"},))
+    t = Table({"x": np.array([1.0 / 7.0]), "label": ["pass"]})
     out = tmp_path / "t.jsonl"
     export(t, out, "jsonl")
     rec = json.loads(out.read_text().splitlines()[0])
@@ -127,7 +127,7 @@ def test_export_jsonl_roundtrip(tmp_path):
 
 def test_export_empty_table_errors(tmp_path):
     with pytest.raises(DomainError, match="empty"):
-        export(Table(columns=("a",), rows=()), tmp_path / "e.csv", "csv")
+        export(Table({"a": np.array([])}), tmp_path / "e.csv", "csv")
 
 
 # --------------------------------------------------------------------- CLI
@@ -253,3 +253,45 @@ def test_run_manifest_contents(tmp_path):
     assert m["mode"] == "scan-rabi" and m["rows"] == 200
     assert m["provenance"]["cavity.delta"] == "user"
     assert "omega2_unit" in m["normalization"]
+
+
+def test_weak_limit_rel_dev_exact_to_large_ratios(tmp_path):
+    ratios = (10.0, 1.0e2, 1.0e3, 1.0e4)
+    cfg = load_config(_write(tmp_path, MINIMAL + "mode: weak-limit\nsweep:\n"
+                             "  weak_ratios: [10.0, 1.0e+2, 1.0e+3, 1.0e+4]\n"))
+    table = run(cfg).table
+    assert table.column("ratio") == list(ratios)
+    for row in table.rows:
+        q = row["ratio"] ** -2
+        exact = q / (1.0 + math.sqrt(1.0 + q)) ** 2
+        assert row["rel_dev_plus"] == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert row["rel_dev_minus"] == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert row["u_minus_strong"] == -row["u_plus_strong"]
+
+
+def test_kk_offsets_outside_window_or_below_zero_frequency(tmp_path, capsys):
+    cfg = _write(tmp_path, MINIMAL + "sweep:\n  kk_offsets: [-1.0e+4, 1.0e+6]\n")
+    assert main(["kk-check", "--config", cfg, "--out", str(tmp_path / "kk.csv")]) == 1
+    assert "sweep.kk_offsets" in capsys.readouterr().err
+    assert not (tmp_path / "kk.csv").exists()
+
+
+def test_xcheck_manifest_counts_samples_used(tmp_path):
+    cfg = load_config(_write(tmp_path, MINIMAL + "mode: xcheck\n"))
+    samples = run(cfg).manifest["normalization"]["samples"]
+    assert samples == {"free-space-route-equivalence": 100,
+                       "force-gradient-corrected": 100,
+                       "force-as-printed-ratio": 100}
+
+
+def test_force_sweep_across_interior_node(tmp_path, capsys):
+    # nu = 2 has a node at d/2, on the grid; the analytic gradient needs no
+    # finite-difference error estimate there
+    nu2 = MINIMAL.replace("nu: 1", "nu: 2") + "sweep:\n  points: 201\n  span: [0.0, 1.0]\n"
+    out = str(tmp_path / "f.csv")
+    assert main(["force", "--config", _write(tmp_path, nu2), "--out", out]) == 0
+    # with atom A swept against B at d/4, s_A + s_B = 0 exactly at z_A = 3d/4,
+    # where the as-printed column is singular
+    held = nu2 + "  target: A\natoms:\n  z_b: 2.5e-7\n"
+    assert main(["force", "--config", _write(tmp_path, held, "c2.yaml"), "--out", out]) == 1
+    assert "Omega_R = 0" in capsys.readouterr().err

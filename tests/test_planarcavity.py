@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from cavityvdw.constants import C
+from cavityvdw import constants
+from cavityvdw.constants import C, HBAR
 from cavityvdw.errors import DomainError
 from cavityvdw.greens import ComplexDyad, PlanarCavity, planar_resonant_im_gxx
 from cavityvdw.modecoupling import AtomSpec, ModeModel, coupling_strength_sq, mode_norm
 from cavityvdw.planarcavity import (
     PlanarScenario,
     RabiBreakdown,
-    cavity_mode_width,
     free_decay_rate,
     rabi_contributions,
-    resonance_frequency,
     scan_rabi,
 )
 from cavityvdw.tabular import Table
@@ -40,15 +39,22 @@ def test_free_decay_rate_values_and_scaling():
         free_decay_rate(-1.0, d)
 
 
+def test_free_decay_rate_uses_eps0_constant():
+    w, d = 2.0e15, 3.0e-29
+    expect = w**3 * d**2 / (3.0 * math.pi * constants.EPS0 * HBAR * C**3)
+    assert free_decay_rate(w, d) == expect
+    assert constants.EPS0 * constants.MU0 * C**2 == pytest.approx(1.0, rel=1e-15, abs=0.0)
+
+
 def test_cavity_rate_helpers():
     cav = PlanarCavity(d=1.0e-6, delta=1.0e-3, nu=1)
-    assert cavity_mode_width(cav) == pytest.approx(5.99584916e11, rel=1e-9)
-    assert resonance_frequency(cav) == pytest.approx(941825783654426.6, rel=1e-15)
+    assert cav.gamma_nu == pytest.approx(5.99584916e11, rel=1e-9)
+    assert cav.omega_nu == pytest.approx(941825783654426.6, rel=1e-15)
     half = PlanarCavity(d=0.5e-6, delta=1.0e-3, nu=1)
-    assert cavity_mode_width(half) == pytest.approx(2.0 * cavity_mode_width(cav), rel=1e-15)
-    assert resonance_frequency(half) == pytest.approx(2.0 * resonance_frequency(cav), rel=1e-15)
+    assert half.gamma_nu == pytest.approx(2.0 * cav.gamma_nu, rel=1e-15)
+    assert half.omega_nu == pytest.approx(2.0 * cav.omega_nu, rel=1e-15)
     two = PlanarCavity(d=1.0e-6, delta=1.0e-3, nu=2)
-    assert resonance_frequency(two) == pytest.approx(2.0 * resonance_frequency(cav), rel=1e-15)
+    assert two.omega_nu == pytest.approx(2.0 * cav.omega_nu, rel=1e-15)
 
 
 # ----------------------------------------------------------------- scenario
@@ -176,10 +182,10 @@ def test_pipeline_equality_with_coupling_route():
     g2_aa = coupling_strength_sq(scn.atom_a, scn.atom_a, w, prov)
     g2_bb = coupling_strength_sq(scn.atom_b, scn.atom_b, w, prov)
     g2_ab = coupling_strength_sq(scn.atom_a, scn.atom_b, w, prov)
-    model = ModeModel(omega_nu=w, gamma_nu=cavity_mode_width(cav),
+    model = ModeModel(omega_nu=w, gamma_nu=cav.gamma_nu,
                       g2_aa=g2_aa, g2_bb=g2_bb, g2_ab=g2_ab)
     n = mode_norm(model)
-    assert cavity_mode_width(cav) * math.pi * n == pytest.approx(
+    assert cav.gamma_nu * math.pi * n == pytest.approx(
         rabi_contributions(scn).omega2_total, rel=1e-10
     )
 
@@ -237,12 +243,13 @@ def test_scan_rabi_errors():
 # -------------------------------------------------------------------- table
 
 def test_table_contract():
-    t = Table(columns=("a", "b"), rows=({"a": 1.0, "b": 2.0},))
+    t = Table({"a": np.array([1.0]), "b": np.array([2.0])})
     assert t.column("a") == [1.0]
+    assert list(t.columns) == ["a", "b"] and t.rows[0] == {"a": 1.0, "b": 2.0}
     with pytest.raises(DomainError):
-        Table(columns=("a", "a"), rows=())
+        Table({"a": np.array([1.0]), "b": np.array([])})
     with pytest.raises(DomainError):
-        Table(columns=("a", "b"), rows=({"a": 1.0},))
+        Table({"a": [True, False]})
     with pytest.raises(DomainError):
         t.column("c")
 
