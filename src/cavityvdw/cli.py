@@ -20,11 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import PLANAR_ONLY_MODES, RunConfig, load_config
-from .constants import C, EPS0, HBAR, MU0
+from .constants import C, CONSTANTS, HBAR
 from .dressed import (
     DressedSystem,
     coupling_angle,
-    force_theta,
+    # not called here; perfbench/tracer.py wraps cli.force_theta by name
+    force_theta,  # noqa: F401
     potential_pm,
     potential_theta,
     strong_coupling_potentials,
@@ -126,40 +127,58 @@ def _mode_potential_planar(cfg: RunConfig) -> tuple[Table, dict, int]:
 
 
 def _mode_potential_free_space(cfg: RunConfig) -> tuple[Table, dict, int]:
+    # the closed form, which xcheck tests against the tensor contraction;
+    # free space has no finite single-atom terms, so the total is the
+    # interaction term
     a = np.asarray(cfg.position_a, dtype=float)
     b = np.asarray(cfg.position_b, dtype=float)
-    direction = (b - a) / np.linalg.norm(b - a)
     sep0 = float(np.linalg.norm(b - a))
-    dip = tuple(cfg.dipole_norm * o for o in cfg.orientation)
+    dip = cfg.dipole_norm * np.asarray(cfg.orientation, dtype=float)
     e_unit = HBAR * free_decay_rate(cfg.omega10, cfg.dipole_norm)
-    provider = FreeSpaceGreens()
     lo, hi = cfg.sweep_span
     seps = np.linspace(lo, hi, cfg.sweep_points) * sep0
-    atom_a = AtomSpec(position=tuple(a), omega10=cfg.omega10, dipole=dip)
-    interaction, total = [], []
-    # the tensor route, which xcheck tests against the closed form
-    for sep in seps.tolist():
-        atom_b = AtomSpec(position=tuple(a + sep * direction), omega10=cfg.omega10, dipole=dip)
-        breakdown = resonant_potential(atom_a, atom_b, provider)
-        interaction.append(breakdown.interaction)
-        total.append(breakdown.total)
-    cols = {"separation": seps, "u_interaction": interaction, "u_total": total}
+    r = seps[:, None] * ((b - a) / sep0)
+    interaction = free_space_resonant_potential(dip, dip, cfg.omega10 / C, r)
+    cols = {"separation": seps, "u_interaction": interaction, "u_total": interaction}
     units = {"u_interaction": e_unit, "u_total": e_unit}
     return with_dimless(cols, units), {"energy_unit": e_unit}, 0
+
+
+def _theta_forces(scn: PlanarScenario, theta, z_a, z_b, detuning):
+    """(corrected, as-printed) superposition forces on atom A along z [N]
+    from the analytic gradient of Omega_R; arrays allowed."""
+    grad = rabi_gradient_a(scn, z_a, z_b)
+    omega_r = rabi_omega(scn, z_a, z_b)
+    return (theta_force(theta, grad, omega_r, detuning, "corrected"),
+            theta_force(theta, grad, omega_r, detuning, "as-printed"))
 
 
 def _mode_force(cfg: RunConfig) -> tuple[Table, dict, int]:
     scn, z_a, z_b, w_unit = _sweep(cfg)
     f_unit = HBAR * w_unit / scn.cavity.d
-    grad = rabi_gradient_a(scn, z_a, z_b)
-    omega_r = rabi_omega(scn, z_a, z_b)
-    f_cor = theta_force(cfg.theta, grad, omega_r, scn.detuning, "corrected")
-    f_ap = theta_force(cfg.theta, grad, omega_r, scn.detuning, "as-printed")
+    f_cor, f_ap = _theta_forces(scn, cfg.theta, z_a, z_b, scn.detuning)
     cols = {"z_A": z_a, "z_B": z_b,
             "f_theta_z": f_cor if cfg.variant == "corrected" else f_ap,
             "f_theta_corrected_z": f_cor, "f_theta_as_printed_z": f_ap}
     units = dict.fromkeys(("f_theta_z", "f_theta_corrected_z", "f_theta_as_printed_z"), f_unit)
     return with_dimless(cols, units), {"force_unit": f_unit}, 0
+
+
+def _weak_limit_columns(gamma_nu: float, omega_r: float, ratios) -> dict:
+    """Strong- and weak-coupling ladders at Delta = ratio Omega_R, the weak
+    side with N = Omega_R^2 / (pi gamma_nu)."""
+    ratio = np.asarray(ratios, dtype=float)
+    detuning = ratio * omega_r
+    strong_plus, strong_minus = strong_coupling_potentials(omega_r, detuning)
+    weak_plus, weak_minus = weak_limit_potentials(
+        gamma_nu, omega_r**2 / (math.pi * gamma_nu), detuning)
+    # with that N both ladders' ratio is exactly 2 Delta / (Omega + Delta),
+    # so |U_strong / U_weak - 1| = Omega_R^2 / (Omega + Delta)^2
+    rel_dev = (omega_r / (np.hypot(omega_r, detuning) + detuning)) ** 2
+    return {"ratio": ratio, "detuning": detuning,
+            "u_plus_strong": strong_plus, "u_plus_weak": weak_plus,
+            "u_minus_strong": strong_minus, "u_minus_weak": weak_minus,
+            "rel_dev_plus": rel_dev, "rel_dev_minus": rel_dev}
 
 
 def _mode_weak_limit(cfg: RunConfig) -> tuple[Table, dict, int]:
@@ -170,29 +189,18 @@ def _mode_weak_limit(cfg: RunConfig) -> tuple[Table, dict, int]:
             "configured positions give zero coupling (both atoms on nodes); "
             "the weak-limit comparison is empty"
         )
-    gamma_nu = scn.cavity.gamma_nu
-    n = omega_r**2 / (math.pi * gamma_nu)
     e_unit = HBAR * omega_r
-    ratio = np.asarray(cfg.weak_ratios, dtype=float)
-    detuning = ratio * omega_r
-    strong_plus, strong_minus = strong_coupling_potentials(omega_r, detuning)
-    weak_plus, weak_minus = weak_limit_potentials(gamma_nu, n, detuning)
-    # with N = Omega_R^2 / (pi gamma_nu) both ladders' ratio is exactly
-    # 2 Delta / (Omega + Delta), so |U_strong / U_weak - 1| = Omega_R^2 / (Omega + Delta)^2
-    rel_dev = (omega_r / (np.hypot(omega_r, detuning) + detuning)) ** 2
-    cols = {"ratio": ratio, "detuning": detuning,
-            "u_plus_strong": strong_plus, "u_plus_weak": weak_plus,
-            "u_minus_strong": strong_minus, "u_minus_weak": weak_minus,
-            "rel_dev_plus": rel_dev, "rel_dev_minus": rel_dev}
+    cols = _weak_limit_columns(scn.cavity.gamma_nu, omega_r, cfg.weak_ratios)
     units = dict.fromkeys(("u_plus_strong", "u_plus_weak", "u_minus_strong", "u_minus_weak"),
                           e_unit)
     return with_dimless(cols, units), {"energy_unit": e_unit}, 0
 
 
-def _mode_kk_check(cfg: RunConfig) -> tuple[Table, dict, int]:
-    cav = _cavity(cfg)
+def _kk_columns(cav: PlanarCavity, offsets, rel_tol: float) -> dict:
+    """Principal-value transform of a unit-peak Lorentzian against its
+    far-detuned closed form at omega_nu + offset gamma_nu."""
     gamma, om_nu = cav.gamma_nu, cav.omega_nu
-    offsets = np.asarray(cfg.kk_offsets, dtype=float)
+    offsets = np.asarray(offsets, dtype=float)
     omegas = om_nu + offsets * gamma
     bad = (omegas <= 0.0) | (np.abs(offsets) >= KK_WINDOW_WIDTHS)
     if np.any(bad):
@@ -202,15 +210,19 @@ def _mode_kk_check(cfg: RunConfig) -> tuple[Table, dict, int]:
             f"rad/s; offsets must give omega > 0 and lie inside the "
             f"+-{KK_WINDOW_WIDTHS:g}-width support window"
         )
-    # unit-peak Lorentzian; the transform is linear in the peak value
+    # the transform is linear in the peak value
     sf = lorentzian_spectral_function(1.0, om_nu, gamma)
-    control = QuadratureControl(rel_tol=cfg.tol_quadrature)
+    control = QuadratureControl(rel_tol=rel_tol)
     numeric = np.array([kk_real_from_imag(sf, w, control) for w in omegas.tolist()]) / math.pi
     closed = np.array([narrow_mode_real_contraction(1.0, gamma, om_nu, w)
                        for w in omegas.tolist()])
-    table = Table({"offset_widths": offsets, "omega": omegas, "kk_numeric_over_pi": numeric,
-                   "closed_form": closed, "rel_error": np.abs(numeric / closed - 1.0)})
-    return table, {"peak": 1.0}, 0
+    return {"offset_widths": offsets, "omega": omegas, "kk_numeric_over_pi": numeric,
+            "closed_form": closed, "rel_error": np.abs(numeric / closed - 1.0)}
+
+
+def _mode_kk_check(cfg: RunConfig) -> tuple[Table, dict, int]:
+    cols = _kk_columns(_cavity(cfg), cfg.kk_offsets, cfg.tol_quadrature)
+    return Table(cols), {"peak": 1.0}, 0
 
 
 _XCHECK_TOLS = {
@@ -220,6 +232,11 @@ _XCHECK_TOLS = {
     "weak-limit-ladder": 1.0e-5,
     "kk-asymptote": 1.0e-2,
 }
+# per force sample: z_A/d, z_B/d, Delta/Omega_R, theta without its pi/2
+# shift, and the coin that adds the shift; drawn in this order, sample by
+# sample
+_FORCE_DRAW_LOW = (0.05, 0.05, -3.0, 0.1, 0.0)
+_FORCE_DRAW_HIGH = (0.95, 0.95, 3.0, 1.45, 1.0)
 
 
 def _mode_xcheck(cfg: RunConfig) -> tuple[Table, dict, int]:
@@ -232,113 +249,73 @@ def _mode_xcheck(cfg: RunConfig) -> tuple[Table, dict, int]:
     tols = dict(_XCHECK_TOLS)
     if cfg.tol_xcheck is not None:
         tols = {name: cfg.tol_xcheck for name in tols}
-    checks: list[tuple[str, float]] = []
+    measured: dict[str, float] = {}
 
-    # dual-route free-space interaction: closed trig form vs tensor contraction
+    # free-space interaction: the closed form the potential mode ships
+    # against the tensor contraction, one reference evaluation per sample
     provider = FreeSpaceGreens()
-    worst = 0.0
+    drawn = []
     for _ in range(100):
         w = 10.0 ** rng.uniform(14.5, 15.5)
         k = w / C
         direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        r = (rng.uniform(0.3, 3.0) / k) * direction
-        d_a = rng.normal(size=3) * dnorm
-        d_b = rng.normal(size=3) * dnorm
-        closed = free_space_resonant_potential(d_a, d_b, k, r)
+        r = (rng.uniform(0.3, 3.0) / k) * direction / np.linalg.norm(direction)
+        d_a, d_b = rng.normal(size=(2, 3)) * dnorm
         contraction = resonant_potential(
             AtomSpec(position=(0.0, 0.0, 0.0), omega10=w, dipole=tuple(d_a)),
             AtomSpec(position=tuple(r), omega10=w, dipole=tuple(d_b)),
             provider,
         ).interaction
-        scale = max(abs(closed), abs(contraction))
-        worst = max(worst, abs(closed - contraction) / scale)
-    checks.append(("free-space-route-equivalence", worst))
+        drawn.append((k, r, d_a, d_b, contraction))
+    k, r, d_a, d_b, contraction = map(np.array, zip(*drawn))
+    closed = free_space_resonant_potential(d_a, d_b, k, r)
+    scale = np.maximum(np.abs(closed), np.abs(contraction))
+    measured["free-space-route-equivalence"] = float(np.max(np.abs(closed - contraction) / scale))
 
-    # superposition force against a finite-difference potential gradient,
-    # and the as-printed variant's 1/sin(2 theta_c) excess
-    worst_grad = 0.0
-    worst_ratio = 0.0
-    used_grad = used_ratio = 0
-    h = 1.0e-5 * cav.d
-    for _ in range(100):
-        z_a, z_b = rng.uniform(0.05, 0.95, size=2) * cav.d
-        ratio_delta = rng.uniform(-3.0, 3.0)
-        theta = rng.uniform(0.1, 1.45) + (math.pi / 2.0 if rng.random() < 0.5 else 0.0)
-        probe = PlanarScenario.resonant(cav, z_a, z_b, dnorm)
-        omega_r0 = probe.rabi(probe.position_a, probe.position_b)
-        if omega_r0 == 0.0:
-            continue
-        detuning = ratio_delta * omega_r0
-        dip = (dnorm, 0.0, 0.0)
-        w10 = cav.omega_nu - detuning
-        scn = PlanarScenario(
-            cavity=cav,
-            atom_a=AtomSpec(position=(0.0, 0.0, z_a), omega10=w10, dipole=dip),
-            atom_b=AtomSpec(position=(0.0, 0.0, z_b), omega10=w10, dipole=dip),
-        )
-
-        def u_at(p):
-            sysd = DressedSystem.from_coupling(scn.rabi(p, scn.position_b), scn.detuning)
-            return potential_theta(theta, sysd)
-
-        base = np.asarray(scn.position_a, dtype=float)
-        fd = np.zeros(3)
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = 1.0
-            d1 = (u_at(base + h * e) - u_at(base - h * e)) / (2.0 * h)
-            d2 = (u_at(base + 0.5 * h * e) - u_at(base - 0.5 * h * e)) / h
-            fd[i] = (4.0 * d2 - d1) / 3.0
-        f_cor = force_theta(scn, theta, "A", "corrected")
-        worst_grad = max(worst_grad, float(np.linalg.norm(f_cor + fd) / np.linalg.norm(fd)))
-        used_grad += 1
-
-        f_ap = force_theta(scn, theta, "A", "as-printed")
-        sin2tc = math.sin(2.0 * coupling_angle(scn.rabi(scn.position_a, scn.position_b),
-                                               scn.detuning))
-        norm_cor = float(np.linalg.norm(f_cor))
-        if norm_cor > 0.0:
-            used_ratio += 1
-            worst_ratio = max(
-                worst_ratio,
-                abs(float(np.linalg.norm(f_ap)) * abs(sin2tc) / norm_cor - 1.0),
-            )
-    checks.append(("force-gradient-corrected", worst_grad))
-    checks.append(("force-as-printed-ratio", worst_ratio))
-
-    # dressed ladder against the far-detuned closed form at ratio 1e3
+    # the force mode's route (analytic gradient through theta_force) against
+    # a Richardson finite difference in z_A of the potential mode's route;
+    # F = -grad U_theta holds for any amplitude A, so A^2 is taken at omega_nu
+    draws = rng.uniform(_FORCE_DRAW_LOW, _FORCE_DRAW_HIGH, size=(100, 5))
     z_anti = cav.d / (2.0 * cav.nu)
-    scnw = PlanarScenario.resonant(cav, z_anti, z_anti, dnorm)
-    omega_r = scnw.rabi(scnw.position_a, scnw.position_b)
-    detuning = 1.0e3 * omega_r
-    n = omega_r**2 / (math.pi * cav.gamma_nu)
-    weak_plus, weak_minus = weak_limit_potentials(cav.gamma_nu, n, detuning)
-    strong_plus, strong_minus = strong_coupling_potentials(omega_r, detuning)
-    checks.append(("weak-limit-ladder",
-                   max(abs(strong_plus / weak_plus - 1.0),
-                       abs(strong_minus / weak_minus - 1.0))))
+    probe = PlanarScenario.resonant(cav, z_anti, z_anti, dnorm)
+    z_a, z_b = draws[:, 0] * cav.d, draws[:, 1] * cav.d
+    omega_r = rabi_omega(probe, z_a, z_b)
+    used = omega_r != 0.0
+    z_a, z_b, omega_r = z_a[used], z_b[used], omega_r[used]
+    detuning = draws[used, 2] * omega_r
+    theta = draws[used, 3] + np.where(draws[used, 4] < 0.5, math.pi / 2.0, 0.0)
+    h = 1.0e-5 * cav.d
+    steps = h * np.array([1.0, -1.0, 0.5, -0.5])[:, None]
+    u = potential_theta(theta, DressedSystem.from_coupling(
+        rabi_omega(probe, z_a + steps, z_b), detuning))
+    fd = (4.0 * (u[2] - u[3]) / h - (u[0] - u[1]) / (2.0 * h)) / 3.0
+    f_cor, f_ap = _theta_forces(probe, theta, z_a, z_b, detuning)
+    measured["force-gradient-corrected"] = float(np.max(np.abs(f_cor + fd) / np.abs(fd),
+                                                        initial=0.0))
+    sin2tc = np.sin(2.0 * coupling_angle(omega_r, detuning))
+    moving = f_cor != 0.0
+    ratio_dev = np.abs(np.abs(f_ap[moving] * sin2tc[moving] / f_cor[moving]) - 1.0)
+    measured["force-as-printed-ratio"] = float(np.max(ratio_dev, initial=0.0))
 
-    # principal-value transform against the far-detuned 1/(omega_nu - omega)
-    gamma, om_nu = cav.gamma_nu, cav.omega_nu
-    sf = lorentzian_spectral_function(1.0, om_nu, gamma)
-    control = QuadratureControl(rel_tol=cfg.tol_quadrature)
-    worst_kk = 0.0
-    for offset in (-1.0e3, 1.0e3):
-        w_eval = om_nu + offset * gamma
-        numeric = kk_real_from_imag(sf, w_eval, control) / math.pi
-        closed = narrow_mode_real_contraction(1.0, gamma, om_nu, w_eval)
-        worst_kk = max(worst_kk, abs(numeric / closed - 1.0))
-    checks.append(("kk-asymptote", worst_kk))
+    # the weak-limit mode's ladders at the antinode and ratio 1e3
+    ladder = _weak_limit_columns(cav.gamma_nu, probe.rabi(probe.position_a, probe.position_b),
+                                 [1.0e3])
+    dev = [ladder[f"u_{s}_strong"] / ladder[f"u_{s}_weak"] - 1.0 for s in ("plus", "minus")]
+    measured["weak-limit-ladder"] = float(np.max(np.abs(dev)))
 
-    names = [name for name, _ in checks]
-    measured = np.array([value for _, value in checks])
+    # the kk-check mode's transform against 1/(omega_nu - omega) at +-1e3 widths
+    kk = _kk_columns(cav, (-1.0e3, 1.0e3), cfg.tol_quadrature)
+    measured["kk-asymptote"] = float(np.max(kk["rel_error"]))
+
+    names = list(measured)
+    values = np.array(list(measured.values()))
     tolerance = np.array([tols[name] for name in names])
-    ok = measured <= tolerance
-    table = Table({"check": names, "measured": measured, "tolerance": tolerance,
+    ok = values <= tolerance
+    table = Table({"check": names, "measured": values, "tolerance": tolerance,
                    "status": ["pass" if flag else "fail" for flag in ok]})
-    samples = {"free-space-route-equivalence": 100, "force-gradient-corrected": used_grad,
-               "force-as-printed-ratio": used_ratio}
+    samples = {"free-space-route-equivalence": 100,
+               "force-gradient-corrected": int(np.count_nonzero(used)),
+               "force-as-printed-ratio": int(np.count_nonzero(moving))}
     return table, {"samples": samples}, int(np.count_nonzero(~ok))
 
 
@@ -365,7 +342,7 @@ def run(cfg: RunConfig) -> RunResult:
         "mode": cfg.mode,
         "variant": cfg.variant,
         "seed": cfg.seed,
-        "constants": {"c": C, "hbar": HBAR, "eps0": EPS0, "mu0": MU0},
+        "constants": dict(CONSTANTS),
         "tolerances": {
             "quadrature_rel": cfg.tol_quadrature,
             "xcheck": cfg.tol_xcheck if cfg.tol_xcheck is not None else dict(_XCHECK_TOLS),

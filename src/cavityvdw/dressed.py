@@ -81,8 +81,10 @@ class SuperpositionAngle:
             raise DomainError(f"superposition angle must lie in [0, pi), got {self.theta}")
 
 
-def _theta_value(theta) -> float:
-    return theta.theta if isinstance(theta, SuperpositionAngle) else float(theta)
+def _theta_value(theta):
+    """The angle of a SuperpositionAngle, or theta as a scalar or an array
+    of angles."""
+    return theta.theta if isinstance(theta, SuperpositionAngle) else np.asarray(theta, dtype=float)
 
 
 def rabi_frequency(mode_norm: float, gamma_nu: float) -> float:
@@ -107,21 +109,21 @@ def _require_nonnegative_rabi(omega_r) -> None:
 
 
 def eigenenergies(omega_r, detuning):
-    """(E+, E-) = hbar Delta/2 +- hbar Omega/2 [J]; E+ >= E-."""
-    _require_nonnegative_rabi(omega_r)
-    omega = np.hypot(omega_r, detuning)
-    return (HBAR * (detuning + omega) / 2.0, HBAR * (detuning - omega) / 2.0)
+    """(E+, E-) = hbar (Delta + Omega)/2, hbar (Delta - Omega)/2 [J];
+    E+ >= E-, both (0, 0) at Omega_R = Delta = 0."""
+    # Delta - Omega cancels for Delta >> Omega_R, Delta + Omega for Delta << -Omega_R
+    plus, minus = _omega_plus_minus_detuning(omega_r, detuning)
+    return (HBAR * plus / 2.0, -HBAR * minus / 2.0)
 
 
 def _omega_plus_minus_detuning(omega_r, detuning):
     """(Omega + Delta, Omega - Delta) without cancellation: the larger of the
     two is Omega + |Delta| and their product is Omega_R^2, so the smaller is
-    Omega_R^2 over the larger; both are sums of nonnegative terms."""
+    Omega_R^2 over the larger; both are sums of nonnegative terms, and both
+    are 0 at Omega_R = Delta = 0."""
     _require_nonnegative_rabi(omega_r)
     larger = np.hypot(omega_r, detuning) + np.abs(detuning)
-    if np.asarray(larger == 0.0).any():
-        raise DomainError("coupling angle is degenerate at Omega_R = Delta = 0")
-    smaller = omega_r**2 / larger
+    smaller = omega_r**2 / np.where(larger == 0.0, 1.0, larger)
     above = np.asarray(detuning) >= 0.0
     return np.where(above, larger, smaller), np.where(above, smaller, larger)
 
@@ -130,6 +132,8 @@ def coupling_angle(omega_r, detuning):
     """theta_c = atan2(Delta + Omega, Omega_R); pi/4 at Delta = 0, tending to
     pi/2 for Delta -> +inf and 0 for Delta -> -inf."""
     # Delta + Omega cancels catastrophically for Delta << -Omega_R
+    if np.any(np.hypot(omega_r, detuning) == 0.0):
+        raise DomainError("coupling angle is degenerate at Omega_R = Delta = 0")
     plus, _ = _omega_plus_minus_detuning(omega_r, detuning)
     return np.arctan2(plus, omega_r)
 
@@ -260,14 +264,15 @@ def force_eigenstate(
 
 
 def theta_force(theta, grad_omega_r, omega_r=None, detuning=None, variant: str = "corrected"):
-    """Superposition force from a gradient of Omega_R [N]; arrays allowed.
+    """Superposition force from a gradient of Omega_R [N]; theta, the
+    gradient, Omega_R and Delta may be arrays that broadcast together.
 
     corrected: -(hbar/2) sin(2 theta) grad Omega_R, the -grad U_theta form.
     as-printed: the same scaled by 1/sin(2 theta_c(Omega_R, Delta)); requires
     Omega_R > 0.
     """
     th = _theta_value(theta)
-    base = -(HBAR / 2.0) * math.sin(2.0 * th) * grad_omega_r
+    base = -(HBAR / 2.0) * np.sin(2.0 * th) * grad_omega_r
     if variant == "corrected":
         return base
     if variant == "as-printed":

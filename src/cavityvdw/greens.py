@@ -130,20 +130,16 @@ class PlanarCavity:
 
 @dataclass(frozen=True)
 class QuadratureControl:
-    """Adaptive-quadrature budget: relative target, subdivision limit, and an
-    optional absolute floor used when the result is legitimately near zero."""
+    """Adaptive-quadrature budget: relative target and subdivision limit."""
 
     rel_tol: float = 1e-8
     limit: int = 800
-    abs_floor: float | None = None
 
     def __post_init__(self):
         if not self.rel_tol > 0.0:
             raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
         if self.limit < 1:
             raise DomainError(f"subdivision limit must be >= 1, got {self.limit}")
-        if self.abs_floor is not None and not self.abs_floor > 0.0:
-            raise DomainError(f"abs_floor must be positive when set, got {self.abs_floor}")
 
 
 @dataclass(frozen=True)
@@ -301,8 +297,8 @@ def planar_scattering_components(
         results.append(val)
         err_total += (e1 + e2 + e3) / (8.0 * math.pi)
 
-    floor = control.abs_floor if control.abs_floor is not None else k / (6.0 * math.pi)
-    scale = max(abs(results[0]), abs(results[1]), floor)
+    # floor: the free-space coincident Im G, k / 6 pi
+    scale = max(abs(results[0]), abs(results[1]), k / (6.0 * math.pi))
     if err_total > 10.0 * control.rel_tol * scale:
         raise QuadratureError(
             f"cavity quadrature did not converge: achieved {err_total:.3e}, "
@@ -440,8 +436,6 @@ def kk_real_from_imag(
     # to ~0 (odd integrands); a tiny absolute floor guards the exactly-zero
     # case
     bound = 10.0 * control.rel_tol * (abs(total) + ref) + 1e-15 * (1.0 + ref)
-    if control.abs_floor is not None:
-        bound = max(bound, control.abs_floor)
     if err > bound:
         raise QuadratureError(
             f"principal-value quadrature did not converge: achieved {err:.3e}, "

@@ -81,30 +81,35 @@ def resonant_potential(a: AtomSpec, b: AtomSpec, greens) -> ResonantPotentialBre
     return ResonantPotentialBreakdown(single_a, single_b, interaction, total)
 
 
-def free_space_resonant_potential(d_a, d_b, k: float, r) -> float:
+def free_space_resonant_potential(d_a, d_b, k, r):
     """Closed-form free-space interaction term [J]:
 
         -(1/4 pi eps0) d_Aa d_Bb [ (delta_ab - e_a e_b) k^2 cos(kr)/r
             - (delta_ab - 3 e_a e_b) (k sin(kr)/r^2 + cos(kr)/r^3) ].
 
     The 1/(4 pi eps0) makes the bracket's Gaussian-structure SI-correct; it
-    is exactly -mu0 omega^2 d_A . Re G_free . d_B.
+    is exactly -mu0 omega^2 d_A . Re G_free . d_B. r is one displacement
+    (3,) or a stack (..., 3); the dipoles (3,) or (..., 3) and k broadcast
+    against it. One displacement gives a float, a stack an array of shape
+    r.shape[:-1].
     """
-    if not k > 0.0:
+    k = np.asarray(k, dtype=float)
+    if not np.all(k > 0.0):
         raise DomainError(f"wavenumber must be positive, got {k}")
     rv = np.asarray(r, dtype=float)
-    rmag = float(np.linalg.norm(rv))
-    if rmag == 0.0:
+    rmag = np.linalg.norm(rv, axis=-1)
+    if np.any(rmag == 0.0):
         raise DomainError("free-space resonant potential diverges at zero separation")
-    e = rv / rmag
+    e = rv / rmag[..., None]
     da = np.asarray(d_a, dtype=float)
     db = np.asarray(d_b, dtype=float)
+    dd = np.sum(da * db, axis=-1)
+    ee = np.sum(da * e, axis=-1) * np.sum(db * e, axis=-1)
     x = k * rmag
-    eye = np.eye(3)
-    ee = np.outer(e, e)
-    trans = (eye - ee) * (k**2 * math.cos(x) / rmag)
-    near = (eye - 3.0 * ee) * (k * math.sin(x) / rmag**2 + math.cos(x) / rmag**3)
-    return float(-(1.0 / (4.0 * math.pi * EPS0)) * (da @ (trans - near) @ db))
+    trans = (dd - ee) * (k**2 * np.cos(x) / rmag)
+    near = (dd - 3.0 * ee) * (k * np.sin(x) / rmag**2 + np.cos(x) / rmag**3)
+    u = -(1.0 / (4.0 * math.pi * EPS0)) * (trans - near)
+    return float(u) if rv.ndim == 1 else u
 
 
 def weak_limit_potentials(gamma_nu: float, mode_norm: float, detuning):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cavityvdw import cli
 from cavityvdw.cli import export, main, run
 from cavityvdw.config import load_config
 from cavityvdw.errors import ConfigError, DomainError
@@ -37,7 +38,7 @@ def _write(tmp_path, text, name="cfg.yaml"):
 def test_minimal_config_defaults_and_provenance(tmp_path):
     cfg = load_config(_write(tmp_path, MINIMAL))
     assert cfg.scenario == "planar" and cfg.mode == "scan-rabi"
-    assert cfg.z_a == pytest.approx(0.5e-6) and cfg.z_b == pytest.approx(0.5e-6)
+    assert cfg.z_a == pytest.approx(0.5e-6, abs=0.0) and cfg.z_b == pytest.approx(0.5e-6, abs=0.0)
     assert cfg.omega10 == pytest.approx(math.pi * 299792458.0 / 1.0e-6, rel=1e-15)
     assert cfg.provenance["cavity.d"] == "user"
     assert cfg.provenance["atoms.z_a"] == "default"
@@ -200,7 +201,7 @@ def test_cli_variant_flag_recorded_and_applied(tmp_path):
     row = open(out).readlines()[1].split(",")
     i_sel = header.index("f_theta_z")
     i_cor = header.index("f_theta_corrected_z")
-    assert float(row[i_sel]) == pytest.approx(float(row[i_cor]), rel=1e-12)
+    assert float(row[i_sel]) == pytest.approx(float(row[i_cor]), rel=1e-12, abs=0.0)
 
 
 def test_cli_free_space_potential(tmp_path):
@@ -295,3 +296,15 @@ def test_force_sweep_across_interior_node(tmp_path, capsys):
     held = nu2 + "  target: A\natoms:\n  z_b: 2.5e-7\n"
     assert main(["force", "--config", _write(tmp_path, held, "c2.yaml"), "--out", out]) == 1
     assert "Omega_R = 0" in capsys.readouterr().err
+
+
+def test_xcheck_force_row_checks_the_shipped_gradient(tmp_path, monkeypatch):
+    # the force mode's analytic gradient, off by 1e-3, fails the force row;
+    # the as-printed ratio is blind to a common factor
+    shipped = cli.rabi_gradient_a
+    monkeypatch.setattr(cli, "rabi_gradient_a", lambda *a: (1.0 + 1.0e-3) * shipped(*a))
+    result = run(load_config(_write(tmp_path, MINIMAL + "mode: xcheck\n")))
+    status = dict(zip(result.table.column("check"), result.table.column("status")))
+    assert status["force-gradient-corrected"] == "fail"
+    assert status["force-as-printed-ratio"] == "pass"
+    assert result.failures == 1

@@ -54,7 +54,7 @@ def sinusoidal(amplitude=3.0e10, d=1.0e-6, offset=2.0):
 
 def test_rabi_frequency_values():
     assert rabi_frequency(0.0, 1e11) == 0.0
-    assert rabi_frequency(4.0, 1.0 / math.pi) == pytest.approx(2.0, rel=1e-15)
+    assert rabi_frequency(4.0, 1.0 / math.pi) == pytest.approx(2.0, rel=1e-15, abs=0.0)
     with pytest.raises(DomainError):
         rabi_frequency(-1.0, 1e11)
     with pytest.raises(DomainError):
@@ -63,14 +63,29 @@ def test_rabi_frequency_values():
 
 def test_eigenenergies_three_four_five():
     ep, em = eigenenergies(4.0, 3.0)
-    assert ep == pytest.approx(4.0 * HBAR_LIT, rel=1e-15)
-    assert em == pytest.approx(-1.0 * HBAR_LIT, rel=1e-15)
+    assert ep == pytest.approx(4.0 * HBAR_LIT, rel=1e-15, abs=0.0)
+    assert em == pytest.approx(-1.0 * HBAR_LIT, rel=1e-15, abs=0.0)
     ep, em = eigenenergies(1.0, 0.0)
-    assert ep == pytest.approx(HBAR_LIT / 2.0, rel=1e-15)
-    assert em == pytest.approx(-HBAR_LIT / 2.0, rel=1e-15)
+    assert ep == pytest.approx(HBAR_LIT / 2.0, rel=1e-15, abs=0.0)
+    assert em == pytest.approx(-HBAR_LIT / 2.0, rel=1e-15, abs=0.0)
     ep, em = eigenenergies(0.0, 4.0)
-    assert ep == pytest.approx(4.0 * HBAR_LIT, rel=1e-15)
+    assert ep == pytest.approx(4.0 * HBAR_LIT, rel=1e-15, abs=0.0)
     assert em == 0.0
+
+
+def test_eigenenergies_keep_the_small_level_far_from_resonance():
+    # E- for Delta >> Omega_R and E+ for Delta << -Omega_R are the dressed
+    # shifts -+hbar Omega_R^2 / (2 (Omega + |Delta|)); hbar (Delta -+ Omega) / 2
+    # loses them to cancellation (2.5e-9 relative at |Delta| / Omega_R = 1e4)
+    omega_r = 2.0e10
+    for ratio in (1.0e2, 1.0e3, 1.0e4):
+        delta = ratio * omega_r
+        shift = HBAR_LIT * omega_r**2 / (2.0 * (math.hypot(omega_r, delta) + delta))
+        _, em = eigenenergies(omega_r, delta)
+        assert em == pytest.approx(-shift, rel=1e-12, abs=0.0)
+        ep, _ = eigenenergies(omega_r, -delta)
+        assert ep == pytest.approx(shift, rel=1e-12, abs=0.0)
+    assert eigenenergies(0.0, 0.0) == (0.0, 0.0)
 
 
 def test_eigenenergies_match_symmetric_eigensolver():
@@ -101,12 +116,12 @@ def test_hamiltonian_matrix_shape():
 # ------------------------------------------------------------ coupling angle
 
 def test_coupling_angle_special_values():
-    assert coupling_angle(1.0, 0.0) == pytest.approx(math.pi / 4.0, rel=1e-15)
-    assert coupling_angle(4.0, 3.0) == pytest.approx(ARCTAN_2, rel=1e-15)
+    assert coupling_angle(1.0, 0.0) == pytest.approx(math.pi / 4.0, rel=1e-15, abs=0.0)
+    assert coupling_angle(4.0, 3.0) == pytest.approx(ARCTAN_2, rel=1e-15, abs=0.0)
     assert math.tan(2.0 * coupling_angle(4.0, 3.0)) == pytest.approx(-4.0 / 3.0, abs=1e-12)
     assert coupling_angle(1.0, 1e9) == pytest.approx(math.pi / 2.0, abs=1e-9)
     assert coupling_angle(1.0, -1e9) == pytest.approx(0.0, abs=1e-9)
-    assert coupling_angle(0.0, 2.0) == pytest.approx(math.pi / 2.0, rel=1e-15)
+    assert coupling_angle(0.0, 2.0) == pytest.approx(math.pi / 2.0, rel=1e-15, abs=0.0)
     assert coupling_angle(0.0, -2.0) == 0.0
     with pytest.raises(DomainError):
         coupling_angle(0.0, 0.0)
@@ -146,8 +161,8 @@ def test_dressed_coefficients_orthonormal():
 
 def test_potential_pm_values():
     up, um = potential_pm(5.0)
-    assert up == pytest.approx(2.5 * HBAR_LIT, rel=1e-15)
-    assert um == pytest.approx(-2.5 * HBAR_LIT, rel=1e-15)
+    assert up == pytest.approx(2.5 * HBAR_LIT, rel=1e-15, abs=0.0)
+    assert um == pytest.approx(-2.5 * HBAR_LIT, rel=1e-15, abs=0.0)
     assert up + um == 0.0
     assert potential_pm(0.0) == (0.0, 0.0)
     with pytest.raises(DomainError):
@@ -157,15 +172,15 @@ def test_potential_pm_values():
 def test_potential_theta_reductions():
     sys = DressedSystem.from_coupling(4.0e9, 3.0e9)
     up, um = potential_pm(sys.omega)
-    assert potential_theta(sys.theta_c, sys) == pytest.approx(up, rel=1e-12)
-    assert potential_theta(sys.theta_c + math.pi / 2, sys) == pytest.approx(um, rel=1e-12)
+    assert potential_theta(sys.theta_c, sys) == pytest.approx(up, rel=1e-12, abs=0.0)
+    assert potential_theta(sys.theta_c + math.pi / 2, sys) == pytest.approx(um, rel=1e-12, abs=0.0)
     assert potential_theta(sys.theta_c + math.pi / 4, sys) == pytest.approx(0.0, abs=1e-12 * up)
     th = SuperpositionAngle(0.9)
     mix = potential_theta(th, sys)
     expect = (
         math.cos(th.theta - sys.theta_c) ** 2 * up + math.sin(th.theta - sys.theta_c) ** 2 * um
     )
-    assert mix == pytest.approx(expect, rel=1e-12)
+    assert mix == pytest.approx(expect, rel=1e-12, abs=0.0)
     for t in np.linspace(0.0, math.pi, 37, endpoint=False):
         assert -up - 1e-18 <= potential_theta(float(t), sys) <= up + 1e-18
 
@@ -266,7 +281,7 @@ def test_force_eigenstate_matches_potential_gradient():
     for sgn in (+1, -1):
         fd = -(upot(z0 + h, sgn) - upot(z0 - h, sgn)) / (2.0 * h)
         got = force_eigenstate(scn, sgn, "A")[2]
-        assert got == pytest.approx(fd, rel=1e-6)
+        assert got == pytest.approx(fd, rel=1e-6, abs=0.0)
 
 
 def test_force_eigenstate_constant_rabi_is_zero():
@@ -312,7 +327,7 @@ def test_force_theta_corrected_matches_potential_gradient():
     for th in (0.3, 0.9, 1.4, 2.2):
         fd = -(utheta(z0 + h, th) - utheta(z0 - h, th)) / (2.0 * h)
         got = force_theta(scn, th, "A", "corrected")[2]
-        assert got == pytest.approx(fd, rel=1e-6)
+        assert got == pytest.approx(fd, rel=1e-6, abs=0.0)
 
 
 def test_force_theta_as_printed_ratio():

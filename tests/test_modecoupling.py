@@ -122,9 +122,11 @@ def test_coupling_rejects_nonpositive_frequency():
 
 def test_lorentzian_profile_values():
     peak, w0, g = 7.0, 1.0e15, 2.0e11
-    assert lorentzian_profile(peak, w0, g, w0) == pytest.approx(peak, rel=1e-15)
-    assert lorentzian_profile(peak, w0, g, w0 + g / 2) == pytest.approx(peak / 2, rel=1e-14)
-    assert lorentzian_profile(peak, w0, g, w0 - g / 2) == pytest.approx(peak / 2, rel=1e-14)
+    assert lorentzian_profile(peak, w0, g, w0) == pytest.approx(peak, rel=1e-15, abs=0.0)
+    assert lorentzian_profile(peak, w0, g, w0 + g / 2) == pytest.approx(
+        peak / 2, rel=1e-14, abs=0.0)
+    assert lorentzian_profile(peak, w0, g, w0 - g / 2) == pytest.approx(
+        peak / 2, rel=1e-14, abs=0.0)
     with pytest.raises(DomainError):
         lorentzian_profile(peak, w0, 0.0, w0)
 
@@ -189,14 +191,14 @@ def test_fit_lorentzian_degenerate_inputs():
 
 def test_mode_norm_examples():
     m = ModeModel(omega_nu=1e15, gamma_nu=1e11, g2_aa=2.0, g2_bb=2.0, g2_ab=2.0)
-    assert mode_norm(m) == pytest.approx(8.0, rel=1e-15)
+    assert mode_norm(m) == pytest.approx(8.0, rel=1e-15, abs=0.0)
     m = ModeModel(omega_nu=1e15, gamma_nu=1e11, g2_aa=2.0, g2_bb=2.0, g2_ab=-2.0)
     assert mode_norm(m) == 0.0
 
 
 def test_mode_overlap_examples():
     m = ModeModel(omega_nu=1e15, gamma_nu=1e11, g2_aa=3.0, g2_bb=3.0, g2_ab=3.0)
-    assert mode_overlap(m) == pytest.approx(1.0, rel=1e-15)
+    assert mode_overlap(m) == pytest.approx(1.0, rel=1e-15, abs=0.0)
     with pytest.raises(DomainError):
         mode_overlap(ModeModel(omega_nu=1e15, gamma_nu=1e11, g2_aa=0.0, g2_bb=1.0, g2_ab=0.0))
 

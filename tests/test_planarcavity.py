@@ -90,7 +90,7 @@ def test_scenario_clamps_edge_positions_with_warning():
     cav = PlanarCavity(d=1.0e-6, delta=1.0e-3, nu=1)
     with pytest.warns(UserWarning):
         scn = PlanarScenario.resonant(cav, 0.0, 0.6 * cav.d)
-    assert scn.atom_a.position[2] == pytest.approx(1e-6 * cav.d, rel=1e-12)
+    assert scn.atom_a.position[2] == pytest.approx(1e-6 * cav.d, rel=1e-12, abs=0.0)
     with pytest.raises(DomainError):
         PlanarScenario.resonant(cav, -0.1 * cav.d, 0.6 * cav.d)
     with pytest.raises(DomainError):
@@ -204,7 +204,7 @@ def test_scan_rabi_joint_matches_closed_form():
         assert row["z_A"] == row["z_B"]
         assert row["omega2_total"] == pytest.approx(base * (2.0 * s) ** 2, rel=1e-12)
         assert row["omega2_total_dimless"] == pytest.approx(
-            row["omega2_total"] * cav.d / (C * scn.gamma0), rel=1e-13
+            row["omega2_total"] * cav.d / (C * scn.gamma0), rel=1e-13, abs=0.0
         )
 
 

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from cavityvdw.constants import C
+from cavityvdw.constants import C, EPS0
 from cavityvdw.errors import DomainError
 from cavityvdw.greens import FreeSpaceGreens, PlanarCavity, PlanarCavityGreens, free_space_green
 from cavityvdw.modecoupling import AtomSpec, ModeModel
@@ -53,7 +56,7 @@ def test_resonant_potential_interaction_symmetric():
     a, b, w, k = _random_atom_pair()
     ab = resonant_potential(a, b, FreeSpaceGreens())
     ba = resonant_potential(b, a, FreeSpaceGreens())
-    assert ab.interaction == pytest.approx(ba.interaction, rel=1e-13)
+    assert ab.interaction == pytest.approx(ba.interaction, rel=1e-13, abs=0.0)
 
 
 def test_resonant_potential_requires_identical_atoms():
@@ -69,7 +72,7 @@ def test_free_space_closed_form_matches_contraction():
         a, b, w, k = _random_atom_pair()
         closed = free_space_resonant_potential(a.dipole, b.dipole, k, np.subtract(b.position, a.position))
         contraction = resonant_potential(a, b, FreeSpaceGreens()).interaction
-        assert closed == pytest.approx(contraction, rel=1e-12)
+        assert closed == pytest.approx(contraction, rel=1e-12, abs=0.0)
 
 
 def test_free_space_closed_form_static_limit():
@@ -80,7 +83,7 @@ def test_free_space_closed_form_static_limit():
     k = 1.0e3  # kr = 1e-6
     got = free_space_resonant_potential((d, 0.0, 0.0), (d, 0.0, 0.0), k, (0.0, 0.0, r))
     expect = d * d / (4.0 * math.pi * EPS0_LIT * r**3)
-    assert got == pytest.approx(expect, rel=1e-9)
+    assert got == pytest.approx(expect, rel=1e-9, abs=0.0)
 
 
 def test_free_space_closed_form_longitudinal_geometry():
@@ -94,7 +97,7 @@ def test_free_space_closed_form_longitudinal_geometry():
     expect = -(d * d / (4.0 * math.pi * EPS0_LIT)) * (2.0) * (
         k * math.sin(x) / r**2 + math.cos(x) / r**3
     )
-    assert got == pytest.approx(expect, rel=1e-12)
+    assert got == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 
 def test_free_space_closed_form_domain():
@@ -102,6 +105,51 @@ def test_free_space_closed_form_domain():
         free_space_resonant_potential((1e-29, 0, 0), (1e-29, 0, 0), 1e6, (0.0, 0.0, 0.0))
     with pytest.raises(DomainError):
         free_space_resonant_potential((1e-29, 0, 0), (1e-29, 0, 0), -1e6, (0.0, 0.0, 1e-7))
+
+
+_UNIT = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    k=arrays(float, 6, elements=st.floats(1.0e5, 1.0e8)),
+    kr=arrays(float, 6, elements=st.floats(0.05, 50.0)),
+    direction=arrays(float, (6, 3), elements=_UNIT),
+    d_a=arrays(float, (6, 3), elements=_UNIT),
+    d_b=arrays(float, (6, 3), elements=_UNIT),
+    shared_dipoles=st.booleans(),
+)
+def test_free_space_closed_form_stacks_like_scalar_calls(n, k, kr, direction, d_a, d_b,
+                                                         shared_dipoles):
+    norm = np.linalg.norm(direction[:n], axis=1)
+    assume(np.all(norm > 1e-3))
+    k = k[:n]
+    r = (kr[:n] / k / norm)[:, None] * direction[:n]
+    d_a, d_b = 1e-29 * d_a[:n], 1e-29 * d_b[:n]
+    if shared_dipoles:
+        d_a, d_b = d_a[0], d_b[0]
+    stacked = free_space_resonant_potential(d_a, d_b, k, r)
+    assert stacked.shape == (n,)
+    rows = np.broadcast_to(d_a, (n, 3)), np.broadcast_to(d_b, (n, 3))
+    for i in range(n):
+        single = free_space_resonant_potential(rows[0][i], rows[1][i], k[i], r[i])
+        assert isinstance(single, float)
+        rmag = np.linalg.norm(r[i])
+        # the summed magnitudes of the transverse and near-field terms
+        terms = (np.linalg.norm(rows[0][i]) * np.linalg.norm(rows[1][i]) / (4.0 * math.pi * EPS0)
+                 * (k[i] ** 2 / rmag + 2.0 * k[i] / rmag**2 + 2.0 / rmag**3))
+        assert abs(stacked[i] - single) <= 1e-15 * terms
+
+
+def test_free_space_closed_form_stack_domain():
+    dip = (1e-29, 0.0, 0.0)
+    r = np.array([[0.0, 0.0, 1e-7], [0.0, 0.0, 0.0]])
+    with pytest.raises(DomainError, match="zero separation"):
+        free_space_resonant_potential(dip, dip, 1e6, r)
+    with pytest.raises(DomainError, match="wavenumber"):
+        free_space_resonant_potential(dip, dip, np.array([1e6, 0.0]), np.full((2, 3), 1e-7))
+    assert free_space_resonant_potential(dip, dip, 1e6, np.ones((2, 4, 3)) * 1e-7).shape == (2, 4)
 
 
 # ------------------------------------------------------------- planar singles
@@ -115,7 +163,7 @@ def test_resonant_potential_planar_supplies_singles():
     out = resonant_potential(a, b, PlanarCavityGreens(cav))
     assert not out.singles_omitted
     assert out.total == pytest.approx(
-        out.single_a + out.single_b + out.interaction, rel=1e-15
+        out.single_a + out.single_b + out.interaction, rel=1e-15, abs=0.0
     )
 
 
@@ -126,8 +174,8 @@ def test_weak_limit_potentials_values():
     gamma = 2.0
     n = 16.0 / (gamma * math.pi)
     up, um = weak_limit_potentials(gamma, n, 1000.0)
-    assert um == pytest.approx(-0.004 * HBAR_LIT, rel=1e-12)
-    assert up == pytest.approx(+0.004 * HBAR_LIT, rel=1e-12)
+    assert um == pytest.approx(-0.004 * HBAR_LIT, rel=1e-12, abs=0.0)
+    assert up == pytest.approx(+0.004 * HBAR_LIT, rel=1e-12, abs=0.0)
     assert up == -um
     assert weak_limit_potentials(gamma, 0.0, 5.0) == (0.0, -0.0)
     with pytest.raises(DomainError):
@@ -139,8 +187,9 @@ def test_weak_limit_potentials_values():
 def test_weak_theta_potential_reductions():
     omega_r, delta = 7.0e9, 4.0e12
     u_minus = -HBAR_LIT * omega_r**2 / (4.0 * delta)
-    assert weak_theta_potential(0.0, omega_r, delta) == pytest.approx(u_minus, rel=1e-12)
-    assert weak_theta_potential(math.pi / 2, omega_r, delta) == pytest.approx(-u_minus, rel=1e-12)
+    assert weak_theta_potential(0.0, omega_r, delta) == pytest.approx(u_minus, rel=1e-12, abs=0.0)
+    assert weak_theta_potential(math.pi / 2, omega_r, delta) == pytest.approx(
+        -u_minus, rel=1e-12, abs=0.0)
     assert abs(weak_theta_potential(math.pi / 4, omega_r, delta)) < 1e-16 * abs(u_minus)
     with pytest.raises(DomainError):
         weak_theta_potential(0.3, omega_r, 0.0)
@@ -227,10 +276,10 @@ def test_narrow_provider_total_matches_weak_limit():
     out = resonant_potential(a, b, prov)
     assert not out.singles_omitted
     expect = weak_limit_potentials(mode.gamma_nu, 4.0 * mode.g2_aa, delta)[1]
-    assert out.total == pytest.approx(expect, rel=1e-6)
+    assert out.total == pytest.approx(expect, rel=1e-6, abs=0.0)
     # and the dressed ladder agrees through Eq-(35) expansion territory
     e_minus_pos = eigenenergies(omega_r, delta)[1] - eigenenergies(0.0, delta)[1]
-    assert out.total == pytest.approx(e_minus_pos, rel=1e-5)
+    assert out.total == pytest.approx(e_minus_pos, rel=1e-5, abs=0.0)
 
 
 def test_narrow_provider_kk_route_agrees():
@@ -238,7 +287,7 @@ def test_narrow_provider_kk_route_agrees():
     prov_kk = NarrowModeGreens(mode, a, b, real_route="kk-numeric")
     t_cf = resonant_potential(a, b, prov_cf).total
     t_kk = resonant_potential(a, b, prov_kk).total
-    assert t_kk == pytest.approx(t_cf, rel=1e-6)
+    assert t_kk == pytest.approx(t_cf, rel=1e-6, abs=0.0)
 
 
 def test_narrow_provider_rejects_unknown_position():
