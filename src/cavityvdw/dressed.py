@@ -31,8 +31,8 @@ from .errors import DomainError, QuadratureError
 class CouplingScenario(Protocol):
     """Geometry hook the force operations differentiate through.
 
-    detuning [rad/s], the two positions [m], a length_scale [m] used to
-    floor finite-difference steps, and rabi(r_a, r_b) -> Omega_R [rad/s]
+    detuning [rad/s], the two positions [m], a length_scale [m] that sets
+    the finite-difference step, and rabi(r_a, r_b) -> Omega_R [rad/s]
     as a pure function of trial positions.
     """
 
@@ -169,20 +169,28 @@ def potential_theta(theta, sys: DressedSystem):
     return HBAR * sys.omega / 2.0 * np.cos(2.0 * (th - sys.theta_c))
 
 
-@dataclass(frozen=True)
-class StepControl:
-    """Finite-difference step policy: h = max(rel_step |z|, abs_step_scale d)
-    per component, one Richardson level, and a relative error tolerance."""
+# finite-difference step as a fraction of the scenario length scale, on
+# every axis: one Richardson level leaves a relative truncation error
+# ~(k h)^4 / 480 and a rounding error ~eps / (k h), both below 1e-11 for
+# mode wavenumbers pi / d <= k <= 10 pi / d
+FD_STEP = 1e-4
+# a half-step error estimate above this fraction of the reference scale
+# means a kink or noise inside the stencil
+KINK_TOLERANCE = 1e-4
+_STENCIL = np.array([1.0, -1.0, 0.5, -0.5])
 
-    rel_step: float = 1e-6
-    abs_step_scale: float = 1e-9
-    rel_tolerance: float = 1e-4
 
-    def __post_init__(self):
-        if not (self.rel_step > 0.0 and self.abs_step_scale > 0.0):
-            raise DomainError("finite-difference steps must be positive")
-        if not self.rel_tolerance > 0.0:
-            raise DomainError("error tolerance must be positive")
+def richardson_slope(f, h):
+    """Central-difference slope of f at 0 refined by one Richardson level,
+    and its error estimate |refined - half-step slope|.
+
+    f takes the offsets h (1, -1, 1/2, -1/2) as one array and returns its
+    values stacked on axis 0; further axes carry independent slopes.
+    """
+    u = np.asarray(f(h * _STENCIL))
+    half = (u[2] - u[3]) / h
+    slope = (4.0 * half - (u[0] - u[1]) / (2.0 * h)) / 3.0
+    return slope, np.abs(slope - half)
 
 
 class Gradient(NamedTuple):
@@ -196,19 +204,14 @@ def _pick_atom(scenario: CouplingScenario, atom: str):
     return np.asarray(scenario.position_a if atom == "A" else scenario.position_b, dtype=float)
 
 
-def grad_rabi(
-    scenario: CouplingScenario,
-    atom: str = "A",
-    step: StepControl | None = None,
-) -> Gradient:
-    """Central-difference gradient of Omega_R with respect to one atom's
-    position, refined by one Richardson level [rad/s per m].
+def grad_rabi(scenario: CouplingScenario, atom: str = "A") -> Gradient:
+    """Gradient of Omega_R with respect to one atom's position by
+    richardson_slope on each axis, step FD_STEP x length_scale [rad/s per m].
 
-    The error estimate is the maximum componentwise difference between the
-    refined and the half-step values; it blows up at mode nodes where the
-    square-root Rabi frequency has a kink, and a QuadratureError reports it.
+    The error estimate is the largest of the axes' estimates; it blows up
+    where Omega_R has a kink inside the stencil, and a QuadratureError
+    reports it.
     """
-    step = step or StepControl()
     base = _pick_atom(scenario, atom)
     other = np.asarray(scenario.position_b if atom == "A" else scenario.position_a, dtype=float)
 
@@ -217,50 +220,33 @@ def grad_rabi(
             return scenario.rabi(p, other)
         return scenario.rabi(other, p)
 
-    refined = np.zeros(3)
-    err = 0.0
-    for i in range(3):
-        h = max(step.rel_step * abs(base[i]), step.abs_step_scale * scenario.length_scale)
-
-        def central(hh):
-            up = base.copy()
-            dn = base.copy()
-            up[i] += hh
-            dn[i] -= hh
-            return (omega_r_at(up) - omega_r_at(dn)) / (2.0 * hh)
-
-        d1 = central(h)
-        d2 = central(h / 2.0)
-        refined[i] = (4.0 * d2 - d1) / 3.0
-        err = max(err, abs(refined[i] - d2))
+    h = FD_STEP * scenario.length_scale
+    slopes = [richardson_slope(lambda dz: [omega_r_at(base + t * axis) for t in dz], h)
+              for axis in np.eye(3)]
+    refined = np.array([slope for slope, _ in slopes])
+    err = float(max(e for _, e in slopes))
 
     scale = float(np.linalg.norm(refined))
     ref = scale + abs(omega_r_at(base)) / scenario.length_scale + 1e-300
-    if err > step.rel_tolerance * ref:
+    if err > KINK_TOLERANCE * ref:
         raise QuadratureError(
-            f"gradient error estimate {err:.3e} exceeds {step.rel_tolerance:.1e} "
+            f"gradient error estimate {err:.3e} exceeds {KINK_TOLERANCE:.1e} "
             f"of the reference scale {ref:.3e} (kink or noise at the evaluation point)",
             achieved=err,
-            target=step.rel_tolerance * ref,
+            target=KINK_TOLERANCE * ref,
             value=tuple(refined),
         )
     return Gradient(refined, err)
 
 
-def force_eigenstate(
-    scenario: CouplingScenario,
-    sign: int,
-    atom: str = "A",
-    step: StepControl | None = None,
-) -> np.ndarray:
+def force_eigenstate(scenario: CouplingScenario, sign: int, atom: str = "A") -> np.ndarray:
     """Force on the chosen atom in the |+/-> eigenstate:
     -+ (hbar/2) sin(2 theta_c) grad Omega_R [N]."""
     if sign not in (+1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign}")
     omega_r = scenario.rabi(scenario.position_a, scenario.position_b)
     theta_c = coupling_angle(omega_r, scenario.detuning)
-    grad = grad_rabi(scenario, atom, step)
-    return -sign * (HBAR / 2.0) * math.sin(2.0 * theta_c) * grad.value
+    return sign * theta_force(theta_c, grad_rabi(scenario, atom).value)
 
 
 def theta_force(theta, grad_omega_r, omega_r=None, detuning=None, variant: str = "corrected"):
@@ -290,12 +276,11 @@ def force_theta(
     theta,
     atom: str = "A",
     variant: str = "corrected",
-    step: StepControl | None = None,
 ) -> np.ndarray:
     """Force on the chosen atom in the prescribed superposition [N], with the
     finite-difference gradient of grad_rabi; see theta_force for the
     variants."""
-    grad = grad_rabi(scenario, atom, step)
+    grad = grad_rabi(scenario, atom)
     omega_r = None
     if variant == "as-printed":
         omega_r = scenario.rabi(scenario.position_a, scenario.position_b)

@@ -128,18 +128,19 @@ class PlanarCavity:
         return 2.0 * C * self.delta / self.d
 
 
+# subdivisions allowed to each adaptive quadrature pass
+_QUAD_LIMIT = 800
+
+
 @dataclass(frozen=True)
 class QuadratureControl:
-    """Adaptive-quadrature budget: relative target and subdivision limit."""
+    """Adaptive-quadrature budget: the relative error target."""
 
     rel_tol: float = 1e-8
-    limit: int = 800
 
     def __post_init__(self):
         if not self.rel_tol > 0.0:
             raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.limit < 1:
-            raise DomainError(f"subdivision limit must be >= 1, got {self.limit}")
 
 
 @dataclass(frozen=True)
@@ -206,7 +207,7 @@ def _quad_piece(f, a, b, control, points=None):
     against which abserr must be judged when the total cancels to ~0 (odd
     integrands). Warnings suppressed via full_output, convergence judged by
     the caller on the summed estimates."""
-    kwargs = dict(limit=control.limit, epsabs=0.0, epsrel=control.rel_tol,
+    kwargs = dict(limit=_QUAD_LIMIT, epsabs=0.0, epsrel=control.rel_tol,
                   full_output=1)
     if points:
         pts = sorted(p for p in set(points) if a < p < b)

@@ -308,3 +308,20 @@ def test_xcheck_force_row_checks_the_shipped_gradient(tmp_path, monkeypatch):
     assert status["force-gradient-corrected"] == "fail"
     assert status["force-as-printed-ratio"] == "pass"
     assert result.failures == 1
+
+
+def test_xcheck_skips_force_samples_whose_stencil_crosses_the_kink(tmp_path):
+    # at nu = 5 the finite-difference stencil of one seed-45 sample straddles
+    # s_A + s_B = 0, where Omega_R has no derivative
+    nu5 = MINIMAL.replace("nu: 1", "nu: 5") + "mode: xcheck\nseed: 45\n"
+    out = str(tmp_path / "x.csv")
+    assert main(["xcheck", "--config", _write(tmp_path, nu5), "--out", out]) == 0
+    samples = json.loads((tmp_path / "x.csv.manifest.json").read_text())["normalization"]["samples"]
+    assert samples["force-gradient-corrected"] < 100
+
+
+def test_xcheck_free_space_row_near_a_zero_of_the_potential(tmp_path):
+    # seed 301082727 draws a free-space sample near a zero of the oscillating
+    # potential, where a miss relative to the potential itself blows up
+    cfg = _write(tmp_path, MINIMAL + "mode: xcheck\nseed: 301082727\n")
+    assert main(["xcheck", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0

@@ -392,5 +392,3 @@ def test_planar_scan_step_height_and_width():
 def test_quadrature_control_validation():
     with pytest.raises(DomainError):
         QuadratureControl(rel_tol=0.0)
-    with pytest.raises(DomainError):
-        QuadratureControl(rel_tol=1e-8, limit=0)

@@ -5,6 +5,7 @@ import pytest
 
 from cavityvdw import constants
 from cavityvdw.constants import C, HBAR
+from cavityvdw.dressed import grad_rabi
 from cavityvdw.errors import DomainError
 from cavityvdw.greens import ComplexDyad, PlanarCavity, planar_resonant_im_gxx
 from cavityvdw.modecoupling import AtomSpec, ModeModel, coupling_strength_sq, mode_norm
@@ -13,6 +14,7 @@ from cavityvdw.planarcavity import (
     RabiBreakdown,
     free_decay_rate,
     rabi_contributions,
+    rabi_gradient_a,
     scan_rabi,
 )
 from cavityvdw.tabular import Table
@@ -162,6 +164,24 @@ def test_rabi_protocol_consistent_with_contributions():
     scn = PlanarScenario.resonant(cav, 0.2 * cav.d, 0.35 * cav.d)
     omega_r = scn.rabi(scn.position_a, scn.position_b)
     assert omega_r**2 == pytest.approx(rabi_contributions(scn).omega2_total, rel=1e-13)
+
+
+def test_grad_rabi_matches_analytic_gradient_near_mirrors():
+    # the finite-difference reference keeps its accuracy where the mode
+    # function is small and steep (z_A within 0.001 d of a mirror)
+    cav = PlanarCavity(d=1.0e-6, delta=1.0e-3, nu=1)
+    dip = (1.0e-29, 0.0, 0.0)
+    w = cav.omega_nu + 2.0e10
+
+    def atom(z):
+        return AtomSpec(position=(0.0, 0.0, z), omega10=w, dipole=dip)
+
+    for frac in (0.001, 0.01, 0.999):
+        scn = PlanarScenario(cavity=cav, atom_a=atom(frac * cav.d), atom_b=atom(0.3 * cav.d))
+        assert scn.detuning == pytest.approx(-2.0e10, rel=1e-3)
+        expect = rabi_gradient_a(scn, frac * cav.d, 0.3 * cav.d)
+        got = grad_rabi(scn, "A").value[2]
+        assert got == pytest.approx(expect, rel=1e-10, abs=0.0), frac
 
 
 def test_pipeline_equality_with_coupling_route():
