@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .constants import C
 from .errors import DomainError, QuadratureError
@@ -148,13 +147,15 @@ class SpectralFunction:
     """Real-valued function of angular frequency for principal-value
     transforms.
 
+    func is called on numpy arrays of quadrature nodes and must return an
+    array of the same shape, or a constant, which is broadcast.
     support is the caller-declared window containing all non-negligible mass
     (the integrable-decay statement). poles/exclusion_radius declare where
     the function itself must not be probed. hint_points are interior sharp
     features (for example a narrow peak) passed to the quadrature.
     """
 
-    func: Callable[[float], float]
+    func: Callable[[np.ndarray], np.ndarray | float]
     support: tuple[float, float]
     poles: tuple[float, ...] = ()
     exclusion_radius: float = 0.0
@@ -199,6 +200,15 @@ def free_space_im_green_coincident(k: float) -> ComplexDyad:
         raise DomainError(f"wavenumber must be positive, got k={k}")
     m = 1j * (k / (6.0 * math.pi)) * np.eye(3)
     return ComplexDyad(m, real_status="excluded")
+
+
+def quad(f, a, b, **kwargs):
+    """scipy.integrate.quad, imported on first call: only the cavity
+    Green's-tensor quadrature needs it, and importing scipy costs more than
+    any closed-form evaluation."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(f, a, b, **kwargs)
 
 
 def _quad_piece(f, a, b, control, points=None):
@@ -388,6 +398,21 @@ def planar_resonant_im_gxx(
     return peak * lorentz
 
 
+# principal-value transform: 20-node Gauss-Legendre panels, and the initial
+# panel edges graded away from each interior breakpoint, in units of the
+# smallest breakpoint gap
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_KK_GRADING = (1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1.0e3, 3.0e3, 1.0e4, 3.0e4)
+
+
+def _panel_sums(g, a, b):
+    """Gauss-Legendre estimate of the integral of g over each panel
+    [a_i, b_i], from one call of g on the nodes of all panels."""
+    half = 0.5 * (b - a)
+    nodes = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
+    return half * (g(nodes) @ _GL_WEIGHTS)
+
+
 def kk_real_from_imag(
     f: SpectralFunction,
     omega: float,
@@ -395,6 +420,13 @@ def kk_real_from_imag(
 ) -> float:
     """Principal-value transform P Int f(w') / (w' - omega) dw' over the
     declared support window, via symmetric-interval pole subtraction.
+
+    Adaptive Gauss-Legendre panels: breakpoints at the support ends, omega
+    and the hint points, graded geometrically away from the interior ones;
+    each panel's error is the difference between its value and that of its
+    two halves, and panels missing their length-share of the budget
+    rel_tol * (|total| + sum of |panel values|) are halved, up to
+    _QUAD_LIMIT subdivisions in all.
 
     Note the bare integral is returned; dispersion-relation callers supply
     their own 1/pi prefactor.
@@ -407,35 +439,55 @@ def kk_real_from_imag(
                 f"{f.exclusion_radius} of a declared pole at {p}"
             )
     lo, hi = f.support
-    pieces = []
+    radius = f0 = 0.0
     if lo < omega < hi:
         radius = min(omega - lo, hi - omega)
         f0 = f(omega)
 
-        def core(w):
-            if w == omega:
-                return 0.0  # removable point; quadrature nodes are open
-            return (f(w) - f0) / (w - omega)
+    def g(w):
+        fw = np.broadcast_to(np.asarray(f.func(w), dtype=float), w.shape)
+        dw = w - omega
+        num = np.where(np.abs(dw) < radius, fw - f0, fw)
+        # omega itself is a removable point of the subtracted integrand
+        return np.divide(num, dw, out=np.zeros_like(num), where=dw != 0.0)
 
-        pieces.append((core, omega - radius, omega + radius, (omega,) + f.hint_points))
-        if omega - radius > lo:
-            pieces.append((lambda w: f(w) / (w - omega), lo, omega - radius, f.hint_points))
-        if omega + radius < hi:
-            pieces.append((lambda w: f(w) / (w - omega), omega + radius, hi, f.hint_points))
-    else:
-        pieces.append((lambda w: f(w) / (w - omega), lo, hi, f.hint_points))
+    inner = np.array([p for p in (omega, *f.hint_points) if lo < p < hi])
+    gaps = np.diff(np.sort(np.concatenate(([lo, hi], inner))))
+    steps = np.min(gaps[gaps > 0.0]) * np.array(_KK_GRADING)
+    graded = np.add.outer(inner, np.concatenate((-steps, steps))).ravel()
+    # the integrand jumps by f0 / radius at the ends of the subtracted interval
+    edges = np.sort(np.concatenate(([lo, hi, omega - radius, omega + radius], graded)))
+    edges = edges[(edges >= lo) & (edges <= hi)]
+    edges = edges[np.diff(edges, prepend=-np.inf) > 0.0]
 
-    total = 0.0
-    err = 0.0
-    ref = 0.0
-    for g, a, b, pts in pieces:
-        v, e, l1 = _quad_piece(g, a, b, control, pts)
-        total += v
-        err += e
-        ref += l1
-    # reference scale: subinterval L1 magnitudes guard against cancellation
-    # to ~0 (odd integrands); a tiny absolute floor guards the exactly-zero
-    # case
+    a, b = edges[:-1], edges[1:]
+    whole = _panel_sums(g, a, b)
+    values, errors = [], []
+    splits = 0
+    while a.size:
+        mid = 0.5 * (a + b)
+        halves = _panel_sums(g, np.concatenate((a, mid)), np.concatenate((mid, b)))
+        left, right = halves[: a.size], halves[a.size :]
+        value = left + right
+        error = np.abs(whole - value)
+        current = np.concatenate(values + [value])
+        budget = control.rel_tol * (abs(math.fsum(current)) + math.fsum(np.abs(current)))
+        split = error > budget * (b - a) / (hi - lo)
+        n_split = int(np.count_nonzero(split))
+        if splits + n_split > _QUAD_LIMIT:
+            split[:] = False
+        values.append(value[~split])
+        errors.append(error[~split])
+        splits += n_split
+        a, b = np.concatenate((a[split], mid[split])), np.concatenate((mid[split], b[split]))
+        whole = np.concatenate((left[split], right[split]))
+
+    values = np.concatenate(values)
+    total = math.fsum(values)
+    err = math.fsum(np.concatenate(errors))
+    ref = math.fsum(np.abs(values))
+    # reference scale: panel L1 magnitudes guard against cancellation to ~0
+    # (odd integrands); a tiny absolute floor guards the exactly-zero case
     bound = 10.0 * control.rel_tol * (abs(total) + ref) + 1e-15 * (1.0 + ref)
     if err > bound:
         raise QuadratureError(

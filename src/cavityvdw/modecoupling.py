@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .constants import HBAR, MU0
 from .errors import DomainError, FitError
@@ -150,6 +149,10 @@ def fit_lorentzian(samples: Sequence[tuple[float, float]]) -> LorentzianFit:
         om, gam, pk = w0 + a * g0, b * g0, c * peak0
         quarter = gam**2 / 4.0
         return (pk * quarter / ((w - om) ** 2 + quarter) - y) / peak0
+
+    # imported here: no CLI mode fits, and importing scipy costs more than
+    # any of them computes
+    from scipy.optimize import least_squares
 
     sol = least_squares(resid, x0=(0.0, 1.0, 1.0), xtol=1e-14, ftol=1e-14, gtol=None)
     if not sol.success:

@@ -85,6 +85,24 @@ def lorentzian_principal_value(peak, omega0, gamma, omega):
     return math.pi * peak * (gamma / 2.0) * dw / (dw**2 + gamma**2 / 4.0)
 
 
+def lorentzian_window_principal_value(peak, omega0, gamma, lo, hi, omega):
+    """Exact principal value of integral L(w)/(w - omega) dw over the window
+    [lo, hi], for omega inside it and the Lorentzian L above.
+
+    With x = w - omega0, x0 = omega - omega0 and a = gamma/2, the partial
+    fractions a^2/((x^2 + a^2)(x - x0)) = A [1/(x - x0) - (x + x0)/(x^2 + a^2)],
+    A = a^2/(x0^2 + a^2), integrate to logarithms and an arctangent.
+    """
+    a = gamma / 2.0
+    x0, x1, x2 = omega - omega0, lo - omega0, hi - omega0
+    amp = a * a / (x0 * x0 + a * a)
+    return peak * amp * (
+        math.log((x2 - x0) / (x0 - x1))
+        - 0.5 * math.log((x2 * x2 + a * a) / (x1 * x1 + a * a))
+        - (x0 / a) * (math.atan(x2 / a) - math.atan(x1 / a))
+    )
+
+
 def small_kr_diagonal_imag(k, r_vec):
     """Leading series of Im G_aa for kr << 1, per axis: (1/4 pi r) *
     [(2/3) x - (2/15) x^3 + (1/15) x^3 e_a^2], x = kr."""

@@ -2,11 +2,15 @@
 preceded the array sweeps (tests/goldens/<config>-<mode>.csv, made with
 `cavityvdw <mode> --config tests/goldens/<config>.yaml`).
 
-Grid and kk-check columns must match bit for bit. Other columns may move
-by rounding where numpy's sin, hypot and arctan2 replace math's, bounded
-by 4e-15 of the column's largest magnitude; force columns now come from
-the analytic gradient instead of finite differences and are bounded by
-1e-8 of the column's largest magnitude.
+Grid columns and the kk-check offset, omega and closed-form columns must
+match bit for bit. The kk-check principal values were written by QUADPACK
+and now come from the numpy panel quadrature: each may move by 5e-14 of
+itself (both engines are within 2e-14 of the exact windowed transform),
+and rel_error by what that move implies. Other columns may move by rounding
+where numpy's sin, hypot and arctan2 replace math's, bounded by 4e-15 of
+the column's largest magnitude; force columns now come from the analytic
+gradient instead of finite differences and are bounded by 1e-8 of the
+column's largest magnitude.
 """
 
 import dataclasses
@@ -30,6 +34,8 @@ CASES = (
     + [("free_space", "potential")]
 )
 EXACT = ("z_A", "z_B", "separation")
+KK_EXACT = ("offset_widths", "omega", "closed_form")
+KK_REL = 5e-14
 
 
 def _read_csv(path: Path) -> dict[str, np.ndarray]:
@@ -49,14 +55,21 @@ def test_table_matches_golden_and_repeats_bytes(tmp_path, config, mode):
     want = _read_csv(GOLDENS / f"{config}-{mode}.csv")
     assert list(got) == list(want)
     for name, ref in want.items():
-        if mode == "kk-check" or name in EXACT:
+        if name in EXACT or (mode == "kk-check" and name in KK_EXACT):
             bound = 0.0
+        elif name == "kk_numeric_over_pi":
+            bound = KK_REL * np.abs(ref)
+        elif name == "rel_error":
+            # |n/c - 1| moves by KK_REL |n/c| when n moves by KK_REL |n|,
+            # plus the rounding of the quotient and the difference
+            ratio = np.abs(want["kk_numeric_over_pi"] / want["closed_form"])
+            bound = KK_REL * np.max(ratio) + 2.0 * np.finfo(float).eps
         elif name.startswith("f_theta"):
             bound = 1e-8 * np.max(np.abs(ref))
         else:
             bound = 4e-15 * np.max(np.abs(ref))
-        miss = np.max(np.abs(got[name] - ref))
-        assert miss <= bound, f"{name}: off by {miss:.3e}, bound {bound:.3e}"
+        miss = np.abs(got[name] - ref)
+        assert np.all(miss <= bound), f"{name}: off by {np.max(miss):.3e}"
 
 
 @pytest.mark.parametrize("config", ("planar", "planar_below_a", "planar_above_b_as_printed"))

@@ -1,5 +1,6 @@
 import math
 import cmath
+import dataclasses
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from oracles import (
     image_series_xx,
     image_series_zz,
     lorentzian_principal_value,
+    lorentzian_window_principal_value,
     small_kr_diagonal_imag,
     transverse_scalar,
 )
@@ -318,6 +320,42 @@ def test_kk_lorentzian_matches_exact_principal_value():
         got = kk_real_from_imag(sf, w)
         exact = lorentzian_principal_value(peak, w0, gamma, w)
         assert got == pytest.approx(exact, rel=2e-6)
+
+
+@pytest.mark.parametrize("offset", [0.3, 2.0, 1.0e2, 1.0e3, 1.0e4, 4.9e4])
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_kk_lorentzian_matches_exact_window_transform(offset, side):
+    # the exact principal value over the same finite window, from the
+    # peak to 1e3 widths inside the window's edge
+    peak, w0, gamma = 2.3, 1.0e15, 1.0e11
+    sf = _lorentzian_spectral(peak, w0, gamma)
+    w = w0 + side * offset * gamma
+    exact = lorentzian_window_principal_value(peak, w0, gamma, *sf.support, w)
+    assert kk_real_from_imag(sf, w) == pytest.approx(exact, rel=5e-14, abs=0.0)
+
+
+def test_kk_halving_resolves_a_peak_without_hint_points():
+    # no breakpoints at the peak: only the panel halving can resolve it
+    peak, w0, gamma = 2.3, 1.0e15, 1.0e11
+    sf = dataclasses.replace(_lorentzian_spectral(peak, w0, gamma), hint_points=())
+    control = QuadratureControl(rel_tol=1e-9)
+    for offset in (-1.0e3, -2.0, 0.3, 1.0e3):
+        w = w0 + offset * gamma
+        exact = lorentzian_window_principal_value(peak, w0, gamma, *sf.support, w)
+        assert kk_real_from_imag(sf, w, control) == pytest.approx(exact, rel=1e-9, abs=0.0)
+
+
+def test_kk_unresolvable_integrand_raises_with_its_estimate():
+    # a square wave of 1e5 half-periods cannot be resolved within the
+    # subdivision cap; the error carries the achieved error and the value
+    lo, hi = 1.0e14, 2.0e14
+    h = (hi - lo) / 1.0e5
+    sf = SpectralFunction(func=lambda w: np.cos(np.pi * np.floor((w - lo) / h)), support=(lo, hi))
+    for w in (1.5e14 + 0.3 * h, 3.0e14):
+        with pytest.raises(QuadratureError) as info:
+            kk_real_from_imag(sf, w)
+        assert info.value.achieved > info.value.target
+        assert math.isfinite(info.value.value)
 
 
 def test_kk_far_detuned_asymptote():
