@@ -30,10 +30,26 @@ the single-bounce exponent is the convergent e^{+i k_perp (2d-z-z')} form,
 which is required for the evanescent sector to be integrable and is verified
 against an image-series resummation in the test suite.
 
-The propagating sector is integrated in t = k_perp/k with forced subdivision
-at the cavity resonances k_perp = m pi / d and in the boundary layers of
-width ~delta near both endpoints; the evanescent sector is integrated in
-u = kappa d with an exponential-tail cutoff.
+The propagating sector is integrated in t = k_perp/k on (0, 1), the
+evanescent sector in u = kappa d on (0, u_max), with an exponential-tail
+cutoff u_max. Both run on one numpy engine of 20-node Gauss-Legendre panels,
+which the principal-value transform kk_real_from_imag shares:
+
+- The integrand is vector-valued: one evaluation of the bracket on an array
+  of nodes gives every component, (Re T, Im T, Re L, Im L) for propagating
+  and (T, L) for evanescent waves (T transverse, L longitudinal).
+- The cavity denominators make Lorentzian features of width
+  layer = (1 - |r|)/(kd) in t, at each resonance t = m pi/(kd) and at both
+  ends (grazing incidence, and normal incidence near a mode). The initial
+  panel edges are graded toward each of them at +-{1, 3, 10, ..., 3e4} x
+  layer; in u they are graded toward u = 0 in units of 1 - |r|.
+- A panel's error is |panel - its two halves|. While a sector's summed
+  error exceeds its budget (rel_tol times the larger of the sector's |T|,
+  its |L| and the free-space floor k/6 pi), every panel whose error exceeds
+  budget/n_panels is halved, with at most _QUAD_LIMIT halvings in all.
+
+The integrand depends on the points only through z + z' and |z - z'|, so
+the tensor is reciprocal bit for bit.
 """
 
 from __future__ import annotations
@@ -127,7 +143,7 @@ class PlanarCavity:
         return 2.0 * C * self.delta / self.d
 
 
-# subdivisions allowed to each adaptive quadrature pass
+# panel halvings allowed to each adaptive quadrature
 _QUAD_LIMIT = 800
 
 
@@ -203,31 +219,78 @@ def free_space_im_green_coincident(k: float) -> ComplexDyad:
 
 
 def quad(f, a, b, **kwargs):
-    """scipy.integrate.quad, imported on first call: only the cavity
-    Green's-tensor quadrature needs it, and importing scipy costs more than
-    any closed-form evaluation."""
+    """scipy.integrate.quad, imported on first call. No quadrature in this
+    package calls it any more; the benchmark's tracer (perfbench/tracer.py)
+    patches this name to count integrand evaluations."""
     from scipy.integrate import quad as scipy_quad
 
     return scipy_quad(f, a, b, **kwargs)
 
 
-def _quad_piece(f, a, b, control, points=None):
-    """scipy quad wrapper returning (value, abserr, l1) where l1 sums the
-    magnitudes of the per-subinterval contributions; that is the scale
-    against which abserr must be judged when the total cancels to ~0 (odd
-    integrands). Warnings suppressed via full_output, convergence judged by
-    the caller on the summed estimates."""
-    kwargs = dict(limit=_QUAD_LIMIT, epsabs=0.0, epsrel=control.rel_tol,
-                  full_output=1)
-    if points:
-        pts = sorted(p for p in set(points) if a < p < b)
-        if pts:
-            kwargs["points"] = pts
-    out = quad(f, a, b, **kwargs)
-    info = out[2]
-    nsub = int(info.get("last", 0)) if isinstance(info, dict) else 0
-    l1 = float(np.sum(np.abs(info["rlist"][:nsub]))) if nsub else abs(out[0])
-    return out[0], out[1], l1
+# Gauss-Legendre panel engine shared by the cavity tensor and the
+# principal-value transform: 20-node panels, and initial panel edges graded
+# away from each sharp feature at +-_GRADING times the feature's width
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_GRADING = (1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1.0e3, 3.0e3, 1.0e4, 3.0e4)
+
+
+def _panel_edges(lo, hi, features, width, fixed=()):
+    """Sorted distinct panel edges on [lo, hi]: the ends, the fixed points,
+    and each feature point flanked at +-_GRADING * width."""
+    features = np.asarray(features, dtype=float)
+    steps = width * np.array(_GRADING)
+    graded = np.add.outer(features, np.concatenate((-steps, steps))).ravel()
+    edges = np.sort(np.concatenate(([lo, hi], features, fixed, graded)))
+    edges = edges[(edges >= lo) & (edges <= hi)]
+    return edges[np.diff(edges, prepend=-np.inf) > 0.0]
+
+
+def _panel_sums(g, a, b):
+    """Gauss-Legendre estimate of the integral of each component of g over
+    each panel [a_i, b_i] (components x panels), from one call of g on the
+    nodes of all panels."""
+    half = 0.5 * (b - a)
+    nodes = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
+    return np.atleast_2d(half * (g(nodes) @ _GL_WEIGHTS))
+
+
+def _gl_quadrature(g, edges, budget):
+    """Adaptive Gauss-Legendre quadrature of a vector-valued integrand over
+    the panels between consecutive edges.
+
+    g maps an array of nodes to the integrand's components stacked along a
+    new first axis, or to a single component of the nodes' shape. A panel's
+    value is the sum of its two halves and its error the sum over components
+    of |panel - two halves|. While the summed error exceeds budget(values)
+    (values: components x panels), every panel whose error exceeds
+    budget / n_panels is halved, with at most _QUAD_LIMIT halvings in all.
+
+    Returns (values, error): the final panel values and the summed error.
+    """
+
+    def halve(a, b, whole):
+        mid = 0.5 * (a + b)
+        halves = _panel_sums(g, np.concatenate((a, mid)), np.concatenate((mid, b)))
+        left, right = halves[:, : a.size], halves[:, a.size :]
+        return a, mid, b, left, right, np.sum(np.abs(whole - left - right), axis=0)
+
+    a, b = edges[:-1], edges[1:]
+    panels = halve(a, b, _panel_sums(g, a, b))
+    splits = 0
+    while True:
+        a, mid, b, left, right, error = panels
+        values = left + right
+        target = budget(values)
+        split = error > target / error.size
+        n_split = int(np.count_nonzero(split))
+        if not math.fsum(error) > target or splits + n_split > _QUAD_LIMIT:
+            return values, math.fsum(error)
+        splits += n_split
+        children = halve(np.concatenate((a[split], mid[split])),
+                         np.concatenate((mid[split], b[split])),
+                         np.concatenate((left[:, split], right[:, split]), axis=1))
+        panels = [np.concatenate((old[..., ~split], new), axis=-1)
+                  for old, new in zip(panels, children)]
 
 
 def planar_scattering_components(
@@ -244,7 +307,9 @@ def planar_scattering_components(
     xx = yy entry and longitudinal the zz entry [1/m].
 
     Exposed below PlanarCavity so that diagnostics can drive arbitrary
-    |r_sigma| < 1, including r_sigma = 0 (no mirrors).
+    |r_sigma| < 1, including r_sigma = 0 (no mirrors). The integrand depends
+    on the points only through z + z' and |z - z'|, so swapping them gives
+    the same result bit for bit.
     """
     control = control or QuadratureControl()
     if not (0.0 < z < d and 0.0 < zp < d):
@@ -253,15 +318,19 @@ def planar_scattering_components(
         raise DomainError(f"angular frequency must be positive, got {omega}")
     if max(abs(r_s), abs(r_p)) >= 1.0:
         raise DomainError("reflection coefficients must satisfy |r| < 1")
+    if r_s == 0.0 and r_p == 0.0:
+        return 0.0 + 0.0j, 0.0 + 0.0j, 0.0
     k = omega / C
+    kd = k * d
+    zsum, zdiff = z + zp, abs(z - zp)
 
     def braces(kperp, kp2_over_k2, kpar2_over_k2):
         e2d = np.exp(2j * kperp * d)
         ds = 1.0 - r_s**2 * e2d
         dp = 1.0 - r_p**2 * e2d
         # cos written via exponentials so complex k_perp is handled uniformly
-        two_cos = np.exp(1j * kperp * (z - zp)) + np.exp(-1j * kperp * (z - zp))
-        pair = np.exp(1j * kperp * (z + zp)) + np.exp(1j * kperp * (2.0 * d - z - zp))
+        two_cos = np.exp(1j * kperp * zdiff) + np.exp(-1j * kperp * zdiff)
+        pair = np.exp(1j * kperp * zsum) + np.exp(1j * kperp * (2.0 * d - zsum))
         s_num = r_s**2 * e2d * two_cos + r_s * pair
         p_num = r_p**2 * e2d * two_cos - r_p * pair
         p_num_long = r_p**2 * e2d * two_cos + r_p * pair
@@ -269,56 +338,53 @@ def planar_scattering_components(
         longi = 2.0 * kpar2_over_k2 * p_num_long / dp
         return trans, longi
 
-    if r_s == 0.0 and r_p == 0.0:
-        return 0.0 + 0.0j, 0.0 + 0.0j, 0.0
+    # propagating sector: t = k_perp / k on (0, 1), measure k dt, components
+    # (Re T, Im T, Re L, Im L) of the bracket; the tensor takes i times them
+    def f_prop(t):
+        tr, lo = braces(k * t, t * t, 1.0 - t * t)
+        return (k / (8.0 * math.pi)) * np.stack((tr.real, tr.imag, lo.real, lo.imag))
 
-    # propagating sector: t = k_perp / k on (0, 1), measure k dt
-    def f_prop(t, which):
-        tr, lo = braces(t * k, t * t, 1.0 - t * t)
-        val = tr if which == 0 else lo
-        return val * k
-
-    # forced subdivision: cavity resonances and the delta-wide layers at both
-    # endpoints (k_par = k and k_par = 0)
-    kd = k * d
-    pts = [m * math.pi / kd for m in range(1, int(kd / math.pi) + 2) if m * math.pi / kd < 1.0]
-    w = max(min(abs(r_s), abs(r_p), 0.999), 1e-6)
-    layer = max(1.0 - w, 1e-12) / kd
-    pts += [5 * layer, 50 * layer, 1.0 - 50 * layer, 1.0 - 5 * layer]
-
-    # evanescent sector: u = kappa d on (0, u_max); integrand purely real
-    s_min = min(z + zp, 2.0 * d - z - zp, 2.0 * d - abs(z - zp))
-    u_max = 45.0 * d / s_min
-
-    def f_evan(u, which):
+    # evanescent sector: u = kappa d on (0, u_max), components (T, L); the
+    # bracket is real there
+    def f_evan(u):
         kappa = u / d
         tr, lo = braces(1j * kappa, -(kappa / k) ** 2, 1.0 + (kappa / k) ** 2)
-        val = tr if which == 0 else lo
-        return val.real / d
-
-    pts_e = [5.0 * max(1.0 - w, 1e-12), 50.0 * max(1.0 - w, 1e-12), 1.0]
-
-    results = []
-    err_total = 0.0
-    for which in (0, 1):
-        re, e1, _ = _quad_piece(lambda t: f_prop(t, which).real, 0.0, 1.0, control, pts)
-        im, e2, _ = _quad_piece(lambda t: f_prop(t, which).imag, 0.0, 1.0, control, pts)
-        ev, e3, _ = _quad_piece(lambda u: f_evan(u, which), 0.0, u_max, control, pts_e)
-        val = (1j / (8.0 * math.pi)) * (re + 1j * im) + (1.0 / (8.0 * math.pi)) * ev
-        results.append(val)
-        err_total += (e1 + e2 + e3) / (8.0 * math.pi)
+        return np.stack((tr.real, lo.real)) / (8.0 * math.pi * d)
 
     # floor: the free-space coincident Im G, k / 6 pi
-    scale = max(abs(results[0]), abs(results[1]), k / (6.0 * math.pi))
-    if err_total > 10.0 * control.rel_tol * scale:
+    floor = k / (6.0 * math.pi)
+
+    def budget(v):
+        # the larger of |T| and |L| in the sector's running totals
+        sizes = np.linalg.norm(v.sum(axis=1).reshape(2, -1), axis=1)
+        return control.rel_tol * max(float(sizes.max()), floor)
+
+    # both sectors have Lorentzian features of width (1 - |r|) in u and
+    # (1 - |r|) / kd in t: at the cavity resonances k_perp = m pi / d, at
+    # grazing incidence and, near a resonance, at normal incidence
+    loss = 1.0 - max(abs(r_s), abs(r_p))
+    t_res = [m * math.pi / kd for m in range(1, int(kd / math.pi) + 1) if m * math.pi < kd]
+    prop, err_prop = _gl_quadrature(f_prop, _panel_edges(0.0, 1.0, [0.0, *t_res, 1.0], loss / kd),
+                                    budget)
+    s_min = min(zsum, 2.0 * d - zsum, 2.0 * d - zdiff)
+    u_max = 45.0 * d / s_min
+    evan, err_evan = _gl_quadrature(f_evan, _panel_edges(0.0, u_max, [0.0], loss), budget)
+
+    p_re_t, p_im_t, p_re_l, p_im_l = map(math.fsum, prop)
+    e_t, e_l = map(math.fsum, evan)
+    trans = complex(e_t - p_im_t, p_re_t)
+    longi = complex(e_l - p_im_l, p_re_l)
+    err_total = err_prop + err_evan
+    target = control.rel_tol * max(abs(trans), abs(longi), floor)
+    if not err_total <= 10.0 * target:
         raise QuadratureError(
             f"cavity quadrature did not converge: achieved {err_total:.3e}, "
-            f"target {control.rel_tol * scale:.3e}",
+            f"target {target:.3e}",
             achieved=err_total,
-            target=control.rel_tol * scale,
-            value=tuple(results),
+            target=target,
+            value=(trans, longi),
         )
-    return complex(results[0]), complex(results[1]), err_total
+    return trans, longi, err_total
 
 
 def planar_cavity_green(
@@ -398,21 +464,6 @@ def planar_resonant_im_gxx(
     return peak * lorentz
 
 
-# principal-value transform: 20-node Gauss-Legendre panels, and the initial
-# panel edges graded away from each interior breakpoint, in units of the
-# smallest breakpoint gap
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
-_KK_GRADING = (1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1.0e3, 3.0e3, 1.0e4, 3.0e4)
-
-
-def _panel_sums(g, a, b):
-    """Gauss-Legendre estimate of the integral of g over each panel
-    [a_i, b_i], from one call of g on the nodes of all panels."""
-    half = 0.5 * (b - a)
-    nodes = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
-    return half * (g(nodes) @ _GL_WEIGHTS)
-
-
 def kk_real_from_imag(
     f: SpectralFunction,
     omega: float,
@@ -421,12 +472,11 @@ def kk_real_from_imag(
     """Principal-value transform P Int f(w') / (w' - omega) dw' over the
     declared support window, via symmetric-interval pole subtraction.
 
-    Adaptive Gauss-Legendre panels: breakpoints at the support ends, omega
-    and the hint points, graded geometrically away from the interior ones;
-    each panel's error is the difference between its value and that of its
-    two halves, and panels missing their length-share of the budget
-    rel_tol * (|total| + sum of |panel values|) are halved, up to
-    _QUAD_LIMIT subdivisions in all.
+    Adaptive Gauss-Legendre panels (the engine the cavity tensor uses):
+    breakpoints at the support ends, omega and the hint points, graded
+    geometrically away from the interior ones in units of the smallest
+    breakpoint gap; the error budget is rel_tol * (|total| + sum of |panel
+    values|).
 
     Note the bare integral is returned; dispersion-relation callers supply
     their own 1/pi prefactor.
@@ -451,45 +501,19 @@ def kk_real_from_imag(
         # omega itself is a removable point of the subtracted integrand
         return np.divide(num, dw, out=np.zeros_like(num), where=dw != 0.0)
 
-    inner = np.array([p for p in (omega, *f.hint_points) if lo < p < hi])
-    gaps = np.diff(np.sort(np.concatenate(([lo, hi], inner))))
-    steps = np.min(gaps[gaps > 0.0]) * np.array(_KK_GRADING)
-    graded = np.add.outer(inner, np.concatenate((-steps, steps))).ravel()
+    inner = [p for p in (omega, *f.hint_points) if lo < p < hi]
+    gaps = np.diff(np.sort([lo, hi, *inner]))
     # the integrand jumps by f0 / radius at the ends of the subtracted interval
-    edges = np.sort(np.concatenate(([lo, hi, omega - radius, omega + radius], graded)))
-    edges = edges[(edges >= lo) & (edges <= hi)]
-    edges = edges[np.diff(edges, prepend=-np.inf) > 0.0]
-
-    a, b = edges[:-1], edges[1:]
-    whole = _panel_sums(g, a, b)
-    values, errors = [], []
-    splits = 0
-    while a.size:
-        mid = 0.5 * (a + b)
-        halves = _panel_sums(g, np.concatenate((a, mid)), np.concatenate((mid, b)))
-        left, right = halves[: a.size], halves[a.size :]
-        value = left + right
-        error = np.abs(whole - value)
-        current = np.concatenate(values + [value])
-        budget = control.rel_tol * (abs(math.fsum(current)) + math.fsum(np.abs(current)))
-        split = error > budget * (b - a) / (hi - lo)
-        n_split = int(np.count_nonzero(split))
-        if splits + n_split > _QUAD_LIMIT:
-            split[:] = False
-        values.append(value[~split])
-        errors.append(error[~split])
-        splits += n_split
-        a, b = np.concatenate((a[split], mid[split])), np.concatenate((mid[split], b[split]))
-        whole = np.concatenate((left[split], right[split]))
-
-    values = np.concatenate(values)
-    total = math.fsum(values)
-    err = math.fsum(np.concatenate(errors))
-    ref = math.fsum(np.abs(values))
+    edges = _panel_edges(lo, hi, inner, np.min(gaps[gaps > 0.0]),
+                         fixed=(omega - radius, omega + radius))
+    values, err = _gl_quadrature(
+        g, edges, lambda v: control.rel_tol * (abs(v.sum()) + np.abs(v).sum()))
+    total = math.fsum(values[0])
+    ref = math.fsum(np.abs(values[0]))
     # reference scale: panel L1 magnitudes guard against cancellation to ~0
     # (odd integrands); a tiny absolute floor guards the exactly-zero case
     bound = 10.0 * control.rel_tol * (abs(total) + ref) + 1e-15 * (1.0 + ref)
-    if err > bound:
+    if not err <= bound:
         raise QuadratureError(
             f"principal-value quadrature did not converge: achieved {err:.3e}, "
             f"target {bound:.3e}",

@@ -7,71 +7,70 @@ images, which converges for any reflection magnitude below one; it shares
 no code with the angular-spectrum quadrature it is used to check.
 """
 
+import functools
 import math
-import cmath
+
+import numpy as np
+
+
+def free_space_entries(k, s):
+    """Free-space (xx, zz) Green entries for on-axis separation s, that is
+    for x dipoles and for z dipoles; s may be a numpy array."""
+    x = k * s
+    wave = np.exp(1j * x) / (2.0 * math.pi * s)
+    return 0.5 * wave * (1.0 + (1j * x - 1.0) / x**2), wave * (1.0 - 1j * x) / x**2
 
 
 def transverse_scalar(k, s):
     """Free-space xx Green entry for on-axis separation s (x dipoles)."""
-    x = k * s
-    return cmath.exp(1j * x) / (4.0 * math.pi * s) * (1.0 + (1j * x - 1.0) / x**2)
+    return free_space_entries(k, s)[0]
 
 
-def longitudinal_scalar(k, s):
-    """Free-space zz Green entry for on-axis separation s (z dipoles)."""
-    return cmath.exp(1j * k * s) * (1.0 - 1j * k * s) / (2.0 * math.pi * k**2 * s**3)
-
-
-def image_series_xx(d, delta, z, zp, omega, c=299792458.0, tol=1e-14):
-    """Scattered xx component from the mirror-image expansion.
+@functools.lru_cache(maxsize=32)
+def _image_series(d, delta, z, zp, omega, c, tol, chunk=1 << 16):
+    """Scattered (xx, zz) components from the mirror-image expansion.
 
     Even bounce counts connect the two atoms through displaced copies of
     the source, odd counts go through reflected copies and pick up one
-    extra factor of the (negative for s at these symmetric points, folded
-    into the sign pattern here) reflection coefficient.
+    extra factor of the reflection coefficient, which is negative for s
+    waves (xx) and positive for p waves (zz) at these symmetric points.
+    Each family ends at its first weight below tol (that term included) or
+    at the bounce cap; the terms are summed in numpy chunks.
     """
     k = omega / c
     r = 1.0 - delta
     nmax = max(8, int(math.log(1.0 / tol) / (2.0 * delta)) + 2)
-    total = 0.0 + 0.0j
     dz = z - zp
-    for m in range(1, nmax + 1):
-        w = r ** (2 * m)
-        total += w * (transverse_scalar(k, 2 * m * d + dz) + transverse_scalar(k, 2 * m * d - dz))
-        if w < tol:
-            break
-    for m in range(0, nmax + 1):
-        w = r ** (2 * m + 1)
-        total -= w * (
-            transverse_scalar(k, 2 * m * d + z + zp)
-            + transverse_scalar(k, 2 * (m + 1) * d - z - zp)
-        )
-        if w < tol:
-            break
-    return total
+    # (first m, odd power of r, xx sign, separations of the two images)
+    families = (
+        (1, 0, 1.0, lambda m: (2 * m * d + dz, 2 * m * d - dz)),
+        (0, 1, -1.0, lambda m: (2 * m * d + z + zp, 2 * (m + 1) * d - z - zp)),
+    )
+    xx = zz = 0.0 + 0.0j
+    for first, odd, sign, separations in families:
+        for start in range(first, nmax + 1, chunk):
+            m = np.arange(start, min(start + chunk, nmax + 1))
+            w = r ** (2 * m + odd)
+            below = np.flatnonzero(w < tol)
+            if below.size:
+                m, w = m[: below[0] + 1], w[: below[0] + 1]
+            for s in separations(m):
+                txx, tzz = free_space_entries(k, s)
+                xx += sign * complex(np.sum(w * txx))
+                zz += complex(np.sum(w * tzz))
+            if below.size:
+                break
+    return xx, zz
+
+
+def image_series_xx(d, delta, z, zp, omega, c=299792458.0, tol=1e-14):
+    """Scattered xx component from the mirror-image expansion."""
+    return _image_series(d, delta, z, zp, omega, c, tol)[0]
 
 
 def image_series_zz(d, delta, z, zp, omega, c=299792458.0, tol=1e-14):
     """Scattered zz component from the mirror-image expansion (all-plus signs)."""
-    k = omega / c
-    r = 1.0 - delta
-    nmax = max(8, int(math.log(1.0 / tol) / (2.0 * delta)) + 2)
-    total = 0.0 + 0.0j
-    dz = z - zp
-    for m in range(1, nmax + 1):
-        w = r ** (2 * m)
-        total += w * (longitudinal_scalar(k, 2 * m * d + dz) + longitudinal_scalar(k, 2 * m * d - dz))
-        if w < tol:
-            break
-    for m in range(0, nmax + 1):
-        w = r ** (2 * m + 1)
-        total += w * (
-            longitudinal_scalar(k, 2 * m * d + z + zp)
-            + longitudinal_scalar(k, 2 * (m + 1) * d - z - zp)
-        )
-        if w < tol:
-            break
-    return total
+    return _image_series(d, delta, z, zp, omega, c, tol)[1]
 
 
 def lorentzian_principal_value(peak, omega0, gamma, omega):
