@@ -366,33 +366,75 @@ def run(cfg: RunConfig) -> RunResult:
 
 # ------------------------------------------------------------------ export
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        raise DomainError("boolean cells are not part of the table contract")
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, str):
-        if "," in value or '"' in value or "\n" in value:
-            raise DomainError(f"cell value needs quoting, unsupported: {value!r}")
-        return value
-    raise DomainError(f"unsupported cell type {type(value).__name__}")
+# rows formatted and written at a time, which bounds the cells and text held
+EXPORT_BLOCK_ROWS = 4096
+_CSV_FLOAT = "%.17g".__mod__  # the spelling of format(v, ".17g"), nan, inf and -0 included
+_JSON_FLOAT = float.__repr__  # the spelling json.dumps gives a finite float
+
+
+def _float_cells(values: np.ndarray, fmt: str) -> list[str]:
+    """Cells of one float column; a constant column is formatted once."""
+    if fmt == "csv":
+        spell = _CSV_FLOAT
+    else:
+        spell = _JSON_FLOAT if np.isfinite(values).all() else json.dumps
+    bits = values.view(np.uint64)
+    if (bits == bits[0]).all():
+        return [spell(values[0].item())] * len(values)
+    return list(map(spell, values.tolist()))
+
+
+def _block_cells(columns: list, fmt: str) -> list:
+    """Cells of each column of one block of rows. Float columns are compared
+    by bits, since -0.0 and 0.0 print differently and NaN != NaN, and each
+    distinct one is formatted once."""
+    formatted: dict[bytes, list[str]] = {}
+    cells = []
+    for values in columns:
+        if isinstance(values, tuple):
+            cells.append(values if fmt == "csv" else list(map(json.dumps, values)))
+            continue
+        key = values.tobytes()
+        if key not in formatted:
+            formatted[key] = _float_cells(values, fmt)
+        cells.append(formatted[key])
+    return cells
 
 
 def export(table: Table, path: str | Path, fmt: str) -> None:
     """Write the table; CSV carries 17 significant digits so values
-    round-trip bit exactly, JSON lines uses shortest-round-trip floats."""
+    round-trip bit exactly, JSON lines uses shortest-round-trip floats
+    (NaN and Infinity where not finite), as json.dumps does.
+
+    Every row is one row template filled with its cells. Rows are formatted
+    and written in blocks of EXPORT_BLOCK_ROWS through one open file, so
+    the cells and text of the whole table are never held at once. Within a
+    block each distinct float column is formatted once: a column
+    bit-identical to an earlier one is not formatted again, and a constant
+    one is a single formatted cell."""
     if len(table) == 0:
         raise DomainError("refusing to export an empty table")
     if fmt not in ("csv", "jsonl"):
         raise DomainError(f"unknown format {fmt!r}; use 'csv' or 'jsonl'")
     names = table.columns
-    columns = [table.column(name) for name in names]
+    columns = [table.values(name) for name in names]
     if fmt == "csv":
-        cells = [[_cell(v) for v in col] for col in columns]
-        lines = [",".join(names), *(",".join(row) for row in zip(*cells))]
+        # checked before the file is opened, so a refused table writes nothing
+        for values in columns:
+            for value in values if isinstance(values, tuple) else ():
+                if "," in value or '"' in value or "\n" in value:
+                    raise DomainError(f"cell value needs quoting, unsupported: {value!r}")
+        head = ",".join(names) + "\n"
+        row = ",".join(["%s"] * len(names)) + "\n"
     else:
-        lines = [json.dumps(dict(zip(names, row))) for row in zip(*columns)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        head = ""
+        keys = (json.dumps(name).replace("%", "%%") for name in names)
+        row = "{" + ", ".join(f"{key}: %s" for key in keys) + "}\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        out.write(head)
+        for start in range(0, len(table), EXPORT_BLOCK_ROWS):
+            block = [values[start:start + EXPORT_BLOCK_ROWS] for values in columns]
+            out.write("".join(map(row.__mod__, zip(*_block_cells(block, fmt)))))
 
 
 def write_manifest(manifest: dict, path: str | Path) -> None:

@@ -54,6 +54,7 @@ the tensor is reciprocal bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -230,8 +231,19 @@ def quad(f, a, b, **kwargs):
 # Gauss-Legendre panel engine shared by the cavity tensor and the
 # principal-value transform: 20-node panels, and initial panel edges graded
 # away from each sharp feature at +-_GRADING times the feature's width
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _GRADING = (1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1.0e3, 3.0e3, 1.0e4, 3.0e4)
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 20 nodes and weights on [-1, 1], computed on first use: importing
+    numpy.polynomial costs every CLI process milliseconds, and only the
+    quadratures need it. Read-only, as every caller shares them."""
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(20)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _panel_edges(lo, hi, features, width, fixed=()):
@@ -249,9 +261,10 @@ def _panel_sums(g, a, b):
     """Gauss-Legendre estimate of the integral of each component of g over
     each panel [a_i, b_i] (components x panels), from one call of g on the
     nodes of all panels."""
+    x, w = _gauss_legendre()
     half = 0.5 * (b - a)
-    nodes = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
-    return np.atleast_2d(half * (g(nodes) @ _GL_WEIGHTS))
+    nodes = (0.5 * (a + b))[:, None] + half[:, None] * x
+    return np.atleast_2d(half * (g(nodes) @ w))
 
 
 def _gl_quadrature(g, edges, budget):

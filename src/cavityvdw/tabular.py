@@ -12,18 +12,20 @@ from .errors import DomainError
 
 class Table:
     """Ordered mapping from column name to values, a 1-d float array or a
-    list of str, all of one length. Values are already in output units."""
+    list of str, all of one length. Values are already in output units and
+    are stored as read-only float64 arrays or tuples of str."""
 
     def __init__(self, columns: Mapping[str, object]):
         self._columns = {}
         for name, values in columns.items():
             if isinstance(values, list) and values and all(isinstance(v, str) for v in values):
-                values = list(values)
+                values = tuple(values)
             else:
                 values = np.asarray(values)
                 if values.ndim != 1 or values.dtype.kind not in "fiu":
                     raise DomainError(f"column {name!r} must be a 1-d float array or a list of str")
                 values = values.astype(float)
+                values.flags.writeable = False
             self._columns[name] = values
         lengths = {name: len(v) for name, v in self._columns.items()}
         if len(set(lengths.values())) > 1:
@@ -37,11 +39,15 @@ class Table:
     def __len__(self) -> int:
         return self._len
 
-    def column(self, name: str) -> list:
+    def values(self, name: str) -> np.ndarray | tuple[str, ...]:
+        """The stored column, without the copy that column() makes."""
         if name not in self._columns:
             raise DomainError(f"no column named {name!r}")
-        values = self._columns[name]
-        return list(values) if isinstance(values, list) else values.tolist()
+        return self._columns[name]
+
+    def column(self, name: str) -> list:
+        values = self.values(name)
+        return list(values) if isinstance(values, tuple) else values.tolist()
 
     @cached_property
     def rows(self) -> tuple[dict, ...]:

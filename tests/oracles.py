@@ -8,6 +8,7 @@ no code with the angular-spectrum quadrature it is used to check.
 """
 
 import functools
+import json
 import math
 
 import numpy as np
@@ -112,3 +113,24 @@ def small_kr_diagonal_imag(k, r_vec):
         ea2 = (r_vec[a] / r) ** 2
         out.append((1.0 / (4.0 * math.pi * r)) * ((2.0 / 3.0) * x - (2.0 / 15.0) * x**3 + (1.0 / 15.0) * x**3 * ea2))
     return out
+
+
+def per_cell_export_text(names, columns, fmt):
+    """Text of a table exported one cell at a time, as the exporter did
+    before it wrote blocks through a row template: CSV cells are
+    format(v, ".17g") or the string itself, JSON lines are one json.dumps
+    of a dict per row. columns are lists of float or of str."""
+
+    def cell(value):
+        if isinstance(value, float):
+            return format(value, ".17g")
+        if "," in value or '"' in value or "\n" in value:
+            raise ValueError(f"cell value needs quoting, unsupported: {value!r}")
+        return value
+
+    if fmt == "csv":
+        cells = [[cell(v) for v in col] for col in columns]
+        lines = [",".join(names), *(",".join(row) for row in zip(*cells))]
+    else:
+        lines = [json.dumps(dict(zip(names, row))) for row in zip(*columns)]
+    return "\n".join(lines) + "\n"

@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavityvdw import cli
-from cavityvdw.cli import export, main, run
+from cavityvdw.cli import EXPORT_BLOCK_ROWS, export, main, run
 from cavityvdw.config import load_config
 from cavityvdw.errors import ConfigError, DomainError
 from cavityvdw.tabular import Table
+
+from oracles import per_cell_export_text
 
 MINIMAL = """\
 scenario: planar
@@ -129,6 +133,87 @@ def test_export_jsonl_roundtrip(tmp_path):
 def test_export_empty_table_errors(tmp_path):
     with pytest.raises(DomainError, match="empty"):
         export(Table({"a": np.array([])}), tmp_path / "e.csv", "csv")
+
+
+@pytest.mark.parametrize("value", ["a,b", 'say "x"', "two\nlines"])
+def test_export_csv_refuses_cells_that_need_quoting(tmp_path, value):
+    t = Table({"x": np.array([1.0, 2.0]), "s": ["ok", value]})
+    out = tmp_path / "q.csv"
+    with pytest.raises(DomainError, match="cell value needs quoting"):
+        export(t, out, "csv")
+    assert not out.exists()
+
+
+def test_export_jsonl_escapes_strings(tmp_path):
+    values = ["a,b", 'say "x"', "two\nlines", "100%", "\u00e9"]
+    out = tmp_path / "q.jsonl"
+    export(Table({"s": values, "x": np.arange(5.0)}), out, "jsonl")
+    lines = out.read_text(encoding="utf-8").split("\n")
+    assert len(lines) == 6 and lines[-1] == ""
+    assert [json.loads(line)["s"] for line in lines[:-1]] == values
+
+
+def test_export_unknown_format_errors(tmp_path):
+    with pytest.raises(DomainError, match="unknown format 'tsv'"):
+        export(Table({"a": np.array([1.0])}), tmp_path / "t.tsv", "tsv")
+
+
+# values whose spelling differs between the formats or is easy to get wrong
+SPECIAL_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-320,
+                  2.2250738585072014e-308, 1e16, 9007199254740993.0, -1e16 + 2.0,
+                  1e-16, 0.1, 1.0 / 3.0, 1e22, 1.7976931348623157e308)
+ROW_COUNTS = (1, EXPORT_BLOCK_ROWS - 1, EXPORT_BLOCK_ROWS, EXPORT_BLOCK_ROWS + 1,
+              2 * EXPORT_BLOCK_ROWS + 3)
+# no surrogates (not encodable) and, in cells, nothing CSV would have to quote
+CELL_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\n'),
+                    max_size=5)
+NAME_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=",\n")
+                    | st.sampled_from('%"'), max_size=4)
+
+
+@st.composite
+def export_tables(draw):
+    """Columns of row counts around the block size: random draws from a
+    pool of special and arbitrary floats, constants, bit-identical copies
+    of an earlier column, copies with the sign of every zero flipped, and
+    str columns."""
+    n = draw(st.sampled_from(ROW_COUNTS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    floats = st.sampled_from(SPECIAL_FLOATS) | st.floats()
+    kinds = draw(st.lists(st.sampled_from(("random", "constant", "copy", "zero-sign", "str")),
+                          min_size=1, max_size=6))
+    columns = []
+    for kind in kinds:
+        earlier = [c for c in columns if isinstance(c, np.ndarray)]
+        if kind in ("copy", "zero-sign") and earlier:
+            col = draw(st.sampled_from(earlier)).copy()
+            if kind == "zero-sign":
+                zeros = col == 0.0
+                col[zeros] = np.copysign(0.0, -np.copysign(1.0, col[zeros]))
+        elif kind == "constant":
+            col = np.full(n, draw(floats))
+        elif kind == "str":
+            pool = draw(st.lists(CELL_TEXT, min_size=1, max_size=4))
+            col = [pool[i] for i in rng.integers(len(pool), size=n)]
+        else:
+            pool = np.array(draw(st.lists(floats, min_size=1, max_size=6)) + [0.0, -0.0])
+            col = pool[rng.integers(len(pool), size=n)]
+        columns.append(col)
+    names = [f"{text}{i}" for i, text in
+             enumerate(draw(st.lists(NAME_TEXT, min_size=len(columns), max_size=len(columns))))]
+    return names, columns
+
+
+@settings(max_examples=40, deadline=None)
+@given(export_tables())
+def test_export_writes_the_per_cell_bytes(tmp_path_factory, drawn):
+    names, columns = drawn
+    table = Table(dict(zip(names, columns)))
+    lists = [table.column(name) for name in names]
+    out = tmp_path_factory.mktemp("export") / "t"
+    for fmt in ("csv", "jsonl"):
+        export(table, out, fmt)
+        assert out.read_bytes() == per_cell_export_text(names, lists, fmt).encode("utf-8"), fmt
 
 
 # --------------------------------------------------------------------- CLI

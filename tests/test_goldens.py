@@ -11,6 +11,11 @@ where numpy's sin, hypot and arctan2 replace math's, bounded by 4e-15 of
 the column's largest magnitude; force columns now come from the analytic
 gradient instead of finite differences and are bounded by 1e-8 of the
 column's largest magnitude.
+
+The JSON lines goldens (tests/goldens/<config>-<mode>.jsonl, made with
+`--format jsonl` by the per-cell exporter that preceded the blocked one)
+hold the bytes of the planar modes and the free-space potential fixed:
+they must match byte for byte.
 """
 
 import dataclasses
@@ -36,6 +41,8 @@ CASES = (
 EXACT = ("z_A", "z_B", "separation")
 KK_EXACT = ("offset_widths", "omega", "closed_form")
 KK_REL = 5e-14
+JSONL_CASES = [("planar", m) for m in ("scan-rabi", *PLANAR_MODES, "kk-check")] + [
+    ("free_space", "potential")]
 
 
 def _read_csv(path: Path) -> dict[str, np.ndarray]:
@@ -70,6 +77,14 @@ def test_table_matches_golden_and_repeats_bytes(tmp_path, config, mode):
             bound = 4e-15 * np.max(np.abs(ref))
         miss = np.abs(got[name] - ref)
         assert np.all(miss <= bound), f"{name}: off by {np.max(miss):.3e}"
+
+
+@pytest.mark.parametrize("config,mode", JSONL_CASES)
+def test_jsonl_table_matches_golden_bytes(tmp_path, config, mode):
+    out = tmp_path / "run.jsonl"
+    argv = [mode, "--config", str(GOLDENS / f"{config}.yaml"), "--out", str(out), "--format", "jsonl"]
+    assert main(argv) == 0
+    assert out.read_bytes() == (GOLDENS / f"{config}-{mode}.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize("config", ("planar", "planar_below_a", "planar_above_b_as_printed"))

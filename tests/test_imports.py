@@ -1,8 +1,10 @@
-"""Import contract: scipy is loaded only by fit_lorentzian.
+"""Import contract: scipy is loaded only by fit_lorentzian, and
+numpy.polynomial only by the first Gauss-Legendre quadrature.
 
 Every CLI mode evaluates closed forms or the numpy principal-value
 quadrature, and the cavity Green's tensor runs on the same numpy panel
-engine; importing scipy costs more than any of them computes.
+engine; importing scipy costs more than any of them computes, and the
+modes that evaluate closed forms only need no quadrature nodes.
 """
 
 import json
@@ -11,24 +13,36 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from cavityvdw import cli, greens
 from cavityvdw.config import MODES
 
 GOLDENS = Path(__file__).parent / "goldens"
 SRC = Path(cli.__file__).resolve().parents[1]
 
+# the runs that evaluate closed forms only, then those that run the
+# Gauss-Legendre quadrature (kk-check, and xcheck's principal-value rows)
+CLOSED_FORM_RUNS = [(mode, "planar") for mode in ("scan-rabi", "dressed", "potential", "force",
+                                                  "weak-limit")] + [("potential", "free_space")]
+QUADRATURE_RUNS = [("kk-check", "planar"), ("xcheck", "planar"), ("xcheck", "free_space")]
+
 CHILD = """
 import json, sys
 from cavityvdw import cli
-from cavityvdw.config import MODES
-loaded = {"import": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
-runs = [(mode, "planar") for mode in MODES] + [("potential", "free_space"), ("xcheck", "free_space")]
-codes = {}
-for mode, config in runs:
-    out = f"{sys.argv[2]}/{mode}-{config}.csv"
-    codes[f"{mode}:{config}"] = cli.main([mode, "--config", f"{sys.argv[1]}/{config}.yaml", "--out", out])
-loaded["run"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(json.dumps({"codes": codes, "scipy": loaded}))
+
+def loaded():
+    return {top: sorted(m for m in sys.modules if m == top or m.startswith(top + "."))
+            for top in ("scipy", "numpy.polynomial")}
+
+report = {"codes": {}, "import": loaded()}
+for stage, runs in zip(("closed_form", "quadrature"), json.loads(sys.argv[3])):
+    for mode, config in runs:
+        out = f"{sys.argv[2]}/{mode}-{config}.csv"
+        report["codes"][f"{mode}:{config}"] = cli.main(
+            [mode, "--config", f"{sys.argv[1]}/{config}.yaml", "--out", out])
+    report[stage] = loaded()
+print(json.dumps(report))
 """
 
 
@@ -41,11 +55,27 @@ def _fresh_interpreter(code, *args):
     return json.loads(res.stdout.splitlines()[-1])
 
 
-def test_no_cli_mode_imports_scipy(tmp_path):
-    report = _fresh_interpreter(CHILD, str(GOLDENS), str(tmp_path))
-    assert len(report["codes"]) == len(MODES) + 2
-    assert all(code == 0 for code in report["codes"].values()), report["codes"]
-    assert report["scipy"] == {"import": [], "run": []}
+@pytest.fixture(scope="module")
+def cli_report(tmp_path_factory):
+    """Exit codes and loaded modules of every CLI mode, run in one fresh
+    interpreter: after import, after the closed-form runs, after the rest."""
+    return _fresh_interpreter(CHILD, str(GOLDENS), str(tmp_path_factory.mktemp("cli")),
+                              json.dumps([CLOSED_FORM_RUNS, QUADRATURE_RUNS]))
+
+
+def test_no_cli_mode_imports_scipy(cli_report):
+    assert {mode for mode, _ in CLOSED_FORM_RUNS + QUADRATURE_RUNS} == set(MODES)
+    assert len(cli_report["codes"]) == len(MODES) + 2
+    assert all(code == 0 for code in cli_report["codes"].values()), cli_report["codes"]
+    assert [cli_report[stage]["scipy"] for stage in ("import", "closed_form", "quadrature")] \
+        == [[], [], []]
+
+
+def test_closed_form_modes_do_not_load_numpy_polynomial(cli_report):
+    # the Gauss-Legendre nodes are computed on first use, by a quadrature
+    assert cli_report["import"]["numpy.polynomial"] == []
+    assert cli_report["closed_form"]["numpy.polynomial"] == []
+    assert "numpy.polynomial.legendre" in cli_report["quadrature"]["numpy.polynomial"]
 
 
 GREENS_CHILD = """
