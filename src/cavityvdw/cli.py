@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import PLANAR_ONLY_MODES, RunConfig, load_config
+from .config import FORMATS, VARIANTS, RunConfig, load_config
 from .constants import C, CONSTANTS, EPS0, HBAR
 from .dressed import (
     FD_STEP,
@@ -457,41 +457,13 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _MODE_RUNNERS:
         p = sub.add_parser(name, help=f"run the {name} mode")
         p.add_argument("--config", required=True, help="YAML run configuration")
-        p.add_argument("--out", default=None, help="output table path")
-        p.add_argument("--format", default=None, choices=("csv", "jsonl"))
-        p.add_argument("--variant", default=None, choices=("corrected", "as-printed"))
-        p.add_argument("--tolerance", default=None, type=float,
+        # each flag's dest is the config key it sets
+        p.add_argument("--out", dest="output.path", metavar="OUT", help="output table path")
+        p.add_argument("--format", dest="output.format", choices=FORMATS)
+        p.add_argument("--variant", dest="variant", choices=VARIANTS)
+        p.add_argument("--tolerance", dest="tolerances.xcheck", metavar="TOLERANCE", type=float,
                        help="uniform xcheck tolerance override")
     return parser
-
-
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    updates: dict = {}
-    provenance = dict(cfg.provenance)
-    if cfg.provenance.get("mode") == "user" and cfg.mode != args.command:
-        raise ConfigError(
-            f"mode: config sets '{cfg.mode}' but the subcommand is '{args.command}'"
-        )
-    updates["mode"] = args.command
-    provenance["mode"] = provenance.get("mode", "default")
-    if args.command in PLANAR_ONLY_MODES and cfg.scenario != "planar":
-        raise ConfigError(f"mode: '{args.command}' requires scenario 'planar'")
-    if args.out is not None:
-        updates["out_path"] = args.out
-        provenance["output.path"] = "user"
-    if args.format is not None:
-        updates["out_format"] = args.format
-        provenance["output.format"] = "user"
-    if args.variant is not None:
-        updates["variant"] = args.variant
-        provenance["variant"] = "user"
-    if args.tolerance is not None:
-        if args.tolerance <= 0.0:
-            raise ConfigError("tolerance: must be > 0")
-        updates["tol_xcheck"] = args.tolerance
-        provenance["tolerances.xcheck"] = "user"
-    updates["provenance"] = provenance
-    return dataclasses.replace(cfg, **updates)
 
 
 def _default_out(cfg: RunConfig) -> str:
@@ -500,9 +472,11 @@ def _default_out(cfg: RunConfig) -> str:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    command, config = args.pop("command"), args.pop("config")
+    flags = {key: value for key, value in args.items() if value is not None}
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
+        cfg = load_config(config, command, flags)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

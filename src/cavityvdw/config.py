@@ -1,11 +1,15 @@
 """Run configuration loading.
 
-Strict schema: unknown keys are rejected by name, every resolved value
-carries a provenance tag ("user" or "default"), and validation failures
-name the offending key together with the violated constraint. Physics
-parameters with no safe default (scenario, cavity geometry, free-space
-transition frequency) are required.
-"""
+Every YAML key is declared once, as one row of SETTINGS: its path and
+RunConfig field, parser, default, constraint and scenario. load_config
+resolves a YAML file and the CLI's subcommand and flags through those rows,
+in their order. Unknown keys are rejected by name, and so are keys of the
+other scenario; physics parameters with no safe default (scenario, cavity
+geometry, free-space transition frequency) are required; a failed check
+names the key and the violated constraint; every value carries a
+provenance tag, "user" (YAML or flag) or "default". The subcommand is the
+mode's default, and a YAML mode that differs is an error. A flag replaces
+its key's YAML value once that value has passed its own checks."""
 
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 import yaml
 
@@ -28,15 +32,6 @@ SWEEP_TARGETS = ("joint", "A", "B")
 
 # modes that need a cavity mode behind them
 PLANAR_ONLY_MODES = ("scan-rabi", "dressed", "force", "weak-limit", "kk-check")
-
-_TOP_KEYS = ("scenario", "mode", "variant", "seed", "cavity", "atoms", "sweep",
-             "tolerances", "output")
-_CAVITY_KEYS = ("d", "delta", "nu")
-_ATOM_KEYS = ("z_a", "z_b", "position_a", "position_b", "omega10",
-              "dipole_norm", "orientation")
-_SWEEP_KEYS = ("points", "target", "span", "kk_offsets", "weak_ratios", "theta")
-_TOL_KEYS = ("quadrature_rel", "xcheck")
-_OUT_KEYS = ("path", "format")
 
 _REQUIRED = object()
 
@@ -77,6 +72,8 @@ def _fail(path: str, constraint: str) -> None:
     raise ConfigError(f"{path}: {constraint}")
 
 
+# ------------------------------------------------------------------ parsers
+
 def _num(path: str, value: Any) -> float:
     # YAML 1.1 reads "2.0e15" (no exponent sign) as a string; accept such
     # strings when they parse cleanly as floats
@@ -105,11 +102,14 @@ def _strval(path: str, value: Any) -> str:
     return value
 
 
-def _enum(path: str, value: Any, allowed: tuple[str, ...]) -> str:
-    v = _strval(path, value)
-    if v not in allowed:
-        _fail(path, f"must be one of {', '.join(allowed)}")
-    return v
+def _enum(allowed: tuple[str, ...]) -> Callable[[str, Any], str]:
+    def parse(path: str, value: Any) -> str:
+        v = _strval(path, value)
+        if v not in allowed:
+            _fail(path, f"must be one of {', '.join(allowed)}")
+        return v
+
+    return parse
 
 
 def _vec3(path: str, value: Any) -> tuple[float, float, float]:
@@ -134,41 +134,141 @@ def _span(path: str, value: Any) -> tuple[float, float]:
     return lo, hi
 
 
-def _section(data: Mapping[str, Any], name: str, allowed: tuple[str, ...]) -> dict:
-    raw = data.get(name)
-    if raw is None:
-        return {}
-    if not isinstance(raw, Mapping):
-        _fail(name, "expected a mapping of settings")
-    for key in raw:
-        if key not in allowed:
-            _fail(f"{name}.{key}", "unknown key")
-    return dict(raw)
+def _orientation(path: str, value: Any) -> tuple[float, float, float]:
+    if isinstance(value, str):
+        axes = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
+        if value not in axes:
+            _fail(path, "expected 'x', 'y', 'z', or a list of 3 numbers")
+        return axes[value]
+    vec = _vec3(path, value)
+    norm = math.sqrt(sum(v * v for v in vec))
+    if norm == 0.0:
+        _fail(path, "must be a nonzero direction")
+    return tuple(v / norm for v in vec)
 
 
-class _Resolver:
-    """Pulls values out of a parsed section, tracking user/default origin."""
+# ----------------------------------------------------------------- settings
 
-    def __init__(self) -> None:
-        self.provenance: dict[str, str] = {}
+class _Setting(NamedTuple):
+    """One YAML key.
 
-    def take(self, section: Mapping[str, Any], path: str, default: Any, coerce) -> Any:
-        key = path.split(".")[-1]
-        if key in section and section[key] is not None:
-            self.provenance[path] = "user"
-            return coerce(path, section[key])
-        if default is _REQUIRED:
-            _fail(path, "required but not set")
-        self.provenance[path] = "default"
-        return default
+    default is a value, _REQUIRED, or a function of the fields resolved
+    before it (the CLI subcommand, or None, under "command"). Each check is
+    (ok(value, fields), violated constraint); "{v}" and "{<field>}" in the
+    constraint are filled in. A row of one scenario is refused in the other
+    unless a row of that scenario has the same path; instead names the key
+    to use there."""
 
-    def reject(self, section: Mapping[str, Any], path: str, why: str) -> None:
-        if path.split(".")[-1] in section:
-            _fail(path, why)
+    path: str
+    field: str
+    parse: Callable[[str, Any], Any]
+    default: Any = _REQUIRED
+    checks: tuple[tuple[Callable[[Any, dict], bool], str], ...] = ()
+    scenario: str | None = None
+    instead: str = ""
 
 
-def load_config(path: str | Path) -> RunConfig:
-    """Read and validate a YAML run configuration."""
+_POSITIVE = ((lambda v, f: v > 0.0, "must be > 0"),)
+_IN_CAVITY = ((lambda v, f: 0.0 <= v <= f["cavity_d"], "must lie within [0, cavity.d]"),)
+
+SETTINGS = (
+    _Setting("scenario", "scenario", _enum(SCENARIOS)),
+    _Setting("mode", "mode", _enum(MODES),
+             lambda f: f["command"] or ("scan-rabi" if f["scenario"] == "planar" else "potential"),
+             ((lambda v, f: f["scenario"] == "planar" or v not in PLANAR_ONLY_MODES,
+               "'{v}' requires scenario 'planar'"),
+              (lambda v, f: f["command"] in (None, v),
+               "config sets '{v}' but the subcommand is '{command}'"))),
+    _Setting("variant", "variant", _enum(VARIANTS), "corrected"),
+    _Setting("seed", "seed", _intval, 0, ((lambda v, f: v >= 0, "must be >= 0"),)),
+    _Setting("cavity.d", "cavity_d", _num, _REQUIRED, _POSITIVE, "planar"),
+    _Setting("cavity.delta", "cavity_delta", _num, _REQUIRED,
+             ((lambda v, f: 0.0 < v < 0.1,
+               "must satisfy 0 < delta < 0.1 (model-validity bound)"),), "planar"),
+    _Setting("cavity.nu", "cavity_nu", _intval, _REQUIRED,
+             ((lambda v, f: v >= 1, "must be >= 1"),), "planar"),
+    _Setting("atoms.z_a", "z_a", _num, lambda f: f["cavity_d"] / 2.0, _IN_CAVITY,
+             "planar", "atoms.position_a"),
+    _Setting("atoms.z_b", "z_b", _num, lambda f: f["cavity_d"] / 2.0, _IN_CAVITY,
+             "planar", "atoms.position_b"),
+    _Setting("atoms.position_a", "position_a", _vec3, (0.0, 0.0, 0.0), (),
+             "free-space", "atoms.z_a"),
+    _Setting("atoms.position_b", "position_b", _vec3, (0.0, 0.0, 1.0e-7),
+             ((lambda v, f: v != f["position_a"], "must differ from atoms.position_a"),),
+             "free-space", "atoms.z_b"),
+    _Setting("atoms.omega10", "omega10", _num,
+             lambda f: f["cavity_nu"] * math.pi * C / f["cavity_d"], _POSITIVE, "planar"),
+    _Setting("atoms.omega10", "omega10", _num, _REQUIRED, _POSITIVE, "free-space"),
+    _Setting("atoms.dipole_norm", "dipole_norm", _num, 1.0e-29, _POSITIVE),
+    _Setting("atoms.orientation", "orientation", _orientation, (1.0, 0.0, 0.0),
+             ((lambda v, f: f["scenario"] != "planar" or v[1:] == (0.0, 0.0),
+               "scenario 'planar' supports x-aligned dipoles only"),)),
+    _Setting("sweep.points", "sweep_points", _intval, 200,
+             ((lambda v, f: v >= 1, "must be >= 1"),)),
+    _Setting("sweep.target", "sweep_target", _enum(SWEEP_TARGETS), "joint"),
+    _Setting("sweep.span", "sweep_span", _span, (0.001, 0.999),
+             ((lambda v, f: v[0] >= 0.0 and v[1] <= 1.0,
+               "must lie within [0, 1] (fractions of cavity.d)"),), "planar"),
+    _Setting("sweep.span", "sweep_span", _span, (0.5, 2.0),
+             ((lambda v, f: v[0] > 0.0,
+               "must be > 0 (multiples of the configured separation)"),), "free-space"),
+    _Setting("sweep.kk_offsets", "kk_offsets", _floats,
+             (-1.0e3, -3.0e2, -1.0e2, 1.0e2, 3.0e2, 1.0e3),
+             ((lambda v, f: all(abs(o) >= 100.0 for o in v),
+               "offsets must be at least 100 mode widths from resonance "
+               "(asymptotic-regime comparison)"),)),
+    _Setting("sweep.weak_ratios", "weak_ratios", _floats, (1.0e1, 1.0e2, 1.0e3, 1.0e4),
+             ((lambda v, f: all(r > 0.0 for r in v), "ratios must be > 0"),)),
+    _Setting("sweep.theta", "theta", _num, 0.6,
+             ((lambda v, f: 0.0 <= v < math.pi, "must lie within [0, pi)"),)),
+    _Setting("tolerances.quadrature_rel", "tol_quadrature", _num, 1.0e-9, _POSITIVE),
+    _Setting("tolerances.xcheck", "tol_xcheck", _num, None, _POSITIVE),
+    _Setting("output.path", "out_path", _strval, None),
+    _Setting("output.format", "out_format", _enum(FORMATS), "csv"),
+)
+
+_PATHS = {s.path for s in SETTINGS}
+_SECTIONS = tuple(dict.fromkeys(s.path.split(".")[0] for s in SETTINGS if "." in s.path))
+_TOP_KEYS = tuple(s.path for s in SETTINGS if "." not in s.path) + _SECTIONS
+# the paths each scenario reads
+_APPLIES = {scn: {s.path for s in SETTINGS if s.scenario in (None, scn)} for scn in SCENARIOS}
+
+
+def _sections(data: Mapping[str, Any]) -> dict[str, Mapping[str, Any]]:
+    """data's sections by name, "" for the top level, each checked to be a
+    mapping of known keys."""
+    for key in data:
+        if key not in _TOP_KEYS:
+            _fail(str(key), "unknown key")
+    sections = {"": data}
+    for name in _SECTIONS:
+        raw = data.get(name)
+        if raw is None:
+            raw = {}
+        elif not isinstance(raw, Mapping):
+            _fail(name, "expected a mapping of settings")
+        for key in raw:
+            if f"{name}.{key}" not in _PATHS:
+                _fail(f"{name}.{key}", "unknown key")
+        sections[name] = raw
+    return sections
+
+
+def _check(s: _Setting, value: Any, fields: dict) -> None:
+    if value is None:  # an optional key left unset has nothing to check
+        return
+    for ok, constraint in s.checks:
+        if not ok(value, fields):
+            _fail(s.path, constraint.format(v=value, **fields))
+
+
+def load_config(path: str | Path, command: str | None = None,
+                flags: Mapping[str, Any] | None = None) -> RunConfig:
+    """Read and validate a YAML run configuration.
+
+    command is the CLI subcommand, which the config's mode must match;
+    flags maps key paths to the values the CLI flags set, which replace
+    the YAML's."""
     p = Path(path)
     try:
         raw = p.read_bytes()
@@ -190,139 +290,36 @@ def load_config(path: str | Path) -> RunConfig:
         data = {}
     if not isinstance(data, Mapping):
         raise ConfigError("config: top level must be a mapping")
-    for key in data:
-        if key not in _TOP_KEYS:
-            _fail(str(key), "unknown key")
-
-    return _resolve(data, hashlib.sha256(raw).hexdigest())
+    return _resolve(_sections(data), hashlib.sha256(raw).hexdigest(), command, flags or {})
 
 
-def _resolve(data: Mapping[str, Any], sha: str) -> RunConfig:
-    res = _Resolver()
-    top = dict(data)
-
-    scenario = res.take(top, "scenario", _REQUIRED,
-                        lambda p, v: _enum(p, v, SCENARIOS))
-    default_mode = "scan-rabi" if scenario == "planar" else "potential"
-    mode = res.take(top, "mode", default_mode, lambda p, v: _enum(p, v, MODES))
-    variant = res.take(top, "variant", "corrected",
-                       lambda p, v: _enum(p, v, VARIANTS))
-    seed = res.take(top, "seed", 0, _intval)
-    if seed < 0:
-        _fail("seed", "must be >= 0")
-
-    if scenario != "planar" and mode in PLANAR_ONLY_MODES:
-        _fail("mode", f"'{mode}' requires scenario 'planar'")
-
-    cavity = _section(data, "cavity", _CAVITY_KEYS)
-    atoms = _section(data, "atoms", _ATOM_KEYS)
-    sweep = _section(data, "sweep", _SWEEP_KEYS)
-    tol = _section(data, "tolerances", _TOL_KEYS)
-    out = _section(data, "output", _OUT_KEYS)
-
-    if scenario == "planar":
-        d = res.take(cavity, "cavity.d", _REQUIRED, _num)
-        if d <= 0.0:
-            _fail("cavity.d", "must be > 0")
-        delta = res.take(cavity, "cavity.delta", _REQUIRED, _num)
-        if not 0.0 < delta < 0.1:
-            _fail("cavity.delta", "must satisfy 0 < delta < 0.1 (model-validity bound)")
-        nu = res.take(cavity, "cavity.nu", _REQUIRED, _intval)
-        if nu < 1:
-            _fail("cavity.nu", "must be >= 1")
-
-        res.reject(atoms, "atoms.position_a", "not applicable to scenario 'planar' (use atoms.z_a)")
-        res.reject(atoms, "atoms.position_b", "not applicable to scenario 'planar' (use atoms.z_b)")
-        z_a = res.take(atoms, "atoms.z_a", d / 2.0, _num)
-        z_b = res.take(atoms, "atoms.z_b", d / 2.0, _num)
-        for path, z in (("atoms.z_a", z_a), ("atoms.z_b", z_b)):
-            if not 0.0 <= z <= d:
-                _fail(path, "must lie within [0, cavity.d]")
-        omega10 = res.take(atoms, "atoms.omega10", nu * math.pi * C / d, _num)
-        position_a = position_b = None
-    else:
-        for key in _CAVITY_KEYS:
-            res.reject(cavity, f"cavity.{key}", "not applicable to scenario 'free-space'")
-        res.reject(atoms, "atoms.z_a", "not applicable to scenario 'free-space' (use atoms.position_a)")
-        res.reject(atoms, "atoms.z_b", "not applicable to scenario 'free-space' (use atoms.position_b)")
-        d = delta = None
-        nu = None
-        z_a = z_b = None
-        position_a = res.take(atoms, "atoms.position_a", (0.0, 0.0, 0.0), _vec3)
-        position_b = res.take(atoms, "atoms.position_b", (0.0, 0.0, 1.0e-7), _vec3)
-        if position_a == position_b:
-            _fail("atoms.position_b", "must differ from atoms.position_a")
-        omega10 = res.take(atoms, "atoms.omega10", _REQUIRED, _num)
-    if omega10 <= 0.0:
-        _fail("atoms.omega10", "must be > 0")
-
-    dipole_norm = res.take(atoms, "atoms.dipole_norm", 1.0e-29, _num)
-    if dipole_norm <= 0.0:
-        _fail("atoms.dipole_norm", "must be > 0")
-
-    orientation = res.take(atoms, "atoms.orientation", (1.0, 0.0, 0.0), _orientation)
-    if scenario == "planar" and (orientation[1] != 0.0 or orientation[2] != 0.0):
-        _fail("atoms.orientation", "scenario 'planar' supports x-aligned dipoles only")
-
-    points = res.take(sweep, "sweep.points", 200, _intval)
-    if points < 1:
-        _fail("sweep.points", "must be >= 1")
-    target = res.take(sweep, "sweep.target", "joint",
-                      lambda p, v: _enum(p, v, SWEEP_TARGETS))
-    default_span = (0.001, 0.999) if scenario == "planar" else (0.5, 2.0)
-    span = res.take(sweep, "sweep.span", default_span, _span)
-    if scenario == "planar":
-        if span[0] < 0.0 or span[1] > 1.0:
-            _fail("sweep.span", "must lie within [0, 1] (fractions of cavity.d)")
-    elif span[0] <= 0.0:
-        _fail("sweep.span", "must be > 0 (multiples of the configured separation)")
-
-    kk_offsets = res.take(sweep, "sweep.kk_offsets",
-                          (-1.0e3, -3.0e2, -1.0e2, 1.0e2, 3.0e2, 1.0e3), _floats)
-    if any(abs(o) < 100.0 for o in kk_offsets):
-        _fail("sweep.kk_offsets",
-              "offsets must be at least 100 mode widths from resonance "
-              "(asymptotic-regime comparison)")
-    weak_ratios = res.take(sweep, "sweep.weak_ratios",
-                           (1.0e1, 1.0e2, 1.0e3, 1.0e4), _floats)
-    if any(r <= 0.0 for r in weak_ratios):
-        _fail("sweep.weak_ratios", "ratios must be > 0")
-    theta = res.take(sweep, "sweep.theta", 0.6, _num)
-    if not 0.0 <= theta < math.pi:
-        _fail("sweep.theta", "must lie within [0, pi)")
-
-    tol_quad = res.take(tol, "tolerances.quadrature_rel", 1.0e-9, _num)
-    if tol_quad <= 0.0:
-        _fail("tolerances.quadrature_rel", "must be > 0")
-    tol_xcheck = res.take(tol, "tolerances.xcheck", None, _num)
-    if tol_xcheck is not None and tol_xcheck <= 0.0:
-        _fail("tolerances.xcheck", "must be > 0")
-
-    out_path = res.take(out, "output.path", None, _strval)
-    out_format = res.take(out, "output.format", "csv",
-                          lambda p, v: _enum(p, v, FORMATS))
-
-    return RunConfig(
-        scenario=scenario, mode=mode, variant=variant, seed=seed,
-        cavity_d=d, cavity_delta=delta, cavity_nu=nu,
-        z_a=z_a, z_b=z_b, position_a=position_a, position_b=position_b,
-        omega10=omega10, dipole_norm=dipole_norm, orientation=orientation,
-        sweep_points=points, sweep_target=target, sweep_span=span,
-        kk_offsets=kk_offsets, weak_ratios=weak_ratios, theta=theta,
-        tol_quadrature=tol_quad, tol_xcheck=tol_xcheck,
-        out_path=out_path, out_format=out_format,
-        source_sha256=sha, provenance=res.provenance,
-    )
-
-
-def _orientation(path: str, value: Any) -> tuple[float, float, float]:
-    if isinstance(value, str):
-        axes = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
-        if value not in axes:
-            _fail(path, "expected 'x', 'y', 'z', or a list of 3 numbers")
-        return axes[value]
-    vec = _vec3(path, value)
-    norm = math.sqrt(sum(v * v for v in vec))
-    if norm == 0.0:
-        _fail(path, "must be a nonzero direction")
-    return tuple(v / norm for v in vec)
+def _resolve(sections: dict[str, Mapping[str, Any]], sha: str, command: str | None,
+             flags: Mapping[str, Any]) -> RunConfig:
+    fields: dict[str, Any] = {"command": command}
+    provenance: dict[str, str] = {}
+    for s in SETTINGS:
+        section, _, key = s.path.rpartition(".")
+        given = sections[section]
+        if s.scenario is not None and s.scenario != fields["scenario"]:
+            if s.path not in _APPLIES[fields["scenario"]]:
+                if key in given:
+                    use = f" (use {s.instead})" if s.instead else ""
+                    _fail(s.path, f"not applicable to scenario '{fields['scenario']}'{use}")
+                fields[s.field] = None
+            continue
+        if given.get(key) is not None:
+            value, origin = s.parse(s.path, given[key]), "user"
+        elif s.default is _REQUIRED:
+            _fail(s.path, "required but not set")
+        else:
+            value = s.default(fields) if callable(s.default) else s.default
+            origin = "default"
+        if s.path in flags:
+            # the YAML value a flag replaces must still be valid
+            _check(s, value, fields)
+            value, origin = s.parse(s.path, flags[s.path]), "user"
+        _check(s, value, fields)
+        fields[s.field] = value
+        provenance[s.path] = origin
+    del fields["command"]
+    return RunConfig(**fields, source_sha256=sha, provenance=provenance)

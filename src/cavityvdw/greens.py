@@ -63,6 +63,7 @@ import numpy as np
 
 from .constants import C
 from .errors import DomainError, QuadratureError
+from .modecoupling import lorentzian_profile
 
 _AXES = {"x": 0, "y": 1, "z": 2}
 
@@ -146,6 +147,8 @@ class PlanarCavity:
 
 # panel halvings allowed to each adaptive quadrature
 _QUAD_LIMIT = 800
+# detunings, in mode widths, over which the single-mode model is declared
+_SINGLE_MODE_WINDOW = 1e3
 
 
 @dataclass(frozen=True)
@@ -433,7 +436,6 @@ def planar_resonant_im_gxx(
     z_b: float,
     omega: float,
     variant: str = "corrected",
-    window_widths: float = 1e3,
 ) -> float:
     """Single-mode model of omega^2 Im G_xx for the cavity mode nu
     [(rad/s)^2 / m].
@@ -453,10 +455,10 @@ def planar_resonant_im_gxx(
         raise DomainError(f"positions must lie in [0, d]; got z_A={z_a}, z_B={z_b}, d={d}")
     om_nu = cav.omega_nu
     gam = cav.gamma_nu
-    if abs(omega - om_nu) > window_widths * gam:
+    if abs(omega - om_nu) > _SINGLE_MODE_WINDOW * gam:
         raise DomainError(
             f"omega is {abs(omega - om_nu) / gam:.3g} mode widths from resonance, "
-            f"outside the declared single-mode window of {window_widths:g} widths"
+            f"outside the declared single-mode window of {_SINGLE_MODE_WINDOW:g} widths"
         )
     if variant == "corrected":
         peak = (om_nu**3 / (4.0 * math.pi * C * cav.delta)) * math.sin(
@@ -473,8 +475,7 @@ def planar_resonant_im_gxx(
         peak = -(om_nu**3 / (16.0 * math.pi * C * cav.delta)) * comb
     else:
         raise DomainError(f"unknown variant {variant!r}; use 'corrected' or 'as-printed'")
-    lorentz = (gam**2 / 4.0) / ((omega - om_nu) ** 2 + gam**2 / 4.0)
-    return peak * lorentz
+    return float(lorentzian_profile(peak, om_nu, gam, omega))
 
 
 def kk_real_from_imag(

@@ -1,0 +1,285 @@
+"""The contract of config.load_config and of the CLI flags.
+
+Every rejection path of the loader is one row below: a YAML config and the
+exact message its ConfigError carries. The CLI rows give each flag's value
+and provenance in the manifest, the subcommand against a config's own
+mode, and YAML values that a flag replaces, which are still validated.
+
+The messages are those the loader gave before its keys were declared in
+one settings table, with one exception: a --tolerance <= 0 used to be
+reported as "tolerance: must be > 0" and now names the key the flag sets,
+"tolerances.xcheck: must be > 0".
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from cavityvdw.cli import main
+from cavityvdw.config import load_config
+from cavityvdw.errors import ConfigError
+
+PLANAR = """\
+scenario: planar
+cavity:
+  d: 1.0e-6
+  delta: 1.0e-3
+  nu: 1
+"""
+
+FREE = """\
+scenario: free-space
+atoms:
+  omega10: 2.0e15
+  position_a: [0.0, 0.0, 0.0]
+  position_b: [0.0, 0.0, 2.0e-7]
+"""
+
+MODES = "scan-rabi, dressed, potential, force, weak-limit, kk-check, xcheck"
+
+
+def _planar_with(**sections: str) -> str:
+    return PLANAR + "".join(f"{name}:\n{body}" for name, body in sections.items())
+
+
+REJECTED = [
+    # file and document structure
+    ("scenario: planar\ncavity: [unclosed\n",
+     "config: parse error at line 3, column 1: expected ',' or ']', but got '<stream end>'"),
+    ("a: b: c\n", "config: parse error at line 1, column 5: mapping values are not allowed here"),
+    ("x: !!python/object:os.system {}\n",
+     "config: parse error at line 1, column 4: could not determine a constructor for the tag "
+     "'tag:yaml.org,2002:python/object:os.system'"),
+    ("- 1\n", "config: top level must be a mapping"),
+    ("3\n", "config: top level must be a mapping"),
+    (PLANAR + "extra: 1\n", "extra: unknown key"),
+    (PLANAR + "  gamma_nu: 1.0\n", "cavity.gamma_nu: unknown key"),
+    (PLANAR + "atoms: [1, 2]\n", "atoms: expected a mapping of settings"),
+    (PLANAR + "output: csv\n", "output: expected a mapping of settings"),
+    (_planar_with(sweep="  step: 2\n"), "sweep.step: unknown key"),
+    (_planar_with(tolerances="  kk: 1.0\n"), "tolerances.kk: unknown key"),
+    # top-level keys
+    ("", "scenario: required but not set"),
+    ("cavity:\n  d: 1.0e-6\n  delta: 1.0e-3\n  nu: 1\n", "scenario: required but not set"),
+    ("scenario: box\n", "scenario: must be one of free-space, planar"),
+    ("scenario: 3\n", "scenario: expected a string"),
+    (PLANAR + "mode: bogus\n", f"mode: must be one of {MODES}"),
+    (FREE + "mode: scan-rabi\n", "mode: 'scan-rabi' requires scenario 'planar'"),
+    (FREE + "mode: kk-check\n", "mode: 'kk-check' requires scenario 'planar'"),
+    (PLANAR + "variant: sideways\n", "variant: must be one of corrected, as-printed"),
+    (PLANAR + "seed: 1.5\n", "seed: expected an integer"),
+    (PLANAR + "seed: true\n", "seed: expected an integer"),
+    (PLANAR + "seed: -1\n", "seed: must be >= 0"),
+    # cavity
+    ("scenario: planar\ncavity:\n  delta: 1.0e-3\n  nu: 1\n", "cavity.d: required but not set"),
+    ("scenario: planar\n", "cavity.d: required but not set"),
+    (PLANAR.replace("d: 1.0e-6", "d: abc"), "cavity.d: expected a number"),
+    (PLANAR.replace("d: 1.0e-6", "d: true"), "cavity.d: expected a number"),
+    (PLANAR.replace("d: 1.0e-6", "d: [1.0]"), "cavity.d: expected a number"),
+    (PLANAR.replace("d: 1.0e-6", "d: .inf"), "cavity.d: must be finite"),
+    (PLANAR.replace("d: 1.0e-6", "d: .nan"), "cavity.d: must be finite"),
+    (PLANAR.replace("d: 1.0e-6", "d: -1.0e-6"), "cavity.d: must be > 0"),
+    ("scenario: planar\ncavity:\n  d: 1.0e-6\n  nu: 1\n", "cavity.delta: required but not set"),
+    (PLANAR.replace("delta: 1.0e-3", "delta: 0.5"),
+     "cavity.delta: must satisfy 0 < delta < 0.1 (model-validity bound)"),
+    (PLANAR.replace("delta: 1.0e-3", "delta: 0.0"),
+     "cavity.delta: must satisfy 0 < delta < 0.1 (model-validity bound)"),
+    ("scenario: planar\ncavity:\n  d: 1.0e-6\n  delta: 1.0e-3\n", "cavity.nu: required but not set"),
+    (PLANAR.replace("nu: 1", "nu: 1.5"), "cavity.nu: expected an integer"),
+    (PLANAR.replace("nu: 1", "nu: 0"), "cavity.nu: must be >= 1"),
+    # atoms, planar
+    (_planar_with(atoms="  position_a: [0, 0, 0]\n"),
+     "atoms.position_a: not applicable to scenario 'planar' (use atoms.z_a)"),
+    (_planar_with(atoms="  position_b: [0, 0, 0]\n"),
+     "atoms.position_b: not applicable to scenario 'planar' (use atoms.z_b)"),
+    (_planar_with(atoms="  position_a: null\n"),
+     "atoms.position_a: not applicable to scenario 'planar' (use atoms.z_a)"),
+    (_planar_with(atoms="  z_a: 2.0e-6\n"), "atoms.z_a: must lie within [0, cavity.d]"),
+    (_planar_with(atoms="  z_b: -1.0e-9\n"), "atoms.z_b: must lie within [0, cavity.d]"),
+    (_planar_with(atoms="  z_a: middle\n"), "atoms.z_a: expected a number"),
+    (_planar_with(atoms="  omega10: -1.0\n"), "atoms.omega10: must be > 0"),
+    (_planar_with(atoms="  omega10: 0.0\n"), "atoms.omega10: must be > 0"),
+    (_planar_with(atoms="  dipole_norm: 0.0\n"), "atoms.dipole_norm: must be > 0"),
+    (_planar_with(atoms="  orientation: z\n"),
+     "atoms.orientation: scenario 'planar' supports x-aligned dipoles only"),
+    (_planar_with(atoms="  orientation: [1.0, 1.0, 0.0]\n"),
+     "atoms.orientation: scenario 'planar' supports x-aligned dipoles only"),
+    # atoms, free space
+    (FREE + "cavity:\n  d: 1.0e-6\n", "cavity.d: not applicable to scenario 'free-space'"),
+    (FREE + "cavity:\n  delta: 1.0e-3\n", "cavity.delta: not applicable to scenario 'free-space'"),
+    (FREE + "cavity:\n  nu: 1\n", "cavity.nu: not applicable to scenario 'free-space'"),
+    (FREE + "  z_a: 1.0e-7\n",
+     "atoms.z_a: not applicable to scenario 'free-space' (use atoms.position_a)"),
+    (FREE + "  z_b: 1.0e-7\n",
+     "atoms.z_b: not applicable to scenario 'free-space' (use atoms.position_b)"),
+    ("scenario: free-space\n", "atoms.omega10: required but not set"),
+    (FREE.replace("omega10: 2.0e15", "omega10: -2.0e15"), "atoms.omega10: must be > 0"),
+    (FREE.replace("omega10: 2.0e15", "omega10: 2.0e15x"), "atoms.omega10: expected a number"),
+    (FREE.replace("[0.0, 0.0, 0.0]", "[0.0, 0.0]"), "atoms.position_a: expected a list of 3 numbers"),
+    (FREE.replace("[0.0, 0.0, 0.0]", "origin"), "atoms.position_a: expected a list of 3 numbers"),
+    (FREE.replace("[0.0, 0.0, 0.0]", "[0.0, x, 0.0]"), "atoms.position_a[1]: expected a number"),
+    (FREE.replace("[0.0, 0.0, 2.0e-7]", "[0.0, 0.0, .inf]"), "atoms.position_b[2]: must be finite"),
+    (FREE.replace("[0.0, 0.0, 2.0e-7]", "[0.0, 0.0, 0.0]"),
+     "atoms.position_b: must differ from atoms.position_a"),
+    ("scenario: free-space\natoms:\n  omega10: 2.0e15\n  position_b: [0.0, 0.0, 0.0]\n",
+     "atoms.position_b: must differ from atoms.position_a"),
+    (FREE + "  dipole_norm: -1.0e-29\n", "atoms.dipole_norm: must be > 0"),
+    (FREE + "  dipole_norm: big\n", "atoms.dipole_norm: expected a number"),
+    (FREE + "  orientation: w\n", "atoms.orientation: expected 'x', 'y', 'z', or a list of 3 numbers"),
+    (FREE + "  orientation: [0.0, 0.0, 0.0]\n", "atoms.orientation: must be a nonzero direction"),
+    (FREE + "  orientation: [1.0, 2.0]\n", "atoms.orientation: expected a list of 3 numbers"),
+    (FREE + "  orientation: 5\n", "atoms.orientation: expected a list of 3 numbers"),
+    (FREE + "  orientation: [1.0, false, 0.0]\n", "atoms.orientation[1]: expected a number"),
+    # sweep
+    (_planar_with(sweep="  points: 0\n"), "sweep.points: must be >= 1"),
+    (_planar_with(sweep="  points: many\n"), "sweep.points: expected an integer"),
+    (_planar_with(sweep="  target: C\n"), "sweep.target: must be one of joint, A, B"),
+    (_planar_with(sweep="  target: 1\n"), "sweep.target: expected a string"),
+    (_planar_with(sweep="  span: [0.5]\n"), "sweep.span: expected a list [low, high]"),
+    (_planar_with(sweep="  span: 0.5\n"), "sweep.span: expected a list [low, high]"),
+    (_planar_with(sweep="  span: [0.9, 0.1]\n"), "sweep.span: must satisfy low < high"),
+    (_planar_with(sweep="  span: [0.5, 0.5]\n"), "sweep.span: must satisfy low < high"),
+    (_planar_with(sweep="  span: [y, 0.5]\n"), "sweep.span[0]: expected a number"),
+    (_planar_with(sweep="  span: [0.1, .nan]\n"), "sweep.span[1]: must be finite"),
+    (_planar_with(sweep="  span: [-0.1, 0.5]\n"),
+     "sweep.span: must lie within [0, 1] (fractions of cavity.d)"),
+    (_planar_with(sweep="  span: [0.5, 1.5]\n"),
+     "sweep.span: must lie within [0, 1] (fractions of cavity.d)"),
+    (FREE + "sweep:\n  span: [0.0, 2.0]\n",
+     "sweep.span: must be > 0 (multiples of the configured separation)"),
+    (FREE + "sweep:\n  span: [2.0, 1.0]\n", "sweep.span: must satisfy low < high"),
+    (_planar_with(sweep="  kk_offsets: [50.0]\n"),
+     "sweep.kk_offsets: offsets must be at least 100 mode widths from resonance "
+     "(asymptotic-regime comparison)"),
+    (_planar_with(sweep="  kk_offsets: []\n"),
+     "sweep.kk_offsets: expected a non-empty list of numbers"),
+    (_planar_with(sweep="  kk_offsets: 500.0\n"),
+     "sweep.kk_offsets: expected a non-empty list of numbers"),
+    (_planar_with(sweep="  kk_offsets: [500.0, z]\n"), "sweep.kk_offsets[1]: expected a number"),
+    (_planar_with(sweep="  weak_ratios: [1.0, -1.0]\n"), "sweep.weak_ratios: ratios must be > 0"),
+    (_planar_with(sweep="  weak_ratios: []\n"),
+     "sweep.weak_ratios: expected a non-empty list of numbers"),
+    (_planar_with(sweep="  theta: 3.2\n"), "sweep.theta: must lie within [0, pi)"),
+    (_planar_with(sweep="  theta: -0.1\n"), "sweep.theta: must lie within [0, pi)"),
+    (_planar_with(sweep="  theta: half\n"), "sweep.theta: expected a number"),
+    # tolerances and output
+    (_planar_with(tolerances="  quadrature_rel: 0.0\n"), "tolerances.quadrature_rel: must be > 0"),
+    (_planar_with(tolerances="  quadrature_rel: tight\n"),
+     "tolerances.quadrature_rel: expected a number"),
+    (_planar_with(tolerances="  xcheck: -1.0\n"), "tolerances.xcheck: must be > 0"),
+    (_planar_with(tolerances="  xcheck: [1.0]\n"), "tolerances.xcheck: expected a number"),
+    (_planar_with(output="  path: 3\n"), "output.path: expected a string"),
+    (_planar_with(output="  format: xml\n"), "output.format: must be one of csv, jsonl"),
+]
+
+
+@pytest.mark.parametrize("text,message", REJECTED, ids=[message for _, message in REJECTED])
+def test_config_rejection_names_key_and_constraint(tmp_path, text, message):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as caught:
+        load_config(path)
+    assert str(caught.value) == message
+
+
+def test_config_unreadable_source(tmp_path):
+    with pytest.raises(ConfigError) as caught:
+        load_config(tmp_path / "nope.yaml")
+    assert str(caught.value) == f"config: file not found: {tmp_path / 'nope.yaml'}"
+    with pytest.raises(ConfigError) as caught:
+        load_config(tmp_path)
+    assert str(caught.value) == (
+        f"config: unreadable: {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'")
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"a: \x80\n")
+    with pytest.raises(ConfigError) as caught:
+        load_config(bad)
+    assert str(caught.value) == ('config: parse error: unacceptable character #x0080: '
+                                 'invalid start byte\n  in "<byte string>", position 3')
+
+
+# --------------------------------------------------------------------- CLI
+
+def _run(tmp_path, capsys, text, argv):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    code = main([*argv[:1], "--config", str(cfg), *argv[1:]])
+    return code, capsys.readouterr().err
+
+
+def _manifest(table: Path) -> dict:
+    return json.loads(Path(f"{table}.manifest.json").read_text())
+
+
+@pytest.mark.parametrize("flag,value,key,field,setting", [
+    ("--format", "jsonl", "output.format", None, "jsonl"),
+    ("--variant", "as-printed", "variant", "variant", "as-printed"),
+    ("--tolerance", "1e-3", "tolerances.xcheck", None, 1.0e-3),
+])
+def test_cli_flag_sets_its_key_with_user_provenance(tmp_path, capsys, flag, value, key, field,
+                                                    setting):
+    out = tmp_path / "t.dat"
+    code, err = _run(tmp_path, capsys, PLANAR, ["scan-rabi", "--out", str(out), flag, value])
+    assert (code, err) == (0, "")
+    manifest = _manifest(out)
+    assert manifest["provenance"][key] == "user"
+    if field is not None:
+        assert manifest[field] == setting
+    if key == "tolerances.xcheck":
+        assert manifest["tolerances"]["xcheck"] == setting
+    if key == "output.format":
+        assert out.read_text().startswith("{")
+    assert manifest["provenance"]["output.path"] == "user"
+    assert manifest["provenance"]["mode"] == "default"
+
+
+def test_cli_without_flags_records_defaults(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, err = _run(tmp_path, capsys, PLANAR, ["dressed"])
+    assert (code, err) == (0, "")
+    manifest = _manifest(tmp_path / "cavityvdw-dressed.csv")
+    assert manifest["mode"] == "dressed" and manifest["variant"] == "corrected"
+    for key in ("mode", "output.path", "output.format", "variant", "tolerances.xcheck"):
+        assert manifest["provenance"][key] == "default"
+
+
+def test_cli_mode_set_in_config_and_by_subcommand(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    code, err = _run(tmp_path, capsys, PLANAR + "mode: dressed\n", ["dressed", "--out", str(out)])
+    assert (code, err) == (0, "")
+    assert _manifest(out)["provenance"]["mode"] == "user"
+
+
+@pytest.mark.parametrize("text,argv,message", [
+    (PLANAR + "mode: dressed\n", ["scan-rabi"],
+     "mode: config sets 'dressed' but the subcommand is 'scan-rabi'"),
+    (FREE + "mode: potential\n", ["xcheck"],
+     "mode: config sets 'potential' but the subcommand is 'xcheck'"),
+    (FREE, ["scan-rabi"], "mode: 'scan-rabi' requires scenario 'planar'"),
+    (FREE, ["weak-limit"], "mode: 'weak-limit' requires scenario 'planar'"),
+    # a YAML value that a flag replaces is still validated
+    (_planar_with(output="  path: 3\n"), ["scan-rabi", "--out", "x.csv"],
+     "output.path: expected a string"),
+    (_planar_with(output="  format: xml\n"), ["scan-rabi", "--format", "csv"],
+     "output.format: must be one of csv, jsonl"),
+    (PLANAR + "variant: bogus\n", ["scan-rabi", "--variant", "corrected"],
+     "variant: must be one of corrected, as-printed"),
+    (_planar_with(tolerances="  xcheck: -1.0\n"), ["scan-rabi", "--tolerance", "1e-3"],
+     "tolerances.xcheck: must be > 0"),
+    # the one message that changed: it named the flag, "tolerance: must be > 0"
+    (PLANAR, ["scan-rabi", "--tolerance", "0"], "tolerances.xcheck: must be > 0"),
+    (PLANAR, ["xcheck", "--tolerance=-1e-3"], "tolerances.xcheck: must be > 0"),
+])
+def test_cli_rejects_config_and_flags_by_key(tmp_path, capsys, text, argv, message):
+    code, err = _run(tmp_path, capsys, text, argv)
+    assert (code, err) == (1, f"error: {message}\n")
+    assert not list(tmp_path.glob("*.manifest.json"))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_tolerance_must_be_finite(tmp_path, capsys, value):
+    # the flag is checked like tolerances.xcheck in the YAML; before, a NaN
+    # gate failed every xcheck row and an infinite one passed every row
+    code, err = _run(tmp_path, capsys, PLANAR, ["xcheck", "--tolerance", value])
+    assert (code, err) == (1, "error: tolerances.xcheck: must be finite\n")

@@ -16,6 +16,12 @@ The JSON lines goldens (tests/goldens/<config>-<mode>.jsonl, made with
 `--format jsonl` by the per-cell exporter that preceded the blocked one)
 hold the bytes of the planar modes and the free-space potential fixed:
 they must match byte for byte.
+
+The manifest of every run above, and of one run per remaining flag and one
+with no flag on planar.yaml, must match its golden
+(tests/goldens/<run>.manifest.json) byte for byte: these hold the
+provenance, tolerance and normalization bytes fixed. They were written by
+the config loader that preceded the settings table.
 """
 
 import dataclasses
@@ -45,6 +51,11 @@ JSONL_CASES = [("planar", m) for m in ("scan-rabi", *PLANAR_MODES, "kk-check")] 
     ("free_space", "potential")]
 
 
+def _assert_manifest_matches(table: Path, run_name: str) -> None:
+    got = Path(f"{table}.manifest.json").read_bytes()
+    assert got == (GOLDENS / f"{run_name}.manifest.json").read_bytes()
+
+
 def _read_csv(path: Path) -> dict[str, np.ndarray]:
     lines = path.read_text().splitlines()
     names = lines[0].split(",")
@@ -58,6 +69,7 @@ def test_table_matches_golden_and_repeats_bytes(tmp_path, config, mode):
     for out in outs:
         assert main([mode, "--config", str(GOLDENS / f"{config}.yaml"), "--out", str(out)]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
+    _assert_manifest_matches(outs[0], f"{config}-{mode}.csv")
     got = _read_csv(outs[0])
     want = _read_csv(GOLDENS / f"{config}-{mode}.csv")
     assert list(got) == list(want)
@@ -85,6 +97,19 @@ def test_jsonl_table_matches_golden_bytes(tmp_path, config, mode):
     argv = [mode, "--config", str(GOLDENS / f"{config}.yaml"), "--out", str(out), "--format", "jsonl"]
     assert main(argv) == 0
     assert out.read_bytes() == (GOLDENS / f"{config}-{mode}.jsonl").read_bytes()
+    _assert_manifest_matches(out, f"{config}-{mode}.jsonl")
+
+
+@pytest.mark.parametrize("mode,flags,code,run_name", [
+    ("force", ["--variant", "as-printed"], 0, "planar-force-variant-as-printed"),
+    ("xcheck", ["--tolerance", "1e-3"], 0, "planar-xcheck-tolerance-1e-3"),
+    ("potential", [], 0, "planar-potential-no-flags"),
+])
+def test_flag_run_manifest_matches_golden_bytes(tmp_path, monkeypatch, mode, flags, code,
+                                                run_name):
+    monkeypatch.chdir(tmp_path)
+    assert main([mode, "--config", str(GOLDENS / "planar.yaml"), *flags]) == code
+    _assert_manifest_matches(tmp_path / f"cavityvdw-{mode}.csv", run_name)
 
 
 @pytest.mark.parametrize("config", ("planar", "planar_below_a", "planar_above_b_as_printed"))

@@ -146,6 +146,29 @@ def test_rabi_contributions_swap_symmetry_and_positivity():
         assert r1.omega2_total >= 0.0
 
 
+def test_rabi_totals_at_exact_nodes_are_nonnegative():
+    # where s_A = -s_B exactly, A^2 s_A^2 + A^2 s_B^2 + 2 A^2 s_A s_B cancels
+    # and can round below zero; the total written there must be >= 0 and
+    # every other total the unchanged sum
+    rounded_below = 0
+    for nu in range(1, 6):
+        cav = PlanarCavity(d=1.0e-6, delta=1.0e-3, nu=nu)
+        for zb in np.linspace(0.01, 0.99, 99) * cav.d:
+            scn = PlanarScenario.resonant(cav, cav.d / 2, zb)
+            for points in (11, 21, 51, 101, 201, 501, 1001):
+                t = scan_rabi(scn, "A", np.linspace(0.0, 1.0, points) * cav.d)
+                total = sum(t.values(k) for k in ("omega2_A", "omega2_B", "omega2_AB"))
+                assert np.array_equal(t.values("omega2_total"), np.maximum(total, 0.0))
+                assert np.all(t.values("omega2_total_dimless") >= 0.0)
+                rounded_below += int(np.count_nonzero(total < 0.0))
+            # the pairs z_A = z_B -+ d/nu, exact nodes for the scalar route
+            for za in (zb - cav.d / nu, zb + cav.d / nu):
+                if 0.0 < za < cav.d:
+                    rb = rabi_contributions(PlanarScenario.resonant(cav, za, zb))
+                    assert rb.omega2_total == max(rb.omega2_a + rb.omega2_b + rb.omega2_ab, 0.0)
+    assert rounded_below > 0
+
+
 def test_rabi_contributions_offresonance_rejected():
     cav = PlanarCavity(d=1.0e-6, delta=1.0e-3, nu=1)
     dip = (1e-29, 0.0, 0.0)
