@@ -38,6 +38,14 @@ which the principal-value transform kk_real_from_imag shares:
 - The integrand is vector-valued: one evaluation of the bracket on an array
   of nodes gives every component, (Re T, Im T, Re L, Im L) for propagating
   and (T, L) for evanescent waves (T transverse, L longitudinal).
+- Each sector supplies the bracket's three factors, the round trip
+  e^{2 i k_perp d}, 2 cos(k_perp (z-z')) and the single-bounce pair, and one
+  combiner turns them into (T, L). Propagating waves (k_perp = k t) take
+  them from h = cos(k_perp d) + i sin(k_perp d): h^2, the real cosine and
+  2 h cos(k_perp (d-z-z')). Evanescent waves (k_perp = i kappa) have every
+  factor real, e^{-2u}, 2 cosh(kappa |z-z'|) and
+  e^{-kappa (z+z')} + e^{-kappa (2d-z-z')}, so their bracket is computed in
+  float arithmetic.
 - The cavity denominators make Lorentzian features of width
   layer = (1 - |r|)/(kd) in t, at each resonance t = m pi/(kd) and at both
   ends (grazing incidence, and normal incidence near a mode). The initial
@@ -47,6 +55,9 @@ which the principal-value transform kk_real_from_imag shares:
   error exceeds its budget (rel_tol times the larger of the sector's |T|,
   its |L| and the free-space floor k/6 pi), every panel whose error exceeds
   budget/n_panels is halved, with at most _QUAD_LIMIT halvings in all.
+  Each level is one call of the integrand: the first on the initial panels
+  and their halves together, each later one on the halves of the panels
+  being split.
 
 The integrand depends on the points only through z + z' and |z - z'|, so
 the tensor is reciprocal bit for bit.
@@ -158,8 +169,9 @@ class QuadratureControl:
     rel_tol: float = 1e-8
 
     def __post_init__(self):
-        if not self.rel_tol > 0.0:
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
+        # an infinite rel_tol would accept any first level unchecked
+        if not 0.0 < self.rel_tol < math.inf:
+            raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol}")
 
 
 @dataclass(frozen=True)
@@ -234,7 +246,8 @@ def quad(f, a, b, **kwargs):
 # Gauss-Legendre panel engine shared by the cavity tensor and the
 # principal-value transform: 20-node panels, and initial panel edges graded
 # away from each sharp feature at +-_GRADING times the feature's width
-_GRADING = (1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1.0e3, 3.0e3, 1.0e4, 3.0e4)
+_GRADING = np.outer((-1.0, 1.0),
+                    (1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1.0e3, 3.0e3, 1.0e4, 3.0e4)).ravel()
 
 
 @functools.cache
@@ -253,11 +266,10 @@ def _panel_edges(lo, hi, features, width, fixed=()):
     """Sorted distinct panel edges on [lo, hi]: the ends, the fixed points,
     and each feature point flanked at +-_GRADING * width."""
     features = np.asarray(features, dtype=float)
-    steps = width * np.array(_GRADING)
-    graded = np.add.outer(features, np.concatenate((-steps, steps))).ravel()
-    edges = np.sort(np.concatenate(([lo, hi], features, fixed, graded)))
-    edges = edges[(edges >= lo) & (edges <= hi)]
-    return edges[np.diff(edges, prepend=-np.inf) > 0.0]
+    graded = (features[:, None] + width * _GRADING).ravel()
+    edges = np.concatenate(([lo, hi], features, fixed, graded))
+    edges = np.sort(edges[(edges >= lo) & (edges <= hi)])
+    return edges[np.concatenate(([True], edges[1:] > edges[:-1]))]
 
 
 def _panel_sums(g, a, b):
@@ -280,18 +292,25 @@ def _gl_quadrature(g, edges, budget):
     of |panel - two halves|. While the summed error exceeds budget(values)
     (values: components x panels), every panel whose error exceeds
     budget / n_panels is halved, with at most _QUAD_LIMIT halvings in all.
+    Each level is one call of g: the first on the initial panels and their
+    halves, each later one on the halves of the panels being split.
 
     Returns (values, error): the final panel values and the summed error.
     """
 
-    def halve(a, b, whole):
+    def level(a, b, whole=None):
+        # the halves of every panel [a_i, b_i], and the panels themselves
+        # when their sums (whole) are not known yet
         mid = 0.5 * (a + b)
-        halves = _panel_sums(g, np.concatenate((a, mid)), np.concatenate((mid, b)))
-        left, right = halves[:, : a.size], halves[:, a.size :]
+        parts = [(a, b), (a, mid), (mid, b)] if whole is None else [(a, mid), (mid, b)]
+        starts, ends = zip(*parts)
+        sums = _panel_sums(g, np.concatenate(starts), np.concatenate(ends))
+        *first, left, right = sums.reshape(len(sums), len(parts), a.size).swapaxes(0, 1)
+        if first:
+            whole = first[0]
         return a, mid, b, left, right, np.sum(np.abs(whole - left - right), axis=0)
 
-    a, b = edges[:-1], edges[1:]
-    panels = halve(a, b, _panel_sums(g, a, b))
+    panels = level(edges[:-1], edges[1:])
     splits = 0
     while True:
         a, mid, b, left, right, error = panels
@@ -302,7 +321,7 @@ def _gl_quadrature(g, edges, budget):
         if not math.fsum(error) > target or splits + n_split > _QUAD_LIMIT:
             return values, math.fsum(error)
         splits += n_split
-        children = halve(np.concatenate((a[split], mid[split])),
+        children = level(np.concatenate((a[split], mid[split])),
                          np.concatenate((mid[split], b[split])),
                          np.concatenate((left[:, split], right[:, split]), axis=1))
         panels = [np.concatenate((old[..., ~split], new), axis=-1)
@@ -332,7 +351,8 @@ def planar_scattering_components(
         raise DomainError(f"points must satisfy 0 < z, z' < d; got z={z}, z'={zp}, d={d}")
     if not omega > 0:
         raise DomainError(f"angular frequency must be positive, got {omega}")
-    if max(abs(r_s), abs(r_p)) >= 1.0:
+    # written so that a NaN coefficient fails it
+    if not (abs(r_s) < 1.0 and abs(r_p) < 1.0):
         raise DomainError("reflection coefficients must satisfy |r| < 1")
     if r_s == 0.0 and r_p == 0.0:
         return 0.0 + 0.0j, 0.0 + 0.0j, 0.0
@@ -340,32 +360,34 @@ def planar_scattering_components(
     kd = k * d
     zsum, zdiff = z + zp, abs(z - zp)
 
-    def braces(kperp, kp2_over_k2, kpar2_over_k2):
-        e2d = np.exp(2j * kperp * d)
+    def bracket(e2d, two_cos, pair, kp2_over_k2, kpar2_over_k2):
+        # (T, L) from the sector's round trip e^{2 i k_perp d},
+        # 2 cos(k_perp |z - z'|) and single-bounce pair, real or complex
         ds = 1.0 - r_s**2 * e2d
         dp = 1.0 - r_p**2 * e2d
-        # cos written via exponentials so complex k_perp is handled uniformly
-        two_cos = np.exp(1j * kperp * zdiff) + np.exp(-1j * kperp * zdiff)
-        pair = np.exp(1j * kperp * zsum) + np.exp(1j * kperp * (2.0 * d - zsum))
-        s_num = r_s**2 * e2d * two_cos + r_s * pair
-        p_num = r_p**2 * e2d * two_cos - r_p * pair
-        p_num_long = r_p**2 * e2d * two_cos + r_p * pair
-        trans = s_num / ds + kp2_over_k2 * p_num / dp
-        longi = 2.0 * kpar2_over_k2 * p_num_long / dp
+        direct = e2d * two_cos
+        p_direct, p_pair = r_p**2 * direct, r_p * pair
+        trans = (r_s**2 * direct + r_s * pair) / ds + kp2_over_k2 * (p_direct - p_pair) / dp
+        longi = 2.0 * kpar2_over_k2 * (p_direct + p_pair) / dp
         return trans, longi
 
     # propagating sector: t = k_perp / k on (0, 1), measure k dt, components
     # (Re T, Im T, Re L, Im L) of the bracket; the tensor takes i times them
     def f_prop(t):
-        tr, lo = braces(k * t, t * t, 1.0 - t * t)
+        phase = kd * t
+        h = np.cos(phase) + 1j * np.sin(phase)  # e^{i k_perp d}
+        two_cos = 2.0 * np.cos((k * zdiff) * t)
+        tr, lo = bracket(h * h, two_cos, 2.0 * h * np.cos(phase - k * zsum * t), t * t, 1.0 - t * t)
         return (k / (8.0 * math.pi)) * np.stack((tr.real, tr.imag, lo.real, lo.imag))
 
-    # evanescent sector: u = kappa d on (0, u_max), components (T, L); the
-    # bracket is real there
+    # evanescent sector: u = kappa d on (0, u_max), components (T, L), all
+    # factors real; cosh(kappa |z - z'|) stays below cosh 45, as
+    # |z - z'| <= s_min below
     def f_evan(u):
-        kappa = u / d
-        tr, lo = braces(1j * kappa, -(kappa / k) ** 2, 1.0 + (kappa / k) ** 2)
-        return np.stack((tr.real, lo.real)) / (8.0 * math.pi * d)
+        q2 = (u / kd) ** 2
+        tr, lo = bracket(np.exp(-2.0 * u), 2.0 * np.cosh((zdiff / d) * u),
+                         np.exp(-(zsum / d) * u) + np.exp(-(2.0 - zsum / d) * u), -q2, 1.0 + q2)
+        return np.stack((tr, lo)) / (8.0 * math.pi * d)
 
     # floor: the free-space coincident Im G, k / 6 pi
     floor = k / (6.0 * math.pi)

@@ -4,7 +4,10 @@ Everything in this module is written directly from closed-form expressions
 and deliberately avoids calling into ``cavityvdw``.  The image expansion
 resums the planar round-trip denominator as a geometric series of source
 images, which converges for any reflection magnitude below one; it shares
-no code with the angular-spectrum quadrature it is used to check.
+no code with the angular-spectrum quadrature it is used to check. The
+uniform cavity bracket writes that quadrature's integrand in complex
+exponentials of k_perp; the tests run it on the library's panel engine as
+the reference for the per-sector factors the library evaluates.
 """
 
 import functools
@@ -72,6 +75,25 @@ def image_series_xx(d, delta, z, zp, omega, c=299792458.0, tol=1e-14):
 def image_series_zz(d, delta, z, zp, omega, c=299792458.0, tol=1e-14):
     """Scattered zz component from the mirror-image expansion (all-plus signs)."""
     return _image_series(d, delta, z, zp, omega, c, tol)[1]
+
+
+def uniform_cavity_bracket(kperp, d, r_s, r_p, zsum, zdiff, kp2_over_k2, kpar2_over_k2):
+    """Transverse and longitudinal brackets of the on-axis cavity integrand,
+    as complex exponentials of k_perp, so one expression serves real
+    (propagating) and positive imaginary (evanescent) k_perp alike; zsum is
+    z + z' and zdiff |z - z'|. This is the form the library evaluated before
+    it took each sector's factors apart, kept as a reference for them."""
+    e2d = np.exp(2j * kperp * d)
+    ds = 1.0 - r_s**2 * e2d
+    dp = 1.0 - r_p**2 * e2d
+    two_cos = np.exp(1j * kperp * zdiff) + np.exp(-1j * kperp * zdiff)
+    pair = np.exp(1j * kperp * zsum) + np.exp(1j * kperp * (2.0 * d - zsum))
+    s_num = r_s**2 * e2d * two_cos + r_s * pair
+    p_num = r_p**2 * e2d * two_cos - r_p * pair
+    p_num_long = r_p**2 * e2d * two_cos + r_p * pair
+    trans = s_num / ds + kp2_over_k2 * p_num / dp
+    longi = 2.0 * kpar2_over_k2 * p_num_long / dp
+    return trans, longi
 
 
 def lorentzian_principal_value(peak, omega0, gamma, omega):

@@ -21,6 +21,7 @@ from cavityvdw.greens import (
     planar_resonant_im_gxx,
     planar_scattering_components,
 )
+from cavityvdw.greens import _gl_quadrature, _panel_edges
 
 from oracles import (
     image_series_xx,
@@ -29,6 +30,7 @@ from oracles import (
     lorentzian_window_principal_value,
     small_kr_diagonal_imag,
     transverse_scalar,
+    uniform_cavity_bracket,
 )
 
 RNG = np.random.default_rng(20260814)
@@ -99,15 +101,15 @@ def test_free_space_rejects_zero_separation():
 
 # ----------------------------------------------------- planar quadrature core
 
-def _random_geometries(n):
+def _random_geometries(n, rng=RNG):
     out = []
     for _ in range(n):
-        d = float(RNG.uniform(0.4e-6, 3.0e-6))
-        z = float(RNG.uniform(0.08, 0.92)) * d
-        zp = float(RNG.uniform(0.08, 0.92)) * d
-        kd = float(RNG.uniform(1.2, 9.5))
+        d = float(rng.uniform(0.4e-6, 3.0e-6))
+        z = float(rng.uniform(0.08, 0.92)) * d
+        zp = float(rng.uniform(0.08, 0.92)) * d
+        kd = float(rng.uniform(1.2, 9.5))
         omega = kd * C / d
-        delta = float(10.0 ** RNG.uniform(-3.0, -1.1))
+        delta = float(10.0 ** rng.uniform(-3.0, -1.1))
         out.append((d, delta, z, zp, omega))
     return out
 
@@ -130,6 +132,14 @@ def test_planar_scattering_transparent_walls_vanish():
         1.0e-6, 0.0, 0.0, 0.4e-6, 0.7e-6, 2.0e15, QuadratureControl()
     )
     assert trans == 0.0 and longi == 0.0 and err == 0.0
+
+
+@pytest.mark.parametrize("r_s,r_p",
+                         [(math.nan, 0.99), (-0.99, math.nan), (-1.0, 0.99), (-0.99, 1.5)])
+def test_planar_scattering_rejects_reflection_outside_unit_disc(r_s, r_p):
+    # NaN fails the |r| < 1 check rather than reaching the quadrature
+    with pytest.raises(DomainError, match=r"\|r\| < 1"):
+        planar_scattering_components(1.0e-6, r_s, r_p, 0.4e-6, 0.7e-6, 2.0e15)
 
 
 def test_planar_scattering_reciprocity():
@@ -167,6 +177,87 @@ def test_planar_scattering_swapped_points_bit_identical():
         a = planar_scattering_components(d, -r, r, z, zp, omega)
         b = planar_scattering_components(d, -r, r, zp, z, omega)
         assert a == b
+
+
+def _uniform_bracket_scattering(d, r_s, r_p, z, zp, omega, rel_tol):
+    """(transverse, longitudinal) from the sectors, panel edges and budgets
+    of planar_scattering_components on the library's panel engine, with the
+    integrand built from oracles.uniform_cavity_bracket."""
+    k = omega / C
+    kd = k * d
+    zsum, zdiff = z + zp, abs(z - zp)
+
+    def f_prop(t):
+        tr, lo = uniform_cavity_bracket(k * t, d, r_s, r_p, zsum, zdiff, t * t, 1.0 - t * t)
+        return (k / (8.0 * math.pi)) * np.stack((tr.real, tr.imag, lo.real, lo.imag))
+
+    def f_evan(u):
+        q2 = (u / kd) ** 2
+        tr, lo = uniform_cavity_bracket(1j * u / d, d, r_s, r_p, zsum, zdiff, -q2, 1.0 + q2)
+        return np.stack((tr.real, lo.real)) / (8.0 * math.pi * d)
+
+    floor = k / (6.0 * math.pi)
+
+    def budget(v):
+        sizes = np.linalg.norm(v.sum(axis=1).reshape(2, -1), axis=1)
+        return rel_tol * max(float(sizes.max()), floor)
+
+    loss = 1.0 - max(abs(r_s), abs(r_p))
+    t_res = [m * math.pi / kd for m in range(1, int(kd / math.pi) + 1) if m * math.pi < kd]
+    prop, _ = _gl_quadrature(f_prop, _panel_edges(0.0, 1.0, [0.0, *t_res, 1.0], loss / kd), budget)
+    s_min = min(zsum, 2.0 * d - zsum, 2.0 * d - zdiff)
+    evan, _ = _gl_quadrature(f_evan, _panel_edges(0.0, 45.0 * d / s_min, [0.0], loss), budget)
+    p_re_t, p_im_t, p_re_l, p_im_l = map(math.fsum, prop)
+    e_t, e_l = map(math.fsum, evan)
+    return complex(e_t - p_im_t, p_re_t), complex(e_l - p_im_l, p_re_l)
+
+
+def _reference_route_cases():
+    """(d, r_s, r_p, z, z', omega, rel_tol): the random geometries of the
+    image-series test, nu = 5 at delta = 1e-4, points 1e-3 d from a mirror
+    and |r_s| != |r_p|."""
+    cases = [(d, -(1.0 - delta), 1.0 - delta, z, zp, omega, 1e-10)
+             for d, delta, z, zp, omega in _random_geometries(8, np.random.default_rng(20260814))]
+    cav = PlanarCavity(d=1.0e-6, delta=1.0e-4, nu=5)
+    cases += [(cav.d, cav.r_s, cav.r_p, 0.3 * cav.d, zp * cav.d,
+               cav.omega_nu + offset * cav.gamma_nu, 1e-8)
+              for zp in (0.3, 0.37) for offset in (-2.0, -0.7, 0.0, 0.7, 2.0)]
+    d = 1.0e-6
+    omega = 1.3 * math.pi * C / d
+    cases += [(d, -0.99, 0.99, z * d, zp * d, omega, 1e-8)
+              for z, zp in ((1e-3, 1e-3), (1e-3, 0.4), (1.0 - 1e-3, 0.5))]
+    cases += [(d, r_s, r_p, 0.3 * d, 0.55 * d, omega, 1e-8)
+              for r_s, r_p in ((-0.9, 0.995), (-0.995, 0.6), (0.0, 0.98), (-0.97, 0.0))]
+    return cases
+
+
+@pytest.mark.parametrize("d,r_s,r_p,z,zp,omega,rel_tol", _reference_route_cases())
+def test_planar_scattering_matches_uniform_bracket_route(d, r_s, r_p, z, zp, omega, rel_tol):
+    # the per-sector factors against the complex-exponential bracket they
+    # replace, on the same panels: a slip in one sector shows far below the
+    # image-series gate
+    ctrl = QuadratureControl(rel_tol=rel_tol)
+    trans, longi, _ = planar_scattering_components(d, r_s, r_p, z, zp, omega, ctrl)
+    ref_t, ref_l = _uniform_bracket_scattering(d, r_s, r_p, z, zp, omega, rel_tol)
+    floor = omega / C / (6.0 * math.pi)
+    assert abs(trans - ref_t) / max(abs(ref_t), floor) < 1e-12
+    assert abs(longi - ref_l) / max(abs(ref_l), floor) < 1e-12
+
+
+def test_gl_quadrature_converged_first_level_is_one_call():
+    # the initial panels and their halves share one call of the integrand
+    calls = []
+
+    def g(x):
+        calls.append(x.shape)
+        return np.stack((np.cos(x), np.exp(x)))
+
+    values, err = _gl_quadrature(g, np.array([0.0, 0.25, 0.5, 1.0]),
+                                 lambda v: 1e-12 * np.abs(v.sum(axis=1)).max())
+    assert calls == [(3 * 3, 20)]
+    assert math.fsum(values[0]) == pytest.approx(math.sin(1.0), rel=1e-14)
+    assert math.fsum(values[1]) == pytest.approx(math.e - 1.0, rel=1e-14)
+    assert err < 1e-12
 
 
 def test_planar_scattering_unreachable_tolerance_raises_with_its_estimate():
@@ -486,5 +577,6 @@ def test_planar_scan_step_height_and_width():
 
 
 def test_quadrature_control_validation():
-    with pytest.raises(DomainError):
-        QuadratureControl(rel_tol=0.0)
+    for rel_tol in (0.0, -1e-8, math.inf, math.nan):
+        with pytest.raises(DomainError, match="rel_tol"):
+            QuadratureControl(rel_tol=rel_tol)
