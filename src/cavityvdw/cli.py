@@ -370,6 +370,7 @@ def run(cfg: RunConfig) -> RunResult:
 EXPORT_BLOCK_ROWS = 4096
 _CSV_FLOAT = "%.17g".__mod__  # the spelling of format(v, ".17g"), nan, inf and -0 included
 _JSON_FLOAT = float.__repr__  # the spelling json.dumps gives a finite float
+_SIGN_BIT = np.uint64(1 << 63)
 
 
 def _float_cells(values: np.ndarray, fmt: str) -> list[str]:
@@ -387,16 +388,25 @@ def _float_cells(values: np.ndarray, fmt: str) -> list[str]:
 def _block_cells(columns: list, fmt: str) -> list:
     """Cells of each column of one block of rows. Float columns are compared
     by bits, since -0.0 and 0.0 print differently and NaN != NaN, and each
-    distinct one is formatted once."""
+    distinct one is formatted once. A finite column that is the bitwise
+    negation of one already formatted takes that column's cells with the
+    leading '-' toggled, which is the spelling of the negated value in both
+    formats, signed zeros included; a non-finite one is formatted, as the
+    negation of NaN still prints nan."""
     formatted: dict[bytes, list[str]] = {}
     cells = []
     for values in columns:
         if isinstance(values, tuple):
             cells.append(values if fmt == "csv" else list(map(json.dumps, values)))
             continue
-        key = values.tobytes()
+        bits = values.view(np.uint64)
+        key = bits.tobytes()
         if key not in formatted:
-            formatted[key] = _float_cells(values, fmt)
+            mirror = formatted.get((bits ^ _SIGN_BIT).tobytes())
+            if mirror is not None and np.isfinite(values).all():
+                formatted[key] = [c[1:] if c[0] == "-" else "-" + c for c in mirror]
+            else:
+                formatted[key] = _float_cells(values, fmt)
         cells.append(formatted[key])
     return cells
 
@@ -406,12 +416,17 @@ def export(table: Table, path: str | Path, fmt: str) -> None:
     round-trip bit exactly, JSON lines uses shortest-round-trip floats
     (NaN and Infinity where not finite), as json.dumps does.
 
-    Every row is one row template filled with its cells. Rows are formatted
-    and written in blocks of EXPORT_BLOCK_ROWS through one open file, so
-    the cells and text of the whole table are never held at once. Within a
-    block each distinct float column is formatted once: a column
-    bit-identical to an earlier one is not formatted again, and a constant
-    one is a single formatted cell."""
+    Rows are formatted and written in blocks of EXPORT_BLOCK_ROWS through
+    one open file, so the cells and text of the whole table are never held
+    at once. A block is one join over interleaved streams: a separator
+    stream, then that column's cells, for each column in turn, then the
+    row ends. The separators are "", ",", ... and "\n" for CSV, and
+    '{"k0": ', ', "k1": ', ... and "}\n" for JSON lines. Within a block
+    each distinct float column is formatted once: a column bit-identical to
+    an earlier one is not formatted again, a constant one is a single
+    formatted cell, and a finite column that is the negation of an earlier
+    one reuses its cells with the sign toggled. The bytes are those of
+    formatting every cell."""
     if len(table) == 0:
         raise DomainError("refusing to export an empty table")
     if fmt not in ("csv", "jsonl"):
@@ -425,16 +440,23 @@ def export(table: Table, path: str | Path, fmt: str) -> None:
                 if "," in value or '"' in value or "\n" in value:
                     raise DomainError(f"cell value needs quoting, unsupported: {value!r}")
         head = ",".join(names) + "\n"
-        row = ",".join(["%s"] * len(names)) + "\n"
+        seps = ["", *[","] * (len(names) - 1), "\n"]
     else:
         head = ""
-        keys = (json.dumps(name).replace("%", "%%") for name in names)
-        row = "{" + ", ".join(f"{key}: %s" for key in keys) + "}\n"
+        keys = [json.dumps(name) for name in names]
+        seps = ["{" + keys[0] + ": ", *(f", {key}: " for key in keys[1:]), "}\n"]
+    stride = len(seps) + len(columns)
     with open(path, "w", encoding="utf-8", newline="\n") as out:
         out.write(head)
         for start in range(0, len(table), EXPORT_BLOCK_ROWS):
             block = [values[start:start + EXPORT_BLOCK_ROWS] for values in columns]
-            out.write("".join(map(row.__mod__, zip(*_block_cells(block, fmt)))))
+            n = len(block[0])
+            streams = [""] * (n * stride)
+            for j, cells in enumerate(_block_cells(block, fmt)):
+                streams[2 * j::stride] = [seps[j]] * n
+                streams[2 * j + 1::stride] = cells
+            streams[stride - 1::stride] = [seps[-1]] * n
+            out.write("".join(streams))
 
 
 def write_manifest(manifest: dict, path: str | Path) -> None:

@@ -114,7 +114,8 @@ class LorentzianFit(NamedTuple):
 def fit_lorentzian(samples: Sequence[tuple[float, float]]) -> LorentzianFit:
     """Least-squares fit of (omega_nu, gamma_nu, peak) to (omega, value)
     samples, initialized at the sample maximum. The fit runs in units of the
-    initial guesses so the three parameters are comparably scaled."""
+    initial guesses, on sample offsets from the seed centre, so the three
+    parameters are comparably scaled."""
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 5:
         raise DomainError(
@@ -144,11 +145,16 @@ def fit_lorentzian(samples: Sequence[tuple[float, float]]) -> LorentzianFit:
     if g0 <= 0.0:
         g0 = float(np.median(np.abs(np.diff(np.sort(w))))) or 1.0
 
+    # the samples in units of the seeds, taken once: the centre parameter then
+    # moves against offsets of order one, not against omega itself, whose ulp
+    # can exceed the Jacobian's difference step in the centre
+    x = (w - w0) / g0
+    t = y / peak0
+
     def resid(p):
         a, b, c = p
-        om, gam, pk = w0 + a * g0, b * g0, c * peak0
-        quarter = gam**2 / 4.0
-        return (pk * quarter / ((w - om) ** 2 + quarter) - y) / peak0
+        quarter = b * b / 4.0
+        return c * quarter / ((x - a) ** 2 + quarter) - t
 
     # imported here: no CLI mode fits, and importing scipy costs more than
     # any of them computes

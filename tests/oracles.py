@@ -138,8 +138,8 @@ def small_kr_diagonal_imag(k, r_vec):
 
 
 def per_cell_export_text(names, columns, fmt):
-    """Text of a table exported one cell at a time, as the exporter did
-    before it wrote blocks through a row template: CSV cells are
+    """Text of a table exported one cell at a time, each cell formatted
+    from its own value and each row joined on its own: CSV cells are
     format(v, ".17g") or the string itself, JSON lines are one json.dumps
     of a dict per row. columns are lists of float or of str."""
 

@@ -175,17 +175,20 @@ NAME_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_charac
 def export_tables(draw):
     """Columns of row counts around the block size: random draws from a
     pool of special and arbitrary floats, constants, bit-identical copies
-    of an earlier column, copies with the sign of every zero flipped, and
-    str columns."""
+    of an earlier column, copies with the sign of every zero flipped,
+    negations of an earlier column, and str columns."""
     n = draw(st.sampled_from(ROW_COUNTS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     floats = st.sampled_from(SPECIAL_FLOATS) | st.floats()
-    kinds = draw(st.lists(st.sampled_from(("random", "constant", "copy", "zero-sign", "str")),
+    kinds = draw(st.lists(st.sampled_from(("random", "constant", "copy", "zero-sign", "negated",
+                                           "str")),
                           min_size=1, max_size=6))
     columns = []
     for kind in kinds:
         earlier = [c for c in columns if isinstance(c, np.ndarray)]
-        if kind in ("copy", "zero-sign") and earlier:
+        if kind == "negated" and earlier:
+            col = -draw(st.sampled_from(earlier))
+        elif kind in ("copy", "zero-sign") and earlier:
             col = draw(st.sampled_from(earlier)).copy()
             if kind == "zero-sign":
                 zeros = col == 0.0
@@ -214,6 +217,27 @@ def test_export_writes_the_per_cell_bytes(tmp_path_factory, drawn):
     for fmt in ("csv", "jsonl"):
         export(table, out, fmt)
         assert out.read_bytes() == per_cell_export_text(names, lists, fmt).encode("utf-8"), fmt
+
+
+def test_export_formats_a_negated_column_through_its_partner(tmp_path, monkeypatch):
+    formatted = []
+    float_cells = cli._float_cells
+
+    def counted(values, fmt):
+        formatted.append(len(values))
+        return float_cells(values, fmt)
+
+    monkeypatch.setattr(cli, "_float_cells", counted)
+    a = np.random.default_rng(5).normal(size=5000)
+    names = ("a", "minus_a", "a_third")
+    table = Table(dict(zip(names, (a, -a, a / 3.0))))
+    lists = [table.column(name) for name in names]
+    for fmt in ("csv", "jsonl"):
+        formatted.clear()
+        export(table, tmp_path / "t", fmt)
+        assert sum(formatted) == 10000, fmt
+        expected = per_cell_export_text(names, lists, fmt).encode("utf-8")
+        assert (tmp_path / "t").read_bytes() == expected, fmt
 
 
 # --------------------------------------------------------------------- CLI

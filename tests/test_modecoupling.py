@@ -176,6 +176,42 @@ def test_fit_lorentzian_with_noise():
     assert fit.omega_nu == pytest.approx(w0, rel=1e-8)
 
 
+def _exact_lorentzian_draws(seed=0, count=200):
+    """(omega_nu, gamma_nu, peak, samples) of exact Lorentzians: omega_nu
+    within 10% of 1e15 rad/s, widths 1e8-1e12 rad/s, peaks 1e-3-1e3, and 41
+    sorted sample frequencies uniform in +-6 widths."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(count):
+        w0 = 1e15 * (1.0 + rng.uniform(-0.1, 0.1))
+        g = 10.0 ** rng.uniform(8.0, 12.0)
+        peak = 10.0 ** rng.uniform(-3.0, 3.0)
+        ws = np.sort(w0 + rng.uniform(-6.0, 6.0, 41) * g)
+        draws.append((w0, g, peak, list(zip(ws, lorentzian_profile(peak, w0, g, ws)))))
+    return draws
+
+
+def _fit_miss(fit, w0, g, peak):
+    """Largest of the centre error in widths and the width and peak relative
+    errors."""
+    return max(abs(fit.omega_nu - w0) / g, abs(fit.gamma_nu / g - 1.0), abs(fit.peak / peak - 1.0))
+
+
+def test_fit_lorentzian_centre_moves_below_the_frequency_ulp():
+    # a width of 2.2e8 rad/s at 9.8e14 rad/s: a difference step of ~1.5e-8
+    # widths in the centre is below the ulp of omega (0.125 rad/s), and a
+    # fit on absolute frequencies stopped at the seed centre, 0.095 widths off
+    w0, g, peak, samples = _exact_lorentzian_draws()[41]
+    assert w0 == pytest.approx(9.8305780e14, rel=1e-8) and g == pytest.approx(2.1967e8, rel=1e-4)
+    assert _fit_miss(fit_lorentzian(samples), w0, g, peak) < 1e-9
+
+
+def test_fit_lorentzian_recovers_every_exact_lorentzian():
+    # none of the 200 draws raises FitError, and the worst recovers to ~1e-15
+    for i, (w0, g, peak, samples) in enumerate(_exact_lorentzian_draws()):
+        assert _fit_miss(fit_lorentzian(samples), w0, g, peak) < 1e-9, (i, w0, g, peak)
+
+
 def test_fit_lorentzian_degenerate_inputs():
     with pytest.raises(DomainError):
         fit_lorentzian([(1.0, 1.0), (2.0, 2.0)])
