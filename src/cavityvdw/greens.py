@@ -49,8 +49,15 @@ which the principal-value transform kk_real_from_imag shares:
 - The cavity denominators make Lorentzian features of width
   layer = (1 - |r|)/(kd) in t, at each resonance t = m pi/(kd) and at both
   ends (grazing incidence, and normal incidence near a mode). The initial
-  panel edges are graded toward each of them at +-{1, 3, 10, ..., 3e4} x
-  layer; in u they are graded toward u = 0 in units of 1 - |r|.
+  panel edges are graded toward each of them in decades, at
+  +-{1, 10, 100, 1e3, 1e4} x layer: a 20-node panel [s, 10 s] beside a
+  pole at distance s has Bernstein ellipse parameter ~1.9, so its sum is
+  good to ~1e-11 and its halves' to ~1e-16. In u the edges are 0, every
+  (1 - |r|) x 10^j below u_max, and u_max, so no panel spans more than a
+  decade up to the cutoff; a wider last panel can hide the near field of
+  points close to a mirror from the error estimate. The principal-value
+  transform grades its edges in half decades, +-{1, 3, 10, ..., 3e4} x
+  its smallest breakpoint gap.
 - A panel's error is |panel - its two halves|. While a sector's summed
   error exceeds its budget (rel_tol times the larger of the sector's |T|,
   its |L| and the free-space floor k/6 pi), every panel whose error exceeds
@@ -126,8 +133,9 @@ class PlanarCavity:
     nu: int = 1
 
     def __post_init__(self):
-        if not self.d > 0:
-            raise DomainError(f"plate separation must be positive, got d={self.d}")
+        # written so that NaN fails it; an infinite d has no modes
+        if not 0.0 < self.d < math.inf:
+            raise DomainError(f"plate separation must satisfy 0 < d < inf, got d={self.d}")
         # model validity: almost perfectly reflecting plates
         if not 0.0 < self.delta < 0.1:
             raise DomainError(
@@ -174,6 +182,9 @@ class QuadratureControl:
             raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol}")
 
 
+_DEFAULT_CONTROL = QuadratureControl()
+
+
 @dataclass(frozen=True)
 class SpectralFunction:
     """Real-valued function of angular frequency for principal-value
@@ -202,6 +213,14 @@ class SpectralFunction:
         return float(self.func(omega))
 
 
+def _free_space_terms(k: float, rn: float) -> tuple[complex, complex, complex]:
+    """(e^{ikr}/(4 pi r), a, b) of the free-space tensor at separation rn:
+    G = e^{ikr}/(4 pi r) (a delta_ab + b r_a r_b / r^2)."""
+    x = k * rn
+    pref = np.exp(1j * x) / (4.0 * math.pi * rn)
+    return pref, 1.0 + (1j * x - 1.0) / x**2, -1.0 + (3.0 - 3j * x) / x**2
+
+
 def free_space_green(k: float, r: Sequence[float]) -> ComplexDyad:
     """Free-space dyadic Green's tensor at wavenumber k [1/m] and
     displacement r [m]. Entrywise symmetric; even in r."""
@@ -216,11 +235,8 @@ def free_space_green(k: float, r: Sequence[float]) -> ComplexDyad:
             "zero displacement: coincident free-space tensor is divergent; "
             "use free_space_im_green_coincident for the imaginary-part limit"
         )
-    x = k * rn
     e = rv / rn
-    pref = np.exp(1j * x) / (4.0 * math.pi * rn)
-    a = 1.0 + (1j * x - 1.0) / x**2
-    b = -1.0 + (3.0 - 3j * x) / x**2
+    pref, a, b = _free_space_terms(k, rn)
     m = pref * (a * np.eye(3) + b * np.outer(e, e))
     return ComplexDyad(m)
 
@@ -245,9 +261,11 @@ def quad(f, a, b, **kwargs):
 
 # Gauss-Legendre panel engine shared by the cavity tensor and the
 # principal-value transform: 20-node panels, and initial panel edges graded
-# away from each sharp feature at +-_GRADING times the feature's width
-_GRADING = np.outer((-1.0, 1.0),
-                    (1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1.0e3, 3.0e3, 1.0e4, 3.0e4)).ravel()
+# away from each sharp feature at +- a grading times the feature's width,
+# in half decades for the transform and in decades for the cavity tensor
+_HALF_DECADES = np.outer((-1.0, 1.0),
+                         (1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1.0e3, 3.0e3, 1.0e4, 3.0e4)).ravel()
+_DECADES = np.outer((-1.0, 1.0), (1.0, 10.0, 100.0, 1.0e3, 1.0e4)).ravel()
 
 
 @functools.cache
@@ -262,11 +280,11 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _panel_edges(lo, hi, features, width, fixed=()):
+def _panel_edges(lo, hi, features, width, grading, fixed=()):
     """Sorted distinct panel edges on [lo, hi]: the ends, the fixed points,
-    and each feature point flanked at +-_GRADING * width."""
+    and each feature point flanked at grading * width."""
     features = np.asarray(features, dtype=float)
-    graded = (features[:, None] + width * _GRADING).ravel()
+    graded = (features[:, None] + width * grading).ravel()
     edges = np.concatenate(([lo, hi], features, fixed, graded))
     edges = np.sort(edges[(edges >= lo) & (edges <= hi)])
     return edges[np.concatenate(([True], edges[1:] > edges[:-1]))]
@@ -328,6 +346,20 @@ def _gl_quadrature(g, edges, budget):
                   for old, new in zip(panels, children)]
 
 
+def _cavity_panel_edges(d, kd, loss, zsum, zdiff):
+    """Initial panel edges (in t, in u) of the cavity quadrature, for mirror
+    loss 1 - |r| and points with z + z' = zsum, |z - z'| = zdiff: in t the
+    ends and each resonance t = m pi / kd, flanked at +-_DECADES times the
+    layer loss / kd; in u zero, loss times each power of ten and the
+    cutoff u_max = 45 d / s_min, beyond which every evanescent factor is
+    below e^{-45}."""
+    t_res = [m * math.pi / kd for m in range(1, int(kd / math.pi) + 1) if m * math.pi < kd]
+    # the shortest path through a mirror, z + z' or 2d - z - z', bounds |z - z'|
+    u_max = 45.0 * d / min(zsum, 2.0 * d - zsum)
+    return (_panel_edges(0.0, 1.0, [0.0, *t_res, 1.0], loss / kd, _DECADES),
+            _panel_edges(0.0, u_max, [0.0], loss, 10.0 ** np.arange(math.log10(u_max / loss))))
+
+
 def planar_scattering_components(
     d: float,
     r_s: float,
@@ -346,7 +378,7 @@ def planar_scattering_components(
     on the points only through z + z' and |z - z'|, so swapping them gives
     the same result bit for bit.
     """
-    control = control or QuadratureControl()
+    control = control or _DEFAULT_CONTROL
     if not (0.0 < z < d and 0.0 < zp < d):
         raise DomainError(f"points must satisfy 0 < z, z' < d; got z={z}, z'={zp}, d={d}")
     if not omega > 0:
@@ -359,15 +391,17 @@ def planar_scattering_components(
     k = omega / C
     kd = k * d
     zsum, zdiff = z + zp, abs(z - zp)
+    rs2, rp2 = r_s**2, r_p**2
 
     def bracket(e2d, two_cos, pair, kp2_over_k2, kpar2_over_k2):
         # (T, L) from the sector's round trip e^{2 i k_perp d},
-        # 2 cos(k_perp |z - z'|) and single-bounce pair, real or complex
-        ds = 1.0 - r_s**2 * e2d
-        dp = 1.0 - r_p**2 * e2d
+        # 2 cos(k_perp |z - z'|) and single-bounce pair, real or complex;
+        # r_s^2 = r_p^2 (every PlanarCavity) gives both one denominator
+        ds = 1.0 - rs2 * e2d
+        dp = ds if rs2 == rp2 else 1.0 - rp2 * e2d
         direct = e2d * two_cos
-        p_direct, p_pair = r_p**2 * direct, r_p * pair
-        trans = (r_s**2 * direct + r_s * pair) / ds + kp2_over_k2 * (p_direct - p_pair) / dp
+        p_direct, p_pair = rp2 * direct, r_p * pair
+        trans = (rs2 * direct + r_s * pair) / ds + kp2_over_k2 * (p_direct - p_pair) / dp
         longi = 2.0 * kpar2_over_k2 * (p_direct + p_pair) / dp
         return trans, longi
 
@@ -381,8 +415,7 @@ def planar_scattering_components(
         return (k / (8.0 * math.pi)) * np.stack((tr.real, tr.imag, lo.real, lo.imag))
 
     # evanescent sector: u = kappa d on (0, u_max), components (T, L), all
-    # factors real; cosh(kappa |z - z'|) stays below cosh 45, as
-    # |z - z'| <= s_min below
+    # factors real; cosh(kappa |z - z'|) stays below cosh 45 on it
     def f_evan(u):
         q2 = (u / kd) ** 2
         tr, lo = bracket(np.exp(-2.0 * u), 2.0 * np.cosh((zdiff / d) * u),
@@ -393,23 +426,22 @@ def planar_scattering_components(
     floor = k / (6.0 * math.pi)
 
     def budget(v):
-        # the larger of |T| and |L| in the sector's running totals
-        sizes = np.linalg.norm(v.sum(axis=1).reshape(2, -1), axis=1)
-        return control.rel_tol * max(float(sizes.max()), floor)
+        # the larger of |T| and |L| in the sector's running totals, whose
+        # components are the first and second half of v's rows
+        sums = v.sum(axis=1).tolist()
+        half = len(sums) // 2
+        return control.rel_tol * max(math.hypot(*sums[:half]), math.hypot(*sums[half:]), floor)
 
     # both sectors have Lorentzian features of width (1 - |r|) in u and
     # (1 - |r|) / kd in t: at the cavity resonances k_perp = m pi / d, at
     # grazing incidence and, near a resonance, at normal incidence
     loss = 1.0 - max(abs(r_s), abs(r_p))
-    t_res = [m * math.pi / kd for m in range(1, int(kd / math.pi) + 1) if m * math.pi < kd]
-    prop, err_prop = _gl_quadrature(f_prop, _panel_edges(0.0, 1.0, [0.0, *t_res, 1.0], loss / kd),
-                                    budget)
-    s_min = min(zsum, 2.0 * d - zsum, 2.0 * d - zdiff)
-    u_max = 45.0 * d / s_min
-    evan, err_evan = _gl_quadrature(f_evan, _panel_edges(0.0, u_max, [0.0], loss), budget)
+    t_edges, u_edges = _cavity_panel_edges(d, kd, loss, zsum, zdiff)
+    prop, err_prop = _gl_quadrature(f_prop, t_edges, budget)
+    evan, err_evan = _gl_quadrature(f_evan, u_edges, budget)
 
-    p_re_t, p_im_t, p_re_l, p_im_l = map(math.fsum, prop)
-    e_t, e_l = map(math.fsum, evan)
+    p_re_t, p_im_t, p_re_l, p_im_l = map(math.fsum, prop.tolist())
+    e_t, e_l = map(math.fsum, evan.tolist())
     trans = complex(e_t - p_im_t, p_re_t)
     longi = complex(e_l - p_im_l, p_re_l)
     err_total = err_prop + err_evan
@@ -444,12 +476,17 @@ def planar_cavity_green(
         cav.d, cav.r_s, cav.r_p, z, zp, omega, control
     )
     k = omega / C
-    scat = np.diag([trans, trans, longi]).astype(complex)
     if z == zp:
-        bulk_im = free_space_im_green_coincident(k)
-        return ComplexDyad(scat + bulk_im.matrix, real_status="scattering-only")
-    bulk = free_space_green(k, np.array([0.0, 0.0, z - zp]))
-    return ComplexDyad(scat + bulk.matrix)
+        # the coincident limit: i k / 6 pi on the diagonal
+        bulk_xx = bulk_zz = 1j * (k / (6.0 * math.pi))
+        real_status = "scattering-only"
+    else:
+        # on the axis r_a r_b / r^2 is 1 for zz and 0 for xx
+        pref, a, b = _free_space_terms(k, abs(z - zp))
+        bulk_xx, bulk_zz = pref * a, pref * (a + b)
+        real_status = "full"
+    xx = trans + bulk_xx
+    return ComplexDyad(np.diag((xx, xx, longi + bulk_zz)), real_status=real_status)
 
 
 def planar_resonant_im_gxx(
@@ -477,9 +514,10 @@ def planar_resonant_im_gxx(
         raise DomainError(f"positions must lie in [0, d]; got z_A={z_a}, z_B={z_b}, d={d}")
     om_nu = cav.omega_nu
     gam = cav.gamma_nu
-    if abs(omega - om_nu) > _SINGLE_MODE_WINDOW * gam:
+    # written so that a NaN omega fails it
+    if not abs(omega - om_nu) <= _SINGLE_MODE_WINDOW * gam:
         raise DomainError(
-            f"omega is {abs(omega - om_nu) / gam:.3g} mode widths from resonance, "
+            f"omega={omega} is {abs(omega - om_nu) / gam:.3g} mode widths from resonance, "
             f"outside the declared single-mode window of {_SINGLE_MODE_WINDOW:g} widths"
         )
     if variant == "corrected":
@@ -517,7 +555,10 @@ def kk_real_from_imag(
     Note the bare integral is returned; dispersion-relation callers supply
     their own 1/pi prefactor.
     """
-    control = control or QuadratureControl()
+    control = control or _DEFAULT_CONTROL
+    # written so that a NaN omega fails it
+    if not abs(omega) < math.inf:
+        raise DomainError(f"angular frequency must be finite, got omega={omega}")
     for p in f.poles:
         if abs(omega - p) < f.exclusion_radius:
             raise DomainError(
@@ -540,7 +581,7 @@ def kk_real_from_imag(
     inner = [p for p in (omega, *f.hint_points) if lo < p < hi]
     gaps = np.diff(np.sort([lo, hi, *inner]))
     # the integrand jumps by f0 / radius at the ends of the subtracted interval
-    edges = _panel_edges(lo, hi, inner, np.min(gaps[gaps > 0.0]),
+    edges = _panel_edges(lo, hi, inner, np.min(gaps[gaps > 0.0]), _HALF_DECADES,
                          fixed=(omega - radius, omega + radius))
     values, err = _gl_quadrature(
         g, edges, lambda v: control.rel_tol * (abs(v.sum()) + np.abs(v).sum()))
@@ -580,7 +621,7 @@ class PlanarCavityGreens:
 
     def __init__(self, cavity: PlanarCavity, control: QuadratureControl | None = None):
         self.cavity = cavity
-        self.control = control or QuadratureControl()
+        self.control = control or _DEFAULT_CONTROL
 
     def tensor(self, r1: Sequence[float], r2: Sequence[float], omega: float) -> ComplexDyad:
         p1 = np.asarray(r1, dtype=float)

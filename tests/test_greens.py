@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavityvdw.constants import C
 from cavityvdw.errors import DomainError, QuadratureError
@@ -21,7 +23,8 @@ from cavityvdw.greens import (
     planar_resonant_im_gxx,
     planar_scattering_components,
 )
-from cavityvdw.greens import _gl_quadrature, _panel_edges
+from cavityvdw import greens
+from cavityvdw.greens import _cavity_panel_edges, _gl_quadrature
 
 from oracles import (
     image_series_xx,
@@ -170,6 +173,72 @@ def test_planar_scattering_matches_image_series_narrow_fifth_mode(delta, zp_over
         assert abs(longi - oracle_l) / max(abs(oracle_l), floor) < 5e-9
 
 
+@pytest.mark.parametrize("nu", [1, 3, 5])
+def test_planar_scattering_matches_image_series_next_to_a_mirror(nu):
+    # both points 1e-3 d from a mirror at delta = 1e-5: the zz near field
+    # peaks at u ~ d / (z + z'), a thousand times past the layer-graded
+    # evanescent edges, and a last panel spanning it hid the miss
+    # (up to 1.6e-6) from the error estimate at every rel_tol
+    cav = PlanarCavity(d=1.0e-6, delta=1.0e-5, nu=nu)
+    z = 1.0e-3 * cav.d
+    for offset in (-2.0, 0.0, 2.0):
+        omega = cav.omega_nu + offset * cav.gamma_nu
+        trans, longi, _ = planar_scattering_components(cav.d, cav.r_s, cav.r_p, z, z, omega)
+        oracle_t = image_series_xx(cav.d, cav.delta, z, z, omega)
+        oracle_l = image_series_zz(cav.d, cav.delta, z, z, omega)
+        floor = omega / C / (6.0 * math.pi)
+        assert abs(trans - oracle_t) / max(abs(oracle_t), floor) < 5e-9
+        assert abs(longi - oracle_l) / max(abs(oracle_l), floor) < 5e-9
+
+
+@settings(max_examples=15, deadline=None)
+@given(nu=st.integers(1, 5),
+       log_delta=st.floats(-5.0, -1.1),
+       z_over_d=st.floats(1e-3, 0.999, exclude_min=True, exclude_max=True),
+       zp_over_d=st.floats(1e-3, 0.999, exclude_min=True, exclude_max=True),
+       offset=st.floats(-3.0, 3.0))
+def test_planar_scattering_matches_image_series_property(nu, log_delta, z_over_d, zp_over_d,
+                                                         offset):
+    # the default control within three mode widths of any of the first five
+    # modes, anywhere between the mirrors, against the image series
+    cav = PlanarCavity(d=1.0e-6, delta=10.0**log_delta, nu=nu)
+    z, zp = z_over_d * cav.d, zp_over_d * cav.d
+    omega = cav.omega_nu + offset * cav.gamma_nu
+    got = planar_scattering_components(cav.d, cav.r_s, cav.r_p, z, zp, omega)
+    assert planar_scattering_components(cav.d, cav.r_s, cav.r_p, zp, z, omega) == got
+    trans, longi, _ = got
+    oracle_t = image_series_xx(cav.d, cav.delta, z, zp, omega)
+    oracle_l = image_series_zz(cav.d, cav.delta, z, zp, omega)
+    floor = omega / C / (6.0 * math.pi)
+    assert abs(trans - oracle_t) / max(abs(oracle_t), floor) < 5e-9
+    assert abs(longi - oracle_l) / max(abs(oracle_l), floor) < 5e-9
+
+
+# integrand nodes and levels of one on-resonance call, as measured with
+# decade-graded panels in both sectors: (nu, delta, z/d, z'/d, nodes, levels)
+_CAVITY_WORK = [(5, 1.0e-3, 0.3, 0.375, 3300, 2), (1, 1.0e-5, 0.3, 0.3, 1220, 3)]
+
+
+@pytest.mark.parametrize("nu,delta,z_over_d,zp_over_d,nodes,levels", _CAVITY_WORK)
+def test_planar_cavity_green_work_per_call(monkeypatch, nu, delta, z_over_d, zp_over_d,
+                                           nodes, levels):
+    counted = [0, 0]
+    engine = greens._gl_quadrature
+
+    def counting_quadrature(g, edges, budget):
+        def g_counted(x):
+            counted[0] += x.size
+            counted[1] += 1
+            return g(x)
+
+        return engine(g_counted, edges, budget)
+
+    monkeypatch.setattr(greens, "_gl_quadrature", counting_quadrature)
+    cav = PlanarCavity(d=1.0e-6, delta=delta, nu=nu)
+    planar_cavity_green(cav, z_over_d * cav.d, zp_over_d * cav.d, cav.omega_nu)
+    assert counted[0] <= nodes and counted[1] <= levels
+
+
 def test_planar_scattering_swapped_points_bit_identical():
     d, delta, omega = 1.1e-6, 7.0e-3, 2.5e15
     r = 1.0 - delta
@@ -180,9 +249,10 @@ def test_planar_scattering_swapped_points_bit_identical():
 
 
 def _uniform_bracket_scattering(d, r_s, r_p, z, zp, omega, rel_tol):
-    """(transverse, longitudinal) from the sectors, panel edges and budgets
-    of planar_scattering_components on the library's panel engine, with the
-    integrand built from oracles.uniform_cavity_bracket."""
+    """(transverse, longitudinal) from the sectors and budgets of
+    planar_scattering_components on the library's panel engine and its own
+    initial panel edges, with the integrand built from
+    oracles.uniform_cavity_bracket."""
     k = omega / C
     kd = k * d
     zsum, zdiff = z + zp, abs(z - zp)
@@ -202,11 +272,9 @@ def _uniform_bracket_scattering(d, r_s, r_p, z, zp, omega, rel_tol):
         sizes = np.linalg.norm(v.sum(axis=1).reshape(2, -1), axis=1)
         return rel_tol * max(float(sizes.max()), floor)
 
-    loss = 1.0 - max(abs(r_s), abs(r_p))
-    t_res = [m * math.pi / kd for m in range(1, int(kd / math.pi) + 1) if m * math.pi < kd]
-    prop, _ = _gl_quadrature(f_prop, _panel_edges(0.0, 1.0, [0.0, *t_res, 1.0], loss / kd), budget)
-    s_min = min(zsum, 2.0 * d - zsum, 2.0 * d - zdiff)
-    evan, _ = _gl_quadrature(f_evan, _panel_edges(0.0, 45.0 * d / s_min, [0.0], loss), budget)
+    t_edges, u_edges = _cavity_panel_edges(d, kd, 1.0 - max(abs(r_s), abs(r_p)), zsum, zdiff)
+    prop, _ = _gl_quadrature(f_prop, t_edges, budget)
+    evan, _ = _gl_quadrature(f_evan, u_edges, budget)
     p_re_t, p_im_t, p_re_l, p_im_l = map(math.fsum, prop)
     e_t, e_l = map(math.fsum, evan)
     return complex(e_t - p_im_t, p_re_t), complex(e_l - p_im_l, p_re_l)
@@ -339,8 +407,10 @@ def test_planar_provider_requires_on_axis_points():
 
 
 def test_planar_cavity_validation():
-    with pytest.raises(DomainError):
-        PlanarCavity(d=-1.0, delta=1e-3, nu=1)
+    for d in (-1.0, 0.0, math.inf, math.nan):
+        # an infinite separation has no modes (omega_nu = gamma_nu = 0)
+        with pytest.raises(DomainError, match="d="):
+            PlanarCavity(d=d, delta=1e-3, nu=1)
     with pytest.raises(DomainError):
         PlanarCavity(d=1e-6, delta=0.0, nu=1)
     with pytest.raises(DomainError):
@@ -405,6 +475,9 @@ def test_resonant_im_gxx_window_and_position_domain():
         planar_resonant_im_gxx(cav, -0.1e-6, 0.5e-6, cav.omega_nu)
     with pytest.raises(DomainError):
         planar_resonant_im_gxx(cav, 0.5e-6, 1.1e-6, cav.omega_nu)
+    # NaN is no nearer resonance than any other frequency
+    with pytest.raises(DomainError, match="omega=nan"):
+        planar_resonant_im_gxx(cav, 0.5e-6, 0.5e-6, math.nan)
 
 
 def test_resonant_im_gxx_as_printed_variant_diagonal_constant():
@@ -532,6 +605,13 @@ def test_kk_zero_function_gives_zero():
     sf = SpectralFunction(func=lambda w: 0.0, support=(1.0e14, 2.0e14))
     assert kk_real_from_imag(sf, 1.5e14) == 0.0
     assert kk_real_from_imag(sf, 3.0e14) == 0.0
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+def test_kk_rejects_non_finite_frequency(omega):
+    sf = _lorentzian_spectral(1.0, 1.0e15, 1.0e11)
+    with pytest.raises(DomainError, match="omega="):
+        kk_real_from_imag(sf, omega)
 
 
 def test_kk_pole_exclusion():
