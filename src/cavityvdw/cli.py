@@ -11,7 +11,6 @@ failure, 2 tolerance failure in xcheck.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -44,6 +43,7 @@ from .planarcavity import (
     scan_rabi,
     sweep_positions,
 )
+from .record import Record
 from .tabular import Table, with_dimless
 from .weakfield import (
     KK_WINDOW_WIDTHS,
@@ -55,8 +55,7 @@ from .weakfield import (
 )
 
 
-@dataclasses.dataclass(frozen=True)
-class RunResult:
+class RunResult(Record):
     table: Table
     manifest: dict
     failures: int

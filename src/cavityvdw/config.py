@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple
 
@@ -23,6 +22,7 @@ import yaml
 
 from .constants import C
 from .errors import ConfigError
+from .record import Record
 
 SCENARIOS = ("free-space", "planar")
 MODES = ("scan-rabi", "dressed", "potential", "force", "weak-limit", "kk-check", "xcheck")
@@ -36,8 +36,7 @@ PLANAR_ONLY_MODES = ("scan-rabi", "dressed", "force", "weak-limit", "kk-check")
 _REQUIRED = object()
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Fully resolved run description; every field is validated."""
 
     scenario: str

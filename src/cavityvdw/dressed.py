@@ -19,13 +19,13 @@ and theta_c are substituted. The historical variant carrying an extra
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Protocol
 
 import numpy as np
 
 from .constants import HBAR
 from .errors import DomainError, QuadratureError
+from .record import Record
 
 
 class CouplingScenario(Protocol):
@@ -44,8 +44,7 @@ class CouplingScenario(Protocol):
     def rabi(self, r_a, r_b) -> float: ...
 
 
-@dataclass(frozen=True)
-class DressedSystem:
+class DressedSystem(Record):
     """Derived quantities of (Omega_R, Delta): generalized Rabi frequency
     Omega, coupling angle theta_c, eigenenergies [J]. Fields are scalars,
     or arrays of one shape for a whole sweep."""
@@ -70,8 +69,7 @@ class DressedSystem:
             raise DomainError("Omega must equal hypot(Omega_R, Delta)")
 
 
-@dataclass(frozen=True)
-class SuperpositionAngle:
+class SuperpositionAngle(Record):
     """Mixing angle of cos(theta)|u1> + sin(theta)|u2>, theta in [0, pi)."""
 
     theta: float

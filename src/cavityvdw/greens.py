@@ -72,9 +72,7 @@ the tensor is reciprocal bit for bit.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -82,12 +80,12 @@ import numpy as np
 from .constants import C
 from .errors import DomainError, QuadratureError
 from .modecoupling import lorentzian_profile
+from .record import Record
 
 _AXES = {"x": 0, "y": 1, "z": 2}
 
 
-@dataclass(frozen=True)
-class ComplexDyad:
+class ComplexDyad(Record):
     """3x3 complex tensor (units 1/m) indexed by (alpha, beta) in {x,y,z}^2.
 
     real_status records how the real part is to be read:
@@ -123,8 +121,7 @@ class ComplexDyad:
         return self.matrix.real.copy()
 
 
-@dataclass(frozen=True)
-class PlanarCavity:
+class PlanarCavity(Record):
     """Symmetric planar cavity: plate separation d, reflectivity deviation
     delta (r_p = -r_s = 1 - delta, always derived), mode index nu."""
 
@@ -170,8 +167,7 @@ _QUAD_LIMIT = 800
 _SINGLE_MODE_WINDOW = 1e3
 
 
-@dataclass(frozen=True)
-class QuadratureControl:
+class QuadratureControl(Record):
     """Adaptive-quadrature budget: the relative error target."""
 
     rel_tol: float = 1e-8
@@ -185,8 +181,7 @@ class QuadratureControl:
 _DEFAULT_CONTROL = QuadratureControl()
 
 
-@dataclass(frozen=True)
-class SpectralFunction:
+class SpectralFunction(Record):
     """Real-valued function of angular frequency for principal-value
     transforms.
 
@@ -268,16 +263,23 @@ _HALF_DECADES = np.outer((-1.0, 1.0),
 _DECADES = np.outer((-1.0, 1.0), (1.0, 10.0, 100.0, 1.0e3, 1.0e4)).ravel()
 
 
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """The 20 nodes and weights on [-1, 1], computed on first use: importing
-    numpy.polynomial costs every CLI process milliseconds, and only the
-    quadratures need it. Read-only, as every caller shares them."""
-    from numpy.polynomial.legendre import leggauss
-
-    nodes, weights = leggauss(20)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+# the 20-node Gauss-Legendre rule on [-1, 1], bit for bit
+# numpy.polynomial.legendre.leggauss(20); written out because importing
+# numpy.polynomial costs every CLI process milliseconds. Read-only, as every
+# quadrature shares them.
+_GL_NODES = np.array([
+    -0.993128599185095, -0.9639719272779138, -0.912234428251326, -0.8391169718222188,
+    -0.7463319064601508, -0.636053680726515, -0.5108670019508271, -0.37370608871541955,
+    -0.22778585114164507, -0.07652652113349734, 0.07652652113349734, 0.22778585114164507,
+    0.37370608871541955, 0.5108670019508271, 0.636053680726515, 0.7463319064601508,
+    0.8391169718222188, 0.912234428251326, 0.9639719272779138, 0.993128599185095])
+_GL_WEIGHTS = np.array([
+    0.017614007139150893, 0.040601429800386446, 0.06267204833410879, 0.08327674157670471,
+    0.1019301198172407, 0.1181945319615186, 0.1316886384491769, 0.1420961093183824,
+    0.14917298647260424, 0.15275338713072628, 0.15275338713072628, 0.14917298647260424,
+    0.1420961093183824, 0.1316886384491769, 0.1181945319615186, 0.1019301198172407,
+    0.08327674157670471, 0.06267204833410879, 0.040601429800386446, 0.017614007139150893])
+_GL_NODES.flags.writeable = _GL_WEIGHTS.flags.writeable = False
 
 
 def _panel_edges(lo, hi, features, width, grading, fixed=()):
@@ -294,10 +296,9 @@ def _panel_sums(g, a, b):
     """Gauss-Legendre estimate of the integral of each component of g over
     each panel [a_i, b_i] (components x panels), from one call of g on the
     nodes of all panels."""
-    x, w = _gauss_legendre()
     half = 0.5 * (b - a)
-    nodes = (0.5 * (a + b))[:, None] + half[:, None] * x
-    return np.atleast_2d(half * (g(nodes) @ w))
+    nodes = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
+    return np.atleast_2d(half * (g(nodes) @ _GL_WEIGHTS))
 
 
 def _gl_quadrature(g, edges, budget):
@@ -379,10 +380,13 @@ def planar_scattering_components(
     the same result bit for bit.
     """
     control = control or _DEFAULT_CONTROL
+    # written so that NaN fails them; an infinite d or omega has no panels
+    if not 0.0 < d < math.inf:
+        raise DomainError(f"plate separation must satisfy 0 < d < inf, got d={d}")
     if not (0.0 < z < d and 0.0 < zp < d):
         raise DomainError(f"points must satisfy 0 < z, z' < d; got z={z}, z'={zp}, d={d}")
-    if not omega > 0:
-        raise DomainError(f"angular frequency must be positive, got {omega}")
+    if not 0.0 < omega < math.inf:
+        raise DomainError(f"angular frequency must be positive and finite, got omega={omega}")
     # written so that a NaN coefficient fails it
     if not (abs(r_s) < 1.0 and abs(r_p) < 1.0):
         raise DomainError("reflection coefficients must satisfy |r| < 1")
@@ -486,7 +490,8 @@ def planar_cavity_green(
         bulk_xx, bulk_zz = pref * a, pref * (a + b)
         real_status = "full"
     xx = trans + bulk_xx
-    return ComplexDyad(np.diag((xx, xx, longi + bulk_zz)), real_status=real_status)
+    # by position: a Record binds keywords in Python, ~1 us more per tensor
+    return ComplexDyad(np.diag((xx, xx, longi + bulk_zz)), real_status)
 
 
 def planar_resonant_im_gxx(
@@ -606,10 +611,16 @@ class FreeSpaceGreens:
     regularized imaginary-part limit at coincident points."""
 
     def tensor(self, r1: Sequence[float], r2: Sequence[float], omega: float) -> ComplexDyad:
-        if not omega > 0:
-            raise DomainError(f"angular frequency must be positive, got {omega}")
+        # written so that NaN fails them
+        if not 0.0 < omega < math.inf:
+            raise DomainError(f"angular frequency must be positive and finite, got omega={omega}")
+        p1 = np.asarray(r1, dtype=float)
+        p2 = np.asarray(r2, dtype=float)
+        for name, p in (("r1", p1), ("r2", p2)):
+            if not np.isfinite(p).all():
+                raise DomainError(f"position must be finite, got {name}={p.tolist()}")
         k = omega / C
-        dr = np.asarray(r1, dtype=float) - np.asarray(r2, dtype=float)
+        dr = p1 - p2
         if float(np.linalg.norm(dr)) == 0.0:
             return free_space_im_green_coincident(k)
         return free_space_green(k, dr)
@@ -626,7 +637,8 @@ class PlanarCavityGreens:
     def tensor(self, r1: Sequence[float], r2: Sequence[float], omega: float) -> ComplexDyad:
         p1 = np.asarray(r1, dtype=float)
         p2 = np.asarray(r2, dtype=float)
-        if np.max(np.abs(p1[:2] - p2[:2])) > 1e-12 * self.cavity.d:
+        # written so that a NaN coordinate fails it
+        if not np.max(np.abs(p1[:2] - p2[:2])) <= 1e-12 * self.cavity.d:
             raise DomainError(
                 "planar provider supports on-axis geometry only "
                 "(equal transverse coordinates)"

@@ -11,13 +11,13 @@ and square roots are taken only where a diagonal value is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .constants import HBAR, MU0
 from .errors import DomainError, FitError
+from .record import Record
 
 # slack for the Cauchy-Schwarz invariant: couplings produced by quadrature
 # carry ~1e-12 relative noise which must not reject a boundary-saturating
@@ -25,8 +25,7 @@ from .errors import DomainError, FitError
 _CS_SLACK = 1.0 + 1e-9
 
 
-@dataclass(frozen=True)
-class AtomSpec:
+class AtomSpec(Record):
     """Two-level atom: position [m], transition angular frequency
     omega10 [rad/s], real dipole vector [C m]."""
 
@@ -51,8 +50,7 @@ class AtomSpec:
         return float(np.linalg.norm(self.dipole))
 
 
-@dataclass(frozen=True)
-class ModeModel:
+class ModeModel(Record):
     """Lorentzian mode of frequency omega_nu and width gamma_nu with the
     three squared couplings evaluated at omega_nu [rad/s each]. The cross
     coupling g2_ab is signed."""

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -29,6 +28,7 @@ from .constants import C, EPS0, HBAR
 from .errors import DomainError
 from .greens import PlanarCavity
 from .modecoupling import AtomSpec
+from .record import Record
 from .tabular import Table, with_dimless
 
 _EDGE = 1e-6  # interior clamp, fraction of d
@@ -59,8 +59,7 @@ def _clamp_interior(z: float, d: float, label: str) -> float:
     return z
 
 
-@dataclass(frozen=True)
-class PlanarScenario:
+class PlanarScenario(Record):
     """Concrete coupling scenario for the planar cavity; also satisfies the
     protocol the dressed-state force operations differentiate through."""
 
@@ -190,8 +189,7 @@ def sweep_positions(scn: PlanarScenario, sweep: str, grid) -> tuple[np.ndarray, 
     return z_a, z_b
 
 
-@dataclass(frozen=True)
-class RabiBreakdown:
+class RabiBreakdown(Record):
     """Squared Rabi contributions [(rad/s)^2]; total is their sum and is a
     perfect square, hence nonnegative."""
 

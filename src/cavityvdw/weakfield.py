@@ -17,7 +17,6 @@ returns the bare integral, larger by pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -26,6 +25,7 @@ from .constants import EPS0, HBAR, MU0
 from .errors import DomainError
 from .greens import ComplexDyad, QuadratureControl, SpectralFunction, kk_real_from_imag
 from .modecoupling import AtomSpec, ModeModel, lorentzian_profile
+from .record import Record
 
 _REAL_OK = ("full", "scattering-only")
 
@@ -33,8 +33,7 @@ _REAL_OK = ("full", "scattering-only")
 KK_WINDOW_WIDTHS = 5.0e4
 
 
-@dataclass(frozen=True)
-class ResonantPotentialBreakdown:
+class ResonantPotentialBreakdown(Record):
     """Terms of the resonant potential [J]. single_a/single_b are None when
     the provider cannot supply a finite coincident Re G (free space); total
     always sums exactly the terms that are present."""

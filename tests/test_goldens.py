@@ -24,14 +24,13 @@ provenance, tolerance and normalization bytes fixed. They were written by
 the config loader that preceded the settings table.
 """
 
-import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cavityvdw.cli import main, run
-from cavityvdw.config import load_config
+from cavityvdw.config import RunConfig, load_config
 from cavityvdw.dressed import force_theta
 from cavityvdw.greens import PlanarCavity
 from cavityvdw.modecoupling import AtomSpec
@@ -114,7 +113,7 @@ def test_flag_run_manifest_matches_golden_bytes(tmp_path, monkeypatch, mode, fla
 
 @pytest.mark.parametrize("config", ("planar", "planar_below_a", "planar_above_b_as_printed"))
 def test_analytic_force_matches_finite_difference_reference(config):
-    cfg = dataclasses.replace(load_config(GOLDENS / f"{config}.yaml"), mode="force")
+    cfg = RunConfig(**{**vars(load_config(GOLDENS / f"{config}.yaml")), "mode": "force"})
     cav = PlanarCavity(d=cfg.cavity_d, delta=cfg.cavity_delta, nu=cfg.cavity_nu)
 
     def atom(z):

@@ -1,6 +1,5 @@
 import math
 import cmath
-import dataclasses
 
 import numpy as np
 import pytest
@@ -143,6 +142,16 @@ def test_planar_scattering_rejects_reflection_outside_unit_disc(r_s, r_p):
     # NaN fails the |r| < 1 check rather than reaching the quadrature
     with pytest.raises(DomainError, match=r"\|r\| < 1"):
         planar_scattering_components(1.0e-6, r_s, r_p, 0.4e-6, 0.7e-6, 2.0e15)
+
+
+@pytest.mark.parametrize("d,omega,name", [(math.inf, 2.0e15, "d=inf"), (math.nan, 2.0e15, "d=nan"),
+                                          (1.0e-6, math.inf, "omega=inf"),
+                                          (1.0e-6, math.nan, "omega=nan")])
+def test_planar_scattering_rejects_non_finite_separation_or_frequency(d, omega, name):
+    # an infinite d passes 0 < z < d and an infinite omega passes omega > 0;
+    # neither may reach the panel edges, which count resonances below kd
+    with pytest.raises(DomainError, match=name):
+        planar_scattering_components(d, -0.99, 0.99, 0.4e-6, 0.7e-6, omega)
 
 
 def test_planar_scattering_reciprocity():
@@ -406,6 +415,28 @@ def test_planar_provider_requires_on_axis_points():
     assert np.allclose(g.matrix, ref.matrix, rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("r1,r2,omega,name", [
+    ((math.nan, 0.0, 0.3e-6), (0.0, 0.0, 0.5e-6), 2.0e15, "r1="),
+    ((0.1e-6, math.inf, 0.3e-6), (0.0, 0.0, 0.5e-6), 2.0e15, "r1="),
+    ((0.1e-6, 0.0, 0.3e-6), (0.0, 0.0, -math.inf), 2.0e15, "r2="),
+    ((0.1e-6, 0.0, 0.3e-6), (0.0, math.nan, 0.5e-6), 2.0e15, "r2="),
+    ((0.1e-6, 0.0, 0.3e-6), (0.0, 0.0, 0.5e-6), math.inf, "omega=inf"),
+    ((0.1e-6, 0.0, 0.3e-6), (0.0, 0.0, 0.5e-6), math.nan, "omega=nan"),
+])
+def test_free_space_provider_rejects_non_finite_input(r1, r2, omega, name):
+    with pytest.raises(DomainError, match=name):
+        FreeSpaceGreens().tensor(r1, r2, omega)
+
+
+@pytest.mark.parametrize("r1,r2", [((math.nan, 0.0, 0.3e-6), (0.0, 0.0, 0.5e-6)),
+                                   ((0.0, 0.0, 0.3e-6), (0.0, math.nan, 0.5e-6))])
+def test_planar_provider_rejects_nan_transverse_coordinate(r1, r2):
+    # NaN is not on the axis
+    cav = PlanarCavity(d=1.0e-6, delta=1.0e-2, nu=1)
+    with pytest.raises(DomainError, match="on-axis"):
+        PlanarCavityGreens(cav).tensor(r1, r2, cav.omega_nu)
+
+
 def test_planar_cavity_validation():
     for d in (-1.0, 0.0, math.inf, math.nan):
         # an infinite separation has no modes (omega_nu = gamma_nu = 0)
@@ -559,7 +590,7 @@ def test_kk_lorentzian_matches_exact_window_transform(offset, side):
 def test_kk_halving_resolves_a_peak_without_hint_points():
     # no breakpoints at the peak: only the panel halving can resolve it
     peak, w0, gamma = 2.3, 1.0e15, 1.0e11
-    sf = dataclasses.replace(_lorentzian_spectral(peak, w0, gamma), hint_points=())
+    sf = SpectralFunction(**{**vars(_lorentzian_spectral(peak, w0, gamma)), "hint_points": ()})
     control = QuadratureControl(rel_tol=1e-9)
     for offset in (-1.0e3, -2.0, 0.3, 1.0e3):
         w = w0 + offset * gamma

@@ -1,10 +1,11 @@
-"""Import contract: scipy is loaded only by fit_lorentzian, and
-numpy.polynomial only by the first Gauss-Legendre quadrature.
+"""Import contract: scipy is loaded only by fit_lorentzian, and no CLI
+mode loads numpy.polynomial or dataclasses.
 
 Every CLI mode evaluates closed forms or the numpy principal-value
 quadrature, and the cavity Green's tensor runs on the same numpy panel
-engine; importing scipy costs more than any of them computes, and the
-modes that evaluate closed forms only need no quadrature nodes.
+engine; importing scipy costs more than any of them computes. The panel
+engine's Gauss-Legendre rule is written out, and the package's value
+classes are Records, which generate no code.
 """
 
 import json
@@ -33,7 +34,7 @@ from cavityvdw import cli
 
 def loaded():
     return {top: sorted(m for m in sys.modules if m == top or m.startswith(top + "."))
-            for top in ("scipy", "numpy.polynomial")}
+            for top in ("scipy", "numpy.polynomial", "dataclasses")}
 
 report = {"codes": {}, "import": loaded()}
 for stage, runs in zip(("closed_form", "quadrature"), json.loads(sys.argv[3])):
@@ -71,11 +72,20 @@ def test_no_cli_mode_imports_scipy(cli_report):
         == [[], [], []]
 
 
-def test_closed_form_modes_do_not_load_numpy_polynomial(cli_report):
-    # the Gauss-Legendre nodes are computed on first use, by a quadrature
-    assert cli_report["import"]["numpy.polynomial"] == []
-    assert cli_report["closed_form"]["numpy.polynomial"] == []
-    assert "numpy.polynomial.legendre" in cli_report["quadrature"]["numpy.polynomial"]
+@pytest.mark.parametrize("top", ["numpy.polynomial", "dataclasses"])
+def test_no_cli_mode_loads_numpy_polynomial_or_dataclasses(cli_report, top):
+    # the Gauss-Legendre rule is a literal, and Records generate no code
+    assert [cli_report[stage][top] for stage in ("import", "closed_form", "quadrature")] \
+        == [[], [], []]
+
+
+def test_gauss_legendre_rule_is_leggauss_bit_for_bit():
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(20)
+    assert greens._GL_NODES.tobytes() == nodes.tobytes()
+    assert greens._GL_WEIGHTS.tobytes() == weights.tobytes()
+    assert not greens._GL_NODES.flags.writeable and not greens._GL_WEIGHTS.flags.writeable
 
 
 GREENS_CHILD = """

@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Code compiled, code executed and modules loaded by each CLI mode's process.
+
+    python3 tools/startup_work.py [--root DIR] [--bytecode {off,on}]
+
+Runs every CLI mode on tests/goldens/planar.yaml, plus potential and
+xcheck on tests/goldens/free_space.yaml, each in a fresh interpreter, on a
+copy of src/ of the checkout at --root (default: the current directory).
+The child imports numpy and yaml, then installs an audit hook
+(sys.addaudithook) that counts the `compile` and `exec` events of two
+stages: `import cavityvdw.cli`, and the run of `cli.main`. It also counts
+the modules each stage loads beyond `import numpy, yaml`, and names those
+the run loads.
+
+The copy of src/ starts without bytecode. With --bytecode off (the
+default) the children write none (PYTHONDONTWRITEBYTECODE=1), so the
+package is compiled from source in every run, as in a fresh checkout: one
+`compile` and one `exec` event per module of the package. With --bytecode
+on, one unrecorded run of every mode writes the package's bytecode first.
+Every other module loads from its installed bytecode either way, so the
+remaining `compile` events count code generated at run time. Prints one
+JSON object. Nothing is timed, so the counts are deterministic and can be
+compared across commits.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+RUNS = [(mode, "planar") for mode in ("scan-rabi", "dressed", "potential", "force",
+                                      "weak-limit", "kk-check", "xcheck")] \
+    + [("potential", "free_space"), ("xcheck", "free_space")]
+
+CHILD = """
+import sys
+import numpy, yaml
+
+config, out, mode = sys.argv[1:]
+baseline = set(sys.modules)
+counts = {"compile": 0, "exec": 0}
+
+def hook(event, args):
+    if event in counts:
+        counts[event] += 1
+
+sys.addaudithook(hook)
+import cavityvdw.cli
+report = {"import": {**counts, "modules": len(set(sys.modules) - baseline)}}
+counts.update(compile=0, exec=0)
+before = set(sys.modules)
+code = cavityvdw.cli.main([mode, "--config", config, "--out", out])
+new = set(sys.modules) - before
+report["run"] = {**counts, "modules": len(new), "loaded": sorted(new)}
+report["exit_code"] = code
+import json
+print(json.dumps(report))
+"""
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=Path.cwd(), help="checkout to count")
+    parser.add_argument("--bytecode", choices=("off", "on"), default="off",
+                        help="compile the package from source, or load it from bytecode")
+    args = parser.parse_args(argv)
+
+    root = args.root.resolve()
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(root / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
+        env["PYTHONPATH"] = str(src)
+        if args.bytecode == "off":
+            env["PYTHONDONTWRITEBYTECODE"] = "1"
+
+        def child(mode, config):
+            cmd = [sys.executable, "-c", CHILD, str(root / "tests" / "goldens" / f"{config}.yaml"),
+                   f"{tmp}/{mode}-{config}.csv", mode]
+            proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=300)
+            if proc.returncode != 0:
+                raise SystemExit(f"error: {mode} on {config} exited {proc.returncode}:\n"
+                                 f"{proc.stderr}")
+            return json.loads(proc.stdout.splitlines()[-1])
+
+        if args.bytecode == "on":
+            for run in RUNS:
+                child(*run)
+        runs = {f"{mode}:{config}": child(mode, config) for mode, config in RUNS}
+    print(json.dumps({"bytecode": args.bytecode, "python": sys.version.split()[0],
+                      "runs": runs}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
