@@ -11,6 +11,7 @@ failure, 2 tolerance failure in xcheck.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -493,6 +494,24 @@ def _default_out(cfg: RunConfig) -> str:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand with the arguments argv; returns the exit code.
+
+    With argv None, main runs as the program, as the cavityvdw script and
+    `python -m cavityvdw.cli` call it: it reads sys.argv, and on every way
+    out, argparse's SystemExit included, it freezes the collector
+    (gc.freeze). Interpreter shutdown's final collection then skips every
+    object made so far, so the process exits without tracing and freeing a
+    heap the operating system takes back anyway; atexit handlers still run
+    and the standard streams are still flushed. Library callers pass argv,
+    which leaves the host's collector as it was."""
+    try:
+        return _command(argv)
+    finally:
+        if argv is None:
+            gc.freeze()
+
+
+def _command(argv) -> int:
     args = vars(_build_parser().parse_args(argv))
     command, config = args.pop("command"), args.pop("config")
     flags = {key: value for key, value in args.items() if value is not None}

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import namedtuple
 from pathlib import Path
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import Any, Callable, Mapping
 
 import yaml
 
@@ -148,23 +149,21 @@ def _orientation(path: str, value: Any) -> tuple[float, float, float]:
 
 # ----------------------------------------------------------------- settings
 
-class _Setting(NamedTuple):
-    """One YAML key.
+class _Setting(namedtuple("_Setting", ("path", "field", "parse", "default", "checks",
+                                       "scenario", "instead"),
+                          defaults=(_REQUIRED, (), None, ""))):
+    """One YAML key: its dotted path, the RunConfig field it sets and the
+    parse(path, value) that reads it.
 
     default is a value, _REQUIRED, or a function of the fields resolved
-    before it (the CLI subcommand, or None, under "command"). Each check is
-    (ok(value, fields), violated constraint); "{v}" and "{<field>}" in the
-    constraint are filled in. A row of one scenario is refused in the other
-    unless a row of that scenario has the same path; instead names the key
-    to use there."""
+    before it (the CLI subcommand, or None, under "command"). checks is a
+    tuple of (ok(value, fields), violated constraint); "{v}" and "{<field>}"
+    in the constraint are filled in. A row of one scenario is refused in the
+    other unless a row of that scenario has the same path; instead names
+    the key to use there. A collections.namedtuple, since typing.NamedTuple
+    compiles each of its string annotations when the module is imported."""
 
-    path: str
-    field: str
-    parse: Callable[[str, Any], Any]
-    default: Any = _REQUIRED
-    checks: tuple[tuple[Callable[[Any, dict], bool], str], ...] = ()
-    scenario: str | None = None
-    instead: str = ""
+    __slots__ = ()
 
 
 _POSITIVE = ((lambda v, f: v > 0.0, "must be > 0"),)

@@ -19,7 +19,8 @@ and theta_c are substituted. The historical variant carrying an extra
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Protocol
+from collections import namedtuple
+from typing import Protocol
 
 import numpy as np
 
@@ -191,9 +192,11 @@ def richardson_slope(f, h):
     return slope, np.abs(slope - half)
 
 
-class Gradient(NamedTuple):
-    value: np.ndarray
-    error: float
+class Gradient(namedtuple("Gradient", ("value", "error"))):
+    """grad_rabi's result: the gradient (ndarray, one slope per axis) [rad/s
+    per m] and its largest per-axis error estimate (float)."""
+
+    __slots__ = ()
 
 
 def _pick_atom(scenario: CouplingScenario, atom: str):

@@ -219,11 +219,13 @@ def _free_space_terms(k: float, rn: float) -> tuple[complex, complex, complex]:
 def free_space_green(k: float, r: Sequence[float]) -> ComplexDyad:
     """Free-space dyadic Green's tensor at wavenumber k [1/m] and
     displacement r [m]. Entrywise symmetric; even in r."""
-    if not k > 0:
-        raise DomainError(f"wavenumber must be positive, got k={k}")
+    if not 0.0 < k < math.inf:
+        raise DomainError(f"wavenumber must be positive and finite, got k={k}")
     rv = np.asarray(r, dtype=float)
     if rv.shape != (3,):
         raise DomainError(f"displacement must be a 3-vector, got shape {rv.shape}")
+    if not np.isfinite(rv).all():
+        raise DomainError(f"displacement must be finite, got r={rv.tolist()}")
     rn = float(np.linalg.norm(rv))
     if rn == 0.0:
         raise DomainError(
@@ -239,8 +241,8 @@ def free_space_green(k: float, r: Sequence[float]) -> ComplexDyad:
 def free_space_im_green_coincident(k: float) -> ComplexDyad:
     """Regularized r -> 0 limit of the free-space tensor: imaginary part
     (k/6 pi) x identity; the divergent real part is excluded."""
-    if not k > 0:
-        raise DomainError(f"wavenumber must be positive, got k={k}")
+    if not 0.0 < k < math.inf:
+        raise DomainError(f"wavenumber must be positive and finite, got k={k}")
     m = 1j * (k / (6.0 * math.pi)) * np.eye(3)
     return ComplexDyad(m, real_status="excluded")
 

@@ -11,7 +11,8 @@ and square roots are taken only where a diagonal value is needed.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from typing import Sequence
 
 import numpy as np
 
@@ -102,11 +103,12 @@ def lorentzian_profile(peak: float, omega_nu: float, gamma_nu: float, omega) -> 
     return peak * quarter / ((np.asarray(omega, dtype=float) - omega_nu) ** 2 + quarter)
 
 
-class LorentzianFit(NamedTuple):
-    omega_nu: float
-    gamma_nu: float
-    peak: float
-    residual_norm: float
+class LorentzianFit(namedtuple("LorentzianFit", ("omega_nu", "gamma_nu", "peak",
+                                                 "residual_norm"))):
+    """fit_lorentzian's result, all floats: centre [rad/s], full width
+    [rad/s], peak value and the norm of the residuals in the samples' units."""
+
+    __slots__ = ()
 
 
 def fit_lorentzian(samples: Sequence[tuple[float, float]]) -> LorentzianFit:

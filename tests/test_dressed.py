@@ -217,6 +217,10 @@ def test_grad_rabi_linear_exact():
     # the same scenario seen from atom B has no dependence at all
     gb = grad_rabi(scn, "B")
     assert np.all(gb.value == 0.0)
+    # a named tuple: unpacks, indexes and prints its fields
+    value, error = g
+    assert value is g[0] is g.value and error == g[1] == g.error
+    assert Gradient._fields == ("value", "error") and repr(g).startswith("Gradient(value=")
 
 
 def test_grad_rabi_quadratic_exact():

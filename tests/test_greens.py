@@ -101,6 +101,19 @@ def test_free_space_rejects_zero_separation():
         free_space_green(-1.0, np.array([1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: free_space_green(math.inf, (0.0, 0.0, 1.0e-7)), "k=inf"),
+    (lambda: free_space_green(math.nan, (0.0, 0.0, 1.0e-7)), "k=nan"),
+    (lambda: free_space_green(1.0e7, (math.nan, 0.0, 1.0e-7)), "r="),
+    (lambda: free_space_green(1.0e7, (math.inf, 0.0, 0.0)), "r="),
+    (lambda: free_space_im_green_coincident(math.inf), "k=inf"),
+    (lambda: free_space_im_green_coincident(math.nan), "k=nan"),
+])
+def test_free_space_rejects_non_finite_input_by_name(call, name):
+    with pytest.raises(DomainError, match=name):
+        call()
+
+
 # ----------------------------------------------------- planar quadrature core
 
 def _random_geometries(n, rng=RNG):

@@ -1,5 +1,6 @@
-"""Import contract: scipy is loaded only by fit_lorentzian, and no CLI
-mode loads numpy.polynomial or dataclasses.
+"""Import contract: scipy is loaded only by fit_lorentzian, no CLI mode
+loads numpy.polynomial or dataclasses, and importing the CLI generates no
+code beyond the three namedtuples' constructors.
 
 Every CLI mode evaluates closed forms or the numpy principal-value
 quadrature, and the cavity Green's tensor runs on the same numpy panel
@@ -111,3 +112,22 @@ def test_names_the_benchmark_tracer_patches_stay():
     # raises KeyError for a missing module attribute
     assert callable(vars(greens)["quad"])
     assert callable(vars(cli)["force_theta"])
+
+
+COMPILE_CHILD = """
+import json, sys
+import numpy, yaml
+
+generated = []
+sys.addaudithook(lambda event, args: event == "compile" and not str(args[1]).endswith(".py")
+                 and generated.append(str(args[1])))
+import cavityvdw.cli
+print(json.dumps(generated))
+"""
+
+
+def test_importing_the_cli_generates_no_code_beyond_three_namedtuples():
+    # a compile event whose file is no module's source is code made at run
+    # time: one per collections.namedtuple (its __new__), and none for the
+    # annotations typing.NamedTuple would compile into ForwardRefs
+    assert len(_fresh_interpreter(COMPILE_CHILD)) <= 3

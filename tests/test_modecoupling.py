@@ -164,6 +164,12 @@ def test_fit_lorentzian_round_trip():
     assert fit.gamma_nu == pytest.approx(g, rel=1e-9)
     assert fit.peak == pytest.approx(peak, rel=1e-9)
     assert fit.residual_norm < 1e-9 * peak
+    # a named tuple: unpacks, indexes, compares and prints its fields
+    assert tuple(fit) == (fit[0], fit[1], fit[2], fit[3]) == (
+        fit.omega_nu, fit.gamma_nu, fit.peak, fit.residual_norm)
+    assert fit == tuple(fit) and fit._fields == ("omega_nu", "gamma_nu", "peak", "residual_norm")
+    assert repr(fit) == "LorentzianFit(omega_nu={!r}, gamma_nu={!r}, peak={!r}, " \
+        "residual_norm={!r})".format(*fit)
 
 
 def test_fit_lorentzian_with_noise():

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Code compiled, code executed and modules loaded by each CLI mode's process.
+"""Code compiled, code executed, modules loaded and objects left for shutdown
+by each CLI mode's process.
 
     python3 tools/startup_work.py [--root DIR] [--bytecode {off,on}]
 
@@ -12,15 +13,25 @@ stages: `import cavityvdw.cli`, and the run of `cli.main`. It also counts
 the modules each stage loads beyond `import numpy, yaml`, and names those
 the run loads.
 
+The run is made as the program runs it: the child sets sys.argv and calls
+main() with no argument. The `exit` stage reads, as the first statement
+after main returns, gc.get_freeze_count() and len(gc.get_objects()): the
+objects frozen out of the collector's reach, and those that interpreter
+shutdown's final collection would still trace and free. These counts, not
+times, are the deterministic side of the cli-modes wall time: the time
+from main's return to the process's end is spent outside every tracer
+span, and it scales with the objects shutdown walks.
+
 The copy of src/ starts without bytecode. With --bytecode off (the
 default) the children write none (PYTHONDONTWRITEBYTECODE=1), so the
 package is compiled from source in every run, as in a fresh checkout: one
 `compile` and one `exec` event per module of the package. With --bytecode
 on, one unrecorded run of every mode writes the package's bytecode first.
 Every other module loads from its installed bytecode either way, so the
-remaining `compile` events count code generated at run time. Prints one
-JSON object. Nothing is timed, so the counts are deterministic and can be
-compared across commits.
+remaining `compile` events count code generated at run time. Every mode
+runs REPEATS times, and the tool fails unless each run reports the same
+counts. Prints one JSON object. Nothing is timed, so the
+counts are deterministic and can be compared across commits.
 """
 
 from __future__ import annotations
@@ -38,8 +49,10 @@ RUNS = [(mode, "planar") for mode in ("scan-rabi", "dressed", "potential", "forc
                                       "weak-limit", "kk-check", "xcheck")] \
     + [("potential", "free_space"), ("xcheck", "free_space")]
 
+REPEATS = 2
+
 CHILD = """
-import sys
+import gc, sys
 import numpy, yaml
 
 config, out, mode = sys.argv[1:]
@@ -55,7 +68,10 @@ import cavityvdw.cli
 report = {"import": {**counts, "modules": len(set(sys.modules) - baseline)}}
 counts.update(compile=0, exec=0)
 before = set(sys.modules)
-code = cavityvdw.cli.main([mode, "--config", config, "--out", out])
+sys.argv = ["cavityvdw", mode, "--config", config, "--out", out]
+code = cavityvdw.cli.main()
+tracked = len(gc.get_objects())
+report["exit"] = {"frozen": gc.get_freeze_count(), "tracked": tracked}
 new = set(sys.modules) - before
 report["run"] = {**counts, "modules": len(new), "loaded": sorted(new)}
 report["exit_code"] = code
@@ -93,9 +109,15 @@ def main(argv=None) -> int:
         if args.bytecode == "on":
             for run in RUNS:
                 child(*run)
-        runs = {f"{mode}:{config}": child(mode, config) for mode, config in RUNS}
+        runs = {}
+        for mode, config in RUNS:
+            reports = [child(mode, config) for _ in range(REPEATS)]
+            if any(report != reports[0] for report in reports[1:]):
+                raise SystemExit(f"error: {mode} on {config} counts differ between runs:\n"
+                                 + "\n".join(map(json.dumps, reports)))
+            runs[f"{mode}:{config}"] = reports[0]
     print(json.dumps({"bytecode": args.bytecode, "python": sys.version.split()[0],
-                      "runs": runs}))
+                      "repeats": REPEATS, "runs": runs}))
     return 0
 
 
