@@ -57,7 +57,9 @@ which the principal-value transform kk_real_from_imag shares:
   decade up to the cutoff; a wider last panel can hide the near field of
   points close to a mirror from the error estimate. The principal-value
   transform grades its edges in half decades, +-{1, 3, 10, ..., 3e4} x
-  its smallest breakpoint gap.
+  its smallest breakpoint gap. The edges are a few dozen points, so they
+  are built and sorted as Python floats, by the same IEEE operations as an
+  array expression.
 - A panel's error is |panel - its two halves|. While a sector's summed
   error exceeds its budget (rel_tol times the larger of the sector's |T|,
   its |L| and the free-space floor k/6 pi), every panel whose error exceeds
@@ -201,8 +203,13 @@ class SpectralFunction(Record):
 
     def __post_init__(self):
         lo, hi = self.support
-        if not lo < hi:
-            raise DomainError(f"empty support window ({lo}, {hi})")
+        # written so that NaN fails them; the panels need a finite window
+        if not -math.inf < lo < hi < math.inf:
+            raise DomainError(f"support must be a finite window lo < hi, got support=({lo}, {hi})")
+        if not self.exclusion_radius >= 0.0:
+            raise DomainError(
+                f"exclusion_radius must be >= 0, got exclusion_radius={self.exclusion_radius}"
+            )
 
     def __call__(self, omega: float) -> float:
         return float(self.func(omega))
@@ -260,9 +267,9 @@ def quad(f, a, b, **kwargs):
 # principal-value transform: 20-node panels, and initial panel edges graded
 # away from each sharp feature at +- a grading times the feature's width,
 # in half decades for the transform and in decades for the cavity tensor
-_HALF_DECADES = np.outer((-1.0, 1.0),
-                         (1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1.0e3, 3.0e3, 1.0e4, 3.0e4)).ravel()
-_DECADES = np.outer((-1.0, 1.0), (1.0, 10.0, 100.0, 1.0e3, 1.0e4)).ravel()
+_HALF_DECADES = tuple(sign * g for sign in (-1.0, 1.0)
+                      for g in (1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1.0e3, 3.0e3, 1.0e4, 3.0e4))
+_DECADES = tuple(sign * g for sign in (-1.0, 1.0) for g in (1.0, 10.0, 100.0, 1.0e3, 1.0e4))
 
 
 # the 20-node Gauss-Legendre rule on [-1, 1], bit for bit
@@ -287,11 +294,10 @@ _GL_NODES.flags.writeable = _GL_WEIGHTS.flags.writeable = False
 def _panel_edges(lo, hi, features, width, grading, fixed=()):
     """Sorted distinct panel edges on [lo, hi]: the ends, the fixed points,
     and each feature point flanked at grading * width."""
-    features = np.asarray(features, dtype=float)
-    graded = (features[:, None] + width * grading).ravel()
-    edges = np.concatenate(([lo, hi], features, fixed, graded))
-    edges = np.sort(edges[(edges >= lo) & (edges <= hi)])
-    return edges[np.concatenate(([True], edges[1:] > edges[:-1]))]
+    steps = [width * s for s in grading]
+    edges = {lo, hi, *fixed, *features}
+    edges.update([f + step for f in features for step in steps])
+    return np.array(sorted([e for e in edges if lo <= e <= hi]), dtype=float)
 
 
 def _panel_sums(g, a, b):
@@ -300,7 +306,8 @@ def _panel_sums(g, a, b):
     nodes of all panels."""
     half = 0.5 * (b - a)
     nodes = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
-    return np.atleast_2d(half * (g(nodes) @ _GL_WEIGHTS))
+    sums = half * (g(nodes) @ _GL_WEIGHTS)
+    return sums if sums.ndim == 2 else sums[None]
 
 
 def _gl_quadrature(g, edges, budget):
@@ -318,35 +325,41 @@ def _gl_quadrature(g, edges, budget):
 
     Returns (values, error): the final panel values and the summed error.
     """
-
-    def level(a, b, whole=None):
-        # the halves of every panel [a_i, b_i], and the panels themselves
-        # when their sums (whole) are not known yet
-        mid = 0.5 * (a + b)
-        parts = [(a, b), (a, mid), (mid, b)] if whole is None else [(a, mid), (mid, b)]
-        starts, ends = zip(*parts)
-        sums = _panel_sums(g, np.concatenate(starts), np.concatenate(ends))
-        *first, left, right = sums.reshape(len(sums), len(parts), a.size).swapaxes(0, 1)
-        if first:
-            whole = first[0]
-        return a, mid, b, left, right, np.sum(np.abs(whole - left - right), axis=0)
-
-    panels = level(edges[:-1], edges[1:])
+    # the panels [a, b], their halves [a, mid] and [mid, b], and the halves'
+    # sums (left, right)
+    a, b = edges[:-1], edges[1:]
+    mid = 0.5 * (a + b)
+    n = a.size
+    sums = _panel_sums(g, np.concatenate((a, a, mid)), np.concatenate((b, mid, b)))
+    left, right = sums[:, n:2 * n], sums[:, 2 * n:]
+    error = abs(sums[:, :n] - left - right).sum(axis=0)
     splits = 0
     while True:
-        a, mid, b, left, right, error = panels
         values = left + right
         target = budget(values)
+        total = math.fsum(error.tolist())
+        if not total > target:
+            return values, total
         split = error > target / error.size
         n_split = int(np.count_nonzero(split))
-        if not math.fsum(error) > target or splits + n_split > _QUAD_LIMIT:
-            return values, math.fsum(error)
+        if splits + n_split > _QUAD_LIMIT:
+            return values, total
         splits += n_split
-        children = level(np.concatenate((a[split], mid[split])),
-                         np.concatenate((mid[split], b[split])),
-                         np.concatenate((left[:, split], right[:, split]), axis=1))
-        panels = [np.concatenate((old[..., ~split], new), axis=-1)
-                  for old, new in zip(panels, children)]
+        # each split panel's halves become panels, after the kept ones
+        keep = ~split
+        new_a = np.concatenate((a[split], mid[split]))
+        new_b = np.concatenate((mid[split], b[split]))
+        new_mid = 0.5 * (new_a + new_b)
+        whole = np.concatenate((left[:, split], right[:, split]), axis=1)
+        n = new_a.size
+        sums = _panel_sums(g, np.concatenate((new_a, new_mid)), np.concatenate((new_mid, new_b)))
+        new_left, new_right = sums[:, :n], sums[:, n:]
+        a = np.concatenate((a[keep], new_a))
+        b = np.concatenate((b[keep], new_b))
+        mid = np.concatenate((mid[keep], new_mid))
+        left = np.concatenate((left[:, keep], new_left), axis=1)
+        right = np.concatenate((right[:, keep], new_right), axis=1)
+        error = np.concatenate((error[keep], abs(whole - new_left - new_right).sum(axis=0)))
 
 
 def _cavity_panel_edges(d, kd, loss, zsum, zdiff):
@@ -360,7 +373,8 @@ def _cavity_panel_edges(d, kd, loss, zsum, zdiff):
     # the shortest path through a mirror, z + z' or 2d - z - z', bounds |z - z'|
     u_max = 45.0 * d / min(zsum, 2.0 * d - zsum)
     return (_panel_edges(0.0, 1.0, [0.0, *t_res, 1.0], loss / kd, _DECADES),
-            _panel_edges(0.0, u_max, [0.0], loss, 10.0 ** np.arange(math.log10(u_max / loss))))
+            _panel_edges(0.0, u_max, [0.0], loss,
+                         [10.0 ** j for j in range(math.ceil(math.log10(u_max / loss)))]))
 
 
 def planar_scattering_components(
@@ -415,10 +429,12 @@ def planar_scattering_components(
     # (Re T, Im T, Re L, Im L) of the bracket; the tensor takes i times them
     def f_prop(t):
         phase = kd * t
-        h = np.cos(phase) + 1j * np.sin(phase)  # e^{i k_perp d}
+        h = np.empty(t.shape, complex)  # e^{i k_perp d}
+        h.real = np.cos(phase)
+        h.imag = np.sin(phase)
         two_cos = 2.0 * np.cos((k * zdiff) * t)
         tr, lo = bracket(h * h, two_cos, 2.0 * h * np.cos(phase - k * zsum * t), t * t, 1.0 - t * t)
-        return (k / (8.0 * math.pi)) * np.stack((tr.real, tr.imag, lo.real, lo.imag))
+        return (k / (8.0 * math.pi)) * np.array((tr.real, tr.imag, lo.real, lo.imag))
 
     # evanescent sector: u = kappa d on (0, u_max), components (T, L), all
     # factors real; cosh(kappa |z - z'|) stays below cosh 45 on it
@@ -426,7 +442,7 @@ def planar_scattering_components(
         q2 = (u / kd) ** 2
         tr, lo = bracket(np.exp(-2.0 * u), 2.0 * np.cosh((zdiff / d) * u),
                          np.exp(-(zsum / d) * u) + np.exp(-(2.0 - zsum / d) * u), -q2, 1.0 + q2)
-        return np.stack((tr, lo)) / (8.0 * math.pi * d)
+        return np.array((tr, lo)) / (8.0 * math.pi * d)
 
     # floor: the free-space coincident Im G, k / 6 pi
     floor = k / (6.0 * math.pi)
@@ -579,21 +595,22 @@ def kk_real_from_imag(
         f0 = f(omega)
 
     def g(w):
-        fw = np.broadcast_to(np.asarray(f.func(w), dtype=float), w.shape)
+        fw = np.asarray(f.func(w), dtype=float)
         dw = w - omega
+        # np.where broadcasts a constant fw to the nodes' shape
         num = np.where(np.abs(dw) < radius, fw - f0, fw)
         # omega itself is a removable point of the subtracted integrand
         return np.divide(num, dw, out=np.zeros_like(num), where=dw != 0.0)
 
     inner = [p for p in (omega, *f.hint_points) if lo < p < hi]
-    gaps = np.diff(np.sort([lo, hi, *inner]))
+    points = sorted([lo, hi, *inner])
+    gap = min([q - p for p, q in zip(points, points[1:]) if q > p])
     # the integrand jumps by f0 / radius at the ends of the subtracted interval
-    edges = _panel_edges(lo, hi, inner, np.min(gaps[gaps > 0.0]), _HALF_DECADES,
-                         fixed=(omega - radius, omega + radius))
+    edges = _panel_edges(lo, hi, inner, gap, _HALF_DECADES, fixed=(omega - radius, omega + radius))
     values, err = _gl_quadrature(
         g, edges, lambda v: control.rel_tol * (abs(v.sum()) + np.abs(v).sum()))
-    total = math.fsum(values[0])
-    ref = math.fsum(np.abs(values[0]))
+    total = math.fsum(values[0].tolist())
+    ref = math.fsum(np.abs(values[0]).tolist())
     # reference scale: panel L1 magnitudes guard against cancellation to ~0
     # (odd integrands); a tiny absolute floor guards the exactly-zero case
     bound = 10.0 * control.rel_tol * (abs(total) + ref) + 1e-15 * (1.0 + ref)

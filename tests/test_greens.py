@@ -23,7 +23,7 @@ from cavityvdw.greens import (
     planar_scattering_components,
 )
 from cavityvdw import greens
-from cavityvdw.greens import _cavity_panel_edges, _gl_quadrature
+from cavityvdw.greens import _cavity_panel_edges, _gl_quadrature, _panel_edges
 
 from oracles import (
     image_series_xx,
@@ -270,6 +270,75 @@ def test_planar_scattering_swapped_points_bit_identical():
         assert a == b
 
 
+# the bits of the cavity quadrature and of the principal-value transform,
+# pinned so that a rearrangement of the engine that is meant to leave every
+# value unchanged shows any change. Tensor rows: (nu, delta, z/d, z'/d,
+# detuning in widths) and the float.hex of Re/Im G_xx, Re/Im G_zz; the first
+# call's t sector takes two levels, the fourth and fifth have a point 1e-3 d
+# from a mirror.
+_PINNED_TENSORS = [
+    ((1, 1e-5, 0.3, 0.3, 1.5), ("0x1.0abc0408e2151p+20", "0x1.1ed9b17b38429p+18",
+                                "0x1.6a5f68bb90e50p+16", "0x1.e84acc284983ep+17")),
+    ((5, 1e-3, 0.3, 0.375, 0.0), ("-0x1.2382dccbd2f81p+18", "0x1.4ec548b81006fp+19",
+                                  "0x1.107a6a3c2c36ep+21", "0x1.64e371b37ba3ap+19")),
+    ((5, 1e-3, 0.21, 0.64, -0.7), ("0x1.361a67de7fc20p+17", "0x1.a17d426925670p+15",
+                                   "0x1.1e7c3df55f55ep+15", "-0x1.17433c8aab952p+16")),
+    ((1, 1e-3, 1e-3, 0.4, 0.3), ("0x1.8e4abf6bf8200p+10", "0x1.8a5dde7811bc0p+10",
+                                 "0x1.678b35c8bd632p+19", "0x1.e8874bb1f2f48p+17")),
+    ((2, 1e-4, 0.999, 0.999, 0.0), ("0x1.d53cd455351c2p+37", "0x1.790f7b8828000p+5",
+                                    "0x1.d54fcca0e094ap+38", "0x1.312e65a6e5621p+19")),
+]
+# scattering rows at omega = 1.3 pi c / d: (r_s, r_p, z/d, z'/d) and the
+# float.hex of Re/Im transverse, Re/Im longitudinal and the error estimate
+_PINNED_SCATTERING = [
+    ((-0.9, 0.995, 0.3, 0.55), ("0x1.0446cd11d5458p+13", "0x1.0cac50e1cc429p+17",
+                                "-0x1.923f348fd0c50p+15", "0x1.1a9c23eeb05bcp+15",
+                                "0x1.1658e4c32dff0p-17")),
+    ((-0.995, 0.6, 0.3, 0.55), ("0x1.575fafeb7ce2cp+14", "0x1.b6a3ee571215cp+16",
+                                "-0x1.03caad1aa35bcp+15", "0x1.6a6ddf2fd2271p+14",
+                                "0x1.06cc0571d9020p-19")),
+    ((-0.99, 0.99, 1.0 - 1e-3, 1.0 - 1e-3), ("0x1.12eb3aac63be9p+39", "-0x1.a2f34267feff6p+17",
+                                             "0x1.12efed2dc556ep+40", "0x1.cab5487d8a7adp+17",
+                                             "0x1.7c9ee13a6e980p-8")),
+]
+# principal-value transforms of a unit Lorentzian on omega_1 +- 5e4 widths
+# of the nu = 1, delta = 1e-3 cavity, at rel_tol 1e-9: (offset in widths,
+# hint points at the peak and its half-width points?, float.hex)
+_PINNED_KK = [(100.0, True, "-0x1.015a537be16f3p-6"), (-3.0e3, True, "0x1.12843c93cdadep-11"),
+              (0.3, False, "-0x1.62d0aefffe6f7p+0")]
+
+
+@pytest.mark.parametrize("case,bits", _PINNED_TENSORS)
+def test_planar_cavity_green_pinned_bits(case, bits):
+    nu, delta, z_over_d, zp_over_d, offset = case
+    cav = PlanarCavity(d=1.0e-6, delta=delta, nu=nu)
+    m = planar_cavity_green(cav, z_over_d * cav.d, zp_over_d * cav.d,
+                            cav.omega_nu + offset * cav.gamma_nu).matrix
+    xx, zz = m[0, 0], m[2, 2]
+    assert tuple(x.hex() for x in (xx.real, xx.imag, zz.real, zz.imag)) == bits
+    assert np.array_equal(m, np.diag((xx, xx, zz)))
+
+
+@pytest.mark.parametrize("case,bits", _PINNED_SCATTERING)
+def test_planar_scattering_pinned_bits(case, bits):
+    r_s, r_p, z_over_d, zp_over_d = case
+    d = 1.0e-6
+    trans, longi, err = planar_scattering_components(d, r_s, r_p, z_over_d * d, zp_over_d * d,
+                                                     1.3 * math.pi * C / d)
+    assert tuple(x.hex() for x in (trans.real, trans.imag, longi.real, longi.imag, err)) == bits
+
+
+@pytest.mark.parametrize("offset,hinted,bits", _PINNED_KK)
+def test_kk_pinned_bits(offset, hinted, bits):
+    cav = PlanarCavity(d=1.0e-6, delta=1.0e-3, nu=1)
+    w0, gamma = cav.omega_nu, cav.gamma_nu
+    sf = _lorentzian_spectral(1.0, w0, gamma)
+    if not hinted:
+        sf = SpectralFunction(func=sf.func, support=sf.support)
+    control = QuadratureControl(rel_tol=1e-9)
+    assert kk_real_from_imag(sf, w0 + offset * gamma, control).hex() == bits
+
+
 def _uniform_bracket_scattering(d, r_s, r_p, z, zp, omega, rel_tol):
     """(transverse, longitudinal) from the sectors and budgets of
     planar_scattering_components on the library's panel engine and its own
@@ -348,6 +417,35 @@ def test_gl_quadrature_converged_first_level_is_one_call():
     assert math.fsum(values[0]) == pytest.approx(math.sin(1.0), rel=1e-14)
     assert math.fsum(values[1]) == pytest.approx(math.e - 1.0, rel=1e-14)
     assert err < 1e-12
+
+
+@st.composite
+def _panel_edge_inputs(draw):
+    """(lo, hi, features, width, grading, fixed) for _panel_edges: points
+    inside and outside [lo, hi], on its ends, repeated, and +-0.0."""
+    lo = draw(st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0]))
+    hi = lo + draw(st.floats(1e-6, 20.0))
+    point = st.floats(lo - 5.0, hi + 5.0) | st.sampled_from([lo, hi, 0.0, -0.0])
+    features = draw(st.lists(point, max_size=8))
+    if features:
+        features += draw(st.lists(st.sampled_from(features), max_size=4))
+    grading = draw(st.sampled_from([greens._DECADES, greens._HALF_DECADES])
+                   | st.lists(st.floats(-1e4, 1e4) | st.just(0.0), min_size=1, max_size=8))
+    return (lo, hi, features, draw(st.floats(1e-9, 3.0)), grading,
+            tuple(draw(st.lists(point, max_size=2))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_panel_edge_inputs())
+def test_panel_edges_match_the_array_reference(inputs):
+    # the edges are built from Python floats; the array expression they
+    # replace is the reference: the distinct values of the ends, the fixed
+    # points and the graded features, clipped to [lo, hi], sorted
+    lo, hi, features, width, grading, fixed = inputs
+    graded = (np.asarray(features, dtype=float)[:, None] + width * np.asarray(grading)).ravel()
+    want = np.unique(np.clip(np.concatenate(([lo, hi], features, fixed, graded)), lo, hi))
+    got = _panel_edges(lo, hi, features, width, grading, fixed)
+    assert got.dtype == float and np.array_equal(got, want)
 
 
 def test_planar_scattering_unreachable_tolerance_raises_with_its_estimate():
@@ -656,6 +754,22 @@ def test_kk_rejects_non_finite_frequency(omega):
     sf = _lorentzian_spectral(1.0, 1.0e15, 1.0e11)
     with pytest.raises(DomainError, match="omega="):
         kk_real_from_imag(sf, omega)
+
+
+@pytest.mark.parametrize("support", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
+                                     (0.0, math.nan), (1.0, 1.0), (2.0, 1.0)])
+def test_spectral_function_rejects_a_window_that_is_not_finite_by_name(support):
+    # an infinite end once reached the panel engine and failed there with
+    # "achieved nan, target nan"
+    with pytest.raises(DomainError, match="support="):
+        SpectralFunction(func=lambda w: 1.0 / (1.0 + w * w), support=support)
+
+
+@pytest.mark.parametrize("radius", [math.nan, -1.0, -math.inf])
+def test_spectral_function_rejects_nan_or_negative_exclusion_radius_by_name(radius):
+    with pytest.raises(DomainError, match="exclusion_radius="):
+        SpectralFunction(func=lambda w: 1.0, support=(1.0e14, 2.0e14), poles=(1.5e14,),
+                         exclusion_radius=radius)
 
 
 def test_kk_pole_exclusion():

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Quadrature work in one round of the green-spectrum benchmark workload.
+"""Quadrature work and result bits in one round of the green-spectrum
+benchmark workload.
 
     python3 tools/quad_work.py [--root DIR] [--seed N]
 
@@ -9,13 +10,17 @@ steps of each operation once. greens._gl_quadrature is wrapped from outside
 so that every call of an integrand is counted: its nodes and one level.
 Prints one JSON object: per operation group (the operation name up to its
 first ':', so "green" is the planar_cavity_green calls), the integrand
-nodes and levels of the round. Nothing is timed, so the counts are
-deterministic and can be compared across commits.
+nodes and levels of the round, and the SHA-256 of the bytes of every value
+its timed steps return, in round order: a tensor's complex matrix, and the
+float64 bytes of the KK and coupling floats and of the fit's fields.
+Nothing is timed, so the counts and digests are deterministic: two commits
+that print the same digests return the same bits on the round.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import tempfile
@@ -31,11 +36,14 @@ def main(argv=None) -> int:
 
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import numpy as np
+
     from cavityvdw import greens
 
     import workloads
 
     counts: dict = defaultdict(lambda: {"nodes": 0, "levels": 0})
+    digests: dict = defaultdict(hashlib.sha256)
     group = [""]
     engine = greens._gl_quadrature
 
@@ -49,14 +57,25 @@ def main(argv=None) -> int:
 
         return engine(g_counted, edges, budget)
 
+    def value_bytes(value) -> bytes:
+        # a tensor's matrix, else a float or a sequence of floats
+        if hasattr(value, "matrix"):
+            return value.matrix.tobytes()
+        return np.asarray(value, dtype=float).tobytes()
+
     greens._gl_quadrature = counting_quadrature
     with tempfile.TemporaryDirectory() as tmp:
         for op in workloads.build("green-spectrum", args.seed, Path(tmp), root):
             group[0] = op.name.partition(":")[0]
+            digest = digests[group[0]]
             out = op.steps[0]()
+            digest.update(value_bytes(out))
             for step in op.steps[1:]:
                 out = step(out)
-    print(json.dumps({"seed": args.seed, **counts}))
+                digest.update(value_bytes(out))
+    print(json.dumps({"seed": args.seed,
+                      **{name: {**counts[name], "sha256": digest.hexdigest()}
+                         for name, digest in digests.items()}}))
     return 0
 
 
