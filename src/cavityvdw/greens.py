@@ -32,8 +32,11 @@ against an image-series resummation in the test suite.
 
 The propagating sector is integrated in t = k_perp/k on (0, 1), the
 evanescent sector in u = kappa d on (0, u_max), with an exponential-tail
-cutoff u_max. Both run on one numpy engine of 20-node Gauss-Legendre panels,
-which the principal-value transform kk_real_from_imag shares:
+cutoff u_max. Both run on one numpy engine of adaptive panels, which the
+principal-value transform kk_real_from_imag shares, each on its own rule:
+the cavity on 41-node Gauss-Kronrod panels (K41, the extension of the
+20-node Gauss-Legendre rule G20), the transform on G20 panels checked
+against their halves.
 
 - The integrand is vector-valued: one evaluation of the bracket on an array
   of nodes gives every component, (Re T, Im T, Re L, Im L) for propagating
@@ -50,9 +53,9 @@ which the principal-value transform kk_real_from_imag shares:
   layer = (1 - |r|)/(kd) in t, at each resonance t = m pi/(kd) and at both
   ends (grazing incidence, and normal incidence near a mode). The initial
   panel edges are graded toward each of them in decades, at
-  +-{1, 10, 100, 1e3, 1e4} x layer: a 20-node panel [s, 10 s] beside a
-  pole at distance s has Bernstein ellipse parameter ~1.9, so its sum is
-  good to ~1e-11 and its halves' to ~1e-16. In u the edges are 0, every
+  +-{1, 10, 100, 1e3, 1e4} x layer: a panel [s, 10 s] beside a Lorentzian
+  of half-width s has Bernstein ellipse parameter ~1.9, so its G20 sum is
+  good to ~1e-12 and its K41 sum to round-off. In u the edges are 0, every
   (1 - |r|) x 10^j below u_max, and u_max, so no panel spans more than a
   decade up to the cutoff; a wider last panel can hide the near field of
   points close to a mirror from the error estimate. The principal-value
@@ -60,13 +63,18 @@ which the principal-value transform kk_real_from_imag shares:
   its smallest breakpoint gap. The edges are a few dozen points, so they
   are built and sorted as Python floats, by the same IEEE operations as an
   array expression.
-- A panel's error is |panel - its two halves|. While a sector's summed
-  error exceeds its budget (rel_tol times the larger of the sector's |T|,
-  its |L| and the free-space floor k/6 pi), every panel whose error exceeds
-  budget/n_panels is halved, with at most _QUAD_LIMIT halvings in all.
-  Each level is one call of the integrand: the first on the initial panels
-  and their halves together, each later one on the halves of the panels
-  being split.
+- A cavity panel's value is its K41 sum and its error |K41 - G20|, summed
+  over components: the G20 sum is that of the odd-indexed K41 nodes, so
+  one call of the integrand on 41 nodes gives both, where a G20 panel
+  checked against its halves costs 60. A transform panel's value is the sum
+  of its halves' G20 sums and its error |panel - its two halves|. While a
+  sector's summed error exceeds its budget (rel_tol times the larger of the
+  sector's |T|, its |L| and the free-space floor k/6 pi), every panel whose
+  error exceeds budget/n_panels is halved, with at most _QUAD_LIMIT
+  halvings in all. Each level is one call of the integrand: the first on
+  the initial panels, each later one on the halves of the panels being
+  split, which get 41 fresh nodes each on K41 and are the wholes of 40
+  fresh nodes each on G20.
 
 The integrand depends on the points only through z + z' and |z - z'|, so
 the tensor is reciprocal bit for bit.
@@ -206,10 +214,14 @@ class SpectralFunction(Record):
         # written so that NaN fails them; the panels need a finite window
         if not -math.inf < lo < hi < math.inf:
             raise DomainError(f"support must be a finite window lo < hi, got support=({lo}, {hi})")
-        if not self.exclusion_radius >= 0.0:
-            raise DomainError(
-                f"exclusion_radius must be >= 0, got exclusion_radius={self.exclusion_radius}"
-            )
+        if not 0.0 <= self.exclusion_radius < math.inf:
+            raise DomainError(f"exclusion_radius must be >= 0 and finite, "
+                              f"got exclusion_radius={self.exclusion_radius}")
+        # a NaN pole would never be excluded, as abs(omega - nan) < r is False
+        for name in ("poles", "hint_points"):
+            points = getattr(self, name)
+            if not all(-math.inf < p < math.inf for p in points):
+                raise DomainError(f"{name} must be finite, got {name}={points}")
 
     def __call__(self, omega: float) -> float:
         return float(self.func(omega))
@@ -263,10 +275,11 @@ def quad(f, a, b, **kwargs):
     return scipy_quad(f, a, b, **kwargs)
 
 
-# Gauss-Legendre panel engine shared by the cavity tensor and the
-# principal-value transform: 20-node panels, and initial panel edges graded
-# away from each sharp feature at +- a grading times the feature's width,
-# in half decades for the transform and in decades for the cavity tensor
+# adaptive panel engine shared by the cavity tensor and the principal-value
+# transform, on G20 panels checked against their halves or on G20/K41
+# panels: initial panel edges graded away from each sharp feature at +- a
+# grading times the feature's width, in half decades for the transform and
+# in decades for the cavity
 _HALF_DECADES = tuple(sign * g for sign in (-1.0, 1.0)
                       for g in (1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1.0e3, 3.0e3, 1.0e4, 3.0e4))
 _DECADES = tuple(sign * g for sign in (-1.0, 1.0) for g in (1.0, 10.0, 100.0, 1.0e3, 1.0e4))
@@ -290,6 +303,44 @@ _GL_WEIGHTS = np.array([
     0.08327674157670471, 0.06267204833410879, 0.040601429800386446, 0.017614007139150893])
 _GL_NODES.flags.writeable = _GL_WEIGHTS.flags.writeable = False
 
+# its 41-node Gauss-Kronrod extension on [-1, 1] (Laurie, Math. Comp. 66,
+# 1133 (1997); QUADPACK's qk41), nodes ascending, the odd-indexed ones the
+# 20 Gauss nodes; exact for polynomials of degree 61. Computed once with
+# mpmath at 60 digits and rounded to nearest: the other 21 nodes are the
+# roots of the Stieltjes polynomial E_21 = P_21 + sum_{odd j < 21} c_j P_j,
+# with the c_j making E_21 P_20 orthogonal to P_k for every odd k < 20, one
+# root between each two neighbours of -1, the Gauss nodes and 1; the weights
+# solve sum_i w_i P_j(x_i) = 2 delta_j0 for j <= 40.
+_K41_NODES = np.array([
+    -0.9988590315882777, -0.9931285991850949, -0.9815078774502503, -0.9639719272779138,
+    -0.9408226338317548, -0.912234428251326, -0.878276811252282, -0.8391169718222188,
+    -0.7950414288375512, -0.7463319064601508, -0.6932376563347514, -0.636053680726515,
+    -0.5751404468197103, -0.5108670019508271, -0.4435931752387251, -0.37370608871541955,
+    -0.301627868114913, -0.22778585114164507, -0.15260546524092267, -0.07652652113349734,
+    0.0, 0.07652652113349734, 0.15260546524092267, 0.22778585114164507,
+    0.301627868114913, 0.37370608871541955, 0.4435931752387251, 0.5108670019508271,
+    0.5751404468197103, 0.636053680726515, 0.6932376563347514, 0.7463319064601508,
+    0.7950414288375512, 0.8391169718222188, 0.878276811252282, 0.912234428251326,
+    0.9408226338317548, 0.9639719272779138, 0.9815078774502503, 0.9931285991850949,
+    0.9988590315882777])
+_K41_WEIGHTS = np.array([
+    0.0030735837185205317, 0.008600269855642943, 0.014626169256971253, 0.020388373461266523,
+    0.02588213360495116, 0.0312873067770328, 0.036600169758200796, 0.041668873327973685,
+    0.04643482186749767, 0.05094457392372869, 0.05519510534828599, 0.05911140088063957,
+    0.06265323755478117, 0.06583459713361842, 0.06864867292852161, 0.07105442355344407,
+    0.07303069033278667, 0.07458287540049918, 0.07570449768455667, 0.07637786767208074,
+    0.07660071191799965, 0.07637786767208074, 0.07570449768455667, 0.07458287540049918,
+    0.07303069033278667, 0.07105442355344407, 0.06864867292852161, 0.06583459713361842,
+    0.06265323755478117, 0.05911140088063957, 0.05519510534828599, 0.05094457392372869,
+    0.04643482186749767, 0.041668873327973685, 0.036600169758200796, 0.0312873067770328,
+    0.02588213360495116, 0.020388373461266523, 0.014626169256971253, 0.008600269855642943,
+    0.0030735837185205317])
+# columns: the K41 weights, and K41 minus the embedded G20 weights, whose sum
+# is K41 - G20 on a panel
+_K41_RULE = np.stack((_K41_WEIGHTS, _K41_WEIGHTS), axis=1)
+_K41_RULE[1::2, 1] -= _GL_WEIGHTS
+_K41_NODES.flags.writeable = _K41_WEIGHTS.flags.writeable = _K41_RULE.flags.writeable = False
+
 
 def _panel_edges(lo, hi, features, width, grading, fixed=()):
     """Sorted distinct panel edges on [lo, hi]: the ends, the fixed points,
@@ -310,32 +361,57 @@ def _panel_sums(g, a, b):
     return sums if sums.ndim == 2 else sums[None]
 
 
-def _gl_quadrature(g, edges, budget):
-    """Adaptive Gauss-Legendre quadrature of a vector-valued integrand over
-    the panels between consecutive edges.
+def _halving_rule(g, a, b, whole=None):
+    """G20 panels checked against their halves: a panel's value is the sum
+    of its two halves' G20 sums and its error |whole - two halves| summed
+    over components, whole being the panel's own G20 sum, evaluated here
+    (in the same call of g) unless given. Returns (values, errors, halves):
+    halves (components x 2 x panels) holds the left and right halves' sums,
+    the wholes of the panel's halves if it is split."""
+    n = a.size
+    mid = 0.5 * (a + b)
+    if whole is None:
+        sums = _panel_sums(g, np.concatenate((a, a, mid)), np.concatenate((b, mid, b)))
+        whole = sums[:, :n]
+    else:
+        sums = _panel_sums(g, np.concatenate((a, mid)), np.concatenate((mid, b)))
+    left, right = sums[:, -2 * n:-n], sums[:, -n:]
+    return (left + right, abs(whole - left - right).sum(axis=0),
+            sums[:, -2 * n:].reshape(len(sums), 2, n))
+
+
+def _kronrod_rule(g, a, b):
+    """G20/K41 panels: a panel's value is its K41 sum and its error
+    |K41 - G20| summed over components, both from one call of g (which
+    stacks its components along a new first axis) on the 41 nodes of every
+    panel. Returns (values, errors, None)."""
+    half = 0.5 * (b - a)
+    nodes = (0.5 * (a + b))[:, None] + half[:, None] * _K41_NODES
+    sums = (g(nodes) @ _K41_RULE) * half[:, None]
+    return sums[..., 0], abs(sums[..., 1]).sum(axis=0), None
+
+
+def _adaptive_quadrature(g, edges, budget, rule):
+    """Adaptive quadrature of a vector-valued integrand over the panels
+    between consecutive edges, on _halving_rule or _kronrod_rule.
 
     g maps an array of nodes to the integrand's components stacked along a
-    new first axis, or to a single component of the nodes' shape. A panel's
-    value is the sum of its two halves and its error the sum over components
-    of |panel - two halves|. While the summed error exceeds budget(values)
-    (values: components x panels), every panel whose error exceeds
-    budget / n_panels is halved, with at most _QUAD_LIMIT halvings in all.
-    Each level is one call of g: the first on the initial panels and their
-    halves, each later one on the halves of the panels being split.
+    new first axis (or, on _halving_rule, to a single component of the
+    nodes' shape). rule(g, a, b) gives the values (components x panels) and
+    errors of the panels [a_i, b_i] from one call of g. While the summed
+    error exceeds budget(values), every panel whose error exceeds
+    budget / n_panels is halved, with at most _QUAD_LIMIT halvings in all;
+    the halves of the split panels, placed after the kept panels, are the
+    next level's one call of rule. A rule that returns halves (components x
+    2 x panels) gets those of the split panels back as the new panels'
+    wholes.
 
     Returns (values, error): the final panel values and the summed error.
     """
-    # the panels [a, b], their halves [a, mid] and [mid, b], and the halves'
-    # sums (left, right)
     a, b = edges[:-1], edges[1:]
-    mid = 0.5 * (a + b)
-    n = a.size
-    sums = _panel_sums(g, np.concatenate((a, a, mid)), np.concatenate((b, mid, b)))
-    left, right = sums[:, n:2 * n], sums[:, 2 * n:]
-    error = abs(sums[:, :n] - left - right).sum(axis=0)
+    values, error, halves = rule(g, a, b)
     splits = 0
     while True:
-        values = left + right
         target = budget(values)
         total = math.fsum(error.tolist())
         if not total > target:
@@ -345,21 +421,20 @@ def _gl_quadrature(g, edges, budget):
         if splits + n_split > _QUAD_LIMIT:
             return values, total
         splits += n_split
-        # each split panel's halves become panels, after the kept ones
         keep = ~split
-        new_a = np.concatenate((a[split], mid[split]))
-        new_b = np.concatenate((mid[split], b[split]))
-        new_mid = 0.5 * (new_a + new_b)
-        whole = np.concatenate((left[:, split], right[:, split]), axis=1)
-        n = new_a.size
-        sums = _panel_sums(g, np.concatenate((new_a, new_mid)), np.concatenate((new_mid, new_b)))
-        new_left, new_right = sums[:, :n], sums[:, n:]
+        mid = 0.5 * (a[split] + b[split])
+        new_a = np.concatenate((a[split], mid))
+        new_b = np.concatenate((mid, b[split]))
+        if halves is None:
+            new_values, new_error, _ = rule(g, new_a, new_b)
+        else:
+            whole = halves[:, :, split].reshape(len(halves), -1)
+            new_values, new_error, new_halves = rule(g, new_a, new_b, whole)
+            halves = np.concatenate((halves[:, :, keep], new_halves), axis=2)
         a = np.concatenate((a[keep], new_a))
         b = np.concatenate((b[keep], new_b))
-        mid = np.concatenate((mid[keep], new_mid))
-        left = np.concatenate((left[:, keep], new_left), axis=1)
-        right = np.concatenate((right[:, keep], new_right), axis=1)
-        error = np.concatenate((error[keep], abs(whole - new_left - new_right).sum(axis=0)))
+        values = np.concatenate((values[:, keep], new_values), axis=1)
+        error = np.concatenate((error[keep], new_error))
 
 
 def _cavity_panel_edges(d, kd, loss, zsum, zdiff):
@@ -459,8 +534,8 @@ def planar_scattering_components(
     # grazing incidence and, near a resonance, at normal incidence
     loss = 1.0 - max(abs(r_s), abs(r_p))
     t_edges, u_edges = _cavity_panel_edges(d, kd, loss, zsum, zdiff)
-    prop, err_prop = _gl_quadrature(f_prop, t_edges, budget)
-    evan, err_evan = _gl_quadrature(f_evan, u_edges, budget)
+    prop, err_prop = _adaptive_quadrature(f_prop, t_edges, budget, _kronrod_rule)
+    evan, err_evan = _adaptive_quadrature(f_evan, u_edges, budget, _kronrod_rule)
 
     p_re_t, p_im_t, p_re_l, p_im_l = map(math.fsum, prop.tolist())
     e_t, e_l = map(math.fsum, evan.tolist())
@@ -569,11 +644,11 @@ def kk_real_from_imag(
     """Principal-value transform P Int f(w') / (w' - omega) dw' over the
     declared support window, via symmetric-interval pole subtraction.
 
-    Adaptive Gauss-Legendre panels (the engine the cavity tensor uses):
-    breakpoints at the support ends, omega and the hint points, graded
-    geometrically away from the interior ones in units of the smallest
-    breakpoint gap; the error budget is rel_tol * (|total| + sum of |panel
-    values|).
+    Adaptive 20-node Gauss-Legendre panels checked against their halves, on
+    the engine the cavity tensor shares with its own rule: breakpoints at
+    the support ends, omega and the hint points, graded geometrically away
+    from the interior ones in units of the smallest breakpoint gap; the
+    error budget is rel_tol * (|total| + sum of |panel values|).
 
     Note the bare integral is returned; dispersion-relation callers supply
     their own 1/pi prefactor.
@@ -607,8 +682,8 @@ def kk_real_from_imag(
     gap = min([q - p for p, q in zip(points, points[1:]) if q > p])
     # the integrand jumps by f0 / radius at the ends of the subtracted interval
     edges = _panel_edges(lo, hi, inner, gap, _HALF_DECADES, fixed=(omega - radius, omega + radius))
-    values, err = _gl_quadrature(
-        g, edges, lambda v: control.rel_tol * (abs(v.sum()) + np.abs(v).sum()))
+    values, err = _adaptive_quadrature(
+        g, edges, lambda v: control.rel_tol * (abs(v.sum()) + np.abs(v).sum()), _halving_rule)
     total = math.fsum(values[0].tolist())
     ref = math.fsum(np.abs(values[0]).tolist())
     # reference scale: panel L1 magnitudes guard against cancellation to ~0

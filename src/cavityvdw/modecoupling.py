@@ -63,8 +63,11 @@ class ModeModel(Record):
     g2_ab: float
 
     def __post_init__(self):
-        if not self.omega_nu > 0.0:
-            raise DomainError(f"mode frequency must be positive, got {self.omega_nu}")
+        # written so that NaN fails them
+        if not 0.0 < self.omega_nu < math.inf:
+            raise DomainError(
+                f"mode frequency must be positive and finite, got omega_nu={self.omega_nu}"
+            )
         if not self.gamma_nu > 0.0:
             raise DomainError(f"mode width must be positive, got {self.gamma_nu}")
         if not self.gamma_nu / self.omega_nu < 1e-2:
@@ -72,6 +75,11 @@ class ModeModel(Record):
                 f"single-mode model requires a narrow line, "
                 f"gamma/omega = {self.gamma_nu / self.omega_nu:.3g} >= 1e-2"
             )
+        # a NaN coupling would pass every check below, and max(-1.0, nan)
+        # would make its overlap -1
+        for name in ("g2_aa", "g2_bb", "g2_ab"):
+            if not -math.inf < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite, got {name}={getattr(self, name)}")
         if self.g2_aa < 0.0 or self.g2_bb < 0.0:
             raise DomainError(
                 f"diagonal couplings must be nonnegative, got {self.g2_aa}, {self.g2_bb}"
@@ -120,6 +128,12 @@ def fit_lorentzian(samples: Sequence[tuple[float, float]]) -> LorentzianFit:
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 5:
         raise DomainError(
             f"need at least 5 (omega, value) samples spanning the peak, got shape {arr.shape}"
+        )
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        raise DomainError(
+            f"samples must be finite, got {int(np.count_nonzero(~finite))} non-finite "
+            f"(omega, value) rows in samples=, the first {arr[~finite][0].tolist()}"
         )
     w = arr[:, 0]
     y = arr[:, 1]

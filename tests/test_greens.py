@@ -23,7 +23,8 @@ from cavityvdw.greens import (
     planar_scattering_components,
 )
 from cavityvdw import greens
-from cavityvdw.greens import _cavity_panel_edges, _gl_quadrature, _panel_edges
+from cavityvdw.greens import (_adaptive_quadrature, _cavity_panel_edges, _halving_rule,
+                              _kronrod_rule, _panel_edges)
 
 from oracles import (
     image_series_xx,
@@ -236,29 +237,35 @@ def test_planar_scattering_matches_image_series_property(nu, log_delta, z_over_d
     assert abs(longi - oracle_l) / max(abs(oracle_l), floor) < 5e-9
 
 
-# integrand nodes and levels of one on-resonance call, as measured with
-# decade-graded panels in both sectors: (nu, delta, z/d, z'/d, nodes, levels)
-_CAVITY_WORK = [(5, 1.0e-3, 0.3, 0.375, 3300, 2), (1, 1.0e-5, 0.3, 0.3, 1220, 3)]
+# integrand nodes and levels of one on-resonance call, as measured on G20/K41
+# panels with decade-graded edges in both sectors: (nu, delta, z/d, z'/d,
+# nodes, levels)
+_CAVITY_WORK = [(5, 1.0e-3, 0.3, 0.375, 2255, 2), (1, 1.0e-5, 0.3, 0.3, 861, 3)]
 
 
 @pytest.mark.parametrize("nu,delta,z_over_d,zp_over_d,nodes,levels", _CAVITY_WORK)
 def test_planar_cavity_green_work_per_call(monkeypatch, nu, delta, z_over_d, zp_over_d,
                                            nodes, levels):
+    # counted through the engine the cavity calls, on its rule: 41 nodes a
+    # panel, and never none
     counted = [0, 0]
-    engine = greens._gl_quadrature
+    engine = greens._adaptive_quadrature
 
-    def counting_quadrature(g, edges, budget):
+    def counting_quadrature(g, edges, budget, rule):
+        assert rule is _kronrod_rule
+
         def g_counted(x):
             counted[0] += x.size
             counted[1] += 1
             return g(x)
 
-        return engine(g_counted, edges, budget)
+        return engine(g_counted, edges, budget, rule)
 
-    monkeypatch.setattr(greens, "_gl_quadrature", counting_quadrature)
+    monkeypatch.setattr(greens, "_adaptive_quadrature", counting_quadrature)
     cav = PlanarCavity(d=1.0e-6, delta=delta, nu=nu)
     planar_cavity_green(cav, z_over_d * cav.d, zp_over_d * cav.d, cav.omega_nu)
-    assert counted[0] <= nodes and counted[1] <= levels
+    assert 0 < counted[0] <= nodes and 2 <= counted[1] <= levels
+    assert counted[0] % 41 == 0
 
 
 def test_planar_scattering_swapped_points_bit_identical():
@@ -275,31 +282,31 @@ def test_planar_scattering_swapped_points_bit_identical():
 # value unchanged shows any change. Tensor rows: (nu, delta, z/d, z'/d,
 # detuning in widths) and the float.hex of Re/Im G_xx, Re/Im G_zz; the first
 # call's t sector takes two levels, the fourth and fifth have a point 1e-3 d
-# from a mirror.
+# from a mirror. The tensor and scattering rows are those of G20/K41 panels.
 _PINNED_TENSORS = [
-    ((1, 1e-5, 0.3, 0.3, 1.5), ("0x1.0abc0408e2151p+20", "0x1.1ed9b17b38429p+18",
-                                "0x1.6a5f68bb90e50p+16", "0x1.e84acc284983ep+17")),
-    ((5, 1e-3, 0.3, 0.375, 0.0), ("-0x1.2382dccbd2f81p+18", "0x1.4ec548b81006fp+19",
-                                  "0x1.107a6a3c2c36ep+21", "0x1.64e371b37ba3ap+19")),
-    ((5, 1e-3, 0.21, 0.64, -0.7), ("0x1.361a67de7fc20p+17", "0x1.a17d426925670p+15",
-                                   "0x1.1e7c3df55f55ep+15", "-0x1.17433c8aab952p+16")),
-    ((1, 1e-3, 1e-3, 0.4, 0.3), ("0x1.8e4abf6bf8200p+10", "0x1.8a5dde7811bc0p+10",
-                                 "0x1.678b35c8bd632p+19", "0x1.e8874bb1f2f48p+17")),
-    ((2, 1e-4, 0.999, 0.999, 0.0), ("0x1.d53cd455351c2p+37", "0x1.790f7b8828000p+5",
-                                    "0x1.d54fcca0e094ap+38", "0x1.312e65a6e5621p+19")),
+    ((1, 1e-5, 0.3, 0.3, 1.5), ("0x1.0abc0408e31eap+20", "0x1.1ed9b17b31e9cp+18",
+                                "0x1.6a5f68bb901f0p+16", "0x1.e84acc2849c23p+17")),
+    ((5, 1e-3, 0.3, 0.375, 0.0), ("-0x1.2382dccbd2d80p+18", "0x1.4ec548b81076bp+19",
+                                  "0x1.107a6a3c2c354p+21", "0x1.64e371b37b614p+19")),
+    ((5, 1e-3, 0.21, 0.64, -0.7), ("0x1.361a67de7fd0cp+17", "0x1.a17d42692a035p+15",
+                                   "0x1.1e7c3df55f81ep+15", "-0x1.17433c8aaaaa3p+16")),
+    ((1, 1e-3, 1e-3, 0.4, 0.3), ("0x1.8e4abf6bf83c0p+10", "0x1.8a5dde7811c00p+10",
+                                 "0x1.678b35c8bd63cp+19", "0x1.e8874bb1f2f4cp+17")),
+    ((2, 1e-4, 0.999, 0.999, 0.0), ("0x1.d53cd455351d2p+37", "0x1.790f7b8826000p+5",
+                                    "0x1.d54fcca0e095ap+38", "0x1.312e65a6e5dfap+19")),
 ]
 # scattering rows at omega = 1.3 pi c / d: (r_s, r_p, z/d, z'/d) and the
 # float.hex of Re/Im transverse, Re/Im longitudinal and the error estimate
 _PINNED_SCATTERING = [
-    ((-0.9, 0.995, 0.3, 0.55), ("0x1.0446cd11d5458p+13", "0x1.0cac50e1cc429p+17",
-                                "-0x1.923f348fd0c50p+15", "0x1.1a9c23eeb05bcp+15",
-                                "0x1.1658e4c32dff0p-17")),
-    ((-0.995, 0.6, 0.3, 0.55), ("0x1.575fafeb7ce2cp+14", "0x1.b6a3ee571215cp+16",
-                                "-0x1.03caad1aa35bcp+15", "0x1.6a6ddf2fd2271p+14",
-                                "0x1.06cc0571d9020p-19")),
-    ((-0.99, 0.99, 1.0 - 1e-3, 1.0 - 1e-3), ("0x1.12eb3aac63be9p+39", "-0x1.a2f34267feff6p+17",
-                                             "0x1.12efed2dc556ep+40", "0x1.cab5487d8a7adp+17",
-                                             "0x1.7c9ee13a6e980p-8")),
+    ((-0.9, 0.995, 0.3, 0.55), ("0x1.0446cd11d5658p+13", "0x1.0cac50e1cc456p+17",
+                                "-0x1.923f348fd0c30p+15", "0x1.1a9c23eeb05e9p+15",
+                                "0x1.16519e5f60b84p-17")),
+    ((-0.995, 0.6, 0.3, 0.55), ("0x1.575fafeb7cfdep+14", "0x1.b6a3ee57121f8p+16",
+                                "-0x1.03caad1aa35b0p+15", "0x1.6a6ddf2fd2287p+14",
+                                "0x1.0683b4b039bb2p-19")),
+    ((-0.99, 0.99, 1.0 - 1e-3, 1.0 - 1e-3), ("0x1.12eb3aac63bedp+39", "-0x1.a2f34267feff6p+17",
+                                             "0x1.12efed2dc5572p+40", "0x1.cab5487d8a7ddp+17",
+                                             "0x1.fb2749db209f1p-8")),
 ]
 # principal-value transforms of a unit Lorentzian on omega_1 +- 5e4 widths
 # of the nu = 1, delta = 1e-3 cavity, at rel_tol 1e-9: (offset in widths,
@@ -341,8 +348,8 @@ def test_kk_pinned_bits(offset, hinted, bits):
 
 def _uniform_bracket_scattering(d, r_s, r_p, z, zp, omega, rel_tol):
     """(transverse, longitudinal) from the sectors and budgets of
-    planar_scattering_components on the library's panel engine and its own
-    initial panel edges, with the integrand built from
+    planar_scattering_components on the library's panel engine and rule and
+    its own initial panel edges, with the integrand built from
     oracles.uniform_cavity_bracket."""
     k = omega / C
     kd = k * d
@@ -364,8 +371,8 @@ def _uniform_bracket_scattering(d, r_s, r_p, z, zp, omega, rel_tol):
         return rel_tol * max(float(sizes.max()), floor)
 
     t_edges, u_edges = _cavity_panel_edges(d, kd, 1.0 - max(abs(r_s), abs(r_p)), zsum, zdiff)
-    prop, _ = _gl_quadrature(f_prop, t_edges, budget)
-    evan, _ = _gl_quadrature(f_evan, u_edges, budget)
+    prop, _ = _adaptive_quadrature(f_prop, t_edges, budget, _kronrod_rule)
+    evan, _ = _adaptive_quadrature(f_evan, u_edges, budget, _kronrod_rule)
     p_re_t, p_im_t, p_re_l, p_im_l = map(math.fsum, prop)
     e_t, e_l = map(math.fsum, evan)
     return complex(e_t - p_im_t, p_re_t), complex(e_l - p_im_l, p_re_l)
@@ -411,12 +418,55 @@ def test_gl_quadrature_converged_first_level_is_one_call():
         calls.append(x.shape)
         return np.stack((np.cos(x), np.exp(x)))
 
-    values, err = _gl_quadrature(g, np.array([0.0, 0.25, 0.5, 1.0]),
-                                 lambda v: 1e-12 * np.abs(v.sum(axis=1)).max())
+    values, err = _adaptive_quadrature(g, np.array([0.0, 0.25, 0.5, 1.0]),
+                                       lambda v: 1e-12 * np.abs(v.sum(axis=1)).max(),
+                                       _halving_rule)
     assert calls == [(3 * 3, 20)]
     assert math.fsum(values[0]) == pytest.approx(math.sin(1.0), rel=1e-14)
     assert math.fsum(values[1]) == pytest.approx(math.e - 1.0, rel=1e-14)
     assert err < 1e-12
+
+
+def test_kronrod_quadrature_converged_first_level_is_one_call():
+    # 41 nodes a panel, K41 value and G20 error estimate from one call
+    calls = []
+
+    def g(x):
+        calls.append(x.shape)
+        return np.stack((np.cos(x), np.exp(x)))
+
+    values, err = _adaptive_quadrature(g, np.array([0.0, 0.25, 0.5, 1.0]),
+                                       lambda v: 1e-12 * np.abs(v.sum(axis=1)).max(),
+                                       _kronrod_rule)
+    assert calls == [(3, 41)]
+    assert math.fsum(values[0]) == pytest.approx(math.sin(1.0), rel=1e-15)
+    assert math.fsum(values[1]) == pytest.approx(math.e - 1.0, rel=1e-15)
+    assert err < 1e-12
+
+
+def test_kronrod_rule_extends_the_gauss_rule():
+    x, w, error_w = greens._K41_NODES, greens._K41_WEIGHTS, greens._K41_RULE[:, 1]
+    assert np.array_equal(greens._K41_RULE[:, 0], w)
+    # exact for x^j up to degree 3 * 20 + 1; an odd moment cancels to the
+    # round-off of numpy's power
+    for j in range(62):
+        moment = math.fsum((w * x**j).tolist())
+        if j % 2 == 0:
+            assert moment == pytest.approx(2.0 / (j + 1), rel=1e-15, abs=0.0)
+        else:
+            assert abs(moment) < 1e-17
+    # K41 - G20 vanishes up to degree 2 * 20 - 1, to the round-off of the
+    # numpy.polynomial G20 weights (whose own moments miss by up to 3.4e-15),
+    # and not at degree 40
+    for j in range(40):
+        assert abs(math.fsum((error_w * x**j).tolist())) < 1e-14
+    assert abs(math.fsum((error_w * x**40).tolist())) > 1e-12
+    assert math.fsum(w.tolist()) == 2.0
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1]) and x[20] == 0.0
+    assert np.all(np.diff(x) > 0.0)
+    gauss = greens._GL_NODES
+    assert np.all(np.abs(x[1::2] - gauss) <= np.spacing(np.abs(gauss)))
+    assert not any(a.flags.writeable for a in (x, w, greens._K41_RULE))
 
 
 @st.composite
@@ -770,6 +820,20 @@ def test_spectral_function_rejects_nan_or_negative_exclusion_radius_by_name(radi
     with pytest.raises(DomainError, match="exclusion_radius="):
         SpectralFunction(func=lambda w: 1.0, support=(1.0e14, 2.0e14), poles=(1.5e14,),
                          exclusion_radius=radius)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("poles", (math.nan,)), ("poles", (1.5e14, math.inf)), ("poles", (-math.inf,)),
+    ("hint_points", (math.nan,)), ("hint_points", (1.2e14, math.inf)),
+    ("hint_points", (-math.inf,)), ("exclusion_radius", math.inf),
+])
+def test_spectral_function_rejects_non_finite_poles_hints_or_radius_by_name(field, value):
+    # a NaN pole once passed, and the transform at 1.5e14 returned 0.0
+    # without applying the exclusion, as abs(omega - nan) < radius is False
+    fields = {"func": lambda w: 1.0, "support": (1.0e14, 2.0e14), "poles": (1.5e14,),
+              "exclusion_radius": 1.0e12}
+    with pytest.raises(DomainError, match=f"{field}="):
+        SpectralFunction(**{**fields, field: value})
 
 
 def test_kk_pole_exclusion():

@@ -67,6 +67,17 @@ def test_mode_model_invariants():
         ModeModel(omega_nu=1e15, gamma_nu=1e11, g2_aa=1.0, g2_bb=1.0, g2_ab=1.5)
 
 
+@pytest.mark.parametrize("field,value", [("omega_nu", math.inf),
+                                         ("g2_aa", math.nan), ("g2_aa", math.inf),
+                                         ("g2_bb", math.nan), ("g2_bb", -math.inf),
+                                         ("g2_ab", math.nan), ("g2_ab", math.inf)])
+def test_mode_model_rejects_non_finite_fields_by_name(field, value):
+    # a NaN g2_aa once passed, and mode_overlap returned -1.0
+    fields = {"omega_nu": 1e15, "gamma_nu": 1e11, "g2_aa": 1.0, "g2_bb": 4.0, "g2_ab": -2.0}
+    with pytest.raises(DomainError, match=f"{field}="):
+        ModeModel(**{**fields, field: value})
+
+
 # --------------------------------------------------------------- couplings
 
 def test_coupling_free_space_coincident_value():
@@ -227,6 +238,16 @@ def test_fit_lorentzian_degenerate_inputs():
     negative = [(float(w), -1.0 - w) for w in range(10)]
     with pytest.raises(FitError):
         fit_lorentzian(negative)
+
+
+@pytest.mark.parametrize("row,col,value", [(3, 1, math.nan), (0, 0, math.inf), (9, 1, -math.inf),
+                                           (4, 0, math.nan)])
+def test_fit_lorentzian_rejects_non_finite_samples_by_name(row, col, value):
+    # one NaN value once ended in a bare ValueError from an empty reduction
+    samples = [[1.0e15 + (i - 4.5) * 1.0e11, 1.0 / (1.0 + (i - 4.5) ** 2)] for i in range(10)]
+    samples[row][col] = value
+    with pytest.raises(DomainError, match="samples="):
+        fit_lorentzian(samples)
 
 
 # ------------------------------------------------------------ norm, overlap
