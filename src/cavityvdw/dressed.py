@@ -20,29 +20,12 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Protocol
 
 import numpy as np
 
 from .constants import HBAR
 from .errors import DomainError, QuadratureError
 from .record import Record
-
-
-class CouplingScenario(Protocol):
-    """Geometry hook the force operations differentiate through.
-
-    detuning [rad/s], the two positions [m], a length_scale [m] that sets
-    the finite-difference step, and rabi(r_a, r_b) -> Omega_R [rad/s]
-    as a pure function of trial positions.
-    """
-
-    detuning: float
-    position_a: tuple[float, float, float]
-    position_b: tuple[float, float, float]
-    length_scale: float
-
-    def rabi(self, r_a, r_b) -> float: ...
 
 
 class DressedSystem(Record):
@@ -70,35 +53,14 @@ class DressedSystem(Record):
             raise DomainError("Omega must equal hypot(Omega_R, Delta)")
 
 
-class SuperpositionAngle(Record):
-    """Mixing angle of cos(theta)|u1> + sin(theta)|u2>, theta in [0, pi)."""
-
-    theta: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.theta < math.pi):
-            raise DomainError(f"superposition angle must lie in [0, pi), got {self.theta}")
-
-
-def _theta_value(theta):
-    """The angle of a SuperpositionAngle, or theta as a scalar or an array
-    of angles."""
-    return theta.theta if isinstance(theta, SuperpositionAngle) else np.asarray(theta, dtype=float)
-
-
 def rabi_frequency(mode_norm: float, gamma_nu: float) -> float:
     """Omega_R = sqrt(gamma_nu pi N) [rad/s]."""
-    if mode_norm < 0.0:
-        raise DomainError(f"collective norm must be >= 0, got {mode_norm}")
-    if not gamma_nu > 0.0:
-        raise DomainError(f"mode width must be positive, got {gamma_nu}")
+    # written so that NaN fails them
+    if not 0.0 <= mode_norm < math.inf:
+        raise DomainError(f"collective norm must be >= 0 and finite, got mode_norm={mode_norm}")
+    if not 0.0 < gamma_nu < math.inf:
+        raise DomainError(f"mode width must be positive and finite, got gamma_nu={gamma_nu}")
     return math.sqrt(gamma_nu * math.pi * mode_norm)
-
-
-def hamiltonian_matrix(sys: DressedSystem) -> np.ndarray:
-    """[[0, Omega_R/2], [Omega_R/2, Delta]] in rad/s."""
-    half = sys.omega_r / 2.0
-    return np.array([[0.0, half], [half, sys.detuning]])
 
 
 def _require_nonnegative_rabi(omega_r) -> None:
@@ -147,12 +109,6 @@ def strong_coupling_potentials(omega_r, detuning):
     return (u, -u)
 
 
-def dressed_coefficients(theta_c: float) -> np.ndarray:
-    """Rows are the |+> and |-> expansions in the (|u1>, |u2>) basis."""
-    c, s = math.cos(theta_c), math.sin(theta_c)
-    return np.array([[c, s], [-s, c]])
-
-
 def potential_pm(omega):
     """(U+, U-) = (+hbar Omega/2, -hbar Omega/2) [J]."""
     low = np.asarray(omega).min()
@@ -164,7 +120,7 @@ def potential_pm(omega):
 
 def potential_theta(theta, sys: DressedSystem):
     """(hbar Omega / 2) cos(2 (theta - theta_c)) [J]."""
-    th = _theta_value(theta)
+    th = np.asarray(theta, dtype=float)
     return HBAR * sys.omega / 2.0 * np.cos(2.0 * (th - sys.theta_c))
 
 
@@ -199,15 +155,19 @@ class Gradient(namedtuple("Gradient", ("value", "error"))):
     __slots__ = ()
 
 
-def _pick_atom(scenario: CouplingScenario, atom: str):
+def _pick_atom(scenario, atom: str):
     if atom not in ("A", "B"):
         raise DomainError(f"atom selector must be 'A' or 'B', got {atom!r}")
     return np.asarray(scenario.position_a if atom == "A" else scenario.position_b, dtype=float)
 
 
-def grad_rabi(scenario: CouplingScenario, atom: str = "A") -> Gradient:
+def grad_rabi(scenario, atom: str = "A") -> Gradient:
     """Gradient of Omega_R with respect to one atom's position by
     richardson_slope on each axis, step FD_STEP x length_scale [rad/s per m].
+
+    The scenario is any object with detuning [rad/s], position_a and
+    position_b [m], length_scale [m] and rabi(r_a, r_b) -> Omega_R [rad/s],
+    a pure function of trial positions; force_theta reads the same.
 
     The error estimate is the largest of the axes' estimates; it blows up
     where Omega_R has a kink inside the stencil, and a QuadratureError
@@ -240,25 +200,16 @@ def grad_rabi(scenario: CouplingScenario, atom: str = "A") -> Gradient:
     return Gradient(refined, err)
 
 
-def force_eigenstate(scenario: CouplingScenario, sign: int, atom: str = "A") -> np.ndarray:
-    """Force on the chosen atom in the |+/-> eigenstate:
-    -+ (hbar/2) sin(2 theta_c) grad Omega_R [N]."""
-    if sign not in (+1, -1):
-        raise DomainError(f"sign must be +1 or -1, got {sign}")
-    omega_r = scenario.rabi(scenario.position_a, scenario.position_b)
-    theta_c = coupling_angle(omega_r, scenario.detuning)
-    return sign * theta_force(theta_c, grad_rabi(scenario, atom).value)
-
-
 def theta_force(theta, grad_omega_r, omega_r=None, detuning=None, variant: str = "corrected"):
     """Superposition force from a gradient of Omega_R [N]; theta, the
     gradient, Omega_R and Delta may be arrays that broadcast together.
 
-    corrected: -(hbar/2) sin(2 theta) grad Omega_R, the -grad U_theta form.
+    corrected: -(hbar/2) sin(2 theta) grad Omega_R, the -grad U_theta form;
+    theta = theta_c and theta_c + pi/2 give the |+> and |-> eigenstate forces.
     as-printed: the same scaled by 1/sin(2 theta_c(Omega_R, Delta)); requires
     Omega_R > 0.
     """
-    th = _theta_value(theta)
+    th = np.asarray(theta, dtype=float)
     base = -(HBAR / 2.0) * np.sin(2.0 * th) * grad_omega_r
     if variant == "corrected":
         return base
@@ -272,12 +223,7 @@ def theta_force(theta, grad_omega_r, omega_r=None, detuning=None, variant: str =
     raise DomainError(f"unknown variant {variant!r}; use 'corrected' or 'as-printed'")
 
 
-def force_theta(
-    scenario: CouplingScenario,
-    theta,
-    atom: str = "A",
-    variant: str = "corrected",
-) -> np.ndarray:
+def force_theta(scenario, theta, atom: str = "A", variant: str = "corrected") -> np.ndarray:
     """Force on the chosen atom in the prescribed superposition [N], with the
     finite-difference gradient of grad_rabi; see theta_force for the
     variants."""

@@ -39,10 +39,15 @@ class AtomSpec(Record):
         dip = np.asarray(self.dipole, dtype=float)
         if pos.shape != (3,) or dip.shape != (3,):
             raise DomainError("position and dipole must be 3-vectors")
-        if not self.omega10 > 0.0:
-            raise DomainError(f"transition frequency must be positive, got {self.omega10}")
-        if not float(np.linalg.norm(dip)) > 0.0:
-            raise DomainError("dipole vector must be nonzero")
+        # written so that NaN fails them
+        if not np.isfinite(pos).all():
+            raise DomainError(f"position must be finite, got position={self.position}")
+        if not 0.0 < self.omega10 < math.inf:
+            raise DomainError(
+                f"transition frequency must be positive and finite, got omega10={self.omega10}"
+            )
+        if not (np.isfinite(dip).all() and float(np.linalg.norm(dip)) > 0.0):
+            raise DomainError(f"dipole vector must be finite and nonzero, got dipole={self.dipole}")
         object.__setattr__(self, "position", tuple(float(v) for v in pos))
         object.__setattr__(self, "dipole", tuple(float(v) for v in dip))
 

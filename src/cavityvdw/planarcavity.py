@@ -60,8 +60,8 @@ def _clamp_interior(z: float, d: float, label: str) -> float:
 
 
 class PlanarScenario(Record):
-    """Concrete coupling scenario for the planar cavity; also satisfies the
-    protocol the dressed-state force operations differentiate through."""
+    """Coupling scenario for the planar cavity; its detuning, positions,
+    length_scale and rabi are what grad_rabi and force_theta read."""
 
     cavity: PlanarCavity
     atom_a: AtomSpec
@@ -104,7 +104,7 @@ class PlanarScenario(Record):
             atom_b=AtomSpec(position=(0.0, 0.0, z_b), omega10=w, dipole=dip),
         )
 
-    # protocol surface used by the dressed module
+    # the attributes grad_rabi and force_theta read
     @property
     def detuning(self) -> float:
         return self.cavity.omega_nu - self.atom_a.omega10

@@ -111,34 +111,38 @@ def free_space_resonant_potential(d_a, d_b, k, r):
     return float(u) if rv.ndim == 1 else u
 
 
+def _require_off_resonance(detuning) -> None:
+    """Delta, scalar or array, finite and nonzero; written so that NaN fails."""
+    if not np.isfinite(detuning).all():
+        raise DomainError(f"detuning must be finite, got detuning={detuning}")
+    if np.any(np.asarray(detuning) == 0.0):
+        raise DomainError("weak-coupling limit is undefined on resonance (Delta = 0)")
+
+
 def weak_limit_potentials(gamma_nu: float, mode_norm: float, detuning):
     """(U+, U-) = (+, -) hbar gamma_nu pi N / (4 Delta) [J]; Delta scalar or
     array."""
-    if not gamma_nu > 0.0:
-        raise DomainError(f"mode width must be positive, got {gamma_nu}")
-    if mode_norm < 0.0:
-        raise DomainError(f"collective norm must be >= 0, got {mode_norm}")
-    if np.any(np.asarray(detuning) == 0.0):
-        raise DomainError("weak-coupling limit is undefined on resonance (Delta = 0)")
+    # written so that NaN fails them
+    if not 0.0 < gamma_nu < math.inf:
+        raise DomainError(f"mode width must be positive and finite, got gamma_nu={gamma_nu}")
+    if not 0.0 <= mode_norm < math.inf:
+        raise DomainError(f"collective norm must be >= 0 and finite, got mode_norm={mode_norm}")
+    _require_off_resonance(detuning)
     u = HBAR * gamma_nu * math.pi * mode_norm / (4.0 * detuning)
     return (u, -u)
 
 
 def weak_theta_potential(theta, omega_r: float, detuning: float) -> float:
     """-(hbar / 4 Delta) cos(2 theta) Omega_R^2 [J]."""
-    if detuning == 0.0:
-        raise DomainError("weak-coupling limit is undefined on resonance (Delta = 0)")
-    th = theta.theta if hasattr(theta, "theta") else float(theta)
-    return -(HBAR / (4.0 * detuning)) * math.cos(2.0 * th) * omega_r**2
+    _require_off_resonance(detuning)
+    return -(HBAR / (4.0 * detuning)) * math.cos(2.0 * theta) * omega_r**2
 
 
 def weak_theta_force(theta, omega_r: float, grad_omega_r, detuning: float) -> np.ndarray:
     """+(hbar / 2 Delta) cos(2 theta) Omega_R grad Omega_R [N]."""
-    if detuning == 0.0:
-        raise DomainError("weak-coupling limit is undefined on resonance (Delta = 0)")
-    th = theta.theta if hasattr(theta, "theta") else float(theta)
+    _require_off_resonance(detuning)
     g = np.asarray(grad_omega_r, dtype=float)
-    return (HBAR / (2.0 * detuning)) * math.cos(2.0 * th) * omega_r * g
+    return (HBAR / (2.0 * detuning)) * math.cos(2.0 * theta) * omega_r * g
 
 
 def narrow_mode_real_contraction(

@@ -9,14 +9,10 @@ from cavityvdw.errors import DomainError, QuadratureError
 from cavityvdw.dressed import (
     DressedSystem,
     Gradient,
-    SuperpositionAngle,
     coupling_angle,
-    dressed_coefficients,
     eigenenergies,
-    force_eigenstate,
     force_theta,
     grad_rabi,
-    hamiltonian_matrix,
     potential_pm,
     potential_theta,
     rabi_frequency,
@@ -61,6 +57,15 @@ def test_rabi_frequency_values():
         rabi_frequency(1.0, 0.0)
 
 
+@pytest.mark.parametrize("mode_norm,gamma_nu,name", [
+    (math.nan, 1e11, "mode_norm=nan"), (math.inf, 1e11, "mode_norm=inf"),
+    (1.0, math.nan, "gamma_nu=nan"), (1.0, math.inf, "gamma_nu=inf"),
+])
+def test_rabi_frequency_rejects_non_finite_input_by_name(mode_norm, gamma_nu, name):
+    with pytest.raises(DomainError, match=name):
+        rabi_frequency(mode_norm, gamma_nu)
+
+
 def test_eigenenergies_three_four_five():
     ep, em = eigenenergies(4.0, 3.0)
     assert ep == pytest.approx(4.0 * HBAR_LIT, rel=1e-15, abs=0.0)
@@ -99,18 +104,17 @@ def test_eigenenergies_match_symmetric_eigensolver():
         omega_r = float(mag[i])
         delta = float(sign[i] * ratio[i] * mag[i])
         sys = DressedSystem.from_coupling(omega_r, delta)
-        evals = np.linalg.eigvalsh(hamiltonian_matrix(sys))
+        evals = np.linalg.eigvalsh([[0.0, omega_r / 2.0], [omega_r / 2.0, delta]])
         assert sys.e_minus / HBAR_LIT == pytest.approx(evals[0], rel=1e-12, abs=1e-12 * mag[i])
         assert sys.e_plus / HBAR_LIT == pytest.approx(evals[1], rel=1e-12, abs=1e-12 * mag[i])
 
 
-def test_hamiltonian_matrix_shape():
-    sys = DressedSystem.from_coupling(2.0e10, -3.0e9)
-    m = hamiltonian_matrix(sys)
-    assert m[0, 0] == 0.0 and m[0, 1] == m[1, 0] == 1.0e10 and m[1, 1] == -3.0e9
-    assert np.trace(m) == sys.detuning
-    diag = hamiltonian_matrix(DressedSystem.from_coupling(0.0, 5.0))
-    assert diag[0, 1] == 0.0 and diag[1, 0] == 0.0
+def test_dressed_system_consistency_check_holds_with_equality():
+    # Omega = hypot(Omega_R, Delta) exactly, here 0 = 0, must pass the check
+    sys = DressedSystem(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    assert sys.omega == 0.0
+    with pytest.raises(DomainError, match="hypot"):
+        DressedSystem(3.0, 4.0, 5.0 * (1.0 + 1e-8), 0.0, 0.0, 0.0)
 
 
 # ------------------------------------------------------------ coupling angle
@@ -148,15 +152,6 @@ def test_coupling_angle_continuity_through_resonance():
     assert above > below
 
 
-def test_dressed_coefficients_orthonormal():
-    for th in (0.0, 0.4, math.pi / 4.0, 1.2):
-        rows = dressed_coefficients(th)
-        assert np.allclose(rows @ rows.T, np.eye(2), atol=1e-15)
-    assert np.allclose(dressed_coefficients(0.0), np.eye(2), atol=0)
-    iso = dressed_coefficients(math.pi / 4.0)
-    assert np.allclose(np.abs(iso), 1.0 / math.sqrt(2.0), atol=1e-15)
-
-
 # ---------------------------------------------------------------- potentials
 
 def test_potential_pm_values():
@@ -175,23 +170,12 @@ def test_potential_theta_reductions():
     assert potential_theta(sys.theta_c, sys) == pytest.approx(up, rel=1e-12, abs=0.0)
     assert potential_theta(sys.theta_c + math.pi / 2, sys) == pytest.approx(um, rel=1e-12, abs=0.0)
     assert potential_theta(sys.theta_c + math.pi / 4, sys) == pytest.approx(0.0, abs=1e-12 * up)
-    th = SuperpositionAngle(0.9)
+    th = 0.9
     mix = potential_theta(th, sys)
-    expect = (
-        math.cos(th.theta - sys.theta_c) ** 2 * up + math.sin(th.theta - sys.theta_c) ** 2 * um
-    )
+    expect = math.cos(th - sys.theta_c) ** 2 * up + math.sin(th - sys.theta_c) ** 2 * um
     assert mix == pytest.approx(expect, rel=1e-12, abs=0.0)
     for t in np.linspace(0.0, math.pi, 37, endpoint=False):
         assert -up - 1e-18 <= potential_theta(float(t), sys) <= up + 1e-18
-
-
-def test_superposition_angle_domain():
-    SuperpositionAngle(0.0)
-    SuperpositionAngle(3.1)
-    with pytest.raises(DomainError):
-        SuperpositionAngle(-0.1)
-    with pytest.raises(DomainError):
-        SuperpositionAngle(math.pi)
 
 
 # ----------------------------------------------------------------- gradients
@@ -268,38 +252,45 @@ def test_grad_rabi_selector_validation():
 
 # ------------------------------------------------------------------- forces
 
-def test_force_eigenstate_resonant_reduction():
-    scn = ToyScenario(fn=sinusoidal(), detuning=0.0)
-    g = grad_rabi(scn, "A")
-    fp = force_eigenstate(scn, +1, "A")
-    fm = force_eigenstate(scn, -1, "A")
-    assert np.allclose(fp, -(HBAR_LIT / 2.0) * g.value, rtol=1e-12)
-    assert np.allclose(fm, +(HBAR_LIT / 2.0) * g.value, rtol=1e-12)
-    with pytest.raises(DomainError):
-        force_eigenstate(scn, 0, "A")
+def _theta_c(scn):
+    return coupling_angle(scn.rabi(scn.position_a, scn.position_b), scn.detuning)
 
 
-def test_force_eigenstate_matches_potential_gradient():
-    # -d/dz of hbar Omega(z)/2, differenced on the composed potential
-    scn = ToyScenario(fn=sinusoidal(), detuning=7.0e9)
+def test_force_theta_at_coupling_angle_is_eigenstate_force():
+    # theta = theta_c and theta_c + pi/2 are the |+> and |-> eigenstates,
+    # whose forces are -grad U+- = -+ d/dz of hbar Omega(z) / 2, differenced
+    # on the composed potential
+    for detuning in (7.0e9, 0.0):
+        scn = ToyScenario(fn=sinusoidal(), detuning=detuning)
 
-    def upot(z, sgn):
-        trial = ToyScenario(fn=scn.fn, detuning=scn.detuning,
-                            position_a=(0.0, 0.0, z), position_b=scn.position_b)
-        omega_r = trial.rabi(trial.position_a, trial.position_b)
-        return potential_pm(math.hypot(omega_r, scn.detuning))[0 if sgn > 0 else 1]
+        def upot(z, sgn):
+            trial = ToyScenario(fn=scn.fn, detuning=scn.detuning,
+                                position_a=(0.0, 0.0, z), position_b=scn.position_b)
+            omega_r = trial.rabi(trial.position_a, trial.position_b)
+            return potential_pm(math.hypot(omega_r, scn.detuning))[0 if sgn > 0 else 1]
 
-    z0 = scn.position_a[2]
-    h = 1e-7 * scn.length_scale * 1e3
-    for sgn in (+1, -1):
-        fd = -(upot(z0 + h, sgn) - upot(z0 - h, sgn)) / (2.0 * h)
-        got = force_eigenstate(scn, sgn, "A")[2]
-        assert got == pytest.approx(fd, rel=1e-6, abs=0.0)
+        z0 = scn.position_a[2]
+        h = 1e-4 * scn.length_scale
+        th = _theta_c(scn)
+        for sgn, theta in ((+1, th), (-1, th + math.pi / 2.0)):
+            fd = -(upot(z0 + h, sgn) - upot(z0 - h, sgn)) / (2.0 * h)
+            got = force_theta(scn, theta, "A")
+            assert got[2] == pytest.approx(fd, rel=1e-6, abs=0.0)
+            assert got[0] == got[1] == 0.0
+    # on resonance theta_c = pi/4, so they are -+ (hbar/2) grad Omega_R
+    g = grad_rabi(scn, "A").value
+    assert _theta_c(scn) == pytest.approx(math.pi / 4.0, rel=1e-15, abs=0.0)
+    assert np.allclose(force_theta(scn, math.pi / 4.0, "A"), -(HBAR_LIT / 2.0) * g, rtol=1e-12)
+    assert np.allclose(force_theta(scn, 3.0 * math.pi / 4.0, "A"), (HBAR_LIT / 2.0) * g,
+                       rtol=1e-12)
 
 
-def test_force_eigenstate_constant_rabi_is_zero():
+def test_force_theta_constant_rabi_is_zero():
+    # a flat Omega_R has no kink to report and exerts no force in any state
     scn = ToyScenario(fn=lambda ra, rb: 5.0e10, detuning=3.0e9)
-    assert np.all(force_eigenstate(scn, +1, "A") == 0.0)
+    th = _theta_c(scn)
+    for theta in (th, th + math.pi / 2.0, 0.7):
+        assert np.all(force_theta(scn, theta, "A") == 0.0)
 
 
 def test_force_theta_endpoint_zeros():

@@ -168,6 +168,14 @@ def test_planar_scattering_rejects_non_finite_separation_or_frequency(d, omega, 
         planar_scattering_components(d, -0.99, 0.99, 0.4e-6, 0.7e-6, omega)
 
 
+@pytest.mark.parametrize("z_over_d,zp_over_d", [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0)])
+def test_planar_scattering_rejects_points_on_a_mirror(z_over_d, zp_over_d):
+    # the domain is open: a point exactly on either mirror plane is outside it
+    d = 1.0e-6
+    with pytest.raises(DomainError, match="0 < z, z' < d"):
+        planar_scattering_components(d, -0.99, 0.99, z_over_d * d, zp_over_d * d, 2.0e15)
+
+
 def test_planar_scattering_reciprocity():
     ctrl = QuadratureControl(rel_tol=1e-10)
     d, delta, omega = 1.1e-6, 7.0e-3, 2.5e15
@@ -574,6 +582,10 @@ def test_planar_provider_requires_on_axis_points():
     g = prov.tensor(np.array([0.0, 0.0, 0.3e-6]), np.array([0.0, 0.0, 0.5e-6]), 2e15)
     ref = planar_cavity_green(cav, 0.3e-6, 0.5e-6, 2e15)
     assert np.allclose(g.matrix, ref.matrix, rtol=0, atol=0)
+    # a common axis need not be the z axis: equal nonzero transverse offsets
+    shifted = prov.tensor(np.array([0.2e-6, -0.1e-6, 0.3e-6]),
+                          np.array([0.2e-6, -0.1e-6, 0.5e-6]), 2e15)
+    assert np.array_equal(shifted.matrix, ref.matrix)
 
 
 @pytest.mark.parametrize("r1,r2,omega,name", [
@@ -587,6 +599,11 @@ def test_planar_provider_requires_on_axis_points():
 def test_free_space_provider_rejects_non_finite_input(r1, r2, omega, name):
     with pytest.raises(DomainError, match=name):
         FreeSpaceGreens().tensor(r1, r2, omega)
+
+
+def test_free_space_provider_rejects_zero_frequency():
+    with pytest.raises(DomainError, match="omega=0.0"):
+        FreeSpaceGreens().tensor((0.1e-6, 0.0, 0.3e-6), (0.0, 0.0, 0.5e-6), 0.0)
 
 
 @pytest.mark.parametrize("r1,r2", [((math.nan, 0.0, 0.3e-6), (0.0, 0.0, 0.5e-6)),
@@ -605,8 +622,10 @@ def test_planar_cavity_validation():
             PlanarCavity(d=d, delta=1e-3, nu=1)
     with pytest.raises(DomainError):
         PlanarCavity(d=1e-6, delta=0.0, nu=1)
-    with pytest.raises(DomainError):
-        PlanarCavity(d=1e-6, delta=0.2, nu=1)
+    for delta in (0.1, 0.2):
+        # the bound is exclusive: delta = 0.1 is already outside the model
+        with pytest.raises(DomainError, match="delta="):
+            PlanarCavity(d=1e-6, delta=delta, nu=1)
     with pytest.raises(DomainError):
         PlanarCavity(d=1e-6, delta=1e-3, nu=0)
     cav = PlanarCavity(d=1.0e-6, delta=1.0e-3, nu=1)

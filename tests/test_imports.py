@@ -1,6 +1,7 @@
 """Import contract: scipy is loaded only by fit_lorentzian, no CLI mode
-loads numpy.polynomial or dataclasses, and importing the CLI generates no
-code beyond the three namedtuples' constructors.
+loads numpy.polynomial or dataclasses, importing the CLI generates no code
+beyond the three namedtuples' constructors, and every public name has a
+shipped route or a listed reason.
 
 Every CLI mode evaluates closed forms or the numpy principal-value
 quadrature, and the cavity Green's tensor runs on the same numpy panel
@@ -9,14 +10,17 @@ engine's Gauss-Legendre rule is written out, and the package's value
 classes are Records, which generate no code.
 """
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import cavityvdw
 from cavityvdw import cli, greens
 from cavityvdw.config import MODES
 
@@ -112,6 +116,42 @@ def test_names_the_benchmark_tracer_patches_stay():
     # raises KeyError for a missing module attribute
     assert callable(vars(greens)["quad"])
     assert callable(vars(cli)["force_theta"])
+
+
+# public names no shipped route reaches, each with its reason; a name
+# reached by none of them is deleted, and a listed name that gains a route
+# leaves this list
+UNREACHED = {
+    "Gradient": "result type of grad_rabi",
+    "LorentzianFit": "result type of fit_lorentzian",
+    "RabiBreakdown": "result type of rabi_contributions",
+    "ResonantPotentialBreakdown": "result type of resonant_potential",
+    "free_space_green": "called by FreeSpaceGreens.tensor",
+    "free_space_im_green_coincident": "called by FreeSpaceGreens.tensor",
+    "rabi_frequency": "waits for the rabi-closed-form-vs-quadrature xcheck row",
+    "weak_theta_potential": "waits for the weak-limit-green-route xcheck row",
+    "weak_theta_force": "waits for the weak-limit-green-route xcheck row",
+    "NarrowModeGreens": "waits for the weak-limit-green-route xcheck row",
+}
+
+
+def test_every_public_name_is_reached_by_a_shipped_route():
+    # reached: named in another package module, in an acceptance criterion
+    # or in the benchmark
+    package = SRC / "cavityvdw"
+    home = {alias.name: node.module
+            for node in ast.parse((package / "__init__.py").read_text()).body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert set(home) >= set(cavityvdw.__all__)
+    routes = {p.stem: p.read_text() for p in package.glob("*.py") if p.name != "__init__.py"}
+    shipped = [(Path(__file__).parent / "test_acceptance.py").read_text()]
+    shipped += [p.read_text() for p in sorted((SRC.parent / "perfbench").glob("*.py"))]
+    unreached = {
+        name for name in cavityvdw.__all__
+        if not any(re.search(rf"\b{name}\b", text)
+                   for text in shipped + [t for m, t in routes.items() if m != home[name]])
+    }
+    assert unreached == set(UNREACHED)
 
 
 COMPILE_CHILD = """

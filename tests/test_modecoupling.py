@@ -78,6 +78,17 @@ def test_mode_model_rejects_non_finite_fields_by_name(field, value):
         ModeModel(**{**fields, field: value})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["position", "omega10", "dipole"])
+def test_atom_spec_rejects_non_finite_fields_by_name(field, value):
+    # a NaN position, omega10 = inf and an infinite dipole entry once passed
+    fields = {"position": (0.0, 0.0, 3e-7), "omega10": 2e15, "dipole": (1e-29, 0.0, 0.0)}
+    if field != "omega10":
+        value = (value, *fields[field][1:])
+    with pytest.raises(DomainError, match=f"{field}="):
+        AtomSpec(**{**fields, field: value})
+
+
 # --------------------------------------------------------------- couplings
 
 def test_coupling_free_space_coincident_value():

@@ -224,6 +224,23 @@ def test_weak_theta_force_is_negative_gradient():
         weak_theta_force(0.0, 1e9, (0.0, 0.0, 1e15), 0.0)
 
 
+@pytest.mark.parametrize("call,name", [
+    (lambda: weak_limit_potentials(1e11, math.nan, 1e12), "mode_norm=nan"),
+    (lambda: weak_limit_potentials(1e11, math.inf, 1e12), "mode_norm=inf"),
+    (lambda: weak_limit_potentials(math.inf, 1.0, 1e12), "gamma_nu=inf"),
+    (lambda: weak_limit_potentials(1e11, 1.0, math.nan), "detuning=nan"),
+    (lambda: weak_limit_potentials(1e11, 1.0, np.array([1e12, math.nan])), "detuning="),
+    (lambda: weak_theta_potential(0.3, 7e9, math.nan), "detuning=nan"),
+    (lambda: weak_theta_force(0.3, 7e9, (0.0, 0.0, 1e15), math.nan), "detuning=nan"),
+], ids=["limits-mode_norm-nan", "limits-mode_norm-inf", "limits-gamma_nu-inf",
+        "limits-detuning-nan", "limits-detuning-array", "theta_potential-detuning-nan",
+        "theta_force-detuning-nan"])
+def test_weak_limits_reject_non_finite_input_by_name(call, name):
+    # each once returned NaN
+    with pytest.raises(DomainError, match=name):
+        call()
+
+
 # ----------------------------------------------------- narrow-mode contraction
 
 def test_narrow_mode_real_contraction_basics():
