@@ -47,7 +47,7 @@ class DressedSystem(Record):
         return cls(omega_r, detuning, np.hypot(omega_r, detuning), theta_c, e_plus, e_minus)
 
     def __post_init__(self):
-        _require_nonnegative_rabi(self.omega_r)
+        _finite("vacuum Rabi frequency", "omega_r", self.omega_r, nonnegative=True)
         ref = np.hypot(self.omega_r, self.detuning)
         if not np.all(np.abs(self.omega - ref) <= 1e-9 * np.maximum(np.abs(self.omega), ref)):
             raise DomainError("Omega must equal hypot(Omega_R, Delta)")
@@ -63,10 +63,15 @@ def rabi_frequency(mode_norm: float, gamma_nu: float) -> float:
     return math.sqrt(gamma_nu * math.pi * mode_norm)
 
 
-def _require_nonnegative_rabi(omega_r) -> None:
-    low = np.asarray(omega_r).min()
-    if low < 0.0:
-        raise DomainError(f"vacuum Rabi frequency must be >= 0, got {low}")
+def _finite(what, name, value, nonnegative=False) -> np.ndarray:
+    """value as a float array, every entry finite (and >= 0), written so that
+    NaN fails; else a DomainError that names the first entry that is not."""
+    arr = np.asarray(value, dtype=float)
+    ok = np.isfinite(arr) & (arr >= 0.0) if nonnegative else np.isfinite(arr)
+    if not ok.all():
+        bound = " >= 0 and" if nonnegative else ""
+        raise DomainError(f"{what} must be{bound} finite, got {name}={arr[~ok].flat[0]}")
+    return arr
 
 
 def eigenenergies(omega_r, detuning):
@@ -82,7 +87,8 @@ def _omega_plus_minus_detuning(omega_r, detuning):
     two is Omega + |Delta| and their product is Omega_R^2, so the smaller is
     Omega_R^2 over the larger; both are sums of nonnegative terms, and both
     are 0 at Omega_R = Delta = 0."""
-    _require_nonnegative_rabi(omega_r)
+    _finite("vacuum Rabi frequency", "omega_r", omega_r, nonnegative=True)
+    _finite("detuning", "detuning", detuning)
     larger = np.hypot(omega_r, detuning) + np.abs(detuning)
     smaller = omega_r**2 / np.where(larger == 0.0, 1.0, larger)
     above = np.asarray(detuning) >= 0.0
@@ -111,16 +117,14 @@ def strong_coupling_potentials(omega_r, detuning):
 
 def potential_pm(omega):
     """(U+, U-) = (+hbar Omega/2, -hbar Omega/2) [J]."""
-    low = np.asarray(omega).min()
-    if low < 0.0:
-        raise DomainError(f"generalized Rabi frequency must be >= 0, got {low}")
+    _finite("generalized Rabi frequency", "omega", omega, nonnegative=True)
     u = HBAR * omega / 2.0
     return (u, -u)
 
 
 def potential_theta(theta, sys: DressedSystem):
     """(hbar Omega / 2) cos(2 (theta - theta_c)) [J]."""
-    th = np.asarray(theta, dtype=float)
+    th = _finite("superposition angle", "theta", theta)
     return HBAR * sys.omega / 2.0 * np.cos(2.0 * (th - sys.theta_c))
 
 

@@ -73,8 +73,7 @@ against their halves.
   error exceeds budget/n_panels is halved, with at most _QUAD_LIMIT
   halvings in all. Each level is one call of the integrand: the first on
   the initial panels, each later one on the halves of the panels being
-  split, which get 41 fresh nodes each on K41 and are the wholes of 40
-  fresh nodes each on G20.
+  split, which get 41 fresh nodes each on K41 and 60 on G20.
 
 The integrand depends on the points only through z + z' and |z - z'|, so
 the tensor is reciprocal bit for bit.
@@ -267,9 +266,9 @@ def free_space_im_green_coincident(k: float) -> ComplexDyad:
 
 
 def quad(f, a, b, **kwargs):
-    """scipy.integrate.quad, imported on first call. No quadrature in this
-    package calls it any more; the benchmark's tracer (perfbench/tracer.py)
-    patches this name to count integrand evaluations."""
+    """scipy.integrate.quad, imported on first call; scipy is no dependency
+    of the package. No quadrature here calls it: the benchmark's tracer
+    (perfbench/tracer.py) patches this name to count integrand evaluations."""
     from scipy.integrate import quad as scipy_quad
 
     return scipy_quad(f, a, b, **kwargs)
@@ -351,44 +350,31 @@ def _panel_edges(lo, hi, features, width, grading, fixed=()):
     return np.array(sorted([e for e in edges if lo <= e <= hi]), dtype=float)
 
 
-def _panel_sums(g, a, b):
-    """Gauss-Legendre estimate of the integral of each component of g over
-    each panel [a_i, b_i] (components x panels), from one call of g on the
-    nodes of all panels."""
-    half = 0.5 * (b - a)
-    nodes = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
-    sums = half * (g(nodes) @ _GL_WEIGHTS)
-    return sums if sums.ndim == 2 else sums[None]
-
-
-def _halving_rule(g, a, b, whole=None):
+def _halving_rule(g, a, b):
     """G20 panels checked against their halves: a panel's value is the sum
     of its two halves' G20 sums and its error |whole - two halves| summed
-    over components, whole being the panel's own G20 sum, evaluated here
-    (in the same call of g) unless given. Returns (values, errors, halves):
-    halves (components x 2 x panels) holds the left and right halves' sums,
-    the wholes of the panel's halves if it is split."""
+    over components, whole being the panel's own G20 sum; all three come
+    from one call of g on the 60 nodes of every panel. Returns (values,
+    errors)."""
     n = a.size
     mid = 0.5 * (a + b)
-    if whole is None:
-        sums = _panel_sums(g, np.concatenate((a, a, mid)), np.concatenate((b, mid, b)))
-        whole = sums[:, :n]
-    else:
-        sums = _panel_sums(g, np.concatenate((a, mid)), np.concatenate((mid, b)))
-    left, right = sums[:, -2 * n:-n], sums[:, -n:]
-    return (left + right, abs(whole - left - right).sum(axis=0),
-            sums[:, -2 * n:].reshape(len(sums), 2, n))
+    lo, hi = np.concatenate((a, a, mid)), np.concatenate((b, mid, b))
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_NODES
+    sums = np.atleast_2d(half * (g(nodes) @ _GL_WEIGHTS))
+    whole, left, right = sums[:, :n], sums[:, n:2 * n], sums[:, 2 * n:]
+    return left + right, abs(whole - left - right).sum(axis=0)
 
 
 def _kronrod_rule(g, a, b):
     """G20/K41 panels: a panel's value is its K41 sum and its error
     |K41 - G20| summed over components, both from one call of g (which
     stacks its components along a new first axis) on the 41 nodes of every
-    panel. Returns (values, errors, None)."""
+    panel. Returns (values, errors)."""
     half = 0.5 * (b - a)
     nodes = (0.5 * (a + b))[:, None] + half[:, None] * _K41_NODES
     sums = (g(nodes) @ _K41_RULE) * half[:, None]
-    return sums[..., 0], abs(sums[..., 1]).sum(axis=0), None
+    return sums[..., 0], abs(sums[..., 1]).sum(axis=0)
 
 
 def _adaptive_quadrature(g, edges, budget, rule):
@@ -402,14 +388,12 @@ def _adaptive_quadrature(g, edges, budget, rule):
     error exceeds budget(values), every panel whose error exceeds
     budget / n_panels is halved, with at most _QUAD_LIMIT halvings in all;
     the halves of the split panels, placed after the kept panels, are the
-    next level's one call of rule. A rule that returns halves (components x
-    2 x panels) gets those of the split panels back as the new panels'
-    wholes.
+    next level's one call of rule.
 
     Returns (values, error): the final panel values and the summed error.
     """
     a, b = edges[:-1], edges[1:]
-    values, error, halves = rule(g, a, b)
+    values, error = rule(g, a, b)
     splits = 0
     while True:
         target = budget(values)
@@ -425,12 +409,7 @@ def _adaptive_quadrature(g, edges, budget, rule):
         mid = 0.5 * (a[split] + b[split])
         new_a = np.concatenate((a[split], mid))
         new_b = np.concatenate((mid, b[split]))
-        if halves is None:
-            new_values, new_error, _ = rule(g, new_a, new_b)
-        else:
-            whole = halves[:, :, split].reshape(len(halves), -1)
-            new_values, new_error, new_halves = rule(g, new_a, new_b, whole)
-            halves = np.concatenate((halves[:, :, keep], new_halves), axis=2)
+        new_values, new_error = rule(g, new_a, new_b)
         a = np.concatenate((a[keep], new_a))
         b = np.concatenate((b[keep], new_b))
         values = np.concatenate((values[:, keep], new_values), axis=1)

@@ -126,9 +126,13 @@ class LorentzianFit(namedtuple("LorentzianFit", ("omega_nu", "gamma_nu", "peak",
 
 def fit_lorentzian(samples: Sequence[tuple[float, float]]) -> LorentzianFit:
     """Least-squares fit of (omega_nu, gamma_nu, peak) to (omega, value)
-    samples, initialized at the sample maximum. The fit runs in units of the
-    initial guesses, on sample offsets from the seed centre, so the three
-    parameters are comparably scaled."""
+    samples by variable projection (Golub and Pereyra, SIAM J. Numer. Anal.
+    10, 413 (1973)): the peak is linear, so only centre and width take
+    Levenberg-Marquardt steps (Marquardt, J. SIAM 11, 431 (1963)) on the
+    exact Jacobian, from the sample maximum and its half-maximum width; see
+    _fit_unit_lorentzian. FitError: constant samples, a non-positive
+    maximum, a non-positive fitted width or peak, and steps that stall at a
+    point neither exact nor stationary or do not end within 100 steps."""
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 5:
         raise DomainError(
@@ -140,23 +144,17 @@ def fit_lorentzian(samples: Sequence[tuple[float, float]]) -> LorentzianFit:
             f"samples must be finite, got {int(np.count_nonzero(~finite))} non-finite "
             f"(omega, value) rows in samples=, the first {arr[~finite][0].tolist()}"
         )
-    w = arr[:, 0]
-    y = arr[:, 1]
+    w, y = arr.T
     spread = float(y.max() - y.min())
     scale = max(abs(float(y.max())), abs(float(y.min())), 1.0)
     if spread <= 1e-12 * scale:
-        raise FitError(
-            "samples are constant; no peak to fit",
-            diagnostics={"spread": spread, "scale": scale},
-        )
+        raise FitError("samples are constant; no peak to fit",
+                       diagnostics={"spread": spread, "scale": scale})
     i0 = int(np.argmax(y))
-    peak0 = float(y[i0])
-    w0 = float(w[i0])
+    peak0, w0 = float(y[i0]), float(w[i0])
     if peak0 <= 0.0:
-        raise FitError(
-            "sample maximum is not positive; cannot seed a Lorentzian",
-            diagnostics={"peak0": peak0, "omega0": w0},
-        )
+        raise FitError("sample maximum is not positive; cannot seed a Lorentzian",
+                       diagnostics={"peak0": peak0, "omega0": w0})
     # width seed: distance to the half-maximum crossing, falling back to the
     # sample spacing when the peak is unresolved
     above = w[y >= peak0 / 2.0]
@@ -164,37 +162,61 @@ def fit_lorentzian(samples: Sequence[tuple[float, float]]) -> LorentzianFit:
     if g0 <= 0.0:
         g0 = float(np.median(np.abs(np.diff(np.sort(w))))) or 1.0
 
-    # the samples in units of the seeds, taken once: the centre parameter then
-    # moves against offsets of order one, not against omega itself, whose ulp
-    # can exceed the Jacobian's difference step in the centre
-    x = (w - w0) / g0
-    t = y / peak0
-
-    def resid(p):
-        a, b, c = p
-        quarter = b * b / 4.0
-        return c * quarter / ((x - a) ** 2 + quarter) - t
-
-    # imported here: no CLI mode fits, and importing scipy costs more than
-    # any of them computes
-    from scipy.optimize import least_squares
-
-    sol = least_squares(resid, x0=(0.0, 1.0, 1.0), xtol=1e-14, ftol=1e-14, gtol=None)
-    if not sol.success:
-        raise FitError(
-            f"Lorentzian fit did not converge: {sol.message}",
-            diagnostics={"status": sol.status, "x": tuple(sol.x)},
-        )
-    om_fit = w0 + sol.x[0] * g0
-    gam_fit = sol.x[1] * g0
-    peak_fit = sol.x[2] * peak0
-    if gam_fit <= 0.0:
-        raise FitError(
-            f"fitted width is not positive: {gam_fit}",
-            diagnostics={"omega_nu": om_fit, "peak": peak_fit},
-        )
-    res_norm = float(np.linalg.norm(sol.fun * peak0))
+    # in units of the seeds, the centre moves against offsets of order one,
+    # not against omega itself, whose ulp can exceed a step in the centre
+    a, b, c, r = _fit_unit_lorentzian((w - w0) / g0, y / peak0)
+    om_fit, gam_fit, peak_fit = w0 + a * g0, abs(b) * g0, c * peak0
+    # a projected peak is negative where the samples hold no peak at all
+    if not (gam_fit > 0.0 and peak_fit > 0.0):
+        raise FitError(f"fitted width and peak must be positive, got {gam_fit} and {peak_fit}",
+                       diagnostics={"omega_nu": om_fit, "gamma_nu": gam_fit, "peak": peak_fit})
+    res_norm = float(np.linalg.norm(r * peak0))
     return LorentzianFit(float(om_fit), float(gam_fit), float(peak_fit), res_norm)
+
+
+def _fit_unit_lorentzian(x, t):
+    """(a, b, c, r): the Lorentzian c (b^2/4) / ((x - a)^2 + b^2/4) nearest t
+    and its residuals r. At each (a, b), c = (phi . t) / (phi . phi), phi the
+    unit-peak profile. From (a, b) = (0, 1) and lam = 1e-3, a step delta
+    solves [J; sqrt(lam) diag |J_j|] delta = [-r; 0] (J the exact Jacobian of
+    r = c phi - t) and is taken, with lam = max(lam / 10, 1e-12), if it lowers
+    |r|, else lam grows 10x. The first with |delta| <= 1e-14 (1e-14 + |(a, b)|)
+    ends the steps, at a fit if |r| <= 1e-10 |t| (exact) or every column has
+    |J_j . r| <= 1e-6 |r| |J_j| (stationary)."""
+
+    def project(p):
+        quarter = p[1] * p[1] / 4.0
+        den = (x - p[0]) ** 2 + quarter
+        phi = quarter / den
+        c = (phi @ t) / (phi @ phi)
+        r = c * phi - t
+        # phi's derivatives, and through them the projected peak's
+        dphi = np.stack((2.0 * (x - p[0]) * phi / den, 0.5 * p[1] * (1.0 - phi) / den), axis=1)
+        dc = -(c * (phi @ dphi) + r @ dphi) / (phi @ phi)
+        return c, r, c * dphi + phi[:, None] * dc
+
+    p, lam = np.array([0.0, 1.0]), 1e-3
+    c, r, jac = project(p)
+    for _ in range(100):
+        damping = np.diag(math.sqrt(lam) * np.linalg.norm(jac, axis=0))
+        delta = np.linalg.lstsq(np.vstack((jac, damping)), np.concatenate((-r, [0.0, 0.0])),
+                                rcond=None)[0]
+        trial = project(p + delta)
+        if np.linalg.norm(trial[1]) < np.linalg.norm(r):
+            p, (c, r, jac) = p + delta, trial
+            lam = max(lam / 10.0, 1e-12)
+        else:
+            lam *= 10.0
+        ended = np.linalg.norm(delta) <= 1e-14 * (1e-14 + np.linalg.norm(p))
+        if ended:
+            break
+    norm = float(np.linalg.norm(r))
+    if not (ended and (norm <= 1e-10 * np.linalg.norm(t) or (
+            np.abs(r @ jac) <= 1e-6 * norm * np.linalg.norm(jac, axis=0)).all())):
+        raise FitError("Lorentzian fit stalled at a point neither exact nor stationary" if ended
+                       else "Lorentzian fit did not end within 100 steps",
+                       diagnostics={"x": (*p.tolist(), float(c)), "residual_norm": norm})
+    return p[0], p[1], c, r
 
 
 def mode_norm(m: ModeModel) -> float:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from cavityvdw.errors import DomainError, QuadratureError
+from cavityvdw.greens import PlanarCavity
+from cavityvdw.planarcavity import PlanarScenario
 from cavityvdw.dressed import (
     DressedSystem,
     Gradient,
@@ -152,6 +154,26 @@ def test_coupling_angle_continuity_through_resonance():
     assert above > below
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("as_array", [False, True])
+@pytest.mark.parametrize("call,name", [
+    (lambda v: eigenenergies(v, 0.0), "omega_r"),
+    (lambda v: eigenenergies(1.0, v), "detuning"),
+    (lambda v: coupling_angle(v, 1.0), "omega_r"),
+    (lambda v: coupling_angle(1.0, v), "detuning"),
+    (lambda v: DressedSystem.from_coupling(v, 1.0), "omega_r"),
+    (lambda v: DressedSystem.from_coupling(1.0, v), "detuning"),
+    (lambda v: potential_theta(v, DressedSystem.from_coupling(4.0, 3.0)), "theta"),
+    (lambda v: potential_pm(v), "omega"),
+])
+def test_dressed_functions_reject_non_finite_input_by_name(call, name, as_array, value):
+    # NaN once passed every check and came out as NaN levels, angles and
+    # potentials, and infinities ended in a RuntimeWarning
+    arg = np.array([1.0, value]) if as_array else value
+    with pytest.raises(DomainError, match=f"{name}={value}"):
+        call(arg)
+
+
 # ---------------------------------------------------------------- potentials
 
 def test_potential_pm_values():
@@ -242,6 +264,16 @@ def test_grad_rabi_kink_raises():
                       position_b=(0.0, 0.0, 0.7 * d))
     with pytest.raises(QuadratureError):
         grad_rabi(scn, "A")
+
+
+@pytest.mark.parametrize("z_b", [0.5, 0.3])
+def test_grad_rabi_is_exactly_zero_at_the_antinode(z_b):
+    # on the axis, at the nu = 1 antinode, the stencil's values cancel
+    # exactly: error 0 passes the kink check only against a positive
+    # reference scale, |grad| + |Omega_R| / length_scale
+    cav = PlanarCavity(d=1.0e-6, delta=1.0e-3, nu=1)
+    g = grad_rabi(PlanarScenario.resonant(cav, 0.5 * cav.d, z_b * cav.d), "A")
+    assert g.value.tolist() == [0.0, 0.0, 0.0] and g.error == 0.0
 
 
 def test_grad_rabi_selector_validation():

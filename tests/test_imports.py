@@ -1,16 +1,19 @@
-"""Import contract: scipy is loaded only by fit_lorentzian, no CLI mode
-loads numpy.polynomial or dataclasses, importing the CLI generates no code
-beyond the three namedtuples' constructors, and every public name has a
-shipped route or a listed reason.
+"""Import contract: the package imports what pyproject.toml declares,
+numpy and PyYAML, besides the standard library, with one listed exception;
+no CLI mode and no fit_lorentzian call loads scipy; no CLI mode loads
+numpy.polynomial or dataclasses; importing the CLI generates no code beyond
+the three namedtuples' constructors; and every public name has a shipped
+route or a listed reason.
 
 Every CLI mode evaluates closed forms or the numpy principal-value
 quadrature, and the cavity Green's tensor runs on the same numpy panel
-engine; importing scipy costs more than any of them computes. The panel
+engine; fit_lorentzian is a numpy variable-projection fit. The panel
 engine's Gauss-Legendre rule is written out, and the package's value
 classes are Records, which generate no code.
 """
 
 import ast
+import importlib.metadata
 import json
 import os
 import re
@@ -48,6 +51,9 @@ for stage, runs in zip(("closed_form", "quadrature"), json.loads(sys.argv[3])):
         report["codes"][f"{mode}:{config}"] = cli.main(
             [mode, "--config", f"{sys.argv[1]}/{config}.yaml", "--out", out])
     report[stage] = loaded()
+from cavityvdw.modecoupling import fit_lorentzian
+report["fit_width"] = fit_lorentzian([(w, 1.0 / (1.0 + (w - 4.0) ** 2)) for w in range(9)])[1]
+report["fit"] = loaded()
 print(json.dumps(report))
 """
 
@@ -75,6 +81,44 @@ def test_no_cli_mode_imports_scipy(cli_report):
     assert all(code == 0 for code in cli_report["codes"].values()), cli_report["codes"]
     assert [cli_report[stage]["scipy"] for stage in ("import", "closed_form", "quadrature")] \
         == [[], [], []]
+
+
+def test_fit_lorentzian_does_not_import_scipy(cli_report):
+    assert cli_report["fit_width"] == pytest.approx(2.0, rel=1e-12)
+    assert cli_report["fit"]["scipy"] == []
+
+
+# imports that pyproject.toml's dependencies do not cover, each with its reason
+UNDECLARED = {
+    ("greens", "scipy"): "greens.quad imports scipy.integrate on first call: no quadrature "
+                         "calls it, but the benchmark's tracer patches it by name",
+}
+
+
+def _imports():
+    """(module, top-level name) of every absolute import in the package's
+    modules, inside functions too."""
+    found = set()
+    for path in sorted((SRC / "cavityvdw").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found.update((path.stem, alias.name.partition(".")[0]) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add((path.stem, node.module.partition(".")[0]))
+    return found
+
+
+def test_imports_match_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9._-]+", dep)[0].lower() for dep in project["dependencies"]}
+    providers = importlib.metadata.packages_distributions()
+    third_party = {(module, top): {d.lower() for d in providers.get(top, ())}
+                   for module, top in _imports()
+                   if top not in sys.stdlib_module_names and top != "cavityvdw"}
+    assert {key for key, dists in third_party.items() if not dists & declared} == set(UNDECLARED)
+    # and every declared dependency is imported
+    assert declared <= set().union(*third_party.values())
 
 
 @pytest.mark.parametrize("top", ["numpy.polynomial", "dataclasses"])

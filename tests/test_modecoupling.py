@@ -2,10 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import least_squares
 
 from cavityvdw.errors import DomainError, FitError
-from cavityvdw.greens import ComplexDyad, FreeSpaceGreens, PlanarCavity, planar_resonant_im_gxx
+from cavityvdw.greens import (
+    ComplexDyad,
+    FreeSpaceGreens,
+    PlanarCavity,
+    planar_cavity_green,
+    planar_resonant_im_gxx,
+)
 from cavityvdw.modecoupling import (
     AtomSpec,
     ModeModel,
@@ -238,6 +247,102 @@ def test_fit_lorentzian_recovers_every_exact_lorentzian():
     # none of the 200 draws raises FitError, and the worst recovers to ~1e-15
     for i, (w0, g, peak, samples) in enumerate(_exact_lorentzian_draws()):
         assert _fit_miss(fit_lorentzian(samples), w0, g, peak) < 1e-9, (i, w0, g, peak)
+
+
+def _fit_or_fit_error(samples, w0, g, peak):
+    # a FitError is an answer; a fit that misses is not
+    try:
+        fit = fit_lorentzian(samples)
+    except FitError:
+        return
+    assert _fit_miss(fit, w0, g, peak) < 1e-9, (w0, g, peak)
+
+
+# the benchmark's fit: the nu = 1 mode of d = 1 um, delta = 1e-3, a centre
+# within 0.3 widths, a width within 20% and 41 samples over +-5 widths
+BENCH_CAVITY = PlanarCavity(d=1.0e-6, delta=1.0e-3, nu=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shift=st.floats(-0.3, 0.3), stretch=st.floats(0.8, 1.2), peak=st.floats(0.5e12, 2.0e12))
+def test_fit_lorentzian_recovers_benchmark_peaks_or_raises(shift, stretch, peak):
+    w0 = BENCH_CAVITY.omega_nu + shift * BENCH_CAVITY.gamma_nu
+    g = stretch * BENCH_CAVITY.gamma_nu
+    ws = w0 + np.linspace(-5.0, 5.0, 41) * g
+    _fit_or_fit_error(list(zip(ws, lorentzian_profile(peak, w0, g, ws))), w0, g, peak)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shift=st.floats(-0.1, 0.1), width_exp=st.floats(8.0, 12.0), peak_exp=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_fit_lorentzian_recovers_exact_lorentzian_draws_or_raises(shift, width_exp, peak_exp,
+                                                                  seed):
+    # the ranges of _exact_lorentzian_draws, the 41 offsets drawn as there
+    w0, g, peak = 1e15 * (1.0 + shift), 10.0**width_exp, 10.0**peak_exp
+    ws = np.sort(w0 + np.random.default_rng(seed).uniform(-6.0, 6.0, 41) * g)
+    _fit_or_fit_error(list(zip(ws, lorentzian_profile(peak, w0, g, ws))), w0, g, peak)
+
+
+@pytest.mark.parametrize("values,message", [
+    # a plateau with its maximum at the edge: the steps end on a line 3e-8
+    # seed widths wide between two samples, neither exact nor stationary
+    ([1.0] * 8 + [2.0], "stalled"),
+    # a lone spike: the width shrinks toward zero without end
+    ([0.0] * 4 + [1.0] + [0.0] * 4, "did not end within 100 steps"),
+])
+def test_fit_lorentzian_raises_when_the_steps_stall_or_do_not_end(values, message):
+    with pytest.raises(FitError, match=message) as info:
+        fit_lorentzian(list(zip(range(9), values)))
+    assert set(info.value.diagnostics) == {"x", "residual_norm"}
+    assert len(info.value.diagnostics["x"]) == 3
+
+
+def test_fit_lorentzian_rejects_a_negative_projected_peak():
+    # a spike over a negative baseline: the nearest Lorentzian is a line
+    # far wider than the window, with a negative peak
+    with pytest.raises(FitError, match="peak must be positive"):
+        fit_lorentzian(list(zip(range(9), [-1.0] * 4 + [1.0] + [-1.0] * 4)))
+
+
+def _least_squares_fit(samples):
+    """(omega_nu, gamma_nu, peak) by scipy.optimize.least_squares on all three
+    parameters, from fit_lorentzian's seeds in its seed units."""
+    w, y = np.asarray(samples, dtype=float).T
+    i0 = int(np.argmax(y))
+    above = w[y >= y[i0] / 2.0]
+    g0 = above.max() - above.min()
+    x, t = (w - w[i0]) / g0, y / y[i0]
+    sol = least_squares(lambda p: p[2] * p[1] ** 2 / 4.0 / ((x - p[0]) ** 2 + p[1] ** 2 / 4.0) - t,
+                        x0=(0.0, 1.0, 1.0), xtol=1e-14, ftol=1e-14, gtol=None)
+    assert sol.success, sol.message
+    return w[i0] + sol.x[0] * g0, abs(sol.x[1]) * g0, sol.x[2] * y[i0]
+
+
+def _noisy_samples():
+    w0, g, peak = 1.1e15, 2.0e11, 1.0
+    ws = np.linspace(w0 - 10.0 * g, w0 + 10.0 * g, 121)
+    noise = 1e-6 * np.random.default_rng(8891).standard_normal(ws.size)
+    return list(zip(ws, lorentzian_profile(peak, w0, g, ws) + noise))
+
+
+def _criterion_8_samples():
+    # the derivative of the quadrature's resonance scan, as criterion 8 fits it
+    cav = PlanarCavity(d=1.0e-6, delta=1.0e-3, nu=1)
+    z = cav.d / 2
+    omegas = cav.omega_nu + np.linspace(-5.0, 5.0, 81) * cav.gamma_nu
+    scan = np.array([w**2 * planar_cavity_green(cav, z, z, float(w)).entry("x", "x").imag
+                     for w in omegas])
+    return list(zip(omegas[1:-1], (scan[2:] - scan[:-2]) / (omegas[2:] - omegas[:-2])))
+
+
+@pytest.mark.parametrize("samples", [_noisy_samples, _criterion_8_samples])
+def test_fit_lorentzian_agrees_with_scipy_least_squares(samples):
+    data = samples()
+    fit = fit_lorentzian(data)
+    w0, g, peak = _least_squares_fit(data)
+    assert abs(fit.omega_nu - w0) <= 1e-9 * g
+    assert fit.gamma_nu == pytest.approx(g, rel=1e-9, abs=0.0)
+    assert fit.peak == pytest.approx(peak, rel=1e-9, abs=0.0)
 
 
 def test_fit_lorentzian_degenerate_inputs():
