@@ -24,7 +24,7 @@ from collections import namedtuple
 import numpy as np
 
 from .constants import HBAR
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, QuadratureError, require
 from .record import Record
 
 
@@ -47,7 +47,12 @@ class DressedSystem(Record):
         return cls(omega_r, detuning, np.hypot(omega_r, detuning), theta_c, e_plus, e_minus)
 
     def __post_init__(self):
-        _finite("vacuum Rabi frequency", "omega_r", self.omega_r, nonnegative=True)
+        require("vacuum Rabi frequency", "omega_r", self.omega_r, "nonnegative")
+        require("detuning", "detuning", self.detuning)
+        require("generalized Rabi frequency", "omega", self.omega, "nonnegative")
+        require("coupling angle", "theta_c", self.theta_c)
+        require("dressed energy", "e_plus", self.e_plus)
+        require("dressed energy", "e_minus", self.e_minus)
         ref = np.hypot(self.omega_r, self.detuning)
         if not np.all(np.abs(self.omega - ref) <= 1e-9 * np.maximum(np.abs(self.omega), ref)):
             raise DomainError("Omega must equal hypot(Omega_R, Delta)")
@@ -55,23 +60,9 @@ class DressedSystem(Record):
 
 def rabi_frequency(mode_norm: float, gamma_nu: float) -> float:
     """Omega_R = sqrt(gamma_nu pi N) [rad/s]."""
-    # written so that NaN fails them
-    if not 0.0 <= mode_norm < math.inf:
-        raise DomainError(f"collective norm must be >= 0 and finite, got mode_norm={mode_norm}")
-    if not 0.0 < gamma_nu < math.inf:
-        raise DomainError(f"mode width must be positive and finite, got gamma_nu={gamma_nu}")
+    require("collective norm", "mode_norm", mode_norm, "nonnegative")
+    require("mode width", "gamma_nu", gamma_nu, "positive")
     return math.sqrt(gamma_nu * math.pi * mode_norm)
-
-
-def _finite(what, name, value, nonnegative=False) -> np.ndarray:
-    """value as a float array, every entry finite (and >= 0), written so that
-    NaN fails; else a DomainError that names the first entry that is not."""
-    arr = np.asarray(value, dtype=float)
-    ok = np.isfinite(arr) & (arr >= 0.0) if nonnegative else np.isfinite(arr)
-    if not ok.all():
-        bound = " >= 0 and" if nonnegative else ""
-        raise DomainError(f"{what} must be{bound} finite, got {name}={arr[~ok].flat[0]}")
-    return arr
 
 
 def eigenenergies(omega_r, detuning):
@@ -87,8 +78,8 @@ def _omega_plus_minus_detuning(omega_r, detuning):
     two is Omega + |Delta| and their product is Omega_R^2, so the smaller is
     Omega_R^2 over the larger; both are sums of nonnegative terms, and both
     are 0 at Omega_R = Delta = 0."""
-    _finite("vacuum Rabi frequency", "omega_r", omega_r, nonnegative=True)
-    _finite("detuning", "detuning", detuning)
+    require("vacuum Rabi frequency", "omega_r", omega_r, "nonnegative")
+    require("detuning", "detuning", detuning)
     larger = np.hypot(omega_r, detuning) + np.abs(detuning)
     smaller = omega_r**2 / np.where(larger == 0.0, 1.0, larger)
     above = np.asarray(detuning) >= 0.0
@@ -117,14 +108,14 @@ def strong_coupling_potentials(omega_r, detuning):
 
 def potential_pm(omega):
     """(U+, U-) = (+hbar Omega/2, -hbar Omega/2) [J]."""
-    _finite("generalized Rabi frequency", "omega", omega, nonnegative=True)
+    require("generalized Rabi frequency", "omega", omega, "nonnegative")
     u = HBAR * omega / 2.0
     return (u, -u)
 
 
 def potential_theta(theta, sys: DressedSystem):
     """(hbar Omega / 2) cos(2 (theta - theta_c)) [J]."""
-    th = _finite("superposition angle", "theta", theta)
+    th = require("superposition angle", "theta", theta)
     return HBAR * sys.omega / 2.0 * np.cos(2.0 * (th - sys.theta_c))
 
 
@@ -213,8 +204,8 @@ def theta_force(theta, grad_omega_r, omega_r=None, detuning=None, variant: str =
     as-printed: the same scaled by 1/sin(2 theta_c(Omega_R, Delta)); requires
     Omega_R > 0.
     """
-    th = np.asarray(theta, dtype=float)
-    base = -(HBAR / 2.0) * np.sin(2.0 * th) * grad_omega_r
+    th = require("superposition angle", "theta", theta)
+    base = -(HBAR / 2.0) * np.sin(2.0 * th) * require("gradient", "grad_omega_r", grad_omega_r)
     if variant == "corrected":
         return base
     if variant == "as-printed":

@@ -87,7 +87,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .constants import C
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, QuadratureError, require
 from .modecoupling import lorentzian_profile
 from .record import Record
 
@@ -112,7 +112,7 @@ class ComplexDyad(Record):
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (3, 3):
             raise DomainError(f"dyad matrix must be 3x3, got {m.shape}")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", require("dyad entry", "matrix", m))
         if self.real_status not in ("full", "scattering-only", "excluded"):
             raise DomainError(f"unknown real_status {self.real_status!r}")
 
@@ -139,15 +139,11 @@ class PlanarCavity(Record):
     nu: int = 1
 
     def __post_init__(self):
-        # written so that NaN fails it; an infinite d has no modes
-        if not 0.0 < self.d < math.inf:
-            raise DomainError(f"plate separation must satisfy 0 < d < inf, got d={self.d}")
+        # an infinite d has no modes
+        require("plate separation", "d", self.d, "positive")
         # model validity: almost perfectly reflecting plates
-        if not 0.0 < self.delta < 0.1:
-            raise DomainError(
-                f"reflectivity deviation must satisfy 0 < delta < 0.1, got delta={self.delta}"
-            )
-        if int(self.nu) != self.nu or self.nu < 1:
+        require("reflectivity deviation", "delta", self.delta, (0.0, 0.1))
+        if int(require("mode index", "nu", self.nu)) != self.nu or self.nu < 1:
             raise DomainError(f"mode index must be an integer >= 1, got nu={self.nu}")
         object.__setattr__(self, "nu", int(self.nu))
 
@@ -183,8 +179,7 @@ class QuadratureControl(Record):
 
     def __post_init__(self):
         # an infinite rel_tol would accept any first level unchecked
-        if not 0.0 < self.rel_tol < math.inf:
-            raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol}")
+        require("relative error target", "rel_tol", self.rel_tol, "positive")
 
 
 _DEFAULT_CONTROL = QuadratureControl()
@@ -197,30 +192,20 @@ class SpectralFunction(Record):
     func is called on numpy arrays of quadrature nodes and must return an
     array of the same shape, or a constant, which is broadcast.
     support is the caller-declared window containing all non-negligible mass
-    (the integrable-decay statement). poles/exclusion_radius declare where
-    the function itself must not be probed. hint_points are interior sharp
+    (the integrable-decay statement). hint_points are interior sharp
     features (for example a narrow peak) passed to the quadrature.
     """
 
     func: Callable[[np.ndarray], np.ndarray | float]
     support: tuple[float, float]
-    poles: tuple[float, ...] = ()
-    exclusion_radius: float = 0.0
     hint_points: tuple[float, ...] = ()
 
     def __post_init__(self):
-        lo, hi = self.support
-        # written so that NaN fails them; the panels need a finite window
-        if not -math.inf < lo < hi < math.inf:
-            raise DomainError(f"support must be a finite window lo < hi, got support=({lo}, {hi})")
-        if not 0.0 <= self.exclusion_radius < math.inf:
-            raise DomainError(f"exclusion_radius must be >= 0 and finite, "
-                              f"got exclusion_radius={self.exclusion_radius}")
-        # a NaN pole would never be excluded, as abs(omega - nan) < r is False
-        for name in ("poles", "hint_points"):
-            points = getattr(self, name)
-            if not all(-math.inf < p < math.inf for p in points):
-                raise DomainError(f"{name} must be finite, got {name}={points}")
+        # the panels need a finite window
+        lo, hi = require("support window", "support", self.support)
+        if not lo < hi:
+            raise DomainError(f"support must be a window lo < hi, got support=({lo}, {hi})")
+        require("hint point", "hint_points", self.hint_points)
 
     def __call__(self, omega: float) -> float:
         return float(self.func(omega))
@@ -237,13 +222,11 @@ def _free_space_terms(k: float, rn: float) -> tuple[complex, complex, complex]:
 def free_space_green(k: float, r: Sequence[float]) -> ComplexDyad:
     """Free-space dyadic Green's tensor at wavenumber k [1/m] and
     displacement r [m]. Entrywise symmetric; even in r."""
-    if not 0.0 < k < math.inf:
-        raise DomainError(f"wavenumber must be positive and finite, got k={k}")
+    require("wavenumber", "k", k, "positive")
     rv = np.asarray(r, dtype=float)
     if rv.shape != (3,):
         raise DomainError(f"displacement must be a 3-vector, got shape {rv.shape}")
-    if not np.isfinite(rv).all():
-        raise DomainError(f"displacement must be finite, got r={rv.tolist()}")
+    require("displacement", "r", rv)
     rn = float(np.linalg.norm(rv))
     if rn == 0.0:
         raise DomainError(
@@ -259,8 +242,7 @@ def free_space_green(k: float, r: Sequence[float]) -> ComplexDyad:
 def free_space_im_green_coincident(k: float) -> ComplexDyad:
     """Regularized r -> 0 limit of the free-space tensor: imaginary part
     (k/6 pi) x identity; the divergent real part is excluded."""
-    if not 0.0 < k < math.inf:
-        raise DomainError(f"wavenumber must be positive and finite, got k={k}")
+    require("wavenumber", "k", k, "positive")
     m = 1j * (k / (6.0 * math.pi)) * np.eye(3)
     return ComplexDyad(m, real_status="excluded")
 
@@ -450,16 +432,13 @@ def planar_scattering_components(
     the same result bit for bit.
     """
     control = control or _DEFAULT_CONTROL
-    # written so that NaN fails them; an infinite d or omega has no panels
-    if not 0.0 < d < math.inf:
-        raise DomainError(f"plate separation must satisfy 0 < d < inf, got d={d}")
+    # an infinite d or omega has no panels
+    require("plate separation", "d", d, "positive")
     if not (0.0 < z < d and 0.0 < zp < d):
-        raise DomainError(f"points must satisfy 0 < z, z' < d; got z={z}, z'={zp}, d={d}")
-    if not 0.0 < omega < math.inf:
-        raise DomainError(f"angular frequency must be positive and finite, got omega={omega}")
-    # written so that a NaN coefficient fails it
+        raise DomainError(f"points must satisfy 0 < z, z' < d; got z={z}, zp={zp}, d={d}")
+    require("angular frequency", "omega", omega, "positive")
     if not (abs(r_s) < 1.0 and abs(r_p) < 1.0):
-        raise DomainError("reflection coefficients must satisfy |r| < 1")
+        raise DomainError(f"reflection coefficients must satisfy |r| < 1, got r_s={r_s}, r_p={r_p}")
     if r_s == 0.0 and r_p == 0.0:
         return 0.0 + 0.0j, 0.0 + 0.0j, 0.0
     k = omega / C
@@ -588,10 +567,9 @@ def planar_resonant_im_gxx(
     """
     d = cav.d
     if not (0.0 <= z_a <= d and 0.0 <= z_b <= d):
-        raise DomainError(f"positions must lie in [0, d]; got z_A={z_a}, z_B={z_b}, d={d}")
+        raise DomainError(f"positions must lie in [0, d]; got z_a={z_a}, z_b={z_b}, d={d}")
     om_nu = cav.omega_nu
     gam = cav.gamma_nu
-    # written so that a NaN omega fails it
     if not abs(omega - om_nu) <= _SINGLE_MODE_WINDOW * gam:
         raise DomainError(
             f"omega={omega} is {abs(omega - om_nu) / gam:.3g} mode widths from resonance, "
@@ -633,15 +611,7 @@ def kk_real_from_imag(
     their own 1/pi prefactor.
     """
     control = control or _DEFAULT_CONTROL
-    # written so that a NaN omega fails it
-    if not abs(omega) < math.inf:
-        raise DomainError(f"angular frequency must be finite, got omega={omega}")
-    for p in f.poles:
-        if abs(omega - p) < f.exclusion_radius:
-            raise DomainError(
-                f"omega={omega} lies within the exclusion radius "
-                f"{f.exclusion_radius} of a declared pole at {p}"
-            )
+    require("angular frequency", "omega", omega)
     lo, hi = f.support
     radius = f0 = 0.0
     if lo < omega < hi:
@@ -684,14 +654,9 @@ class FreeSpaceGreens:
     regularized imaginary-part limit at coincident points."""
 
     def tensor(self, r1: Sequence[float], r2: Sequence[float], omega: float) -> ComplexDyad:
-        # written so that NaN fails them
-        if not 0.0 < omega < math.inf:
-            raise DomainError(f"angular frequency must be positive and finite, got omega={omega}")
-        p1 = np.asarray(r1, dtype=float)
-        p2 = np.asarray(r2, dtype=float)
-        for name, p in (("r1", p1), ("r2", p2)):
-            if not np.isfinite(p).all():
-                raise DomainError(f"position must be finite, got {name}={p.tolist()}")
+        require("angular frequency", "omega", omega, "positive")
+        p1 = require("position", "r1", np.asarray(r1, dtype=float))
+        p2 = require("position", "r2", np.asarray(r2, dtype=float))
         k = omega / C
         dr = p1 - p2
         if float(np.linalg.norm(dr)) == 0.0:
@@ -710,10 +675,9 @@ class PlanarCavityGreens:
     def tensor(self, r1: Sequence[float], r2: Sequence[float], omega: float) -> ComplexDyad:
         p1 = np.asarray(r1, dtype=float)
         p2 = np.asarray(r2, dtype=float)
-        # written so that a NaN coordinate fails it
         if not np.max(np.abs(p1[:2] - p2[:2])) <= 1e-12 * self.cavity.d:
-            raise DomainError(
-                "planar provider supports on-axis geometry only "
-                "(equal transverse coordinates)"
-            )
+            raise DomainError("planar provider supports on-axis geometry only (equal transverse "
+                              f"coordinates), got r1={p1.tolist()}, r2={p2.tolist()}")
+        require("position", "r1", p1)
+        require("position", "r2", p2)
         return planar_cavity_green(self.cavity, float(p1[2]), float(p2[2]), omega, self.control)

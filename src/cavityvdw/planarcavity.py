@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .constants import C, EPS0, HBAR
-from .errors import DomainError
+from .errors import DomainError, require
 from .greens import PlanarCavity
 from .modecoupling import AtomSpec
 from .record import Record
@@ -37,10 +37,8 @@ _EDGE = 1e-6  # interior clamp, fraction of d
 def free_decay_rate(omega10: float, dipole_norm: float) -> float:
     """Free-space spontaneous decay rate omega^3 |d|^2 / (3 pi eps0 hbar c^3)
     [rad/s]."""
-    if not (omega10 > 0.0 and dipole_norm > 0.0):
-        raise DomainError(
-            f"decay rate needs positive inputs, got omega10={omega10}, |d|={dipole_norm}"
-        )
+    require("transition frequency", "omega10", omega10, "positive")
+    require("dipole norm", "dipole_norm", dipole_norm, "positive")
     return omega10**3 * dipole_norm**2 / (3.0 * math.pi * EPS0 * HBAR * C**3)
 
 
@@ -177,7 +175,7 @@ def sweep_positions(scn: PlanarScenario, sweep: str, grid) -> tuple[np.ndarray, 
     """
     if sweep not in ("joint", "A", "B"):
         raise DomainError(f"sweep must be 'joint', 'A' or 'B', got {sweep!r}")
-    zs = np.asarray(grid, dtype=float)
+    zs = require("sweep grid", "grid", np.asarray(grid, dtype=float))
     if zs.ndim != 1 or zs.size == 0:
         raise DomainError("sweep grid must be a nonempty 1-d sequence of positions")
     d = scn.cavity.d
@@ -199,13 +197,14 @@ class RabiBreakdown(Record):
     omega2_total: float
 
     def __post_init__(self):
+        for name in self._fields:
+            require("squared Rabi frequency", name, getattr(self, name),
+                    "finite" if name == "omega2_ab" else "nonnegative")
         # the sum cancels exactly at a node s_A = -s_B, so it is compared on
         # the scale of its terms, not of itself
         parts = (self.omega2_a, self.omega2_b, self.omega2_ab)
         if abs(self.omega2_total - sum(parts)) > 1e-12 * sum(map(abs, parts)):
             raise DomainError("omega2_total must equal omega2_a + omega2_b + omega2_ab")
-        if self.omega2_total < 0.0:
-            raise DomainError(f"omega2_total must be >= 0, got {self.omega2_total}")
 
 
 def _require_resonance(scn: PlanarScenario) -> None:

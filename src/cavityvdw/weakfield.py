@@ -22,7 +22,7 @@ from typing import Literal
 import numpy as np
 
 from .constants import EPS0, HBAR, MU0
-from .errors import DomainError
+from .errors import DomainError, require
 from .greens import ComplexDyad, QuadratureControl, SpectralFunction, kk_real_from_imag
 from .modecoupling import AtomSpec, ModeModel, lorentzian_profile
 from .record import Record
@@ -42,6 +42,11 @@ class ResonantPotentialBreakdown(Record):
     single_b: float | None
     interaction: float
     total: float
+
+    def __post_init__(self):
+        for name in self._fields:
+            if getattr(self, name) is not None:
+                require("resonant potential term", name, getattr(self, name))
 
     @property
     def singles_omitted(self) -> bool:
@@ -92,16 +97,14 @@ def free_space_resonant_potential(d_a, d_b, k, r):
     against it. One displacement gives a float, a stack an array of shape
     r.shape[:-1].
     """
-    k = np.asarray(k, dtype=float)
-    if not np.all(k > 0.0):
-        raise DomainError(f"wavenumber must be positive, got {k}")
-    rv = np.asarray(r, dtype=float)
+    k = require("wavenumber", "k", np.asarray(k, dtype=float), "positive")
+    rv = require("displacement", "r", np.asarray(r, dtype=float))
     rmag = np.linalg.norm(rv, axis=-1)
     if np.any(rmag == 0.0):
         raise DomainError("free-space resonant potential diverges at zero separation")
     e = rv / rmag[..., None]
-    da = np.asarray(d_a, dtype=float)
-    db = np.asarray(d_b, dtype=float)
+    da = require("dipole", "d_a", np.asarray(d_a, dtype=float))
+    db = require("dipole", "d_b", np.asarray(d_b, dtype=float))
     dd = np.sum(da * db, axis=-1)
     ee = np.sum(da * e, axis=-1) * np.sum(db * e, axis=-1)
     x = k * rmag
@@ -112,21 +115,16 @@ def free_space_resonant_potential(d_a, d_b, k, r):
 
 
 def _require_off_resonance(detuning) -> None:
-    """Delta, scalar or array, finite and nonzero; written so that NaN fails."""
-    if not np.isfinite(detuning).all():
-        raise DomainError(f"detuning must be finite, got detuning={detuning}")
-    if np.any(np.asarray(detuning) == 0.0):
+    """Delta, scalar or array, finite and nonzero."""
+    if np.any(require("detuning", "detuning", detuning) == 0.0):
         raise DomainError("weak-coupling limit is undefined on resonance (Delta = 0)")
 
 
 def weak_limit_potentials(gamma_nu: float, mode_norm: float, detuning):
     """(U+, U-) = (+, -) hbar gamma_nu pi N / (4 Delta) [J]; Delta scalar or
     array."""
-    # written so that NaN fails them
-    if not 0.0 < gamma_nu < math.inf:
-        raise DomainError(f"mode width must be positive and finite, got gamma_nu={gamma_nu}")
-    if not 0.0 <= mode_norm < math.inf:
-        raise DomainError(f"collective norm must be >= 0 and finite, got mode_norm={mode_norm}")
+    require("mode width", "gamma_nu", gamma_nu, "positive")
+    require("collective norm", "mode_norm", mode_norm, "nonnegative")
     _require_off_resonance(detuning)
     u = HBAR * gamma_nu * math.pi * mode_norm / (4.0 * detuning)
     return (u, -u)
@@ -134,14 +132,18 @@ def weak_limit_potentials(gamma_nu: float, mode_norm: float, detuning):
 
 def weak_theta_potential(theta, omega_r: float, detuning: float) -> float:
     """-(hbar / 4 Delta) cos(2 theta) Omega_R^2 [J]."""
+    require("superposition angle", "theta", theta)
+    require("vacuum Rabi frequency", "omega_r", omega_r)
     _require_off_resonance(detuning)
     return -(HBAR / (4.0 * detuning)) * math.cos(2.0 * theta) * omega_r**2
 
 
 def weak_theta_force(theta, omega_r: float, grad_omega_r, detuning: float) -> np.ndarray:
     """+(hbar / 2 Delta) cos(2 theta) Omega_R grad Omega_R [N]."""
+    require("superposition angle", "theta", theta)
+    require("vacuum Rabi frequency", "omega_r", omega_r)
+    g = require("gradient", "grad_omega_r", np.asarray(grad_omega_r, dtype=float))
     _require_off_resonance(detuning)
-    g = np.asarray(grad_omega_r, dtype=float)
     return (HBAR / (2.0 * detuning)) * math.cos(2.0 * theta) * omega_r * g
 
 
@@ -151,8 +153,10 @@ def narrow_mode_real_contraction(
     """Far-detuned Hilbert image of a Lorentzian squared coupling [rad/s]:
     gamma_nu g2_peak / (2 (omega_nu - omega)). Callers must stay at least
     100 mode widths away from the line center."""
-    if not gamma_nu > 0.0:
-        raise DomainError(f"mode width must be positive, got {gamma_nu}")
+    require("peak coupling", "g2_peak", g2_peak)
+    require("mode width", "gamma_nu", gamma_nu, "positive")
+    require("mode frequency", "omega_nu", omega_nu)
+    require("angular frequency", "omega", omega)
     ratio = abs(omega - omega_nu) / gamma_nu
     if ratio < 100.0:
         raise DomainError(
@@ -227,9 +231,8 @@ class NarrowModeGreens:
         return kk_real_from_imag(sf, omega, self.control) / math.pi
 
     def tensor(self, r1, r2, omega: float) -> ComplexDyad:
-        if not omega > 0.0:
-            raise DomainError(f"angular frequency must be positive, got {omega}")
-        g2_peak, dnorm2 = self._pair(r1, r2)
+        require("angular frequency", "omega", omega, "positive")
+        g2_peak, dnorm2 = self._pair(require("position", "r1", r1), require("position", "r2", r2))
         m = self.mode
         scale = HBAR * math.pi / (MU0 * omega**2 * dnorm2)
         im_entry = scale * lorentzian_profile(g2_peak, m.omega_nu, m.gamma_nu, omega)

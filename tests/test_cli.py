@@ -434,3 +434,26 @@ def test_xcheck_free_space_row_near_a_zero_of_the_potential(tmp_path):
     # potential, where a miss relative to the potential itself blows up
     cfg = _write(tmp_path, MINIMAL + "mode: xcheck\nseed: 301082727\n")
     assert main(["xcheck", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(nu=st.integers(1, 3), held=st.floats(0.05, 0.95), omega10_shift=st.floats(-50.0, 50.0))
+def test_sweeping_a_against_b_mirrors_sweeping_b_against_a(tmp_path_factory, nu, held,
+                                                          omega10_shift):
+    # swapping the atoms swaps the z columns and moves no bit of the others
+    tmp = tmp_path_factory.mktemp("swap")
+    cav = MINIMAL.replace("nu: 1", f"nu: {nu}")
+    omega10 = nu * math.pi * 299792458.0 / 1.0e-6 + omega10_shift * 5.99584916e11
+    for mode in ("dressed", "potential"):
+        tables = {}
+        for target, key in (("A", "z_b"), ("B", "z_a")):
+            text = (cav + f"mode: {mode}\natoms:\n  {key}: {held * 1.0e-6!r}\n"
+                    f"  omega10: {omega10!r}\nsweep:\n  points: 21\n  target: {target}\n")
+            tables[target] = run(load_config(_write(tmp, text, f"{mode}-{target}.yaml"))).table
+        a, b = tables["A"], tables["B"]
+        assert a.columns == b.columns
+        assert a.values("z_A").tobytes() == b.values("z_B").tobytes()
+        assert a.values("z_B").tobytes() == b.values("z_A").tobytes()
+        for name in a.columns:
+            if not name.startswith("z_"):
+                assert a.values(name).tobytes() == b.values(name).tobytes(), name

@@ -304,6 +304,14 @@ def test_fit_lorentzian_rejects_a_negative_projected_peak():
         fit_lorentzian(list(zip(range(9), [-1.0] * 4 + [1.0] + [-1.0] * 4)))
 
 
+def test_fit_lorentzian_rejects_a_fit_outside_the_samples():
+    # a V with no peak: the steps end at a stationary point at infinity,
+    # which was once returned as omega_nu = -1.7e26, gamma_nu = 4.6e26
+    with pytest.raises(FitError, match="no peak in the samples") as info:
+        fit_lorentzian([(x, abs(x - 4)) for x in range(9)])
+    assert info.value.diagnostics["omega_nu"] < 0.0
+
+
 def _least_squares_fit(samples):
     """(omega_nu, gamma_nu, peak) by scipy.optimize.least_squares on all three
     parameters, from fit_lorentzian's seeds in its seed units."""

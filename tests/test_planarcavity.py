@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavityvdw import constants
 from cavityvdw.constants import C, HBAR
-from cavityvdw.dressed import grad_rabi
-from cavityvdw.errors import DomainError
+from cavityvdw.dressed import DressedSystem, grad_rabi, potential_pm
+from cavityvdw.errors import DomainError, QuadratureError
 from cavityvdw.greens import ComplexDyad, PlanarCavity, planar_resonant_im_gxx
 from cavityvdw.modecoupling import AtomSpec, ModeModel, coupling_strength_sq, mode_norm
 from cavityvdw.planarcavity import (
@@ -15,6 +17,7 @@ from cavityvdw.planarcavity import (
     free_decay_rate,
     rabi_contributions,
     rabi_gradient_a,
+    rabi_omega,
     scan_rabi,
 )
 from cavityvdw.tabular import Table
@@ -144,6 +147,32 @@ def test_rabi_contributions_swap_symmetry_and_positivity():
         assert r1.omega2_ab == pytest.approx(r2.omega2_ab, rel=1e-13)
         assert r1.omega2_total == pytest.approx(r2.omega2_total, rel=1e-13)
         assert r1.omega2_total >= 0.0
+
+
+def _grad_or_kink(scn, atom):
+    try:
+        return grad_rabi(scn, atom).value.tolist()
+    except QuadratureError:
+        return "kink"
+
+
+@settings(max_examples=100, deadline=None)
+@given(nu=st.integers(1, 5), fa=st.floats(0.01, 0.99), fb=st.floats(0.01, 0.99),
+       detuning=st.floats(-1.0e12, 1.0e12))
+def test_atom_swap_leaves_rabi_levels_potentials_and_gradients_unchanged(nu, fa, fb, detuning):
+    # s_A + s_B is commutative, so swapping the atoms moves no bit
+    cav = PlanarCavity(d=1.0e-6, delta=1.0e-3, nu=nu)
+    scn = PlanarScenario.resonant(cav, fa * cav.d, fb * cav.d)
+    swapped = PlanarScenario.resonant(cav, fb * cav.d, fa * cav.d)
+    omega_r = rabi_omega(scn, scn.position_a[2], scn.position_b[2])
+    swapped_r = rabi_omega(swapped, swapped.position_a[2], swapped.position_b[2])
+    assert omega_r == swapped_r
+    levels = DressedSystem.from_coupling(omega_r, detuning)
+    swapped_levels = DressedSystem.from_coupling(swapped_r, detuning)
+    assert levels == swapped_levels
+    assert potential_pm(levels.omega) == potential_pm(swapped_levels.omega)
+    assert _grad_or_kink(scn, "A") == _grad_or_kink(swapped, "B")
+    assert _grad_or_kink(scn, "B") == _grad_or_kink(swapped, "A")
 
 
 def test_rabi_totals_at_exact_nodes_are_nonnegative():

@@ -6,11 +6,11 @@ benchmark workload.
 
 Builds the round perfbench/workloads.py makes for the seed, from the
 checkout at --root (default: the current directory), and runs the timed
-steps of each operation once. The panel engine, whichever of
-greens._adaptive_quadrature (one split loop on a G20-halving or a G20/K41
-rule) and greens._gl_quadrature (the G20-halving engine of earlier
-checkouts) the checkout has, is wrapped from outside so that every call of
-an integrand is counted: its nodes and one level.
+steps of each operation once. The panel engine,
+greens._adaptive_quadrature (one split loop on the G20-halving rule of the
+principal-value transform or the G20/K41 rule of the cavity tensor), is
+wrapped from outside so that every call of an integrand is counted: its
+nodes and one level.
 Prints one JSON object: per operation group (the operation name up to its
 first ':', so "green" is the planar_cavity_green calls), the integrand
 nodes and levels of the round, and the SHA-256 of the bytes of every value
@@ -49,18 +49,17 @@ def main(argv=None) -> int:
     digests: dict = defaultdict(hashlib.sha256)
     group = [""]
 
-    def counting(engine):
-        def counting_quadrature(g, *args):
-            tally = counts[group[0]]
+    engine = greens._adaptive_quadrature
 
-            def g_counted(x):
-                tally["nodes"] += x.size
-                tally["levels"] += 1
-                return g(x)
+    def counting_quadrature(g, *args):
+        tally = counts[group[0]]
 
-            return engine(g_counted, *args)
+        def g_counted(x):
+            tally["nodes"] += x.size
+            tally["levels"] += 1
+            return g(x)
 
-        return counting_quadrature
+        return engine(g_counted, *args)
 
     def value_bytes(value) -> bytes:
         # a tensor's matrix, else a float or a sequence of floats
@@ -68,9 +67,7 @@ def main(argv=None) -> int:
             return value.matrix.tobytes()
         return np.asarray(value, dtype=float).tobytes()
 
-    for name in ("_adaptive_quadrature", "_gl_quadrature"):
-        if hasattr(greens, name):
-            setattr(greens, name, counting(getattr(greens, name)))
+    greens._adaptive_quadrature = counting_quadrature
     with tempfile.TemporaryDirectory() as tmp:
         for op in workloads.build("green-spectrum", args.seed, Path(tmp), root):
             group[0] = op.name.partition(":")[0]
