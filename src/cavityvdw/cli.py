@@ -368,47 +368,83 @@ def run(cfg: RunConfig) -> RunResult:
 
 # rows formatted and written at a time, which bounds the cells and text held
 EXPORT_BLOCK_ROWS = 4096
+# blocks of at least this many rows are laid out by the numpy kernel of
+# _floatcells. Its first block in a process costs ~6 ms more (import and
+# first calls): on eight-column tables a fresh process broke even near 2048
+# rows, where later blocks took 2.4-2.7 times less time than CPython's
+# spelling, and 200-row tables never import it
+EXPORT_KERNEL_ROWS = 2048
 _CSV_FLOAT = "%.17g".__mod__  # the spelling of format(v, ".17g"), nan, inf and -0 included
 _JSON_FLOAT = float.__repr__  # the spelling json.dumps gives a finite float
 _SIGN_BIT = np.uint64(1 << 63)
 
 
 def _float_cells(values: np.ndarray, fmt: str) -> list[str]:
-    """Cells of one float column; a constant column is formatted once."""
+    """Cells of float values as CPython spells them."""
     if fmt == "csv":
         spell = _CSV_FLOAT
     else:
         spell = _JSON_FLOAT if np.isfinite(values).all() else json.dumps
-    bits = values.view(np.uint64)
-    if (bits == bits[0]).all():
-        return [spell(values[0].item())] * len(values)
     return list(map(spell, values.tolist()))
 
 
-def _block_cells(columns: list, fmt: str) -> list:
-    """Cells of each column of one block of rows. Float columns are compared
-    by bits, since -0.0 and 0.0 print differently and NaN != NaN, and each
-    distinct one is formatted once. A finite column that is the bitwise
-    negation of one already formatted takes that column's cells with the
-    leading '-' toggled, which is the spelling of the negated value in both
-    formats, signed zeros included; a non-finite one is formatted, as the
-    negation of NaN still prints nan."""
-    formatted: dict[bytes, list[str]] = {}
-    cells = []
+def _distinct_floats(columns: list) -> tuple[list[np.ndarray], list]:
+    """The float values of one block of rows to spell, and per column None
+    for a str column or (index of its values, whether negated).
+
+    Float columns are compared by bits, since -0.0 and 0.0 print
+    differently and NaN != NaN, and each distinct one is spelled once, a
+    constant one as its first value. A finite column that is the bitwise
+    negation of an earlier one takes that column's cells with the leading
+    '-' toggled, which is the spelling of the negated value in both formats,
+    signed zeros included; a non-finite one is spelled, as the negation of
+    NaN still prints nan."""
+    spelled: list[np.ndarray] = []
+    refs: dict[bytes, tuple[int, bool]] = {}
+    shown = []
     for values in columns:
         if isinstance(values, tuple):
-            cells.append(values if fmt == "csv" else list(map(json.dumps, values)))
+            shown.append(None)
             continue
         bits = values.view(np.uint64)
         key = bits.tobytes()
-        if key not in formatted:
-            mirror = formatted.get((bits ^ _SIGN_BIT).tobytes())
+        if key not in refs:
+            mirror = refs.get((bits ^ _SIGN_BIT).tobytes())
             if mirror is not None and np.isfinite(values).all():
-                formatted[key] = [c[1:] if c[0] == "-" else "-" + c for c in mirror]
+                refs[key] = (mirror[0], not mirror[1])
             else:
-                formatted[key] = _float_cells(values, fmt)
-        cells.append(formatted[key])
-    return cells
+                refs[key] = (len(spelled), False)
+                spelled.append(values[:1] if (bits == bits[0]).all() else values)
+        shown.append(refs[key])
+    return spelled, shown
+
+
+def _block_text(columns: list, seps: list[str], fmt: str) -> bytes:
+    """UTF-8 text of one block of rows: laid out by _floatcells when it
+    has EXPORT_KERNEL_ROWS rows or more and only float columns, else one
+    join over interleaved streams, a separator stream, then that column's
+    cells, for each column in turn, then the row ends."""
+    n = len(columns[0])
+    spelled, shown = _distinct_floats(columns)
+    if n >= EXPORT_KERNEL_ROWS and None not in shown:
+        from . import _floatcells
+
+        return _floatcells.block_text(n, spelled, shown, [sep.encode("utf-8") for sep in seps],
+                                      fmt, lambda values: _float_cells(values, fmt))
+    formatted = [_float_cells(values, fmt) for values in spelled]
+    stride = len(seps) + len(columns)
+    streams = [""] * (n * stride)
+    for j, (values, ref) in enumerate(zip(columns, shown)):
+        if ref is None:
+            cells = values if fmt == "csv" else list(map(json.dumps, values))
+        else:
+            cells = formatted[ref[0]]
+            if ref[1]:
+                cells = [c[1:] if c[0] == "-" else "-" + c for c in cells]
+        streams[2 * j::stride] = [seps[j]] * n
+        streams[2 * j + 1::stride] = cells * n if len(cells) == 1 else cells
+    streams[stride - 1::stride] = [seps[-1]] * n
+    return "".join(streams).encode("utf-8")
 
 
 def export(table: Table, path: str | Path, fmt: str) -> None:
@@ -418,15 +454,22 @@ def export(table: Table, path: str | Path, fmt: str) -> None:
 
     Rows are formatted and written in blocks of EXPORT_BLOCK_ROWS through
     one open file, so the cells and text of the whole table are never held
-    at once. A block is one join over interleaved streams: a separator
-    stream, then that column's cells, for each column in turn, then the
-    row ends. The separators are "", ",", ... and "\n" for CSV, and
+    at once. Each row is a separator, then a cell, for each column in turn,
+    then the row end. The separators are "", ",", ... and "\n" for CSV, and
     '{"k0": ', ', "k1": ', ... and "}\n" for JSON lines. Within a block
     each distinct float column is formatted once: a column bit-identical to
     an earlier one is not formatted again, a constant one is a single
     formatted cell, and a finite column that is the negation of an earlier
-    one reuses its cells with the sign toggled. The bytes are those of
-    formatting every cell."""
+    one reuses its cells with the sign toggled.
+
+    A block of fewer than EXPORT_KERNEL_ROWS rows, or with a str column, is
+    one join over interleaved streams of separators and cells, each cell
+    spelled by CPython ("%.17g" or float.__repr__). A larger block of float
+    columns is laid out in numpy by _floatcells, which spells the cells of
+    its distinct columns together. It decides ties and interval ends exactly where its
+    arithmetic is exact, and leaves to CPython only zeros, non-finite values
+    and the rare other cells within 2^-20 of a tie or an interval end. The
+    bytes are those of formatting every cell with CPython."""
     if len(table) == 0:
         raise DomainError("refusing to export an empty table")
     if fmt not in ("csv", "jsonl"):
@@ -445,18 +488,11 @@ def export(table: Table, path: str | Path, fmt: str) -> None:
         head = ""
         keys = [json.dumps(name) for name in names]
         seps = ["{" + keys[0] + ": ", *(f", {key}: " for key in keys[1:]), "}\n"]
-    stride = len(seps) + len(columns)
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
-        out.write(head)
+    with open(path, "wb") as out:
+        out.write(head.encode("utf-8"))
         for start in range(0, len(table), EXPORT_BLOCK_ROWS):
-            block = [values[start:start + EXPORT_BLOCK_ROWS] for values in columns]
-            n = len(block[0])
-            streams = [""] * (n * stride)
-            for j, cells in enumerate(_block_cells(block, fmt)):
-                streams[2 * j::stride] = [seps[j]] * n
-                streams[2 * j + 1::stride] = cells
-            streams[stride - 1::stride] = [seps[-1]] * n
-            out.write("".join(streams))
+            out.write(_block_text([values[start:start + EXPORT_BLOCK_ROWS] for values in columns],
+                                  seps, fmt))
 
 
 def write_manifest(manifest: dict, path: str | Path) -> None:

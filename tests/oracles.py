@@ -7,7 +7,9 @@ images, which converges for any reflection magnitude below one; it shares
 no code with the angular-spectrum quadrature it is used to check. The
 uniform cavity bracket writes that quadrature's integrand in complex
 exponentials of k_perp; the tests run it on the library's panel engine as
-the reference for the per-sector factors the library evaluates.
+the reference for the per-sector factors the library evaluates. The float
+families are the inputs on which the export kernel's cells are compared
+with CPython's.
 """
 
 import functools
@@ -156,3 +158,34 @@ def per_cell_export_text(names, columns, fmt):
     else:
         lines = [json.dumps(dict(zip(names, row))) for row in zip(*columns)]
     return "\n".join(lines) + "\n"
+
+
+# values whose spelling differs between the formats or is easy to get wrong
+SPECIAL_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-320,
+                  2.2250738585072014e-308, 1e16, 9007199254740993.0, -1e16 + 2.0,
+                  1e-16, 0.1, 1.0 / 3.0, 1e22, 1.7976931348623157e308)
+
+
+def float_families(seed, count):
+    """About count float64 values in families that reach every branch of a
+    float-to-decimal conversion, drawn from seed: arbitrary 64-bit patterns
+    (NaNs, infinities and subnormals included), normals scaled by
+    10^U(-300, 300), short decimals a e b, exact k / 2^j between 1e14 and
+    1e17 (whose 17th digit can end in a tie), a sweep-like linspace grid,
+    and, whatever count, every power of two and of ten in range with both
+    neighbours and SPECIAL_FLOATS."""
+    rng = np.random.default_rng(seed)
+    n = max(count // 10, 1)
+    patterns = rng.integers(0, 2**64, 3 * n, dtype=np.uint64).view(np.float64)
+    scaled = rng.normal(size=3 * n) * 10.0 ** rng.uniform(-300.0, 300.0, 3 * n)
+    powers = np.array([math.ldexp(1.0, e) for e in range(-1074, 1024)]
+                      + [float(f"1e{e}") for e in range(-323, 309)])
+    powers = np.concatenate([powers, np.nextafter(powers, -np.inf), np.nextafter(powers, np.inf)])
+    short = np.array([float(f"{a}e{b}") for a, b in zip(rng.integers(1, 10**6, 2 * n).tolist(),
+                                                         rng.integers(-320, 300, 2 * n).tolist())])
+    ties = np.concatenate([rng.integers(10**14 << j, min(10**17 << j, 2**53), -(-n // 7))
+                           / 2.0**j for j in range(7)])
+    grid = np.linspace(0.001, 0.999, n + 1) * 1.0e-6
+    return {"patterns": patterns, "scaled": scaled,
+            "powers": powers[np.isfinite(powers) & (powers != 0.0)], "short": short,
+            "ties": ties, "grid": grid, "special": np.array(SPECIAL_FLOATS)}

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavityvdw import cli
-from cavityvdw.cli import EXPORT_BLOCK_ROWS, export, main, run
+from cavityvdw import _floatcells, cli
+from cavityvdw.cli import EXPORT_BLOCK_ROWS, EXPORT_KERNEL_ROWS, export, main, run
 from cavityvdw.config import load_config
 from cavityvdw.errors import ConfigError, DomainError
 from cavityvdw.tabular import Table
 
-from oracles import per_cell_export_text
+from oracles import SPECIAL_FLOATS, per_cell_export_text
 
 MINIMAL = """\
 scenario: planar
@@ -158,12 +158,8 @@ def test_export_unknown_format_errors(tmp_path):
         export(Table({"a": np.array([1.0])}), tmp_path / "t.tsv", "tsv")
 
 
-# values whose spelling differs between the formats or is easy to get wrong
-SPECIAL_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-320,
-                  2.2250738585072014e-308, 1e16, 9007199254740993.0, -1e16 + 2.0,
-                  1e-16, 0.1, 1.0 / 3.0, 1e22, 1.7976931348623157e308)
-ROW_COUNTS = (1, EXPORT_BLOCK_ROWS - 1, EXPORT_BLOCK_ROWS, EXPORT_BLOCK_ROWS + 1,
-              2 * EXPORT_BLOCK_ROWS + 3)
+ROW_COUNTS = (1, EXPORT_KERNEL_ROWS - 1, EXPORT_KERNEL_ROWS, EXPORT_BLOCK_ROWS - 1,
+              EXPORT_BLOCK_ROWS, EXPORT_BLOCK_ROWS + 1, 2 * EXPORT_BLOCK_ROWS + 3)
 # no surrogates (not encodable) and, in cells, nothing CSV would have to quote
 CELL_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\n'),
                     max_size=5)
@@ -172,12 +168,13 @@ NAME_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_charac
 
 
 @st.composite
-def export_tables(draw):
-    """Columns of row counts around the block size: random draws from a
-    pool of special and arbitrary floats, constants, bit-identical copies
-    of an earlier column, copies with the sign of every zero flipped,
-    negations of an earlier column, and str columns."""
-    n = draw(st.sampled_from(ROW_COUNTS))
+def export_tables(draw, kernel):
+    """Columns of row counts around the kernel threshold and the block size,
+    whose first block is below the threshold or not as kernel says: random
+    draws from a pool of special and arbitrary floats, constants,
+    bit-identical copies of an earlier column, copies with the sign of every
+    zero flipped, negations of an earlier column, and str columns."""
+    n = draw(st.sampled_from([n for n in ROW_COUNTS if (n >= EXPORT_KERNEL_ROWS) == kernel]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     floats = st.sampled_from(SPECIAL_FLOATS) | st.floats()
     kinds = draw(st.lists(st.sampled_from(("random", "constant", "copy", "zero-sign", "negated",
@@ -207,10 +204,11 @@ def export_tables(draw):
     return names, columns
 
 
+@pytest.mark.parametrize("kernel", [False, True], ids=["cpython", "kernel"])
 @settings(max_examples=40, deadline=None)
-@given(export_tables())
-def test_export_writes_the_per_cell_bytes(tmp_path_factory, drawn):
-    names, columns = drawn
+@given(data=st.data())
+def test_export_writes_the_per_cell_bytes(tmp_path_factory, kernel, data):
+    names, columns = data.draw(export_tables(kernel))
     table = Table(dict(zip(names, columns)))
     lists = [table.column(name) for name in names]
     out = tmp_path_factory.mktemp("export") / "t"
@@ -220,15 +218,17 @@ def test_export_writes_the_per_cell_bytes(tmp_path_factory, drawn):
 
 
 def test_export_formats_a_negated_column_through_its_partner(tmp_path, monkeypatch):
+    # values spelled by CPython or laid out by the kernel: 5000 rows are a
+    # kernel block and a block below the threshold
     formatted = []
-    float_cells = cli._float_cells
+    for owner, name in ((cli, "_float_cells"), (_floatcells, "lay_out")):
+        def counted(values, fmt, spell=getattr(owner, name)):
+            formatted.append(len(values))
+            return spell(values, fmt)
 
-    def counted(values, fmt):
-        formatted.append(len(values))
-        return float_cells(values, fmt)
-
-    monkeypatch.setattr(cli, "_float_cells", counted)
+        monkeypatch.setattr(owner, name, counted)
     a = np.random.default_rng(5).normal(size=5000)
+    assert EXPORT_BLOCK_ROWS >= EXPORT_KERNEL_ROWS > 5000 - EXPORT_BLOCK_ROWS
     names = ("a", "minus_a", "a_third")
     table = Table(dict(zip(names, (a, -a, a / 3.0))))
     lists = [table.column(name) for name in names]

@@ -175,6 +175,25 @@ def test_atom_swap_leaves_rabi_levels_potentials_and_gradients_unchanged(nu, fa,
     assert _grad_or_kink(scn, "B") == _grad_or_kink(swapped, "A")
 
 
+# |s_A + s_B| is unchanged when both atoms are mirrored, z -> d - z, since
+# sin(nu pi (d - z) / d) = (-1)^(nu + 1) sin(nu pi z / d); the rounding of
+# d - z and of the sine's argument stays a few ulp of the amplitude A: over
+# 220 000 draws the change was at most 6.8e-15 A (1.1e-11 relative at worst
+# next to a node of Omega_R, where the sum cancels)
+MIRROR_PARITY_TOL = 2.0e-14
+
+
+@settings(max_examples=200, deadline=None)
+@given(nu=st.integers(1, 5), fa=st.floats(0.01, 0.99), fb=st.floats(0.01, 0.99))
+def test_rabi_omega_is_unchanged_when_both_atoms_are_mirrored(nu, fa, fb):
+    cav = PlanarCavity(d=1.0e-6, delta=1.0e-3, nu=nu)
+    scn = PlanarScenario.resonant(cav, fa * cav.d, fb * cav.d)
+    z_a, z_b = scn.position_a[2], scn.position_b[2]
+    omega_r = rabi_omega(scn, z_a, z_b)
+    mirrored = rabi_omega(scn, cav.d - z_a, cav.d - z_b)
+    assert abs(mirrored - omega_r) <= MIRROR_PARITY_TOL * math.sqrt(scn.amp2)
+
+
 def test_rabi_totals_at_exact_nodes_are_nonnegative():
     # where s_A = -s_B exactly, A^2 s_A^2 + A^2 s_B^2 + 2 A^2 s_A s_B cancels
     # and can round below zero; the total written there must be >= 0 and

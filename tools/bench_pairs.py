@@ -4,6 +4,7 @@
     python3 tools/bench_pairs.py --out BENCH_<n>.json --change "what changed"
         --pairs sweep-dense:401-410 --pairs cli-modes:411-413
         [--claim sweep-dense:wall_s] [--trace sweep-dense:414] [--parent HEAD~]
+        [--attach NAME=FILE]
 
 Run from the root of a git checkout. The parent side is the committed tree
 of --parent, exported with `git archive` into a temporary directory; the
@@ -22,6 +23,8 @@ metric unchanged, unless every change run is lower than every parent run.
 A claim is met when the change wins at least 9 in 10 of its pairs and the
 medians differ by more than the parent's quartile distance. Each --trace
 runs one --trace 1 run per side. The raw result line of every run is kept.
+Each --attach adds the JSON object in FILE to the record under "attached",
+by NAME: a deterministic count to pair with the wall times, for example.
 """
 
 from __future__ import annotations
@@ -101,6 +104,8 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", action="append", default=[], metavar="WORKLOAD:SEED",
                         help="one --trace 1 run per side; repeatable")
     parser.add_argument("--parent", default="HEAD~", help="git revision of the parent side")
+    parser.add_argument("--attach", action="append", default=[], metavar="NAME=FILE",
+                        help="a JSON object to keep in the record; repeatable")
     args = parser.parse_args(argv)
 
     root = Path.cwd()
@@ -172,7 +177,11 @@ def main(argv=None) -> int:
             "met": (10 * m["change_wins"] >= 9 * len(m["parent"]["values"])
                     and difference > m["parent_quartile_distance"]),
         }
-    record.update(workloads=workloads, trace=traces, raw_runs=raw)
+    attached = {}
+    for item in args.attach:
+        name, _, path = item.partition("=")
+        attached[name] = json.loads(Path(path).read_text())
+    record.update(workloads=workloads, trace=traces, attached=attached, raw_runs=raw)
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
