@@ -95,6 +95,13 @@ def _sweep(cfg: RunConfig) -> tuple[PlanarScenario, np.ndarray, np.ndarray, floa
 
 def _mode_scan_rabi(cfg: RunConfig) -> tuple[Table, dict, int]:
     scn = _planar_scenario(cfg)
+    # the predicate of scan_rabi's own check, so the two agree at the edge
+    if not scn.on_resonance:
+        raise ConfigError(
+            f"atoms.omega10: scan-rabi's closed form needs omega10 = omega_nu = "
+            f"{scn.cavity.omega_nu:.17g} rad/s; this one is detuned by {scn.detuning:.6g} "
+            f"rad/s (use the dressed mode for a detuned scenario)"
+        )
     table = scan_rabi(scn, cfg.sweep_target, _grid(cfg, scn.cavity.d))
     return table, {"omega2_unit": C * scn.gamma0 / scn.cavity.d}, 0
 
@@ -187,9 +194,9 @@ def _mode_weak_limit(cfg: RunConfig) -> tuple[Table, dict, int]:
     scn = _planar_scenario(cfg)
     omega_r = scn.rabi(scn.position_a, scn.position_b)
     if omega_r == 0.0:
-        raise DomainError(
-            "configured positions give zero coupling (both atoms on nodes); "
-            "the weak-limit comparison is empty"
+        raise ConfigError(
+            f"atoms.z_a, atoms.z_b: z_a = {cfg.z_a:g} m and z_b = {cfg.z_b:g} m give zero "
+            f"coupling (s_A + s_B = 0); the weak-limit comparison is empty"
         )
     e_unit = HBAR * omega_r
     cols = _weak_limit_columns(scn.cavity.gamma_nu, omega_r, cfg.weak_ratios)

@@ -201,20 +201,23 @@ def theta_force(theta, grad_omega_r, omega_r=None, detuning=None, variant: str =
 
     corrected: -(hbar/2) sin(2 theta) grad Omega_R, the -grad U_theta form;
     theta = theta_c and theta_c + pi/2 give the |+> and |-> eigenstate forces.
-    as-printed: the same scaled by 1/sin(2 theta_c(Omega_R, Delta)); requires
-    Omega_R > 0.
+    as-printed: the same scaled by 1/sin(2 theta_c(Omega_R, Delta)) =
+    Omega / Omega_R, formed from Omega_R and Delta without theta_c, so it
+    keeps full precision for Delta >> Omega_R; requires Omega_R > 0.
     """
     th = require("superposition angle", "theta", theta)
     base = -(HBAR / 2.0) * np.sin(2.0 * th) * require("gradient", "grad_omega_r", grad_omega_r)
     if variant == "corrected":
         return base
     if variant == "as-printed":
+        omega_r = require("vacuum Rabi frequency", "omega_r", omega_r, "nonnegative")
+        detuning = require("detuning", "detuning", detuning)
         if np.any(np.asarray(omega_r) == 0.0):
             raise DomainError(
                 "as-printed superposition force is singular at sin(2 theta_c) = 0 "
                 "(uncoupled point, Omega_R = 0)"
             )
-        return base / np.sin(2.0 * coupling_angle(omega_r, detuning))
+        return base / (omega_r / np.hypot(omega_r, detuning))
     raise DomainError(f"unknown variant {variant!r}; use 'corrected' or 'as-printed'")
 
 

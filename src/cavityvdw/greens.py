@@ -439,8 +439,6 @@ def planar_scattering_components(
     require("angular frequency", "omega", omega, "positive")
     if not (abs(r_s) < 1.0 and abs(r_p) < 1.0):
         raise DomainError(f"reflection coefficients must satisfy |r| < 1, got r_s={r_s}, r_p={r_p}")
-    if r_s == 0.0 and r_p == 0.0:
-        return 0.0 + 0.0j, 0.0 + 0.0j, 0.0
     k = omega / C
     kd = k * d
     zsum, zdiff = z + zp, abs(z - zp)
@@ -550,20 +548,15 @@ def planar_resonant_im_gxx(
     z_a: float,
     z_b: float,
     omega: float,
-    variant: str = "corrected",
 ) -> float:
     """Single-mode model of omega^2 Im G_xx for the cavity mode nu
-    [(rad/s)^2 / m].
-
-    The corrected form is the mode product
+    [(rad/s)^2 / m]: the mode product
 
         omega_nu^3 / (4 pi c delta) * sin(nu pi z_A/d) * sin(nu pi z_B/d),
 
     scaled off resonance by the Lorentzian of width gamma_nu = 2 c delta / d.
-    The "as-printed" variant evaluates the four-cosine combination this
-    closed form was reduced from, which carries a sign error on its last
-    term (it is constant in z on the diagonal); it is retained for
-    diagnostics only.
+    The paper prints this as a four-cosine combination whose last term has
+    the wrong sign.
     """
     d = cav.d
     if not (0.0 <= z_a <= d and 0.0 <= z_b <= d):
@@ -575,21 +568,9 @@ def planar_resonant_im_gxx(
             f"omega={omega} is {abs(omega - om_nu) / gam:.3g} mode widths from resonance, "
             f"outside the declared single-mode window of {_SINGLE_MODE_WINDOW:g} widths"
         )
-    if variant == "corrected":
-        peak = (om_nu**3 / (4.0 * math.pi * C * cav.delta)) * math.sin(
-            cav.nu * math.pi * z_a / d
-        ) * math.sin(cav.nu * math.pi * z_b / d)
-    elif variant == "as-printed":
-        w = om_nu / C
-        comb = (
-            math.cos((2.0 * d - z_a - z_b) * w)
-            - math.cos((2.0 * d + z_a - z_b) * w)
-            - math.cos((2.0 * d - z_a + z_b) * w)
-            - math.cos((z_a + z_b) * w)
-        )
-        peak = -(om_nu**3 / (16.0 * math.pi * C * cav.delta)) * comb
-    else:
-        raise DomainError(f"unknown variant {variant!r}; use 'corrected' or 'as-printed'")
+    peak = (om_nu**3 / (4.0 * math.pi * C * cav.delta)) * math.sin(
+        cav.nu * math.pi * z_a / d
+    ) * math.sin(cav.nu * math.pi * z_b / d)
     return float(lorentzian_profile(peak, om_nu, gam, omega))
 
 

@@ -13,13 +13,13 @@ value is that field's default:
 
 Instances take their fields by position or by name, then call
 __post_init__ (looked up on the class at each call, so a method replaced
-on the class takes effect). They refuse assignment and deletion, compare
-equal when they have the same type and equal fields, hash their field
-tuple and print as Name(field=value, ...).
+on the class takes effect). They refuse assignment and deletion. Like any
+object they compare equal and hash by identity, and print as object does.
 
-This is what dataclasses.dataclass(frozen=True) gives these classes, with
-no code generated: dataclasses compiles every method of every class with
-exec when its module is imported, which costs each process milliseconds.
+This is the part of dataclasses.dataclass(frozen=True) that the package
+uses, with no code generated: dataclasses compiles every method of every
+class with exec when its module is imported, which costs each process
+milliseconds.
 """
 
 from __future__ import annotations
@@ -113,18 +113,3 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        body = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
-        return f"{type(self).__qualname__}({body})"

@@ -7,7 +7,7 @@ single-atom terms weighted -1/2 and an interaction term weighted -1, each a
 contraction -mu0 omega10^2 d . Re G . d. In free space the coincident Re G
 diverges (it renormalizes into the bare transition frequency), so providers
 advertise through ComplexDyad.real_status whether a finite real part exists;
-absent that, the single-atom terms are omitted and flagged rather than
+absent that, the single-atom terms are None rather than
 faked. Principal-value transforms follow the Hilbert normalization
 (1/pi) P Int f(w)/(w - omega) dw, so the far-detuned image of a unit-peak
 Lorentzian is gamma/(2 (omega_nu - omega)); the kk_real_from_imag quadrature
@@ -47,10 +47,6 @@ class ResonantPotentialBreakdown(Record):
         for name in self._fields:
             if getattr(self, name) is not None:
                 require("resonant potential term", name, getattr(self, name))
-
-    @property
-    def singles_omitted(self) -> bool:
-        return self.single_a is None or self.single_b is None
 
 
 def _re_contraction(dyad: ComplexDyad, d1, d2) -> float | None:

@@ -43,7 +43,7 @@ def test_minimal_config_defaults_and_provenance(tmp_path):
     cfg = load_config(_write(tmp_path, MINIMAL))
     assert cfg.scenario == "planar" and cfg.mode == "scan-rabi"
     assert cfg.z_a == pytest.approx(0.5e-6, abs=0.0) and cfg.z_b == pytest.approx(0.5e-6, abs=0.0)
-    assert cfg.omega10 == pytest.approx(math.pi * 299792458.0 / 1.0e-6, rel=1e-15)
+    assert cfg.omega10 == pytest.approx(math.pi * 299792458.0 / 1.0e-6, rel=1e-15, abs=0.0)
     assert cfg.provenance["cavity.d"] == "user"
     assert cfg.provenance["atoms.z_a"] == "default"
     assert cfg.provenance["mode"] == "default"
@@ -289,6 +289,22 @@ def test_cli_mode_mismatch_exits_1(tmp_path, capsys):
     assert "subcommand" in capsys.readouterr().err
 
 
+def test_cli_scan_rabi_refuses_a_detuned_config_by_key(tmp_path, capsys):
+    cfg = _write(tmp_path, MINIMAL + "atoms:\n  omega10: 1.8e15\n")
+    assert main(["scan-rabi", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 1
+    assert "error [scan-rabi]: atoms.omega10: " in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_cli_weak_limit_refuses_zero_coupling_by_key(tmp_path, capsys):
+    # nu = 2 at d/4 and 3d/4: s_A = 1 and s_B = -1 exactly
+    cfg = _write(tmp_path, MINIMAL.replace("nu: 1", "nu: 2")
+                 + "atoms:\n  z_a: 2.5e-7\n  z_b: 7.5e-7\n")
+    assert main(["weak-limit", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 1
+    assert "error [weak-limit]: atoms.z_a, atoms.z_b: " in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_cli_unwritable_path_exits_1(tmp_path, capsys):
     cfg = _write(tmp_path, MINIMAL)
     out = str(tmp_path / "no" / "such" / "dir" / "t.csv")
@@ -340,7 +356,7 @@ def test_cli_weak_limit_table(tmp_path):
     # deviation shrinks as the detuning ratio grows, ~1/(2 ratio)^2
     assert devs[1000.0] <= 1e-5
     assert devs[10.0] > devs[100.0] > devs[1000.0]
-    assert devs[100.0] == pytest.approx(1.0 / (2.0 * 100.0) ** 2, rel=0.01)
+    assert devs[100.0] == pytest.approx(1.0 / (2.0 * 100.0) ** 2, rel=0.01, abs=0.0)
 
 
 def test_cli_kk_check_table(tmp_path):

@@ -118,6 +118,9 @@ FUNCTION_BASELINES = {
     "weak_theta_potential": (cavityvdw.weak_theta_potential,
                              {"theta": 0.3, "omega_r": 7.0e9, "detuning": 1.0e12}),
     "dressed.theta_force": (theta_force, {"theta": 0.3, "grad_omega_r": 1.0}),
+    "dressed.theta_force as-printed": (theta_force, {"theta": 0.3, "grad_omega_r": 1.0,
+                                                     "omega_r": 7.0e9, "detuning": 1.0e10,
+                                                     "variant": "as-printed"}),
     "FreeSpaceGreens.tensor": (FreeSpaceGreens().tensor,
                                {"r1": ATOM_A.position, "r2": ATOM_B.position,
                                 "omega": CAV.omega_nu}),

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -19,6 +20,7 @@ from cavityvdw.dressed import (
     potential_theta,
     rabi_frequency,
     richardson_slope,
+    theta_force,
 )
 
 RNG = np.random.default_rng(411)
@@ -218,7 +220,7 @@ def test_grad_rabi_linear_exact():
     scn = ToyScenario(fn=lambda ra, rb: 1.0e10 + slope * ra[2], detuning=1e9)
     g = grad_rabi(scn, "A")
     assert isinstance(g, Gradient)
-    assert g.value[2] == pytest.approx(slope, rel=1e-12)
+    assert g.value[2] == pytest.approx(slope, rel=1e-12, abs=0.0)
     assert abs(g.value[0]) < 1e-6 * slope and abs(g.value[1]) < 1e-6 * slope
     # the same scenario seen from atom B has no dependence at all
     gb = grad_rabi(scn, "B")
@@ -236,7 +238,7 @@ def test_grad_rabi_quadratic_exact():
     g = grad_rabi(scn, "A")
     # no truncation error for a quadratic; what remains is subtraction
     # round-off at the 1e-9 level for the default step
-    assert g.value[2] == pytest.approx(2.0e10 * z / d**2, rel=1e-8)
+    assert g.value[2] == pytest.approx(2.0e10 * z / d**2, rel=1e-8, abs=0.0)
 
 
 def test_grad_rabi_sinusoidal_vs_analytic():
@@ -245,7 +247,7 @@ def test_grad_rabi_sinusoidal_vs_analytic():
     for atom, zpos in (("A", scn.position_a[2]), ("B", scn.position_b[2])):
         g = grad_rabi(scn, atom)
         expect = amp * math.pi / d * math.cos(math.pi * zpos / d)
-        assert g.value[2] == pytest.approx(expect, rel=1e-6)
+        assert g.value[2] == pytest.approx(expect, rel=1e-6, abs=0.0)
         assert g.error <= 1e-4 * (abs(expect) + amp / d)
 
 
@@ -380,6 +382,22 @@ def test_force_theta_as_printed_ratio():
         force_theta(degenerate, th, "A", "as-printed")
 
 
+@pytest.mark.parametrize("ratio", [1e2, 1e4, 1e6, 1e8, -1e2, -1e4, -1e6, -1e8])
+def test_theta_force_as_printed_ratio_is_exact_far_from_resonance(ratio):
+    # as-printed / corrected = Omega / Omega_R, against 50 digits at the same
+    # double inputs; 1/sin(2 theta_c) loses ~ratio ulp of it for Delta > 0.
+    # Over 16 000 random draws per sign the worst miss was 1.49 eps
+    for omega_r, theta in ((3.0e8, 0.2), (2.0e10, 0.7), (7.3e11, 1.3)):
+        detuning = ratio * omega_r
+        got = (theta_force(theta, 1.0e15, omega_r, detuning, "as-printed")
+               / theta_force(theta, 1.0e15, omega_r, detuning, "corrected"))
+        with localcontext() as ctx:
+            ctx.prec = 50
+            want = (Decimal(omega_r) ** 2 + Decimal(detuning) ** 2).sqrt() / Decimal(omega_r)
+            miss = float(abs(Decimal(float(got)) - want) / want)
+        assert miss <= 2.0 * np.finfo(float).eps, (omega_r, miss)
+
+
 # ------------------------------------------------------- gradient identities
 
 def test_gradient_identity_for_omega():
@@ -396,7 +414,7 @@ def test_gradient_identity_for_omega():
         return math.hypot(r, scn.detuning)
 
     fd = (omega_at(z0 + h) - omega_at(z0 - h)) / (2.0 * h)
-    assert fd == pytest.approx(math.sin(2.0 * th) * g, rel=1e-8)
+    assert fd == pytest.approx(math.sin(2.0 * th) * g, rel=1e-8, abs=0.0)
 
 
 def test_gradient_identity_for_theta_c():
@@ -413,4 +431,4 @@ def test_gradient_identity_for_theta_c():
 
     fd = (theta_at(z0 + h) - theta_at(z0 - h)) / (2.0 * h)
     expect = -math.cos(2.0 * th) ** 2 * g / (2.0 * scn.detuning)
-    assert fd == pytest.approx(expect, rel=1e-8)
+    assert fd == pytest.approx(expect, rel=1e-8, abs=0.0)

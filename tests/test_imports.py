@@ -84,7 +84,7 @@ def test_no_cli_mode_imports_scipy(cli_report):
 
 
 def test_fit_lorentzian_does_not_import_scipy(cli_report):
-    assert cli_report["fit_width"] == pytest.approx(2.0, rel=1e-12)
+    assert cli_report["fit_width"] == pytest.approx(2.0, rel=1e-12, abs=0.0)
     assert cli_report["fit"]["scipy"] == []
 
 

@@ -107,9 +107,9 @@ def test_coupling_free_space_coincident_value():
     got = coupling_strength_sq(atom, atom, omega, FreeSpaceGreens())
     k = omega / C_LIT
     expect = (MU0_LIT / (HBAR_LIT * math.pi)) * omega**2 * d**2 * k / (6.0 * math.pi)
-    assert got == pytest.approx(expect, rel=1e-12)
+    assert got == pytest.approx(expect, rel=1e-12, abs=0.0)
     # equivalently Gamma0 / (2 pi)
-    assert got == pytest.approx(free_decay_oracle(omega, d) / (2.0 * math.pi), rel=1e-9)
+    assert got == pytest.approx(free_decay_oracle(omega, d) / (2.0 * math.pi), rel=1e-9, abs=0.0)
 
 
 def test_coupling_planar_antinode_cross_value():
@@ -122,7 +122,7 @@ def test_coupling_planar_antinode_cross_value():
     b = AtomSpec(position=(0.0, 0.0, cav.d / 2), omega10=w, dipole=(d, 0.0, 0.0))
     got = coupling_strength_sq(a, b, w, ResonantModeGreens(cav))
     expect = 3.0 * free_decay_oracle(w, d) / (4.0 * math.pi * cav.delta)
-    assert got == pytest.approx(expect, rel=1e-9)
+    assert got == pytest.approx(expect, rel=1e-9, abs=0.0)
 
 
 def test_coupling_diagonal_nonnegative_sampled():
@@ -172,7 +172,7 @@ def test_lorentzian_profile_integral_weight():
         points=[w0 - g, w0, w0 + g],
         limit=400,
     )
-    assert val == pytest.approx(peak * math.pi * g / 2.0, rel=1e-4)
+    assert val == pytest.approx(peak * math.pi * g / 2.0, rel=1e-4, abs=0.0)
 
 
 def test_lorentzian_profile_symmetry_monotonicity():
@@ -191,9 +191,9 @@ def test_fit_lorentzian_round_trip():
     ws = np.linspace(w0 - 12.0 * g, w0 + 12.0 * g, 61)
     samples = [(w, lorentzian_profile(peak, w0, g, w)) for w in ws]
     fit = fit_lorentzian(samples)
-    assert fit.omega_nu == pytest.approx(w0, rel=1e-9)
-    assert fit.gamma_nu == pytest.approx(g, rel=1e-9)
-    assert fit.peak == pytest.approx(peak, rel=1e-9)
+    assert fit.omega_nu == pytest.approx(w0, rel=1e-9, abs=0.0)
+    assert fit.gamma_nu == pytest.approx(g, rel=1e-9, abs=0.0)
+    assert fit.peak == pytest.approx(peak, rel=1e-9, abs=0.0)
     assert fit.residual_norm < 1e-9 * peak
     # a named tuple: unpacks, indexes, compares and prints its fields
     assert tuple(fit) == (fit[0], fit[1], fit[2], fit[3]) == (
@@ -209,8 +209,8 @@ def test_fit_lorentzian_with_noise():
     noise = 1e-6 * RNG.standard_normal(ws.size)
     samples = list(zip(ws, lorentzian_profile(peak, w0, g, ws) + noise))
     fit = fit_lorentzian(samples)
-    assert fit.gamma_nu == pytest.approx(g, rel=1e-4)
-    assert fit.omega_nu == pytest.approx(w0, rel=1e-8)
+    assert fit.gamma_nu == pytest.approx(g, rel=1e-4, abs=0.0)
+    assert fit.omega_nu == pytest.approx(w0, rel=1e-8, abs=0.0)
 
 
 def _exact_lorentzian_draws(seed=0, count=200):
@@ -239,7 +239,8 @@ def test_fit_lorentzian_centre_moves_below_the_frequency_ulp():
     # widths in the centre is below the ulp of omega (0.125 rad/s), and a
     # fit on absolute frequencies stopped at the seed centre, 0.095 widths off
     w0, g, peak, samples = _exact_lorentzian_draws()[41]
-    assert w0 == pytest.approx(9.8305780e14, rel=1e-8) and g == pytest.approx(2.1967e8, rel=1e-4)
+    assert w0 == pytest.approx(9.8305780e14, rel=1e-8, abs=0.0)
+    assert g == pytest.approx(2.1967e8, rel=1e-4, abs=0.0)
     assert _fit_miss(fit_lorentzian(samples), w0, g, peak) < 1e-9
 
 
@@ -405,7 +406,7 @@ def test_mode_overlap_opposite_antinodes():
         g2_bb=coupling_strength_sq(b, b, w, prov),
         g2_ab=coupling_strength_sq(a, b, w, prov),
     )
-    assert mode_overlap(m) == pytest.approx(-1.0, rel=1e-12)
+    assert mode_overlap(m) == pytest.approx(-1.0, rel=1e-12, abs=0.0)
     assert mode_norm(m) == pytest.approx(0.0, abs=1e-12 * m.g2_aa)
 
 

@@ -33,12 +33,12 @@ C_LIT = 299792458.0
 def test_free_decay_rate_values_and_scaling():
     w, d = 2.0e15, 3.0e-29
     expect = w**3 * d**2 / (3.0 * math.pi * EPS0_LIT * HBAR_LIT * C_LIT**3)
-    assert free_decay_rate(w, d) == pytest.approx(expect, rel=1e-12)
-    assert free_decay_rate(w, 2 * d) == pytest.approx(4.0 * expect, rel=1e-12)
-    assert free_decay_rate(2 * w, d) == pytest.approx(8.0 * expect, rel=1e-12)
+    assert free_decay_rate(w, d) == pytest.approx(expect, rel=1e-12, abs=0.0)
+    assert free_decay_rate(w, 2 * d) == pytest.approx(4.0 * expect, rel=1e-12, abs=0.0)
+    assert free_decay_rate(2 * w, d) == pytest.approx(8.0 * expect, rel=1e-12, abs=0.0)
     # identity used to reduce the coupling contraction to 3 c Gamma0
     assert (MU0_LIT * d**2 / (HBAR_LIT * math.pi)) * w**3 == pytest.approx(
-        3.0 * C_LIT * free_decay_rate(w, d), rel=1e-12
+        3.0 * C_LIT * free_decay_rate(w, d), rel=1e-12, abs=0.0
     )
     with pytest.raises(DomainError):
         free_decay_rate(-1.0, d)
@@ -53,13 +53,13 @@ def test_free_decay_rate_uses_eps0_constant():
 
 def test_cavity_rate_helpers():
     cav = PlanarCavity(d=1.0e-6, delta=1.0e-3, nu=1)
-    assert cav.gamma_nu == pytest.approx(5.99584916e11, rel=1e-9)
-    assert cav.omega_nu == pytest.approx(941825783654426.6, rel=1e-15)
+    assert cav.gamma_nu == pytest.approx(5.99584916e11, rel=1e-9, abs=0.0)
+    assert cav.omega_nu == pytest.approx(941825783654426.6, rel=1e-15, abs=0.0)
     half = PlanarCavity(d=0.5e-6, delta=1.0e-3, nu=1)
-    assert half.gamma_nu == pytest.approx(2.0 * cav.gamma_nu, rel=1e-15)
-    assert half.omega_nu == pytest.approx(2.0 * cav.omega_nu, rel=1e-15)
+    assert half.gamma_nu == pytest.approx(2.0 * cav.gamma_nu, rel=1e-15, abs=0.0)
+    assert half.omega_nu == pytest.approx(2.0 * cav.omega_nu, rel=1e-15, abs=0.0)
     two = PlanarCavity(d=1.0e-6, delta=1.0e-3, nu=2)
-    assert two.omega_nu == pytest.approx(2.0 * cav.omega_nu, rel=1e-15)
+    assert two.omega_nu == pytest.approx(2.0 * cav.omega_nu, rel=1e-15, abs=0.0)
 
 
 # ----------------------------------------------------------------- scenario
@@ -109,10 +109,10 @@ def test_rabi_contributions_antinode_factor_four():
     scn = PlanarScenario.resonant(cav, cav.d / 2, cav.d / 2)
     rb = rabi_contributions(scn)
     single_peak = 3.0 * C * scn.gamma0 / (2.0 * cav.d)
-    assert rb.omega2_a == pytest.approx(single_peak, rel=1e-13)
-    assert rb.omega2_b == pytest.approx(single_peak, rel=1e-13)
-    assert rb.omega2_ab == pytest.approx(2.0 * single_peak, rel=1e-13)
-    assert rb.omega2_total == pytest.approx(4.0 * single_peak, rel=1e-13)
+    assert rb.omega2_a == pytest.approx(single_peak, rel=1e-13, abs=0.0)
+    assert rb.omega2_b == pytest.approx(single_peak, rel=1e-13, abs=0.0)
+    assert rb.omega2_ab == pytest.approx(2.0 * single_peak, rel=1e-13, abs=0.0)
+    assert rb.omega2_total == pytest.approx(4.0 * single_peak, rel=1e-13, abs=0.0)
 
 
 def test_rabi_contributions_node_invisibility():
@@ -124,7 +124,7 @@ def test_rabi_contributions_node_invisibility():
         rb = rabi_contributions(scn)
         base = 3.0 * C * scn.gamma0 / (2.0 * cav.d)
         s_b = math.sin(2.0 * math.pi * zb_frac)
-        assert rb.omega2_total == pytest.approx(base * s_b**2, rel=1e-12)
+        assert rb.omega2_total == pytest.approx(base * s_b**2, rel=1e-12, abs=0.0)
         assert abs(rb.omega2_ab) <= 1e-14 * rb.omega2_total
 
 
@@ -133,7 +133,7 @@ def test_rabi_contributions_equal_positions_identity():
     for f in (0.21, 0.4, 0.5, 0.83):
         scn = PlanarScenario.resonant(cav, f * cav.d, f * cav.d)
         rb = rabi_contributions(scn)
-        assert rb.omega2_ab == pytest.approx(2.0 * rb.omega2_a, rel=1e-13)
+        assert rb.omega2_ab == pytest.approx(2.0 * rb.omega2_a, rel=1e-13, abs=0.0)
 
 
 def test_rabi_contributions_swap_symmetry_and_positivity():
@@ -143,9 +143,9 @@ def test_rabi_contributions_swap_symmetry_and_positivity():
         fa, fb = rng.uniform(0.01, 0.99, size=2)
         r1 = rabi_contributions(PlanarScenario.resonant(cav, fa * cav.d, fb * cav.d))
         r2 = rabi_contributions(PlanarScenario.resonant(cav, fb * cav.d, fa * cav.d))
-        assert r1.omega2_a == pytest.approx(r2.omega2_b, rel=1e-13)
-        assert r1.omega2_ab == pytest.approx(r2.omega2_ab, rel=1e-13)
-        assert r1.omega2_total == pytest.approx(r2.omega2_total, rel=1e-13)
+        assert r1.omega2_a == pytest.approx(r2.omega2_b, rel=1e-13, abs=0.0)
+        assert r1.omega2_ab == pytest.approx(r2.omega2_ab, rel=1e-13, abs=0.0)
+        assert r1.omega2_total == pytest.approx(r2.omega2_total, rel=1e-13, abs=0.0)
         assert r1.omega2_total >= 0.0
 
 
@@ -169,7 +169,7 @@ def test_atom_swap_leaves_rabi_levels_potentials_and_gradients_unchanged(nu, fa,
     assert omega_r == swapped_r
     levels = DressedSystem.from_coupling(omega_r, detuning)
     swapped_levels = DressedSystem.from_coupling(swapped_r, detuning)
-    assert levels == swapped_levels
+    assert vars(levels) == vars(swapped_levels)
     assert potential_pm(levels.omega) == potential_pm(swapped_levels.omega)
     assert _grad_or_kink(scn, "A") == _grad_or_kink(swapped, "B")
     assert _grad_or_kink(scn, "B") == _grad_or_kink(swapped, "A")
@@ -234,7 +234,7 @@ def test_rabi_protocol_consistent_with_contributions():
     cav = PlanarCavity(d=1.0e-6, delta=1.0e-3, nu=2)
     scn = PlanarScenario.resonant(cav, 0.2 * cav.d, 0.35 * cav.d)
     omega_r = scn.rabi(scn.position_a, scn.position_b)
-    assert omega_r**2 == pytest.approx(rabi_contributions(scn).omega2_total, rel=1e-13)
+    assert omega_r**2 == pytest.approx(rabi_contributions(scn).omega2_total, rel=1e-13, abs=0.0)
 
 
 def test_grad_rabi_matches_analytic_gradient_near_mirrors():
@@ -249,7 +249,7 @@ def test_grad_rabi_matches_analytic_gradient_near_mirrors():
 
     for frac in (0.001, 0.01, 0.999):
         scn = PlanarScenario(cavity=cav, atom_a=atom(frac * cav.d), atom_b=atom(0.3 * cav.d))
-        assert scn.detuning == pytest.approx(-2.0e10, rel=1e-3)
+        assert scn.detuning == pytest.approx(-2.0e10, rel=1e-3, abs=0.0)
         expect = rabi_gradient_a(scn, frac * cav.d, 0.3 * cav.d)
         got = grad_rabi(scn, "A").value[2]
         assert got == pytest.approx(expect, rel=1e-10, abs=0.0), frac
@@ -277,7 +277,7 @@ def test_pipeline_equality_with_coupling_route():
                       g2_aa=g2_aa, g2_bb=g2_bb, g2_ab=g2_ab)
     n = mode_norm(model)
     assert cav.gamma_nu * math.pi * n == pytest.approx(
-        rabi_contributions(scn).omega2_total, rel=1e-10
+        rabi_contributions(scn).omega2_total, rel=1e-10, abs=0.0
     )
 
 
@@ -293,7 +293,7 @@ def test_scan_rabi_joint_matches_closed_form():
     for row in t.rows:
         s = math.sin(math.pi * row["z_A"] / cav.d)
         assert row["z_A"] == row["z_B"]
-        assert row["omega2_total"] == pytest.approx(base * (2.0 * s) ** 2, rel=1e-12)
+        assert row["omega2_total"] == pytest.approx(base * (2.0 * s) ** 2, rel=1e-12, abs=0.0)
         assert row["omega2_total_dimless"] == pytest.approx(
             row["omega2_total"] * cav.d / (C * scn.gamma0), rel=1e-13, abs=0.0
         )
