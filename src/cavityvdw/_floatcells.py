@@ -25,13 +25,13 @@ Elsewhere a cell whose decision falls within 2^-20 of a tie or an interval
 end is not spelled here, nor is a zero or a non-finite value: lay_out
 leaves those to the caller, and block_text has CPython spell them.
 
-Each cell is laid out in a fixed row of bytes, NUL where unused, and the
-rows of a block are read out as one text without the NULs.
+Each cell is laid out in a fixed row of bytes, NUL where unused; the rows
+of a slice of a block, cells and separators side by side, are read out by
+one bytes.translate that deletes every NUL, since no separator and no cell
+holds one of its own.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -45,7 +45,6 @@ _K_MIN = 16 - _X_MAX
 _LOW, _HIGH = 10**16, 10**17
 
 
-@functools.cache
 def _power_of_ten(k: int) -> tuple[float, float, int]:
     """(hi, lo, s) with 10^k = (hi + lo) 2^s to about 2^-106: hi the double
     nearest 10^k 2^-s in [1, 2], lo the double nearest the rest."""
@@ -58,14 +57,22 @@ def _power_of_ten(k: int) -> tuple[float, float, int]:
     return hi, ((num << 52) - int(hi * 2**52) * den) / (den << 52), s
 
 
+# _power_of_ten(i + _K_MIN) by i, each entry filled when an index first
+# needs it
+_HIS, _LOS = np.zeros((2, 16 - _X_MIN - _K_MIN + 1))
+_SHIFTS = np.zeros(_HIS.size, dtype=np.int64)
+_FILLED = np.zeros(_HIS.size, dtype=bool)
+
+
 def _powers_of_ten(index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arrays (hi, lo, s) of _power_of_ten(i + _K_MIN) at each i of index
-    (entries at no index are unset)."""
-    his, los = np.empty((2, index.max() + 1))
-    shifts = np.empty(his.size, dtype=np.int64)
-    for i in np.flatnonzero(np.bincount(index)).tolist():
-        his[i], los[i], shifts[i] = _power_of_ten(i + _K_MIN)
-    return his, los, shifts
+    """Arrays (hi, lo, s) of _power_of_ten(i + _K_MIN), filled at each i
+    of index."""
+    new = index[~_FILLED[index]]
+    # a set, not np.unique, whose first call adds 1.7 MB resident
+    for i in set(new.tolist()):
+        _HIS[i], _LOS[i], _SHIFTS[i] = _power_of_ten(i + _K_MIN)
+        _FILLED[i] = True
+    return _HIS, _LOS, _SHIFTS
 
 
 def _scaled(m: np.ndarray, q: np.ndarray, x: np.ndarray):
@@ -125,22 +132,25 @@ def _digits_17(m, q, x, exact_power_of_two, fmt):
     # (c/4 only at m = 2^52, where c >= 1e16 / 2^52)
     half = scale / 2.0
     undecided = (whole < _LOW) | (whole >= _HIGH) | (~exact & (np.abs(frac - half) < MARGIN))
-    digits = whole + ((frac > half) | ((frac == half) & (whole % 2 == 1)))
+    digits = whole + ((frac > half) | ((frac == half) & ((whole & 1) == 1)))
     if fmt != "csv":
-        _shortest(digits, whole, frac, scale, ulp, exact, m % 2 == 0, exact_power_of_two,
+        _shortest(digits, whole, frac, scale, ulp, exact, (m & 1) == 0, exact_power_of_two,
                   undecided)
     digits[undecided] = _LOW
     carry = digits == _HIGH
     digits[carry] = _LOW
     x += carry
-    # n: 17 less the trailing zeros
+    # n: 17 less the trailing zeros (a - a // b * b is a % b for a >= 0, and
+    # faster in numpy)
     n = np.full(digits.size, 17, dtype=np.uint8)
-    ends = np.flatnonzero(digits % 10 == 0)
-    rest = digits[ends] // 10
+    tens = digits // 10
+    ends = np.flatnonzero(digits == tens * 10)
+    rest = tens[ends]
     while ends.size:
         n[ends] -= 1
-        more = rest % 10 == 0
-        ends, rest = ends[more], rest[more] // 10
+        tens = rest // 10
+        more = rest == tens * 10
+        ends, rest = ends[more], tens[more]
     return digits, x, n, undecided
 
 
@@ -167,7 +177,8 @@ def _shortest(digits, whole, frac, scale, ulp, exact, even, exact_power_of_two, 
     for k in range(1, 17):
         step = 10**k
         f, unit, up_gap, down_gap, margin, inside, outside = state
-        rest = w % step
+        head = w // step
+        rest = w - head * step
         # distances from y down to the lower and up to the upper neighbour
         down = rest * unit + f
         up = (step - rest) * unit - f
@@ -179,16 +190,18 @@ def _shortest(digits, whole, frac, scale, ulp, exact, even, exact_power_of_two, 
         # two neighbours inside at one exact distance: the even one
         tie = low_in & high_in & (margin == 0.0) & (down == up)
         if tie.any():
-            odd = tie & ((w // step) % 2 == 1)
+            odd = tie & ((head & 1) == 1)
             take_down |= tie & ~odd
             take_up |= odd
         found = take_down | take_up
         undecided[live[~(found | (low_out & high_out))]] = True
-        live, w, rest, take_up = live[found], w[found], rest[found], take_up[found]
+        # integer indices compact faster than a boolean mask
+        kept = np.flatnonzero(found)
+        live, w, head, take_up = live[kept], w[kept], head[kept], take_up[kept]
         if not live.size:
             break
-        digits[live] = w - rest + take_up * step
-        state = state[:, found]
+        digits[live] = (head + take_up) * step
+        state = state.take(kept, axis=1)
 
 
 # A cell is laid out in four little-endian 64-bit words, NUL where unused:
@@ -198,9 +211,10 @@ def _shortest(digits, whole, frac, scale, ulp, exact, even, exact_power_of_two, 
 # "e", its sign and two or three digits.
 _WORDS = 4
 # rows of a block laid out at a time, which bounds the kernel's temporaries:
-# two sweep-dense rounds peaked at 51.3 MB resident (50.7 with CPython's
-# cells; 47.2 with 512 rows, whose export took a fifth longer, and 64.1
-# with whole blocks)
+# a process running two sweep-dense rounds (seed 1) peaked at 46.8 MB
+# resident (46.9 with CPython's cells; 45.9 with 512 rows, whose export took
+# 1.15 times as long; 48.7 with 2048 rows, no faster, and 52.1 with whole
+# blocks)
 _SLICE_ROWS = 1024
 _MINUS = ord("-")
 _DOT = ord(".")
@@ -228,9 +242,14 @@ _EXPONENT = np.array([_word(b"\0\0e%+03d" % x) for x in range(_X_MIN, _X_MAX + 1
 
 def _digit_words(digits: np.ndarray) -> list[np.ndarray]:
     """The 17 ASCII digits of each integer in [1e16, 1e17), as three words."""
-    return [_QUADS[digits // 10**13] | (_QUADS[digits // 10**9 % 10**4] << np.uint64(32)),
-            _QUADS[digits // 10**5 % 10**4] | (_QUADS[digits // 10 % 10**4] << np.uint64(32)),
-            (digits % 10 + ord("0")).astype(np.uint64)]
+    quads = []
+    rest = digits
+    for power in (10**13, 10**9, 10**5, 10):
+        quad = rest // power
+        rest = rest - quad * power
+        quads.append(_QUADS[quad])
+    return [quads[0] | (quads[1] << np.uint64(32)), quads[2] | (quads[3] << np.uint64(32)),
+            (rest + ord("0")).astype(np.uint64)]
 
 
 def lay_out(values: np.ndarray, fmt: str) -> tuple[np.ndarray, np.ndarray]:
@@ -267,11 +286,12 @@ def lay_out(values: np.ndarray, fmt: str) -> tuple[np.ndarray, np.ndarray]:
     # the digit string cut at the point, the upper part shifted up one byte
     # and the point put in the gap
     carry = np.zeros(values.size, dtype=np.uint64)
-    dot_word, dot_shift = np.divmod(point, 8)
+    dot_word, dot_shift = point >> 3, point & 7
     dot = _BYTES[dot_shift] * (point < 18) * np.uint64(_DOT)
     for i, word in enumerate(_digit_words(digits)):
-        word &= _FIRST[i, shown]
-        before = _FIRST[i, point]
+        first = _FIRST[i]
+        word &= first[shown]
+        before = first[point]
         upper = word & ~before
         laid[:, 1 + i] = ((word & before) | (upper << np.uint64(8)) | carry
                           | dot * (dot_word == i))
@@ -332,10 +352,11 @@ def _float_rows(spelled: list[np.ndarray], fmt: str, spell_left) -> list[np.ndar
 def _joined(segments: list, rows: int) -> bytes:
     """rows rows of the segments, uint8 arrays of one row or of all rows
     with NUL where a byte is unused, side by side, read out row after row
-    without the NULs."""
+    by one bytes.translate that deletes the NULs. No separator and no cell
+    holds a NUL of its own: JSON keys come from json.dumps, which escapes
+    it, and CSV's separators are "," and "\n"."""
     starts = np.cumsum([0] + [cells.shape[-1] for cells in segments]).tolist()
     block = np.empty((rows, starts[-1]), dtype=np.uint8)
     for cells, a, b in zip(segments, starts, starts[1:]):
         block[:, a:b] = cells
-    flat = block.ravel()
-    return np.compress(flat != 0, flat).tobytes()
+    return block.tobytes().translate(None, b"\0")

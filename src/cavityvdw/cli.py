@@ -223,8 +223,8 @@ def _kk_columns(cav: PlanarCavity, offsets, rel_tol: float) -> dict:
     sf = lorentzian_spectral_function(1.0, om_nu, gamma)
     control = QuadratureControl(rel_tol=rel_tol)
     numeric = np.array([kk_real_from_imag(sf, w, control) for w in omegas.tolist()]) / math.pi
-    closed = np.array([narrow_mode_real_contraction(1.0, gamma, om_nu, w)
-                       for w in omegas.tolist()])
+    closed = np.array([narrow_mode_real_contraction(1.0, gamma, om_nu, offset)
+                       for offset in offsets.tolist()])
     return {"offset_widths": offsets, "omega": omegas, "kk_numeric_over_pi": numeric,
             "closed_form": closed, "rel_error": np.abs(numeric / closed - 1.0)}
 

@@ -144,21 +144,24 @@ def weak_theta_force(theta, omega_r: float, grad_omega_r, detuning: float) -> np
 
 
 def narrow_mode_real_contraction(
-    g2_peak: float, gamma_nu: float, omega_nu: float, omega: float
+    g2_peak: float, gamma_nu: float, omega_nu: float, offset_widths: float
 ) -> float:
-    """Far-detuned Hilbert image of a Lorentzian squared coupling [rad/s]:
-    gamma_nu g2_peak / (2 (omega_nu - omega)). Callers must stay at least
-    100 mode widths away from the line center."""
+    """Far-detuned Hilbert image of a Lorentzian squared coupling [rad/s] at
+    omega = omega_nu + offset_widths gamma_nu: gamma_nu g2_peak / (2
+    (omega_nu - omega)). The offset must be at least 100 mode widths; it is
+    checked as given, so an offset of exactly 100 is accepted whatever the
+    rounding of omega."""
     require("peak coupling", "g2_peak", g2_peak)
     require("mode width", "gamma_nu", gamma_nu, "positive")
     require("mode frequency", "omega_nu", omega_nu)
-    require("angular frequency", "omega", omega)
-    ratio = abs(omega - omega_nu) / gamma_nu
-    if ratio < 100.0:
+    require("offset", "offset_widths", offset_widths)
+    if abs(offset_widths) < 100.0:
         raise DomainError(
-            f"asymptotic contraction needs |omega - omega_nu| >= 100 gamma_nu; "
-            f"got {ratio:.3g} widths"
+            f"asymptotic contraction needs |offset_widths| >= 100; got {offset_widths:.3g}"
         )
+    omega = omega_nu + offset_widths * gamma_nu
+    if omega == omega_nu:
+        raise DomainError("offset_widths * gamma_nu is below the resolution of omega_nu")
     return gamma_nu * g2_peak / (2.0 * (omega_nu - omega))
 
 

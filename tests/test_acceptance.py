@@ -200,7 +200,7 @@ def test_criterion_07_kk_narrow_mode_identity(capsys):
     for offset in (-1.0e3, 1.0e3):
         w_eval = om_nu + offset * gamma
         numeric = kk_real_from_imag(sf, w_eval) / math.pi
-        closed = narrow_mode_real_contraction(1.0, gamma, om_nu, w_eval)
+        closed = narrow_mode_real_contraction(1.0, gamma, om_nu, offset)
         worst = max(worst, abs(numeric / closed - 1.0))
     _report(capsys, 7, "Kramers-Kronig narrow-mode asymptote", worst, 1e-2,
             time.perf_counter() - t0, limit=5.0)

@@ -10,6 +10,7 @@ from cavityvdw import _floatcells, cli
 from cavityvdw.cli import EXPORT_BLOCK_ROWS, EXPORT_KERNEL_ROWS, export, main, run
 from cavityvdw.config import load_config
 from cavityvdw.errors import ConfigError, DomainError
+from cavityvdw.greens import PlanarCavity
 from cavityvdw.tabular import Table
 
 from oracles import SPECIAL_FLOATS, per_cell_export_text
@@ -217,6 +218,30 @@ def test_export_writes_the_per_cell_bytes(tmp_path_factory, kernel, data):
         assert out.read_bytes() == per_cell_export_text(names, lists, fmt).encode("utf-8"), fmt
 
 
+def test_export_keeps_nul_and_control_characters_of_column_names(tmp_path, monkeypatch):
+    # the kernel reads its rows out by deleting every NUL byte, so a NUL in
+    # a separator would be lost; json.dumps escapes it in a JSON-lines key
+    laid = []
+
+    def counted(values, fmt, lay_out=_floatcells.lay_out):
+        laid.append(len(values))
+        return lay_out(values, fmt)
+
+    monkeypatch.setattr(_floatcells, "lay_out", counted)
+    rng = np.random.default_rng(22)
+    controls = "".join(map(chr, range(32))).replace("\n", "")
+    names = ["\x00", "a\x00b", controls, "\x7f\x00\x1b[0m", "\x00\x00é\x00"]
+    n = EXPORT_KERNEL_ROWS + 5
+    columns = [rng.normal(size=n) * 10.0 ** rng.integers(-6, 6, size=n) for _ in names]
+    table = Table(dict(zip(names, columns)))
+    lists = [table.column(name) for name in names]
+    for fmt in ("jsonl", "csv"):
+        laid.clear()
+        export(table, tmp_path / "t", fmt)
+        assert sum(laid) == n * len(names), fmt
+        assert (tmp_path / "t").read_bytes() == per_cell_export_text(names, lists, fmt).encode("utf-8")
+
+
 def test_export_formats_a_negated_column_through_its_partner(tmp_path, monkeypatch):
     # values spelled by CPython or laid out by the kernel: 5000 rows are a
     # kernel block and a block below the threshold
@@ -368,6 +393,26 @@ def test_cli_kk_check_table(tmp_path):
     for row in rows:
         assert row["rel_error"] <= 1e-2
         assert row["omega"] > 0.0
+
+
+# cavities where omega_nu + 100 gamma_nu rounds so that |omega - omega_nu| /
+# gamma_nu reads 99.99999999999999: the default offsets' +-100 pass the
+# config's check and reach the closed form, which decides on the same offset
+@pytest.mark.parametrize("d,delta,nu", [(1.0e-6, 1.0e-4, 1), (0.5e-6, 1.0e-5, 1),
+                                        (0.5e-6, 1.5e-3, 3), (2.0e-6, 1.0e-5, 2)])
+def test_kk_check_runs_at_its_default_hundred_width_offsets(tmp_path, capsys, d, delta, nu):
+    cfg = _write(tmp_path, f"scenario: planar\ncavity: {{d: {d:.1e}, delta: {delta:.1e}, nu: {nu}}}\n")
+    out = tmp_path / "kk.csv"
+    assert main(["kk-check", "--config", cfg, "--out", str(out)]) == 0, capsys.readouterr().err
+    cav = PlanarCavity(d=d, delta=delta, nu=nu)
+    lines = out.read_text().splitlines()
+    names = lines[0].split(",")
+    rows = [dict(zip(names, map(float, line.split(",")))) for line in lines[1:]]
+    assert [row["offset_widths"] for row in rows] == [-1.0e3, -3.0e2, -1.0e2, 1.0e2, 3.0e2, 1.0e3]
+    assert min(abs(row["omega"] - cav.omega_nu) / cav.gamma_nu for row in rows) < 100.0
+    for row in rows:
+        assert row["closed_form"] == cav.gamma_nu / (2.0 * (cav.omega_nu - row["omega"]))
+        assert row["rel_error"] <= 1e-2
 
 
 def test_run_manifest_contents(tmp_path):

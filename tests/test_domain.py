@@ -96,7 +96,7 @@ FUNCTION_BASELINES = {
                             "omega": 1.0e15 + 1.0e11}),
     "narrow_mode_real_contraction": (cavityvdw.narrow_mode_real_contraction,
                                      {"g2_peak": 1.0, "gamma_nu": 1.0e11, "omega_nu": 1.0e15,
-                                      "omega": 0.9e15}),
+                                      "offset_widths": -1.0e3}),
     "planar_cavity_green": (cavityvdw.planar_cavity_green,
                             {"cav": CAV, "z": 0.3e-6, "zp": 0.6e-6, "omega": CAV.omega_nu}),
     "planar_resonant_im_gxx": (cavityvdw.planar_resonant_im_gxx,

@@ -102,6 +102,24 @@ def test_free_space_rejects_zero_separation():
         free_space_green(-1.0, np.array([1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("r", [(0.0, 1.0e-7), (0.0, 0.0, 1.0e-7, 0.0), np.ones((1, 3)) * 1.0e-7])
+def test_free_space_rejects_a_displacement_that_is_not_a_3_vector(r):
+    with pytest.raises(DomainError, match="3-vector"):
+        free_space_green(1.0e7, r)
+
+
+@pytest.mark.parametrize("matrix", [np.eye(2), np.eye(3)[:, :2], np.ones(9), np.eye(3)[None]])
+def test_dyad_rejects_a_matrix_that_is_not_3x3(matrix):
+    with pytest.raises(DomainError, match="3x3"):
+        ComplexDyad(matrix)
+
+
+@pytest.mark.parametrize("status", ["", "Full", "scattering", "none"])
+def test_dyad_rejects_an_unknown_real_status(status):
+    with pytest.raises(DomainError, match="unknown real_status"):
+        ComplexDyad(np.eye(3), status)
+
+
 @pytest.mark.parametrize("call, name", [
     (lambda: free_space_green(math.inf, (0.0, 0.0, 1.0e-7)), "k=inf"),
     (lambda: free_space_green(math.nan, (0.0, 0.0, 1.0e-7)), "k=nan"),

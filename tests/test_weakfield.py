@@ -8,7 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from cavityvdw.constants import C, EPS0
 from cavityvdw.errors import DomainError
-from cavityvdw.greens import FreeSpaceGreens, PlanarCavity, PlanarCavityGreens, free_space_green
+from cavityvdw.greens import (ComplexDyad, FreeSpaceGreens, PlanarCavity, PlanarCavityGreens,
+                              free_space_green)
 from cavityvdw.modecoupling import AtomSpec, ModeModel
 from cavityvdw.dressed import eigenenergies
 from cavityvdw.weakfield import (
@@ -56,6 +57,19 @@ def test_resonant_potential_interaction_symmetric():
     ab = resonant_potential(a, b, FreeSpaceGreens())
     ba = resonant_potential(b, a, FreeSpaceGreens())
     assert ab.interaction == pytest.approx(ba.interaction, rel=1e-13, abs=0.0)
+
+
+class _ImaginaryOnlyGreens:
+    """A provider with no finite real part anywhere, as a user may pass."""
+
+    def tensor(self, r1, r2, omega):
+        return ComplexDyad(1j * np.eye(3), real_status="excluded")
+
+
+def test_resonant_potential_refuses_a_provider_without_a_real_part_between_the_atoms():
+    a, b, w, k = _random_atom_pair()
+    with pytest.raises(DomainError, match="no real part at distinct points"):
+        resonant_potential(a, b, _ImaginaryOnlyGreens())
 
 
 def test_resonant_potential_requires_identical_atoms():
@@ -245,13 +259,31 @@ def test_weak_limits_reject_non_finite_input_by_name(call, name):
 def test_narrow_mode_real_contraction_basics():
     g2, gamma, w0 = 3.0e8, 1.0e10, 1.0e15
     w = w0 - 1.0e3 * gamma
-    val = narrow_mode_real_contraction(g2, gamma, w0, w)
+    val = narrow_mode_real_contraction(g2, gamma, w0, -1.0e3)
     assert val == pytest.approx(gamma * g2 / (2.0 * (w0 - w)), rel=1e-15, abs=0.0)
-    flipped = narrow_mode_real_contraction(g2, gamma, w0, w0 + 1.0e3 * gamma)
+    flipped = narrow_mode_real_contraction(g2, gamma, w0, 1.0e3)
     assert flipped == pytest.approx(-val, rel=1e-15, abs=0.0)
-    assert narrow_mode_real_contraction(0.0, gamma, w0, w) == 0.0
-    with pytest.raises(DomainError):
-        narrow_mode_real_contraction(g2, gamma, w0, w0 + 50.0 * gamma)
+    assert narrow_mode_real_contraction(0.0, gamma, w0, -1.0e3) == 0.0
+    with pytest.raises(DomainError, match="offset_widths"):
+        narrow_mode_real_contraction(g2, gamma, w0, 50.0)
+
+
+@pytest.mark.parametrize("offset", [-100.0, 100.0])
+def test_narrow_mode_real_contraction_edge_is_the_offset_as_given(offset):
+    # omega_nu + 100 gamma_nu rounds so that |omega - omega_nu| / gamma_nu
+    # reads 99.99999999999999; the edge is decided on the offset itself
+    cav = PlanarCavity(d=1.0e-6, delta=1.0e-4, nu=1)
+    gamma, w0 = cav.gamma_nu, cav.omega_nu
+    w = w0 + offset * gamma
+    assert abs(w - w0) / gamma < 100.0
+    assert narrow_mode_real_contraction(1.0, gamma, w0, offset) == gamma / (2.0 * (w0 - w))
+    with pytest.raises(DomainError, match="offset_widths"):
+        narrow_mode_real_contraction(1.0, gamma, w0, math.nextafter(offset, 0.0))
+
+
+def test_narrow_mode_real_contraction_rejects_an_offset_below_omega_resolution():
+    with pytest.raises(DomainError, match="resolution"):
+        narrow_mode_real_contraction(1.0, 1.0e-10, 1.0e15, 1.0e3)
 
 
 def test_narrow_mode_matches_kk_quadrature():
@@ -268,7 +300,7 @@ def test_narrow_mode_matches_kk_quadrature():
         hint_points=(w0 - gamma, w0, w0 + gamma),
     )
     numeric = kk_real_from_imag(sf, w) / math.pi
-    closed = narrow_mode_real_contraction(g2, gamma, w0, w)
+    closed = narrow_mode_real_contraction(g2, gamma, w0, -1.0e3)
     assert abs(numeric - closed) / abs(closed) < 1e-2
 
 

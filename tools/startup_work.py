@@ -9,9 +9,11 @@ xcheck on tests/goldens/free_space.yaml, each in a fresh interpreter, on a
 copy of src/ of the checkout at --root (default: the current directory).
 The child imports numpy and yaml, then installs an audit hook
 (sys.addaudithook) that counts the `compile` and `exec` events of two
-stages: `import cavityvdw.cli`, and the run of `cli.main`. It also counts
-the modules each stage loads beyond `import numpy, yaml`, and names those
-the run loads.
+stages, `import cavityvdw.cli` and the run of `cli.main`, and sums the
+source bytes the `compile` events were given (`compile_bytes`, from the
+event's source argument: UTF-8 bytes of a str, the length of a buffer, 0
+for an AST). It also counts the modules each stage loads beyond
+`import numpy, yaml`, and names those the run loads.
 
 The run is made as the program runs it: the child sets sys.argv and calls
 main() with no argument. The `exit` stage reads, as the first statement
@@ -57,16 +59,22 @@ import numpy, yaml
 
 config, out, mode = sys.argv[1:]
 baseline = set(sys.modules)
-counts = {"compile": 0, "exec": 0}
+counts = {"compile": 0, "compile_bytes": 0, "exec": 0}
 
 def hook(event, args):
-    if event in counts:
+    if event in ("compile", "exec"):
         counts[event] += 1
+    if event == "compile":
+        source = args[0]
+        if isinstance(source, str):
+            counts["compile_bytes"] += len(source.encode("utf-8", "surrogatepass"))
+        elif isinstance(source, (bytes, bytearray, memoryview)):
+            counts["compile_bytes"] += memoryview(source).nbytes
 
 sys.addaudithook(hook)
 import cavityvdw.cli
 report = {"import": {**counts, "modules": len(set(sys.modules) - baseline)}}
-counts.update(compile=0, exec=0)
+counts.update(compile=0, compile_bytes=0, exec=0)
 before = set(sys.modules)
 sys.argv = ["cavityvdw", mode, "--config", config, "--out", out]
 code = cavityvdw.cli.main()
