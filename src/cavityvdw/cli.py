@@ -10,7 +10,6 @@ failure, 2 tolerance failure in xcheck.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import math
@@ -318,8 +317,10 @@ def _mode_xcheck(cfg: RunConfig) -> tuple[Table, dict, int]:
     dev = [ladder[f"u_{s}_strong"] / ladder[f"u_{s}_weak"] - 1.0 for s in ("plus", "minus")]
     measured["weak-limit-ladder"] = float(np.max(np.abs(dev)))
 
-    # the kk-check mode's transform against 1/(omega_nu - omega) at +-1e3 widths
-    kk = _kk_columns(cav, (-1.0e3, 1.0e3), cfg.tol_quadrature)
+    # the kk-check mode's transform against 1/(omega_nu - omega) at +-1e3
+    # widths, below resonance only where that omega is > 0
+    offsets = (-1.0e3, 1.0e3) if cav.omega_nu - 1.0e3 * cav.gamma_nu > 0.0 else (1.0e3,)
+    kk = _kk_columns(cav, offsets, cfg.tol_quadrature)
     measured["kk-asymptote"] = float(np.max(kk["rel_error"]))
 
     names = list(measured)
@@ -331,7 +332,8 @@ def _mode_xcheck(cfg: RunConfig) -> tuple[Table, dict, int]:
     samples = {"free-space-route-equivalence": 100,
                "force-gradient-corrected": int(np.count_nonzero(smooth)),
                "force-as-printed-ratio": int(np.count_nonzero(moving))}
-    return table, {"samples": samples}, int(np.count_nonzero(~ok))
+    return table, {"samples": samples, "kk_offset_widths": list(offsets)}, \
+        int(np.count_nonzero(~ok))
 
 
 _MODE_RUNNERS = {
@@ -512,7 +514,22 @@ def write_manifest(manifest: dict, path: str | Path) -> None:
 
 # --------------------------------------------------------------------- CLI
 
-def _build_parser() -> argparse.ArgumentParser:
+# the flags of every subcommand, each with its add_argument keywords; a
+# flag's dest is the config key it sets. _build_parser and _canonical_args
+# both read this table
+_FLAGS = {
+    "--config": {"dest": "config", "required": True, "help": "YAML run configuration"},
+    "--out": {"dest": "output.path", "metavar": "OUT", "help": "output table path"},
+    "--format": {"dest": "output.format", "choices": FORMATS},
+    "--variant": {"dest": "variant", "choices": VARIANTS},
+    "--tolerance": {"dest": "tolerances.xcheck", "metavar": "TOLERANCE", "type": float,
+                    "help": "uniform xcheck tolerance override"},
+}
+
+
+def _build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cavityvdw",
         description="Two-atom cavity coupling tables: Rabi scans, dressed "
@@ -521,14 +538,38 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _MODE_RUNNERS:
         p = sub.add_parser(name, help=f"run the {name} mode")
-        p.add_argument("--config", required=True, help="YAML run configuration")
-        # each flag's dest is the config key it sets
-        p.add_argument("--out", dest="output.path", metavar="OUT", help="output table path")
-        p.add_argument("--format", dest="output.format", choices=FORMATS)
-        p.add_argument("--variant", dest="variant", choices=VARIANTS)
-        p.add_argument("--tolerance", dest="tolerances.xcheck", metavar="TOLERANCE", type=float,
-                       help="uniform xcheck tolerance override")
+        for flag, spec in _FLAGS.items():
+            p.add_argument(flag, **spec)
     return parser
+
+
+def _canonical_args(argv) -> dict | None:
+    """The arguments _build_parser() reads from a canonical command line,
+    a mode name then flag/value pairs with each flag spelled in full and
+    --config among them; None for any other command line, which is left to
+    argparse (help, usage errors and every other spelling).
+
+    A value must not start with "-", must be one of the flag's choices and,
+    for --tolerance, must parse as a float; a repeated flag keeps its last
+    value, as argparse does."""
+    if len(argv) % 2 != 1 or argv[0] not in _MODE_RUNNERS:
+        return None
+    args = {spec["dest"]: None for spec in _FLAGS.values()}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        spec = _FLAGS.get(flag)
+        if spec is None or value.startswith("-"):
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except ValueError:
+                return None
+        args[spec["dest"]] = value
+    if args["config"] is None:
+        return None
+    return {"command": argv[0], **args}
 
 
 def _default_out(cfg: RunConfig) -> str:
@@ -555,7 +596,9 @@ def main(argv=None) -> int:
 
 
 def _command(argv) -> int:
-    args = vars(_build_parser().parse_args(argv))
+    args = _canonical_args(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        args = vars(_build_parser().parse_args(argv))
     command, config = args.pop("command"), args.pop("config")
     flags = {key: value for key, value in args.items() if value is not None}
     try:

@@ -455,6 +455,18 @@ def test_xcheck_manifest_counts_samples_used(tmp_path):
                        "force-as-printed-ratio": 100}
 
 
+@pytest.mark.parametrize("delta", [2.0e-3, math.nextafter(0.1, 0.0)])
+def test_xcheck_completes_where_omega_nu_minus_1e3_widths_is_negative(tmp_path, delta):
+    # at nu = 1 and delta >= pi/2000, up to the schema's bound, omega_nu -
+    # 1e3 gamma_nu < 0: the kk-asymptote row keeps its +1e3-width offset
+    # alone and the manifest records it
+    text = MINIMAL.replace("delta: 1.0e-3", f"delta: {delta!r}")
+    out = tmp_path / "x.csv"
+    assert main(["xcheck", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+    assert manifest["normalization"]["kk_offset_widths"] == [1.0e3]
+
+
 def test_force_sweep_across_interior_node(tmp_path, capsys):
     # nu = 2 has a node at d/2, on the grid; the analytic gradient needs no
     # finite-difference error estimate there
@@ -518,3 +530,52 @@ def test_sweeping_a_against_b_mirrors_sweeping_b_against_a(tmp_path_factory, nu,
         for name in a.columns:
             if not name.startswith("z_"):
                 assert a.values(name).tobytes() == b.values(name).tobytes(), name
+
+
+# mirror parity through cli.run: under z -> d - z the sweep of atom A against
+# B at z_b over [lo, hi] becomes the sweep against d - z_b over [1 - hi,
+# 1 - lo], its rows in reverse order, with the force along z negated. The
+# grids are mirrored only to rounding, which Omega_R's slope carries into
+# every column and the as-printed force's 1 / sin(2 theta_c) amplifies near
+# Omega_R = 0: over this test's draws the heights missed d - z by at most
+# 1.5e-16 d, and the other columns by at most 2.1e-15 (potentials, Omega_R),
+# 4.2e-15 (corrected force) and 1.5e-13 (as-printed force) of their largest
+# magnitude
+MIRROR_TOLS = {"z_": 6.0e-16, "f_theta_as_printed": 6.0e-13, "f_": 2.0e-14, "": 1.0e-14}
+
+
+def _mirror_draws(count=24, seed=2024):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        nu = int(rng.integers(1, 6))
+        d = float(10.0 ** rng.uniform(-7.0, -4.0))
+        lo, hi = sorted(rng.uniform(0.0, 1.0, 2).tolist())
+        # on resonance, or detuned by up to 5 % of omega_nu
+        shift = float(rng.uniform(-0.05, 0.05)) if rng.uniform() < 0.5 else 0.0
+        yield (nu, d, float(10.0 ** rng.uniform(-5.0, -1.1)), float(rng.uniform(0.02, 0.98)),
+               lo, hi, shift, float(rng.uniform(0.0, math.pi)))
+
+
+def test_mirrored_sweep_of_a_reverses_rows_and_negates_the_force(tmp_path):
+    for i, (nu, d, delta, z_b, lo, hi, shift, theta) in enumerate(_mirror_draws()):
+        omega10 = (1.0 + shift) * nu * math.pi * 299792458.0 / d
+        for mode in ("potential", "force"):
+            tables = []
+            for held, span in ((z_b, (lo, hi)), (1.0 - z_b, (1.0 - hi, 1.0 - lo))):
+                text = (f"scenario: planar\nmode: {mode}\ncavity:\n  d: {d!r}\n"
+                        f"  delta: {delta!r}\n  nu: {nu}\natoms:\n  z_b: {held * d!r}\n"
+                        f"  omega10: {omega10!r}\nsweep:\n  points: 21\n  target: A\n"
+                        f"  span: [{span[0]!r}, {span[1]!r}]\n  theta: {theta!r}\n")
+                tables.append(run(load_config(_write(tmp_path, text, f"{i}-{mode}.yaml"))).table)
+            table, mirrored = tables
+            assert table.columns == mirrored.columns
+            for name in table.columns:
+                got = mirrored.values(name)[::-1]
+                want = table.values(name)
+                tol = next(t for prefix, t in MIRROR_TOLS.items() if name.startswith(prefix))
+                if name.startswith("z_"):
+                    miss, scale = np.abs(got - (d - want)), d
+                else:
+                    miss = np.abs((-got if name.startswith("f_") else got) - want)
+                    scale = np.max(np.abs(want))
+                assert np.all(miss <= tol * scale), (i, mode, name, np.max(miss) / scale)

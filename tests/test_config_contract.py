@@ -1,5 +1,10 @@
 """The contract of config.load_config and of the CLI flags.
 
+A canonical command line is read without argparse and gives argparse's
+arguments exactly; every other one is left to argparse. A config is parsed
+by libyaml where it gives the pure-Python loader's data, and every other
+document, malformed ones included, by the pure loader.
+
 Every rejection path of the loader is one row below: a YAML config and the
 exact message its ConfigError carries. The CLI rows give each flag's value
 and provenance in the manifest, the subcommand against a config's own
@@ -11,14 +16,23 @@ reported as "tolerance: must be > 0" and now names the key the flag sets,
 "tolerances.xcheck: must be > 0".
 """
 
+import io
 import json
+import shlex
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cavityvdw.cli import main
+from cavityvdw import config
+from cavityvdw.cli import _build_parser, _canonical_args, main
 from cavityvdw.config import load_config
 from cavityvdw.errors import ConfigError
+
+TESTS = Path(__file__).parent
 
 PLANAR = """\
 scenario: planar
@@ -283,3 +297,160 @@ def test_cli_tolerance_must_be_finite(tmp_path, capsys, value):
     # gate failed every xcheck row and an infinite one passed every row
     code, err = _run(tmp_path, capsys, PLANAR, ["xcheck", "--tolerance", value])
     assert (code, err) == (1, "error: tolerances.xcheck: must be finite\n")
+
+
+# ----------------------------------------------------- argv without argparse
+
+FLAGS = ["--config", "--out", "--format", "--variant", "--tolerance"]
+# spellings argparse reads or refuses, which the canonical reader leaves to it
+OTHER_FLAGS = ["--conf", "--o", "--form", "--var", "--tol", "--h", "--config=run.yaml",
+               "--format=csv", "--tolerance=1e-3", "--out=", "-h", "--help", "--", "--bogus",
+               "-c"]
+VALUES = ["run.yaml", "out/t.csv", "csv", "jsonl", "xml", "CSV", "corrected", "as-printed",
+          "1e-3", "0.5", "nan", "inf", "-inf", "1_0", "-1", "-2.5e-3", "-x", "--", "-", "",
+          " 1", "1 ", "scan-rabi"]
+flags = st.one_of(st.sampled_from(FLAGS), st.sampled_from(OTHER_FLAGS))
+values = st.one_of(st.sampled_from(VALUES), st.text(max_size=4))
+pairs = st.lists(st.tuples(flags, values), max_size=4).map(
+    lambda drawn: [token for pair in drawn for token in pair])
+tokens = st.lists(st.one_of(flags, values), max_size=8)
+
+
+def _argparse_args(argv):
+    """vars() of argparse's namespace for argv, or None where it exits."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(_build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _same_args(fast, parsed):
+    # equal values of equal types, a NaN tolerance matching a NaN one
+    return parsed is not None and fast.keys() == parsed.keys() and all(
+        type(fast[k]) is type(parsed[k]) and (fast[k] == parsed[k] or fast[k] != fast[k]
+                                              and parsed[k] != parsed[k])
+        for k in fast)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mode=st.sampled_from([*config.MODES, "bogus", "", "-h", "--config"]),
+       with_config=st.booleans(), rest=st.one_of(pairs, tokens))
+def test_canonical_reader_gives_argparse_arguments_or_none(mode, with_config, rest):
+    argv = [mode, *(["--config", "run.yaml"] if with_config else []), *rest]
+    fast = _canonical_args(argv)
+    assert fast is None or _same_args(fast, _argparse_args(argv)), argv
+
+
+@pytest.mark.parametrize("rest,canonical", [
+    (["--out", ""], True), (["--tolerance", "nan"], True), (["--tolerance", "1_0"], True),
+    (["--tolerance", " 1"], True), (["--out", "a", "--out", "b"], True),
+    (["--format", "jsonl", "--variant", "as-printed"], True), (["--out", "-x"], False),
+    (["--out", "--"], False), (["--out", "-"], False), (["--tolerance", "-1"], False),
+    (["--tolerance", "-inf"], False), (["--format", "xml"], False), (["--variant", "CSV"], False),
+    (["--tolerance", "abc"], False), (["--tolerance", "1e-3", "--tolerance", "x"], False),
+    (["--config=run.yaml"], False), (["--conf", "run.yaml"], False), (["-h"], False),
+    (["--", "x"], False), (["--out"], False),
+])
+@pytest.mark.parametrize("with_config", [True, False])
+def test_canonical_reader_on_edge_spellings(rest, canonical, with_config):
+    argv = ["force", *(["--config", "run.yaml"] if with_config else []), *rest]
+    fast = _canonical_args(argv)
+    assert (fast is not None) == (canonical and with_config)
+    assert fast is None or _same_args(fast, _argparse_args(argv))
+
+
+def _readme_command_lines():
+    text = (TESTS.parent / "README.md").read_text()
+    cli = text[text.index("\n## CLI\n"):]
+    block = cli[cli.index("```sh"):cli.index("```", cli.index("```sh") + 3)]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("cavityvdw ")]
+
+
+def test_readme_command_lines_are_read_without_argparse():
+    lines = _readme_command_lines()
+    assert sorted(argv[0] for argv in lines) == sorted(config.MODES)
+    for argv in lines:
+        assert _same_args(_canonical_args(argv), _argparse_args(argv)), argv
+
+
+# ------------------------------------------------- libyaml and the pure loader
+
+LIBYAML = config._LIBYAML_LOADER
+needs_libyaml = pytest.mark.skipif(LIBYAML is None, reason="PyYAML built without libyaml")
+
+
+def _outcome(load, raw):
+    try:
+        return "data", repr(load(raw))
+    except Exception as exc:  # PyYAML raises IndexError for some tags
+        return "error", type(exc).__name__, str(exc)
+
+
+@needs_libyaml
+@pytest.mark.parametrize("path", sorted(TESTS.rglob("*.yaml")), ids=lambda path: path.name)
+def test_yaml_files_load_equal_through_libyaml_and_the_pure_loader(path):
+    raw = path.read_bytes()
+    assert repr(yaml.load(raw, Loader=LIBYAML)) == repr(yaml.safe_load(raw))
+    assert _outcome(config._parse_yaml, raw) == _outcome(yaml.safe_load, raw)
+
+
+scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                    st.text(max_size=8), st.sampled_from(["planar", "2.0e15", "1e-3", "x"]))
+setting_values = st.recursive(scalars, lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+
+
+@st.composite
+def config_documents(draw):
+    """YAML text of a mapping of config keys, known or not, to values."""
+    doc: dict = {}
+    paths = sorted({s.path for s in config.SETTINGS}) + ["bogus", "sweep.bogus"]
+    for path in draw(st.lists(st.sampled_from(paths), unique=True)):
+        section, _, key = path.rpartition(".")
+        (doc.setdefault(section, {}) if section else doc)[key] = draw(setting_values)
+    return yaml.safe_dump(doc, default_flow_style=draw(st.sampled_from([False, True, None])),
+                          sort_keys=draw(st.booleans()), width=draw(st.sampled_from([20, 80])),
+                          indent=draw(st.sampled_from([2, 4])),
+                          explicit_start=draw(st.booleans()))
+
+
+@needs_libyaml
+@settings(max_examples=100, deadline=None)
+@given(text=config_documents())
+def test_config_documents_load_equal_through_libyaml_and_the_pure_loader(text):
+    raw = text.encode("utf-8")
+    assert repr(yaml.load(raw, Loader=LIBYAML)) == repr(yaml.safe_load(raw))
+    assert _outcome(config._parse_yaml, raw) == _outcome(yaml.safe_load, raw)
+
+
+# pieces of documents: YAML indicators, line breaks, numbers, and what the two
+# scanners read differently (a tab after a value, "|#", a bare "!" tag, BOMs)
+PIECES = [*"ab:-[]{},#'\"|>!&*?%@`.\\", "\t", "\r", "\n", "\n  ", "\n- ", " ", ": ", "1.0e-6",
+          "1_000", ".nan", "~", "yes", "!!float", "!!str", "|#", "<<: ", "---", "...", "\ufeff",
+          "\x00", "\x85", "\u2028", "é", "%YAML 1.1\n"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.lists(st.sampled_from(PIECES), max_size=30).map("".join),
+       encoding=st.sampled_from(["utf-8", "utf-16"]))
+def test_every_document_loads_as_the_pure_loader_loads_it(text, encoding):
+    # the same data, or the same exception with the same text, so every
+    # ConfigError message stays the pure loader's
+    raw = text.encode(encoding)
+    assert _outcome(config._parse_yaml, raw) == _outcome(yaml.safe_load, raw)
+
+
+@pytest.mark.parametrize("raw", [
+    b"a: 1\t\n", b"cavity:\n  d: 1.0e-6\t# m\n", b"a: [1,\t2]\n", b"a: !\n", b"!",
+    b"a: |#\n  x\n", b"\xef\xbb\xbf|#", "|#".encode("utf-16"),
+])
+def test_documents_libyaml_reads_otherwise_load_as_the_pure_loader_loads_them(raw):
+    # libyaml reads each of these where the pure loader refuses it or reads
+    # None; the pure loader's reading stands
+    assert _outcome(config._parse_yaml, raw) == _outcome(yaml.safe_load, raw)
+
+
+def test_config_loads_the_same_without_libyaml(monkeypatch):
+    with_libyaml = load_config(TESTS / "goldens" / "planar.yaml")
+    monkeypatch.setattr(config, "_LIBYAML_LOADER", None)
+    assert vars(load_config(TESTS / "goldens" / "planar.yaml")) == vars(with_libyaml)

@@ -21,7 +21,10 @@ The manifest of every run above, and of one run per remaining flag and one
 with no flag on planar.yaml, must match its golden
 (tests/goldens/<run>.manifest.json) byte for byte: these hold the
 provenance, tolerance and normalization bytes fixed. They were written by
-the config loader that preceded the settings table.
+the config loader that preceded the settings table; the xcheck manifest
+has since gained the kk-asymptote row's offsets, "kk_offset_widths".
+
+Every command line here is canonical, so main reads it without argparse.
 """
 
 from pathlib import Path
@@ -29,6 +32,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cavityvdw import cli
 from cavityvdw.cli import main, run
 from cavityvdw.config import RunConfig, load_config
 from cavityvdw.dressed import force_theta
@@ -48,6 +52,14 @@ KK_EXACT = ("offset_widths", "omega", "closed_form")
 KK_REL = 5e-14
 JSONL_CASES = [("planar", m) for m in ("scan-rabi", *PLANAR_MODES, "kk-check")] + [
     ("free_space", "potential")]
+
+
+@pytest.fixture(autouse=True)
+def _without_argparse(monkeypatch):
+    def refuse():
+        raise AssertionError("a golden command line reached argparse")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
 
 
 def _assert_manifest_matches(table: Path, run_name: str) -> None:

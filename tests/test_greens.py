@@ -289,6 +289,50 @@ def test_planar_scattering_is_unchanged_when_both_points_are_mirrored(nu, log_de
     assert abs(mirrored[1] - longi) / max(abs(longi), floor) < MIRROR_PARITY_TOL
 
 
+def _scaling_draws(count, seed):
+    """(nu, delta, z/d, z'/d, offset in widths) of cavity-tensor draws, one
+    in four with z = z'."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        z_over_d, zp_over_d = rng.uniform(1e-3, 0.999, 2).tolist()
+        yield (int(rng.integers(1, 6)), float(10.0 ** rng.uniform(-5.0, -1.1)), z_over_d,
+               z_over_d if i % 4 == 0 else zp_over_d, float(rng.uniform(-3.0, 3.0)))
+
+
+def _scaled_pair(lam, nu, delta, z_over_d, zp_over_d, offset):
+    """G(d, z, z', omega) and lam G(lam d, lam z, lam z', omega / lam)."""
+    cav = PlanarCavity(d=1.0e-6, delta=delta, nu=nu)
+    big = PlanarCavity(d=lam * cav.d, delta=delta, nu=nu)
+    omega = cav.omega_nu + offset * cav.gamma_nu
+    g = planar_cavity_green(cav, z_over_d * cav.d, zp_over_d * cav.d, omega).matrix
+    scaled = lam * planar_cavity_green(big, z_over_d * big.d, zp_over_d * big.d,
+                                       omega / lam).matrix
+    return g, scaled, omega
+
+
+def test_cavity_green_scales_with_length_bit_for_bit_by_powers_of_two():
+    # lengths scale out: lam G(lam d, lam z, lam z', omega / lam) = G(d, z,
+    # z', omega), and a power of two scales every length, wavenumber and
+    # frequency of the computation exactly
+    for i, draw in enumerate(_scaling_draws(60, seed=7)):
+        g, scaled, _ = _scaled_pair(2.0 ** (i % 7 - 3), *draw)
+        assert scaled.tobytes() == g.tobytes(), draw
+
+
+# with any other factor the quadrature's panels round differently: over this
+# test's draws, lam = 10^U(-1, 1), the entries moved by at most 7.3e-12 of
+# max(|entry|, k / 6 pi)
+LENGTH_SCALING_TOL = 3.0e-11
+
+
+def test_cavity_green_scales_with_length():
+    rng = np.random.default_rng(8)
+    for draw in _scaling_draws(100, seed=9):
+        g, scaled, omega = _scaled_pair(float(10.0 ** rng.uniform(-1.0, 1.0)), *draw)
+        scale = max(np.max(np.abs(g)), omega / C / (6.0 * math.pi))
+        assert np.max(np.abs(scaled - g)) <= LENGTH_SCALING_TOL * scale, draw
+
+
 # integrand nodes and levels of one on-resonance call, as measured on G20/K41
 # panels with decade-graded edges in both sectors: (nu, delta, z/d, z'/d,
 # nodes, levels)

@@ -1,7 +1,7 @@
 """Import contract: the package imports what pyproject.toml declares,
 numpy and PyYAML, besides the standard library, with one listed exception;
 no CLI mode and no fit_lorentzian call loads scipy; no CLI mode loads
-numpy.polynomial or dataclasses; importing the CLI generates no code beyond
+numpy.polynomial or dataclasses, nor argparse, gettext or locale; importing the CLI generates no code beyond
 the three namedtuples' constructors; and every public name has a shipped
 route or a listed reason.
 
@@ -9,7 +9,8 @@ Every CLI mode evaluates closed forms or the numpy principal-value
 quadrature, and the cavity Green's tensor runs on the same numpy panel
 engine; fit_lorentzian is a numpy variable-projection fit. The panel
 engine's Gauss-Legendre rule is written out, and the package's value
-classes are Records, which generate no code.
+classes are Records, which generate no code. A canonical command line is
+read without argparse, which serves only help and usage errors.
 """
 
 import ast
@@ -42,7 +43,8 @@ from cavityvdw import cli
 
 def loaded():
     return {top: sorted(m for m in sys.modules if m == top or m.startswith(top + "."))
-            for top in ("scipy", "numpy.polynomial", "dataclasses")}
+            for top in ("scipy", "numpy.polynomial", "dataclasses", "argparse", "gettext",
+                        "locale")}
 
 report = {"codes": {}, "import": loaded()}
 for stage, runs in zip(("closed_form", "quadrature"), json.loads(sys.argv[3])):
@@ -124,6 +126,14 @@ def test_imports_match_the_declared_dependencies():
 @pytest.mark.parametrize("top", ["numpy.polynomial", "dataclasses"])
 def test_no_cli_mode_loads_numpy_polynomial_or_dataclasses(cli_report, top):
     # the Gauss-Legendre rule is a literal, and Records generate no code
+    assert [cli_report[stage][top] for stage in ("import", "closed_form", "quadrature")] \
+        == [[], [], []]
+
+
+@pytest.mark.parametrize("top", ["argparse", "gettext", "locale"])
+def test_no_cli_mode_loads_argparse_gettext_or_locale(cli_report, top):
+    # every golden command line is canonical, and argparse's gettext lookups
+    # are what loaded locale
     assert [cli_report[stage][top] for stage in ("import", "closed_form", "quadrature")] \
         == [[], [], []]
 

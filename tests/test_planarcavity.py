@@ -194,6 +194,33 @@ def test_rabi_omega_is_unchanged_when_both_atoms_are_mirrored(nu, fa, fb):
     assert abs(mirrored - omega_r) <= MIRROR_PARITY_TOL * math.sqrt(scn.amp2)
 
 
+def _rabi_in_cli_unit(lam, nu, z_a_over_d, z_b_over_d):
+    """Omega_R on resonance in the CLI's unit sqrt(c Gamma0 / d), with d, z_A
+    and z_B scaled by lam and so omega10 = omega_nu by 1 / lam."""
+    cav = PlanarCavity(d=lam * 1.0e-6, delta=1.0e-3, nu=nu)
+    scn = PlanarScenario.resonant(cav, z_a_over_d * cav.d, z_b_over_d * cav.d)
+    omega_r = rabi_omega(scn, scn.position_a[2], scn.position_b[2])
+    return omega_r / math.sqrt(C * scn.gamma0 / cav.d)
+
+
+# Omega_R / sqrt(c Gamma0 / d) = sqrt(3/2) |s_A + s_B| holds at every length
+# scale. A power of two scales each factor exactly; over this test's draws
+# with lam = 10^U(-1, 1) the rounding moved it by at most 1.5e-15 of its
+# largest value, 2 sqrt(3/2)
+RABI_SCALING_TOL = 6.0e-15
+
+
+def test_rabi_omega_in_the_cli_unit_is_unchanged_by_length_scaling():
+    rng = np.random.default_rng(11)
+    for i in range(200):
+        nu = int(rng.integers(1, 6))
+        fa, fb = rng.uniform(0.01, 0.99, 2).tolist()
+        unit = _rabi_in_cli_unit(1.0, nu, fa, fb)
+        assert _rabi_in_cli_unit(2.0 ** (i % 7 - 3), nu, fa, fb) == unit
+        scaled = _rabi_in_cli_unit(float(10.0 ** rng.uniform(-1.0, 1.0)), nu, fa, fb)
+        assert abs(scaled - unit) <= RABI_SCALING_TOL * 2.0 * math.sqrt(1.5)
+
+
 def test_rabi_totals_at_exact_nodes_are_nonnegative():
     # where s_A = -s_B exactly, A^2 s_A^2 + A^2 s_B^2 + 2 A^2 s_A s_B cancels
     # and can round below zero; the total written there must be >= 0 and

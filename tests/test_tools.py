@@ -1,5 +1,6 @@
-"""The tools under tools/ start, and the benchmark round that
-tools/quad_work.py counts returns the pinned bits.
+"""The tools under tools/ start, the benchmark round that
+tools/quad_work.py counts returns the pinned bits, and tools/bench_pairs.py
+picks the parent an uncommitted change sits on.
 
 No golden table evaluates the cavity Green's tensor, the principal-value
 transform or the fit, so the digests below are what holds their every bit:
@@ -48,3 +49,38 @@ def test_quad_work_seed_1_counts_and_digests_are_pinned():
     done = _tool("quad_work.py", "--root", str(ROOT), "--seed", "1")
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == QUAD_WORK_SEED_1
+
+
+def _git(repo, *args):
+    return subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@localhost",
+                           *args], cwd=repo, check=True, capture_output=True, text=True).stdout
+
+
+def _bench_pairs_parent(repo):
+    """What bench_pairs.py prints of the parent it picks without --parent in
+    repo, from a run with no pairs and no metrics."""
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "bench_pairs.py"), "--out",
+                           "record.json", "--change", "none", "--pairs", "none:1-0"],
+                          cwd=repo, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    (repo / "record.json").unlink()
+    return done.stderr.strip()
+
+
+@pytest.mark.parametrize("dirty", [None, "changed", "untracked"])
+def test_bench_pairs_measures_an_uncommitted_tree_against_head(tmp_path, dirty):
+    # run on a changed tree, the default parent is the commit the change sits
+    # on, not the one before it
+    (tmp_path / "BENCHMARK.json").write_text('{"run_seconds": 1, "end_to_end": []}')
+    _git(tmp_path, "init", "-q")
+    for n in ("1", "2"):
+        (tmp_path / "a.txt").write_text(n)
+        _git(tmp_path, "add", "-A")
+        _git(tmp_path, "commit", "-q", "-m", n)
+    if dirty == "changed":
+        (tmp_path / "a.txt").write_text("3")
+    elif dirty == "untracked":
+        (tmp_path / "b.txt").write_text("")
+    ref = "HEAD" if dirty else "HEAD~"
+    commit = _git(tmp_path, "rev-parse", "--short", ref).strip()
+    assert _bench_pairs_parent(tmp_path) == f"parent: {ref} = {commit}"

@@ -3,14 +3,17 @@
 
     python3 tools/bench_pairs.py --out BENCH_<n>.json --change "what changed"
         --pairs sweep-dense:401-410 --pairs cli-modes:411-413
-        [--claim sweep-dense:wall_s] [--trace sweep-dense:414] [--parent HEAD~]
+        [--claim sweep-dense:wall_s] [--trace sweep-dense:414] [--parent REV]
         [--attach NAME=FILE]
 
 Run from the root of a git checkout. The parent side is the committed tree
 of --parent, exported with `git archive` into a temporary directory; the
-change side is the working tree. Each side runs `python3 perfbench/run.py`
-from its own root for BENCHMARK.json's run_seconds, one run at a time. For
-every seed the two sides run back to back, the parent first on odd seeds
+change side is the working tree. Without --parent, the parent is HEAD when
+the working tree differs from it (changed or untracked files), so that an
+uncommitted change is measured against the commit it sits on, and HEAD~
+when the tree is clean; the commit chosen is printed. Each side runs
+`python3 perfbench/run.py` from its own root for BENCHMARK.json's
+run_seconds, one run at a time. For every seed the two sides run back to back, the parent first on odd seeds
 and the change first on even seeds.
 
 The record gives, per workload and end-to-end metric, both sides' values,
@@ -61,6 +64,13 @@ def export_commit(ref: str, into: Path) -> str:
     return commit
 
 
+def default_parent(root: Path) -> str:
+    """HEAD if the working tree at root differs from it, else HEAD~."""
+    status = subprocess.run(["git", "status", "--porcelain"], cwd=root, check=True,
+                            capture_output=True, text=True).stdout
+    return "HEAD" if status.strip() else "HEAD~"
+
+
 def bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """The result line of one perfbench/run.py run from root."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -103,12 +113,14 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC", help="the claimed gain")
     parser.add_argument("--trace", action="append", default=[], metavar="WORKLOAD:SEED",
                         help="one --trace 1 run per side; repeatable")
-    parser.add_argument("--parent", default="HEAD~", help="git revision of the parent side")
+    parser.add_argument("--parent", help="git revision of the parent side (default: HEAD if the "
+                                          "working tree differs from it, else HEAD~)")
     parser.add_argument("--attach", action="append", default=[], metavar="NAME=FILE",
                         help="a JSON object to keep in the record; repeatable")
     args = parser.parse_args(argv)
 
     root = Path.cwd()
+    parent = args.parent or default_parent(root)
     declared = json.loads((root / "BENCHMARK.json").read_text())
     bounds = {m["name"]: m["bound"] for m in declared["end_to_end"]}
     units = {m["name"]: m["unit"] for m in declared["end_to_end"]}
@@ -129,7 +141,8 @@ def main(argv=None) -> int:
     raw = []
     with tempfile.TemporaryDirectory() as tmp:
         sides = {"parent": Path(tmp), "change": root}
-        record["parent_commit"] = export_commit(args.parent, sides["parent"])
+        record["parent_commit"] = export_commit(parent, sides["parent"])
+        print(f"parent: {parent} = {record['parent_commit']}", file=sys.stderr, flush=True)
 
         def run(side, workload, seed, trace):
             result = bench(sides[side], workload, seed, seconds, trace)
