@@ -229,8 +229,17 @@ def _kk_columns(cav: PlanarCavity, offsets, rel_tol: float) -> dict:
 
 
 def _mode_kk_check(cfg: RunConfig) -> tuple[Table, dict, int]:
-    cols = _kk_columns(_cavity(cfg), cfg.kk_offsets, cfg.tol_quadrature)
-    return Table(cols), {"peak": 1.0}, 0
+    cav = _cavity(cfg)
+    offsets, norm = cfg.kk_offsets, {"peak": 1.0}
+    if cfg.provenance["sweep.kk_offsets"] == "default":
+        # the default offsets below resonance reach omega <= 0 from delta ~
+        # nu pi / 2000 on; those are left out, and only then does the
+        # manifest list the offsets used, so other manifests keep their bytes
+        used = tuple(o for o in offsets if cav.omega_nu + o * cav.gamma_nu > 0.0)
+        if used != offsets:
+            offsets, norm["kk_offset_widths"] = used, list(used)
+    cols = _kk_columns(cav, offsets, cfg.tol_quadrature)
+    return Table(cols), norm, 0
 
 
 _XCHECK_TOLS = {

@@ -13,13 +13,11 @@ its key's YAML value once that value has passed its own checks."""
 
 from __future__ import annotations
 
-import hashlib
 import math
+import re
 from collections import namedtuple
 from pathlib import Path
 from typing import Any, Callable, Mapping
-
-import yaml
 
 from .constants import C
 from .errors import ConfigError
@@ -36,17 +34,38 @@ PLANAR_ONLY_MODES = ("scan-rabi", "dressed", "force", "weak-limit", "kk-check")
 
 _REQUIRED = object()
 
-# libyaml's parser, where PyYAML was built with it: it builds the same data
-# as the pure-Python loader, through the same constructor and resolver, in a
-# quarter of the time. Its scanner accepts some documents the pure one
-# refuses (a tab after a value, "|#", a bare "!" tag), so it reads only
-# documents of printable ASCII and line breaks without the indicators of
-# tags, anchors, aliases, directives, block scalars, complex keys, reserved
-# characters and escapes. Every other document, and every one libyaml
-# refuses, is read by the pure loader, so every result and every parse
-# error is that loader's
-_LIBYAML_LOADER = getattr(yaml, "CSafeLoader", None)
-_LIBYAML_BYTES = bytes(range(0x20, 0x7F)).translate(None, b"!%&*>?@\\`|") + b"\r\n"
+# SHA-256 without hashlib, whose sha256 loads OpenSSL's _hashlib: _sha2 from
+# CPython 3.12 on, _sha256 before
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
+# The block subset the program's configs are written in, which _read_block
+# reads without PyYAML: printable ASCII lines, block mappings two levels
+# deep, block sequences (indented, or indentless as yaml.safe_dump writes
+# them) and one-line flow sequences of scalars, with comments on their own
+# line or after a value and a space. Its plain scalars are decimal ints
+# without leading zeros, floats with a point and an optional signed
+# exponent, and words that no implicit resolver of PyYAML's SafeLoader
+# matches, keys included. Every other document is declined (duplicate keys,
+# tabs, CRs, tags, anchors, "---", quoted and multi-line scalars, spaces
+# inside a scalar, unsigned exponents such as 2.0e15 ...) and read by
+# yaml.safe_load, so every result and every parse error is PyYAML's
+_PRINTABLE = bytes(range(0x20, 0x7F)) + b"\n"
+_SCALAR = re.compile(r"(?P<int>[-+]?(?:0|[1-9][0-9]*))|[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?"
+                     r"|(?P<word>[A-Za-z_/][A-Za-z0-9_./+-]*)")
+# the words SafeLoader reads as a bool or as null
+_RESERVED = frozenset("yes Yes YES no No NO true True TRUE false False FALSE on On ON off Off "
+                      "OFF null Null NULL".split())
+_NOTHING = object()  # no value after a line's indicator
+
+
+class _Declined(Exception):
+    """A document outside the block subset."""
 
 
 class RunConfig(Record):
@@ -264,12 +283,93 @@ def _sections(data: Mapping[str, Any]) -> dict[str, Mapping[str, Any]]:
     return sections
 
 
+def _scalar(token: str) -> Any:
+    match = _SCALAR.fullmatch(token)
+    # PyYAML refuses a simple key of over 1024 characters
+    if match is None or token in _RESERVED or len(token) > 1024:
+        raise _Declined
+    return token if match["word"] else int(token) if match["int"] else float(token)
+
+
+def _entry(text: str) -> tuple[Any, Any]:
+    """(key, value) of a "key: value" line, (_NOTHING, value) of a "- value"
+    line; the value is _NOTHING where the line ends after its indicator."""
+    if text[:2] == "- ":
+        key, rest = _NOTHING, text[2:]
+    else:
+        key, colon, rest = text.partition(":")
+        if not colon or rest[:1] not in ("", " "):
+            raise _Declined
+        key = _scalar(key)
+    rest = rest.lstrip(" ")
+    if not rest or rest[0] == "#":
+        return key, _NOTHING
+    if rest[0] == "[":
+        inner, bracket, after = rest[1:].partition("]")
+        if not bracket:
+            raise _Declined
+        value = [_scalar(item.strip(" ")) for item in inner.split(",")] if inner.strip(" ") \
+            else []
+    else:
+        token = rest.partition(" ")[0]
+        value, after = _scalar(token), rest[len(token):]
+    if after[:1] not in ("", " ") or after.lstrip(" ")[:1] not in ("", "#"):
+        raise _Declined
+    return key, value
+
+
+def _read_block(raw: bytes) -> Any:
+    """raw's data, as yaml.safe_load gives it, where raw is written in the
+    block subset; raises _Declined otherwise."""
+    if raw.translate(None, _PRINTABLE):
+        raise _Declined
+    # (indent, key, value) per line that is neither blank nor a comment
+    lines = [(len(line) - len(text), *_entry(text)) for line in raw.decode("ascii").split("\n")
+             if (text := line.lstrip(" ")) and text[0] != "#"]
+    if not lines:
+        return None
+    lines.append((-1, None, None))
+
+    def sequence(i: int, indent: int) -> tuple[list, int]:
+        items = []
+        while lines[i][0] == indent and lines[i][1] is _NOTHING:
+            if lines[i][2] is _NOTHING:
+                raise _Declined
+            items.append(lines[i][2])
+            i += 1
+        return items, i
+
+    def mapping(i: int, indent: int, nested: bool) -> tuple[dict, int]:
+        data = {}
+        while lines[i][0] == indent and lines[i][1] is not _NOTHING:
+            _, key, value = lines[i]
+            if key in data:
+                raise _Declined
+            below, below_key, _ = lines[i + 1]
+            if value is not _NOTHING:
+                i += 1
+            elif below_key is _NOTHING and below >= indent:
+                value, i = sequence(i + 1, below)
+            elif below > indent and not nested:
+                value, i = mapping(i + 1, below, True)
+            else:
+                value, i = None, i + 1
+            data[key] = value
+        return data, i
+
+    data, i = mapping(0, 0, False)
+    if i != len(lines) - 1:
+        raise _Declined
+    return data
+
+
 def _parse_yaml(raw: bytes) -> Any:
-    if _LIBYAML_LOADER is not None and not raw.translate(None, _LIBYAML_BYTES):
-        try:
-            return yaml.load(raw, Loader=_LIBYAML_LOADER)
-        except yaml.YAMLError:
-            pass
+    """raw's data, or the exception yaml.safe_load raises for it: read by
+    _read_block where raw is in the block subset, by safe_load otherwise."""
+    try:
+        return _read_block(raw)
+    except _Declined:
+        import yaml
     return yaml.safe_load(raw)
 
 
@@ -296,20 +396,21 @@ def load_config(path: str | Path, command: str | None = None,
     except OSError as exc:
         raise ConfigError(f"config: unreadable: {p}: {exc}") from None
 
+    # only yaml.safe_load raises here, as _read_block declines instead; its
+    # constructor's IndexError and ValueError are parse errors too
     try:
         data = _parse_yaml(raw)
-    except yaml.MarkedYAMLError as exc:
-        mark = exc.problem_mark
+    except Exception as exc:
+        mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        raise ConfigError(f"config: parse error{where}: {exc.problem or exc}") from None
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config: parse error: {exc}") from None
+        problem = getattr(exc, "problem", None)
+        raise ConfigError(f"config: parse error{where}: {problem or exc}") from None
 
     if data is None:
         data = {}
     if not isinstance(data, Mapping):
         raise ConfigError("config: top level must be a mapping")
-    return _resolve(_sections(data), hashlib.sha256(raw).hexdigest(), command, flags or {})
+    return _resolve(_sections(data), _sha256(raw).hexdigest(), command, flags or {})
 
 
 def _resolve(sections: dict[str, Mapping[str, Any]], sha: str, command: str | None,

@@ -467,6 +467,35 @@ def test_xcheck_completes_where_omega_nu_minus_1e3_widths_is_negative(tmp_path, 
     assert manifest["normalization"]["kk_offset_widths"] == [1.0e3]
 
 
+@pytest.mark.parametrize("delta,used", [
+    (2.0e-3, [-300.0, -100.0, 100.0, 300.0, 1000.0]),
+    (math.nextafter(0.1, 0.0), [100.0, 300.0, 1000.0]),
+])
+def test_kk_check_default_offsets_leave_out_omega_at_or_below_zero(tmp_path, delta, used):
+    # at nu = 1 the default offsets below resonance give omega <= 0 from
+    # delta ~ pi/2000 (-1e3 widths), pi/600 (-300) and pi/200 (-100) on:
+    # those are left out, and the manifest lists the offsets used
+    text = MINIMAL.replace("delta: 1.0e-3", f"delta: {delta!r}")
+    out = tmp_path / "kk.csv"
+    assert main(["kk-check", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "kk.csv.manifest.json").read_text())
+    assert manifest["normalization"] == {"peak": 1.0, "kk_offset_widths": used}
+    assert manifest["provenance"]["sweep.kk_offsets"] == "default"
+    rows = out.read_text().splitlines()
+    assert [float(row.split(",")[0]) for row in rows[1:]] == used
+    assert all(float(row.split(",")[1]) > 0.0 for row in rows[1:])
+
+
+def test_kk_check_user_offsets_below_zero_frequency_are_refused(tmp_path, capsys):
+    text = MINIMAL.replace("delta: 1.0e-3", "delta: 2.0e-3") + \
+        "sweep:\n  kk_offsets: [-1000.0, 1000.0]\n"
+    out = tmp_path / "kk.csv"
+    assert main(["kk-check", "--config", _write(tmp_path, text), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [kk-check]: sweep.kk_offsets: offset -1000 widths gives omega = ")
+    assert not out.exists()
+
+
 def test_force_sweep_across_interior_node(tmp_path, capsys):
     # nu = 2 has a node at d/2, on the grid; the analytic gradient needs no
     # finite-difference error estimate there

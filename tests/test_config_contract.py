@@ -1,9 +1,9 @@
 """The contract of config.load_config and of the CLI flags.
 
 A canonical command line is read without argparse and gives argparse's
-arguments exactly; every other one is left to argparse. A config is parsed
-by libyaml where it gives the pure-Python loader's data, and every other
-document, malformed ones included, by the pure loader.
+arguments exactly; every other one is left to argparse. A config written in
+the block subset is read without PyYAML, to the data yaml.safe_load gives
+it, and every other document, malformed ones included, by safe_load.
 
 Every rejection path of the loader is one row below: a YAML config and the
 exact message its ConfigError carries. The CLI rows give each flag's value
@@ -16,6 +16,7 @@ reported as "tolerance: must be > 0" and now names the key the flag sets,
 "tolerances.xcheck: must be > 0".
 """
 
+import hashlib
 import io
 import json
 import shlex
@@ -374,10 +375,7 @@ def test_readme_command_lines_are_read_without_argparse():
         assert _same_args(_canonical_args(argv), _argparse_args(argv)), argv
 
 
-# ------------------------------------------------- libyaml and the pure loader
-
-LIBYAML = config._LIBYAML_LOADER
-needs_libyaml = pytest.mark.skipif(LIBYAML is None, reason="PyYAML built without libyaml")
+# ------------------------------------------------ the block reader and PyYAML
 
 
 def _outcome(load, raw):
@@ -387,11 +385,50 @@ def _outcome(load, raw):
         return "error", type(exc).__name__, str(exc)
 
 
-@needs_libyaml
+def _readme_yaml_blocks():
+    text = (TESTS.parent / "README.md").read_text()
+    section = text[text.index("\n## Configuration\n"):text.index("\n## Library example\n")]
+    return [block.split("```")[0] for block in section.split("```yaml\n")[1:]]
+
+
+PLANAR_SPEC = {"scenario": "planar", "variant": "corrected", "seed": 3, "mode": "force",
+               "cavity": {"d": 1.0e-6, "delta": 1.0e-3, "nu": 2},
+               "atoms": {"z_a": 2.5e-7, "z_b": 6.0e-7, "omega10": 1.8836215673088532e+15,
+                         "dipole_norm": 1.0e-29},
+               "sweep": {"points": 200, "span": [0.001, 0.999], "target": "A", "theta": 0.6,
+                         "kk_offsets": [-1000.0, -300.0, 100.0, 1000.0],
+                         "weak_ratios": [10.0, 100.0]},
+               "output": {"path": "/tmp/run-7/planar_force.jsonl", "format": "jsonl"}}
+FREE_SPEC = {"scenario": "free-space", "variant": "as-printed", "seed": 0, "mode": "potential",
+             "atoms": {"position_a": [0.0, 0.0, 0.0], "position_b": [0.0, 0.0, 1.0e-7],
+                       "omega10": 2.0e+15, "dipole_norm": 1.0e-29,
+                       "orientation": [1.0, 0.0, 0.0]},
+             "sweep": {"points": 41, "span": [0.5, 2.0]},
+             "output": {"path": "out.csv", "format": "csv"}}
+# every config the program's tests and README ship, and the shape of those
+# the benchmark writes with yaml.safe_dump
+READER_DOCUMENTS = (
+    [(path.relative_to(TESTS).as_posix(), path.read_bytes())
+     for path in sorted(TESTS.rglob("*.yaml"))]
+    + [(f"README.md block {i}", block.encode()) for i, block in enumerate(_readme_yaml_blocks())]
+    + [(f"safe_dump {name} {sort_keys}", yaml.safe_dump(spec, sort_keys=sort_keys).encode())
+       for name, spec in (("planar", PLANAR_SPEC), ("free-space", FREE_SPEC))
+       for sort_keys in (False, True)])
+
+
+@pytest.mark.parametrize("name,raw", READER_DOCUMENTS, ids=[name for name, _ in READER_DOCUMENTS])
+def test_shipped_configs_are_read_without_pyyaml(name, raw):
+    # the start-up gain rests on these configs never reaching yaml.safe_load
+    assert repr(config._read_block(raw)) == repr(yaml.safe_load(raw))
+
+
+def test_readme_has_two_yaml_examples():
+    assert len(_readme_yaml_blocks()) == 2
+
+
 @pytest.mark.parametrize("path", sorted(TESTS.rglob("*.yaml")), ids=lambda path: path.name)
-def test_yaml_files_load_equal_through_libyaml_and_the_pure_loader(path):
+def test_yaml_files_load_as_safe_load_loads_them(path):
     raw = path.read_bytes()
-    assert repr(yaml.load(raw, Loader=LIBYAML)) == repr(yaml.safe_load(raw))
     assert _outcome(config._parse_yaml, raw) == _outcome(yaml.safe_load, raw)
 
 
@@ -414,16 +451,14 @@ def config_documents(draw):
                           explicit_start=draw(st.booleans()))
 
 
-@needs_libyaml
 @settings(max_examples=100, deadline=None)
 @given(text=config_documents())
-def test_config_documents_load_equal_through_libyaml_and_the_pure_loader(text):
+def test_config_documents_load_as_safe_load_loads_them(text):
     raw = text.encode("utf-8")
-    assert repr(yaml.load(raw, Loader=LIBYAML)) == repr(yaml.safe_load(raw))
     assert _outcome(config._parse_yaml, raw) == _outcome(yaml.safe_load, raw)
 
 
-# pieces of documents: YAML indicators, line breaks, numbers, and what the two
+# pieces of documents: YAML indicators, line breaks, numbers, and what
 # scanners read differently (a tab after a value, "|#", a bare "!" tag, BOMs)
 PIECES = [*"ab:-[]{},#'\"|>!&*?%@`.\\", "\t", "\r", "\n", "\n  ", "\n- ", " ", ": ", "1.0e-6",
           "1_000", ".nan", "~", "yes", "!!float", "!!str", "|#", "<<: ", "---", "...", "\ufeff",
@@ -433,24 +468,136 @@ PIECES = [*"ab:-[]{},#'\"|>!&*?%@`.\\", "\t", "\r", "\n", "\n  ", "\n- ", " ", "
 @settings(max_examples=300, deadline=None)
 @given(text=st.lists(st.sampled_from(PIECES), max_size=30).map("".join),
        encoding=st.sampled_from(["utf-8", "utf-16"]))
-def test_every_document_loads_as_the_pure_loader_loads_it(text, encoding):
+def test_every_document_loads_as_safe_load_loads_it(text, encoding):
     # the same data, or the same exception with the same text, so every
-    # ConfigError message stays the pure loader's
+    # ConfigError message stays PyYAML's
     raw = text.encode(encoding)
     assert _outcome(config._parse_yaml, raw) == _outcome(yaml.safe_load, raw)
 
 
+# the edges of the block subset: words SafeLoader resolves, in every case,
+# numbers in and out of the subset, "#" with and without a space before it,
+# scalars with spaces, quotes, tags, anchors and aliases
+RESERVED = [form for word in ("yes", "no", "true", "false", "on", "off", "null")
+            for form in (word, word.upper(), word.title(), word[:-1] + word[-1].upper())]
+IN_SUBSET = ["a", "d", "x", "Nul", "oN", "planar", "free-space", "/tmp/o.csv", "_k", "0", "1",
+             "-0", "+1", "-12", "1.", "0.0", "-0.0", "01.5", "1.0e-6", "1.0E+6", "1.e+5",
+             "1" * 30]
+OUT_OF_SUBSET = [*RESERVED, "~", "<<", "=", "01", "007", "09", "1_000", "0x1f", "0b11", "0o7",
+                 "1:30", "2020-01-01", ".5", "-.5", "+.5", "2.0e15", "1e5", ".inf", "-.inf",
+                 ".nan", "b#c", "b # c", "a b", "'q'", '"q"', "!!str 1", "&x 1", "*x", "a:b",
+                 "-", "- 1", "?", "[1]", "|", ">"]
+KEYS = ["a", "b", "c", "d", "x", "1", "-1", "1.5"]
+OUT_OF_SUBSET_KEYS = ["on", "ON", "Null", "null", "01", "yes", "2.0e15", "a b", "~", "- a"]
+FLOWS = ["[]", "[ ]", "[1,2]", "[ 1 , 2 ]", "[x, 1.5, -0]"]
+OUT_OF_SUBSET_FLOWS = ["[1,]", "[1, 2,]", "[,]", "[[1], 2]", "[1, [2]]", "[1]#c", "[1] x", "[1",
+                       "{a: 1}", "[on, 2.0e15]"]
+COMMENTS = ["", "", "", " # c", "  #c: d", " #"]
+
+
+@st.composite
+def block_edge_documents(draw):
+    """Documents at the edges of the block subset: mappings one to three
+    levels deep, indented and indentless sequences, indents of 1-4 mixed,
+    duplicate keys, empty values, comment-only and empty documents, CRLF
+    line breaks and tabs. Half of them draw only what the reader reads,
+    so that they reach its structure."""
+    edgy = draw(st.booleans())
+
+    def pick(within, beyond):
+        return draw(st.sampled_from(within + beyond if edgy else within))
+
+    def value(depth, indent):
+        kind = draw(st.sampled_from(["scalar", "flow", "empty", "map", "seq"]))
+        if kind in ("scalar", "flow"):
+            text = pick(IN_SUBSET, OUT_OF_SUBSET) if kind == "scalar" else \
+                pick(FLOWS, OUT_OF_SUBSET_FLOWS)
+            return [" " + text + pick(COMMENTS, ["#c"])]
+        if kind == "empty" or depth == (3 if edgy else 2) and kind == "map":
+            return [pick(COMMENTS, ["#c"])]
+        step = pick([0, 1, 2, 4], []) if kind == "seq" else pick([1, 2, 3, 4], [])
+        inner = " " * (indent + step)
+        if kind == "seq":
+            items = [pick(IN_SUBSET + FLOWS, OUT_OF_SUBSET + OUT_OF_SUBSET_FLOWS + [""])
+                     for _ in range(draw(st.integers(0, 3)))]
+            return [pick(COMMENTS, [])] + [f"{inner}-{' ' + item if item else ''}"
+                                           f"{pick(COMMENTS, [])}" for item in items]
+        return [pick(COMMENTS, [])] + mapping(depth + 1, indent + step)
+
+    def mapping(depth, indent):
+        lines = []
+        for _ in range(draw(st.integers(0 if depth == 1 else 1, 3))):
+            jitter = pick([0], [0] * 10 + [1, -1])
+            head, *rest = value(depth, indent)
+            lines += [" " * max(indent + jitter, 0) + pick(KEYS, OUT_OF_SUBSET_KEYS) + ":" + head]
+            lines += rest
+        return lines
+
+    lines = mapping(1, pick([0], [0] * 9 + [1]))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     pick(["", "   ", "# note", "  # note: x"], ["---", "..."]))
+    text = "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
+    if edgy and draw(st.integers(0, 4)) == 0:
+        text = text.replace("\n", "\r\n")
+    if edgy and text and draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + "\t" + text[at:]
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=block_edge_documents())
+def test_block_edge_documents_load_as_safe_load_loads_them(text):
+    raw = text.encode("ascii")
+    assert _outcome(config._parse_yaml, raw) == _outcome(yaml.safe_load, raw), text
+
+
 @pytest.mark.parametrize("raw", [
     b"a: 1\t\n", b"cavity:\n  d: 1.0e-6\t# m\n", b"a: [1,\t2]\n", b"a: !\n", b"!",
-    b"a: |#\n  x\n", b"\xef\xbb\xbf|#", "|#".encode("utf-16"),
+    b"a: |#\n  x\n", b"\xef\xbb\xbf|#", "|#".encode("utf-16"), b"", b"# only a comment\n",
+    b"\n  \n", b"a: b#c\n", b"a: b # c\n", b"on: 1\n", b"1: a\n", b"null: 1\n",
+    b"a: 2.0e15\n", b"a: 1\na: 2\n", b"a:\n- 1\n- 2\nb: [1, 2,]\n", b"a:\r\n  b: 1\r\n",
+    b"a:\n  b:\n    c: 1\n", b"a: 1\n  b: 2\n", b"---\na: 1\n",
 ])
-def test_documents_libyaml_reads_otherwise_load_as_the_pure_loader_loads_them(raw):
-    # libyaml reads each of these where the pure loader refuses it or reads
-    # None; the pure loader's reading stands
+def test_edge_documents_load_as_safe_load_loads_them(raw):
+    # a tab after a value, "|#", a bare "!" tag: documents that libyaml,
+    # the parser before the block reader, read otherwise; then the reader's
+    # own edges
     assert _outcome(config._parse_yaml, raw) == _outcome(yaml.safe_load, raw)
 
 
-def test_config_loads_the_same_without_libyaml(monkeypatch):
-    with_libyaml = load_config(TESTS / "goldens" / "planar.yaml")
-    monkeypatch.setattr(config, "_LIBYAML_LOADER", None)
-    assert vars(load_config(TESTS / "goldens" / "planar.yaml")) == vars(with_libyaml)
+def test_config_loads_the_same_through_safe_load(monkeypatch):
+    through_reader = load_config(TESTS / "goldens" / "planar.yaml")
+
+    def decline(raw):
+        raise config._Declined
+
+    monkeypatch.setattr(config, "_read_block", decline)
+    assert vars(load_config(TESTS / "goldens" / "planar.yaml")) == vars(through_reader)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("cavity:\n  d: !!float\n", "config: parse error: string index out of range"),
+    ("cavity:\n  d: !!timestamp 2020-13-45\n", "config: parse error: month must be in 1..12"),
+])
+def test_pyyaml_constructor_errors_are_config_errors(tmp_path, capsys, text, message):
+    # PyYAML's constructor raises IndexError and ValueError for these
+    code, err = _run(tmp_path, capsys, text, ["scan-rabi", "--out", str(tmp_path / "t.csv")])
+    assert (code, err) == (1, f"error: {message}\n")
+
+
+# ------------------------------------------------------------- config hash
+
+@pytest.mark.parametrize("path", sorted(TESTS.rglob("*.yaml")), ids=lambda path: path.name)
+def test_config_sha256_is_hashlib_sha256(path):
+    raw = path.read_bytes()
+    assert config._sha256(raw).hexdigest() == hashlib.sha256(raw).hexdigest()
+    if path.parent.name == "goldens":
+        assert load_config(path).source_sha256 == hashlib.sha256(raw).hexdigest()
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=st.binary(max_size=300))
+def test_config_sha256_of_any_bytes_is_hashlib_sha256(raw):
+    assert config._sha256(raw).hexdigest() == hashlib.sha256(raw).hexdigest()

@@ -1,16 +1,19 @@
 """Import contract: the package imports what pyproject.toml declares,
 numpy and PyYAML, besides the standard library, with one listed exception;
 no CLI mode and no fit_lorentzian call loads scipy; no CLI mode loads
-numpy.polynomial or dataclasses, nor argparse, gettext or locale; importing the CLI generates no code beyond
-the three namedtuples' constructors; and every public name has a shipped
-route or a listed reason.
+numpy.polynomial or dataclasses, nor argparse, gettext or locale; no CLI
+mode on the golden configs, and no load of README's full key set, loads
+PyYAML; no closed-form mode loads OpenSSL's _hashlib; importing the CLI
+generates no code beyond the three namedtuples' constructors; and every
+public name has a shipped route or a listed reason.
 
 Every CLI mode evaluates closed forms or the numpy principal-value
 quadrature, and the cavity Green's tensor runs on the same numpy panel
 engine; fit_lorentzian is a numpy variable-projection fit. The panel
 engine's Gauss-Legendre rule is written out, and the package's value
 classes are Records, which generate no code. A canonical command line is
-read without argparse, which serves only help and usage errors.
+read without argparse, which serves only help and usage errors, and a
+config in the block subset without PyYAML.
 """
 
 import ast
@@ -44,7 +47,7 @@ from cavityvdw import cli
 def loaded():
     return {top: sorted(m for m in sys.modules if m == top or m.startswith(top + "."))
             for top in ("scipy", "numpy.polynomial", "dataclasses", "argparse", "gettext",
-                        "locale")}
+                        "locale", "yaml", "_hashlib")}
 
 report = {"codes": {}, "import": loaded()}
 for stage, runs in zip(("closed_form", "quadrature"), json.loads(sys.argv[3])):
@@ -97,6 +100,11 @@ UNDECLARED = {
 }
 
 
+# CPython's own modules that sys.stdlib_module_names lists in some of the
+# versions pyproject.toml admits only: config hashes with whichever exists
+OTHER_PYTHONS_STDLIB = {"_sha2": "3.12 on", "_sha256": "before 3.12"}
+
+
 def _imports():
     """(module, top-level name) of every absolute import in the package's
     modules, inside functions too."""
@@ -117,7 +125,8 @@ def test_imports_match_the_declared_dependencies():
     providers = importlib.metadata.packages_distributions()
     third_party = {(module, top): {d.lower() for d in providers.get(top, ())}
                    for module, top in _imports()
-                   if top not in sys.stdlib_module_names and top != "cavityvdw"}
+                   if top not in sys.stdlib_module_names and top != "cavityvdw"
+                   and top not in OTHER_PYTHONS_STDLIB}
     assert {key for key, dists in third_party.items() if not dists & declared} == set(UNDECLARED)
     # and every declared dependency is imported
     assert declared <= set().union(*third_party.values())
@@ -136,6 +145,40 @@ def test_no_cli_mode_loads_argparse_gettext_or_locale(cli_report, top):
     # are what loaded locale
     assert [cli_report[stage][top] for stage in ("import", "closed_form", "quadrature")] \
         == [[], [], []]
+
+
+def test_no_cli_mode_loads_yaml(cli_report):
+    # every golden config is in the block subset, which config reads itself
+    assert [cli_report[stage]["yaml"] for stage in ("import", "closed_form", "quadrature")] \
+        == [[], [], []]
+
+
+def test_no_closed_form_mode_loads_hashlib(cli_report):
+    # the config is hashed by _sha256 (_sha2 from 3.12 on), not OpenSSL;
+    # xcheck still loads _hashlib, through numpy.random, secrets and hmac
+    assert [cli_report[stage]["_hashlib"] for stage in ("import", "closed_form")] == [[], []]
+
+
+LOAD_CHILD = """
+import json, sys
+from cavityvdw.config import load_config
+cfg = load_config(sys.argv[1])
+print(json.dumps({"mode": cfg.mode, "loaded": sorted(
+    m for m in sys.modules if m.split(".")[0] in ("yaml", "_hashlib"))}))
+"""
+
+
+def _readme_full_key_set():
+    text = (SRC.parent / "README.md").read_text()
+    config = text[text.index("\n## Configuration\n"):]
+    block = config[config.index("```yaml", config.index("Full key set")):]
+    return block[len("```yaml\n"):block.index("```", 3)]
+
+
+def test_loading_the_readme_full_key_set_loads_no_yaml(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text(_readme_full_key_set())
+    assert _fresh_interpreter(LOAD_CHILD, str(path)) == {"mode": "scan-rabi", "loaded": []}
 
 
 def test_gauss_legendre_rule_is_leggauss_bit_for_bit():

@@ -7,13 +7,14 @@ by each CLI mode's process.
 Runs every CLI mode on tests/goldens/planar.yaml, plus potential and
 xcheck on tests/goldens/free_space.yaml, each in a fresh interpreter, on a
 copy of src/ of the checkout at --root (default: the current directory).
-The child imports numpy and yaml, then installs an audit hook
+The child imports numpy, then installs an audit hook
 (sys.addaudithook) that counts the `compile` and `exec` events of two
 stages, `import cavityvdw.cli` and the run of `cli.main`, and sums the
 source bytes the `compile` events were given (`compile_bytes`, from the
 event's source argument: UTF-8 bytes of a str, the length of a buffer, 0
 for an AST). It also counts the modules each stage loads beyond
-`import numpy, yaml`, and names those the run loads.
+`import numpy`, so PyYAML's modules count in the stage that loads them,
+and names those the run loads.
 
 The run is made as the program runs it: the child sets sys.argv and calls
 main() with no argument. The `exit` stage reads, as the first statement
@@ -55,7 +56,7 @@ REPEATS = 2
 
 CHILD = """
 import gc, sys
-import numpy, yaml
+import numpy
 
 config, out, mode = sys.argv[1:]
 baseline = set(sys.modules)
