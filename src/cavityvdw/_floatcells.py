@@ -15,7 +15,10 @@ of a unit in the 17th digit.
   (c/4 below an exact power of two); when both lie inside, the nearer one
   wins. This is the output of the shortest mode of Gay's dtoa ("Correctly
   rounded binary-decimal and decimal-binary conversions", 1990), which
-  CPython's repr uses.
+  CPython's repr uses. The search drops one digit at a time; once the
+  step is more than twice the upper half-gap, no later step can change
+  the digits found, and a normal double's half-gaps are below 11.1 units,
+  so its search takes at most two steps.
 
 From 1e-4 to 1e17 c is a double with at most 46 bits after the point, and
 from 1e17 to 1e31 y and c are whole multiples of 5^-(E-16); either way
@@ -25,10 +28,10 @@ Elsewhere a cell whose decision falls within 2^-20 of a tie or an interval
 end is not spelled here, nor is a zero or a non-finite value: lay_out
 leaves those to the caller, and block_text has CPython spell them.
 
-Each cell is laid out in a fixed row of bytes, NUL where unused; the rows
-of a slice of a block, cells and separators side by side, are read out by
-one bytes.translate that deletes every NUL, since no separator and no cell
-holds one of its own.
+Each cell is laid out in a fixed row of 25 bytes, NUL where unused; the
+rows of a slice of a block, cells and separators side by side in one array,
+are read out by one bytes.translate that deletes every NUL, since no
+separator and no cell holds one of its own.
 """
 
 from __future__ import annotations
@@ -104,9 +107,9 @@ def _scaled(m: np.ndarray, q: np.ndarray, x: np.ndarray):
 
 
 def _digits_17(m, q, x, exact_power_of_two, fmt):
-    """17-digit integers D in [1e16, 1e17), exponents X and significant
-    digit counts n, so that the cell is the first n digits of D times
-    10^(X-16); and the mask of cells this cannot decide."""
+    """17-digit integers D in [1e16, 1e17) and exponents X, so that the
+    cell is the significant digits of D times 10^(X-16); and the mask of
+    cells this cannot decide."""
     whole, frac, ulp, exact = _scaled(m, q, x)
     # floor(log10) misses by one next to a power of ten
     off = (whole >= _HIGH).astype(np.int64) - (whole < _LOW)
@@ -140,18 +143,7 @@ def _digits_17(m, q, x, exact_power_of_two, fmt):
     carry = digits == _HIGH
     digits[carry] = _LOW
     x += carry
-    # n: 17 less the trailing zeros (a - a // b * b is a % b for a >= 0, and
-    # faster in numpy)
-    n = np.full(digits.size, 17, dtype=np.uint8)
-    tens = digits // 10
-    ends = np.flatnonzero(digits == tens * 10)
-    rest = tens[ends]
-    while ends.size:
-        n[ends] -= 1
-        tens = rest // 10
-        more = rest == tens * 10
-        ends, rest = ends[more], tens[more]
-    return digits, x, n, undecided
+    return digits, x, undecided
 
 
 def _shortest(digits, whole, frac, scale, ulp, exact, even, exact_power_of_two, undecided):
@@ -162,63 +154,87 @@ def _shortest(digits, whole, frac, scale, ulp, exact, even, exact_power_of_two, 
     back to v, ties to even), and of two neighbours inside at one distance
     the even one is taken, as dtoa rounds its last digit. Elsewhere a
     comparison within MARGIN of equality marks the cell undecided where
-    the outcome depends on it."""
-    live = np.flatnonzero(~undecided)
-    w = whole[live]
-    up_gap = ulp[live] / 2.0
-    known = exact[live]
-    margin = np.where(known, 0.0, MARGIN)
-    # an end at exactly its distance is inside when m is even: low > the
-    # first bound is inside, low < the second outside; an exact low is a
-    # multiple of 2^-48, so +-2^-60 only breaks the tie
-    inside = np.where(known, np.where(even[live], -(2.0**-60), 2.0**-60), MARGIN)
-    state = np.stack([frac[live], scale[live], up_gap, up_gap / (1.0 + exact_power_of_two[live]),
-                      margin, inside, np.where(known, inside, -MARGIN)])
+    the outcome depends on it.
+
+    A cell whose neighbour is inside at a step longer than twice its upper
+    half-gap plus 1 (more than MARGIN) is done: every other multiple of the
+    step lies more than 1 outside the interval, so each later step finds
+    that same neighbour with the same integers and the same arithmetic, or
+    nothing, and the search would stop there with these digits. A normal
+    double's c is below 1e17 / 2^52, so its half-gaps are below 11.1 and
+    its search takes at most two steps."""
+    # inexact cells: inside above MARGIN, outside below -MARGIN. Exact ones:
+    # an end at exactly its distance is inside when m is even, so low >
+    # inside = outside is inside and low < it outside; an exact low is a
+    # multiple of 2^-48, so +-2^-60 only breaks the tie. Cells already
+    # undecided get gaps of -inf, which no neighbour is inside
+    up_gap = ulp / 2.0
+    up_gap[undecided] = -np.inf
+    margin = ~exact * MARGIN
+    inside = margin + exact * (2.0**-60 - even * 2.0**-59)
+    state = (frac, scale, up_gap, up_gap / (1.0 + exact_power_of_two), margin, inside,
+             inside - 2.0 * margin)
+    live = np.arange(whole.size)
+    w = whole
     for k in range(1, 17):
         step = 10**k
-        f, unit, up_gap, down_gap, margin, inside, outside = state
-        head = w // step
-        rest = w - head * step
-        # distances from y down to the lower and up to the upper neighbour
-        down = rest * unit + f
-        up = (step - rest) * unit - f
-        low, high = down_gap - down, up_gap - up
-        low_in, high_in = low > inside, high > inside
-        low_out, high_out = low < outside, high < outside
-        take_down = low_in & ((down < up - margin) | high_out)
-        take_up = high_in & ((up < down - margin) | low_out)
-        # two neighbours inside at one exact distance: the even one
-        tie = low_in & high_in & (margin == 0.0) & (down == up)
-        if tie.any():
-            odd = tie & ((head & 1) == 1)
-            take_down |= tie & ~odd
-            take_up |= odd
-        found = take_down | take_up
-        undecided[live[~(found | (low_out & high_out))]] = True
+        found, neighbour, unsure = _neighbours(step, w, state)
+        undecided[live[unsure]] = True
+        digits[live[found]] = neighbour[found]
         # integer indices compact faster than a boolean mask
-        kept = np.flatnonzero(found)
-        live, w, head, take_up = live[kept], w[kept], head[kept], take_up[kept]
-        if not live.size:
+        kept = np.flatnonzero(found & (step * state[1] <= 2.0 * state[2] + 1.0))
+        if not kept.size:
             break
-        digits[live] = (head + take_up) * step
-        state = state.take(kept, axis=1)
+        live, w, state = live[kept], w[kept], [row[kept] for row in state]
 
 
-# A cell is laid out in four little-endian 64-bit words, NUL where unused:
-# the sign and, before a fixed-point cell below 1, "0." and up to three
-# zeros; then 17 digits with the point among them, at most 18 bytes, and
-# from byte 18 of those three words either repr's ".0" or the exponent as
-# "e", its sign and two or three digits.
+def _neighbours(step, w, state):
+    """One step of _shortest on cells with integer parts w and the rows of
+    state: whether a neighbour of y that is a multiple of step lies inside
+    the rounding interval, that neighbour, and whether the decision is
+    within MARGIN."""
+    f, unit, up_gap, down_gap, margin, inside, outside = state
+    head = w // step
+    rest = w - head * step
+    # distances from y down to the lower and up to the upper neighbour
+    down = rest * unit + f
+    up = (step - rest) * unit - f
+    low, high = down_gap - down, up_gap - up
+    low_in, high_in = low > inside, high > inside
+    low_out, high_out = low < outside, high < outside
+    take_down = low_in & ((down < up - margin) | high_out)
+    take_up = high_in & ((up < down - margin) | low_out)
+    # two neighbours inside at one exact distance: the even one
+    tie = low_in & high_in & (margin == 0.0) & (down == up)
+    if tie.any():
+        odd = tie & ((head & 1) == 1)
+        take_down |= tie & ~odd
+        take_up |= odd
+    found = take_down | take_up
+    return found, (head + take_up) * step, ~(found | (low_out & high_out))
+
+
+# A cell is laid out in four little-endian 64-bit words, of which the last
+# 25 bytes are read: the sign in the last byte of the first word, then a
+# string of three words, NUL where unused. It holds the 17 digits, cut at
+# the point, the part after the cut shifted up one byte and the point put in
+# the gap, at most 18 bytes; in a fixed-point cell below 1 the digits are
+# shifted up instead behind "0." and up to three zeros, at most 22 bytes.
+# From byte 18 it holds either repr's ".0" or the exponent as "e", its sign
+# and two or three digits.
 _WORDS = 4
-# rows of a block laid out at a time, which bounds the kernel's temporaries:
-# a process running two sweep-dense rounds (seed 1) peaked at 46.8 MB
-# resident (46.9 with CPython's cells; 45.9 with 512 rows, whose export took
-# 1.15 times as long; 48.7 with 2048 rows, no faster, and 52.1 with whole
+_CELL = 25
+# rows of a block laid out and read out at a time, which bounds the
+# kernel's temporaries. 2048 against 1024 is unresolved: the benchmark's
+# sweep-dense wall_s was lower with 2048 rows in 22 of 24 alternating pairs,
+# but by a median 0.029 s, below the 0.032 s between the quartiles of the
+# 1024-row runs, while exporting a round in one process is 6-10 % faster with
+# 1024 rows, for a reason not yet found. Whole blocks gave a higher wall_s in
+# 2 of 3 pairs, at about 3 MB more. A process running two sweep-dense rounds
+# (seed 1) peaked at 47.9 MB resident (46.6 with 1024 rows, 50.7 with whole
 # blocks)
-_SLICE_ROWS = 1024
+_SLICE_ROWS = 2048
 _MINUS = ord("-")
-_DOT = ord(".")
-_BYTES = np.array([1 << (8 * i) for i in range(8)], dtype=np.uint64)
 # per word of a three-word string, the mask of its bytes among the first
 # count bytes of the string, by count = 0..18
 _FIRST = np.array([[(1 << (8 * min(max(count - 8 * word, 0), 8))) - 1 for count in range(19)]
@@ -226,37 +242,63 @@ _FIRST = np.array([[(1 << (8 * min(max(count - 8 * word, 0), 8))) - 1 for count 
 # ASCII digits of 0..99 and of 0..9999, first digit in the lowest byte
 _PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), "<u2").astype(np.uint64)
 _QUADS = (_PAIRS[:, None] | (_PAIRS << np.uint64(16))).ravel()
+# trailing zeros of 0..9999 written in four digits
+_QUAD_ZEROS = np.array([4] + [len(str(i)) - len(str(i).rstrip("0")) for i in range(1, 10**4)],
+                       dtype=np.uint8)
 
 
 def _word(text: bytes) -> int:
     return int.from_bytes(text, "little")
 
 
-# "0." and -X - 1 zeros after the sign byte, by -X = 1..4 (0: none)
-_LEAD = np.array([0] + [_word(b"\0" + b"0." + b"0" * k) for k in range(4)], dtype=np.uint64)
+def _insertion(place: int) -> bytes:
+    """The bytes put in among the digits at place = point + 19 * lead: the
+    point after `point` digits (none at 18), or before a cell below 1,
+    whose point is 0, "0." and lead - 1 zeros, lead = -X."""
+    point, lead = place % 19, place // 19
+    return b"0." + b"0" * (lead - 1) if lead else b"." if point < 18 else b""
+
+
+# by place: the shift of the digits after the bytes put in, in bits, and
+# the bytes put in each word of the string
+_SHIFT = np.array([8 * len(_insertion(place)) for place in range(5 * 19)], dtype=np.uint64)
+_INSERTS = np.array([[(_word(_insertion(place)) << 8 * (place % 19)) >> 64 * word & (2**64 - 1)
+                      for place in range(5 * 19)] for word in range(3)], dtype=np.uint64)
 # from byte 2 of the last word: ".0", and the exponent by X - _X_MIN
 _DOT_ZERO = np.uint64(_word(b"\0\0.0"))
 _EXPONENT = np.array([_word(b"\0\0e%+03d" % x) for x in range(_X_MIN, _X_MAX + 1)],
                      dtype=np.uint64)
 
 
-def _digit_words(digits: np.ndarray) -> list[np.ndarray]:
-    """The 17 ASCII digits of each integer in [1e16, 1e17), as three words."""
+def _digit_words(digits: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The 17 ASCII digits of each integer in [1e16, 1e17), as three words,
+    and the count n of its significant digits, 17 less its trailing zeros,
+    from its four 4-digit quads and last digit (a - a // b * b is a % b for
+    a >= 0, and faster in numpy)."""
     quads = []
     rest = digits
     for power in (10**13, 10**9, 10**5, 10):
         quad = rest // power
         rest = rest - quad * power
-        quads.append(_QUADS[quad])
-    return [quads[0] | (quads[1] << np.uint64(32)), quads[2] | (quads[3] << np.uint64(32)),
-            (rest + ord("0")).astype(np.uint64)]
+        quads.append(quad)
+    n = np.full(digits.size, 17, dtype=np.uint8)
+    # the first quad is at least 1000, so the loop ends at it
+    ends = np.flatnonzero(rest == 0)
+    n[ends] = 16
+    for quad in reversed(quads):
+        quad = quad[ends]
+        n[ends] -= _QUAD_ZEROS[quad]
+        ends = ends[quad == 0]
+    words = [_QUADS[quad] for quad in quads]
+    return [words[0] | (words[1] << np.uint64(32)), words[2] | (words[3] << np.uint64(32)),
+            (rest + ord("0")).astype(np.uint64)], n
 
 
 def lay_out(values: np.ndarray, fmt: str) -> tuple[np.ndarray, np.ndarray]:
     """Each cell of the float64 array values, as CPython spells it in fmt
-    ("csv": "%.17g", "jsonl": float.__repr__), laid out in one row of
-    8 * _WORDS bytes; and the indices of the cells left to the caller, whose
-    rows are all NUL."""
+    ("csv": "%.17g", "jsonl": float.__repr__), laid out in one row of 25
+    bytes, the sign and 24 more; and the indices of the cells left to the
+    caller, whose rows are all NUL."""
     bits = values.view(np.int64) & ((1 << 63) - 1)
     # zeros and non-finite values are worked as 1.0 and left to the caller
     skip = (bits == 0) | (bits >= 0x7FF << 52)
@@ -266,8 +308,9 @@ def lay_out(values: np.ndarray, fmt: str) -> tuple[np.ndarray, np.ndarray]:
     m = fraction | ((biased != 0).astype(np.int64) << 52)
     q = np.maximum(biased, 1) - 1075
     x = np.floor(np.log10(bits.view(np.float64))).astype(np.int64)
-    digits, x, n, undecided = _digits_17(m, q, x, (fraction == 0) & (biased > 1), fmt)
+    digits, x, undecided = _digits_17(m, q, x, (fraction == 0) & (biased > 1), fmt)
     undecided |= skip
+    words, n = _digit_words(digits)
 
     # "%g" at precision 17 writes exponent form for X < -4 or X >= 17, repr
     # for X < -4 or X >= 16; the rest is fixed-point
@@ -275,34 +318,34 @@ def lay_out(values: np.ndarray, fmt: str) -> tuple[np.ndarray, np.ndarray]:
     below_one = ~scientific & (x < 0)
     whole = ~scientific & ~below_one
     # the digits shown, with the zeros of an integral fixed-point cell, and
-    # the point after `point` of them if a digit follows it (18: none)
+    # where bytes go in among them: the point after `point` of them if a
+    # digit follows it, or "0." and zeros before them below 1 (18: none)
     integer_digits = whole * (x + 1)
     shown = np.maximum(n, integer_digits)
-    point = np.where(scientific, 1, integer_digits)
-    point[below_one | (n <= point)] = 18
+    point = integer_digits + scientific
+    point[n <= point] = 18
+    place = point + 19 * (below_one * -x)
+    shift = _SHIFT[place]
+    back = np.uint64(64) - shift
 
     laid = np.empty((values.size, _WORDS), dtype="<u8")
-    laid[:, 0] = (values < 0) * np.uint64(_MINUS) | _LEAD[below_one * -x]
-    # the digit string cut at the point, the upper part shifted up one byte
-    # and the point put in the gap
+    cells = laid.view(np.uint8)[:, 8 * _WORDS - _CELL:]
+    cells[:, 0] = (values < 0).view(np.uint8) * np.uint8(_MINUS)
     carry = np.zeros(values.size, dtype=np.uint64)
-    dot_word, dot_shift = point >> 3, point & 7
-    dot = _BYTES[dot_shift] * (point < 18) * np.uint64(_DOT)
-    for i, word in enumerate(_digit_words(digits)):
+    for i, word in enumerate(words):
         first = _FIRST[i]
         word &= first[shown]
         before = first[point]
         upper = word & ~before
-        laid[:, 1 + i] = ((word & before) | (upper << np.uint64(8)) | carry
-                          | dot * (dot_word == i))
-        carry = upper >> np.uint64(56)
+        laid[:, 1 + i] = (word & before) | (upper << shift) | carry | _INSERTS[i][place]
+        carry = upper >> back
     end = scientific * _EXPONENT[x - _X_MIN]
     if fmt != "csv":
         end |= (whole & (n <= x + 1)) * _DOT_ZERO
     laid[:, 3] |= end
     left = np.flatnonzero(undecided)
-    laid[left] = 0
-    return laid.view(np.uint8), left
+    cells[left] = 0
+    return cells, left
 
 
 def block_text(count: int, spelled: list[np.ndarray], shown: list, seps: list[bytes],
@@ -317,21 +360,23 @@ def block_text(count: int, spelled: list[np.ndarray], shown: list, seps: list[by
     that array negated, whose cells are its cells with the sign byte
     toggled. spell_left(values) spells, as CPython does, the cells lay_out
     leaves; they are written from the byte after the sign. The rows are
-    laid out _SLICE_ROWS at a time."""
+    laid out, filled in one array with the separators and read out by
+    _readout _SLICE_ROWS at a time."""
+    widths = [width for sep in seps[:-1] for width in (len(sep), _CELL)] + [len(seps[-1])]
+    starts = np.cumsum([0] + widths).tolist()
     seps = [np.frombuffer(sep, np.uint8) for sep in seps]
     text = []
     for start in range(0, count, _SLICE_ROWS):
         rows = slice(start, start + _SLICE_ROWS)
         cells = _float_rows([v if v.size == 1 else v[rows] for v in spelled], fmt, spell_left)
-        segments = []
-        for sep, (part, negated) in zip(seps, shown):
-            laid = cells[part]
+        block = np.empty((min(count - start, _SLICE_ROWS), starts[-1]), dtype=np.uint8)
+        for sep, a in zip(seps, starts[::2]):
+            block[:, a:a + sep.size] = sep
+        for (part, negated), a in zip(shown, starts[1:-1:2]):
+            block[:, a:a + _CELL] = cells[part]
             if negated:
-                laid = laid.copy()
-                laid[:, 0] ^= _MINUS
-            segments += [sep, laid]
-        segments.append(seps[-1])
-        text.append(_joined(segments, min(count - start, _SLICE_ROWS)))
+                block[:, a] ^= _MINUS
+        text.append(_readout(block))
     return b"".join(text)
 
 
@@ -349,14 +394,9 @@ def _float_rows(spelled: list[np.ndarray], fmt: str, spell_left) -> list[np.ndar
     return [laid[a:b] for a, b in zip(ends, ends[1:])]
 
 
-def _joined(segments: list, rows: int) -> bytes:
-    """rows rows of the segments, uint8 arrays of one row or of all rows
-    with NUL where a byte is unused, side by side, read out row after row
-    by one bytes.translate that deletes the NULs. No separator and no cell
-    holds a NUL of its own: JSON keys come from json.dumps, which escapes
-    it, and CSV's separators are "," and "\n"."""
-    starts = np.cumsum([0] + [cells.shape[-1] for cells in segments]).tolist()
-    block = np.empty((rows, starts[-1]), dtype=np.uint8)
-    for cells, a, b in zip(segments, starts, starts[1:]):
-        block[:, a:b] = cells
+def _readout(block: np.ndarray) -> bytes:
+    """The rows of the uint8 array block, NUL where a byte is unused, read
+    out row after row by one bytes.translate that deletes the NULs. No
+    separator and no cell holds a NUL of its own: JSON keys come from
+    json.dumps, which escapes it, and CSV's separators are "," and "\n"."""
     return block.tobytes().translate(None, b"\0")

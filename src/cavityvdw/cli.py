@@ -407,43 +407,48 @@ def _float_cells(values: np.ndarray, fmt: str) -> list[str]:
 
 
 def _distinct_floats(columns: list) -> tuple[list[np.ndarray], list]:
-    """The float values of one block of rows to spell, and per column None
-    for a str column or (index of its values, whether negated).
+    """The float values of a table to spell, and per column None for a str
+    column or (index of its values, whether negated).
 
-    Float columns are compared by bits, since -0.0 and 0.0 print
-    differently and NaN != NaN, and each distinct one is spelled once, a
-    constant one as its first value. A finite column that is the bitwise
-    negation of an earlier one takes that column's cells with the leading
-    '-' toggled, which is the spelling of the negated value in both formats,
-    signed zeros included; a non-finite one is spelled, as the negation of
-    NaN still prints nan."""
+    Decided once per table, each column compared in place with the earlier
+    ones by bits, since -0.0 and 0.0 print differently and NaN != NaN: its
+    first value, then the whole column. Each distinct column is spelled
+    once, a constant one as its first value. A finite column that is the
+    bitwise negation of an earlier one takes that column's cells with the
+    leading '-' toggled, which is the spelling of the negated value in both
+    formats, signed zeros included; a non-finite one is spelled, as the
+    negation of NaN still prints nan."""
     spelled: list[np.ndarray] = []
-    refs: dict[bytes, tuple[int, bool]] = {}
+    seen: list[tuple[np.ndarray, tuple[int, bool]]] = []
     shown = []
     for values in columns:
         if isinstance(values, tuple):
             shown.append(None)
             continue
         bits = values.view(np.uint64)
-        key = bits.tobytes()
-        if key not in refs:
-            mirror = refs.get((bits ^ _SIGN_BIT).tobytes())
-            if mirror is not None and np.isfinite(values).all():
-                refs[key] = (mirror[0], not mirror[1])
-            else:
-                refs[key] = (len(spelled), False)
-                spelled.append(values[:1] if (bits == bits[0]).all() else values)
-        shown.append(refs[key])
+        ref = next((known for other, known in seen
+                    if other[0] == bits[0] and np.array_equal(other, bits)), None)
+        if ref is None and np.isfinite(values).all():
+            ref = next(((known[0], not known[1]) for other, known in seen
+                        if other[0] == bits[0] ^ _SIGN_BIT
+                        and np.array_equal(other, bits ^ _SIGN_BIT)), None)
+        if ref is None:
+            ref = (len(spelled), False)
+            spelled.append(values[:1] if (bits == bits[0]).all() else values)
+        seen.append((bits, ref))
+        shown.append(ref)
     return spelled, shown
 
 
-def _block_text(columns: list, seps: list[str], fmt: str) -> bytes:
-    """UTF-8 text of one block of rows: laid out by _floatcells when it
-    has EXPORT_KERNEL_ROWS rows or more and only float columns, else one
-    join over interleaved streams, a separator stream, then that column's
+def _block_text(columns: list, spelled: list[np.ndarray], shown: list, seps: list[str],
+                fmt: str) -> bytes:
+    """UTF-8 text of one block of rows, given its columns and, as
+    _distinct_floats gives them, its distinct float values and each
+    column's reference: laid out by _floatcells when it has
+    EXPORT_KERNEL_ROWS rows or more and only float columns, else one join
+    over interleaved streams, a separator stream, then that column's
     cells, for each column in turn, then the row ends."""
     n = len(columns[0])
-    spelled, shown = _distinct_floats(columns)
     if n >= EXPORT_KERNEL_ROWS and None not in shown:
         from . import _floatcells
 
@@ -474,20 +479,22 @@ def export(table: Table, path: str | Path, fmt: str) -> None:
     one open file, so the cells and text of the whole table are never held
     at once. Each row is a separator, then a cell, for each column in turn,
     then the row end. The separators are "", ",", ... and "\n" for CSV, and
-    '{"k0": ', ', "k1": ', ... and "}\n" for JSON lines. Within a block
-    each distinct float column is formatted once: a column bit-identical to
-    an earlier one is not formatted again, a constant one is a single
-    formatted cell, and a finite column that is the negation of an earlier
-    one reuses its cells with the sign toggled.
+    '{"k0": ', ', "k1": ', ... and "}\n" for JSON lines. The float columns
+    are compared once per table (_distinct_floats), and each distinct one is
+    formatted once: a column bit-identical to an earlier one is not
+    formatted again, a constant one is a single formatted cell, and a finite
+    column that is the negation of an earlier one reuses its cells with the
+    sign toggled.
 
     A block of fewer than EXPORT_KERNEL_ROWS rows, or with a str column, is
     one join over interleaved streams of separators and cells, each cell
     spelled by CPython ("%.17g" or float.__repr__). A larger block of float
     columns is laid out in numpy by _floatcells, which spells the cells of
-    its distinct columns together. It decides ties and interval ends exactly where its
-    arithmetic is exact, and leaves to CPython only zeros, non-finite values
-    and the rare other cells within 2^-20 of a tie or an interval end. The
-    bytes are those of formatting every cell with CPython."""
+    its distinct columns together. It decides ties and interval ends
+    exactly where its arithmetic is exact, and leaves to CPython only zeros,
+    non-finite values and the rare other cells within 2^-20 of a tie or an
+    interval end. The bytes are those of formatting every cell with
+    CPython."""
     if len(table) == 0:
         raise DomainError("refusing to export an empty table")
     if fmt not in ("csv", "jsonl"):
@@ -498,7 +505,7 @@ def export(table: Table, path: str | Path, fmt: str) -> None:
         # checked before the file is opened, so a refused table writes nothing
         for values in columns:
             for value in values if isinstance(values, tuple) else ():
-                if "," in value or '"' in value or "\n" in value:
+                if "," in value or '"' in value or "\n" in value or "\r" in value:
                     raise DomainError(f"cell value needs quoting, unsupported: {value!r}")
         head = ",".join(names) + "\n"
         seps = ["", *[","] * (len(names) - 1), "\n"]
@@ -506,11 +513,14 @@ def export(table: Table, path: str | Path, fmt: str) -> None:
         head = ""
         keys = [json.dumps(name) for name in names]
         seps = ["{" + keys[0] + ": ", *(f", {key}: " for key in keys[1:]), "}\n"]
+    spelled, shown = _distinct_floats(columns)
     with open(path, "wb") as out:
         out.write(head.encode("utf-8"))
         for start in range(0, len(table), EXPORT_BLOCK_ROWS):
-            out.write(_block_text([values[start:start + EXPORT_BLOCK_ROWS] for values in columns],
-                                  seps, fmt))
+            rows = slice(start, start + EXPORT_BLOCK_ROWS)
+            out.write(_block_text([values[rows] for values in columns],
+                                  [values if values.size == 1 else values[rows]
+                                   for values in spelled], shown, seps, fmt))
 
 
 def write_manifest(manifest: dict, path: str | Path) -> None:

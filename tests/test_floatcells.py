@@ -63,6 +63,37 @@ def test_kernel_leaves_few_cells_to_cpython(fmt):
     assert left["ties"] == left["grid"] == 0
 
 
+def test_search_takes_at_most_two_steps_on_normal_doubles(monkeypatch):
+    # a normal double's half-gaps are below 11.1 units of the 17th digit, so
+    # its search is done once a neighbour is found at a step of 100; 5e-324's
+    # interval spans most of [1e16, 1e17), so its search goes on to 1e16
+    steps = []
+
+    def counted(step, w, state, neighbours=_floatcells._neighbours):
+        steps.append(step)
+        return neighbours(step, w, state)
+
+    monkeypatch.setattr(_floatcells, "_neighbours", counted)
+    for name in ("scaled", "short", "powers", "ties", "grid"):
+        values = FAMILIES[name]
+        _floatcells.lay_out(values[np.abs(values) >= 2.2250738585072014e-308], "jsonl")
+    assert max(steps) == 100
+    steps.clear()
+    assert _kernel_cells(np.array([5e-324]), "jsonl") == ["5e-324"]
+    assert max(steps) == 10**16
+
+
+# both 16-digit neighbours of this double lie in its rounding interval, the
+# upper one nearer by less than MARGIN, an inexact difference: found among
+# 6e7 doubles near 9e-100
+NEAR_TIE = 9.627185277885429e-100
+
+
+def test_kernel_leaves_a_near_tie_of_two_neighbours_to_cpython():
+    assert _floatcells.lay_out(np.array([NEAR_TIE]), "jsonl")[1].tolist() == [0]
+    assert _kernel_cells(np.array([NEAR_TIE]), "jsonl") == [repr(NEAR_TIE)]
+
+
 def test_kernel_leaves_zeros_and_non_finite_values_to_cpython():
     values = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 1.5])
     laid, left = _floatcells.lay_out(values, "csv")

@@ -1,6 +1,7 @@
-"""The tools under tools/ start, the benchmark round that
-tools/quad_work.py counts returns the pinned bits, and tools/bench_pairs.py
-picks the parent an uncommitted change sits on.
+"""The tools under tools/ start, the benchmark rounds that
+tools/quad_work.py and tools/float_cells_check.py count give the pinned
+counts, and tools/bench_pairs.py picks the parent an uncommitted change sits
+on.
 
 No golden table evaluates the cavity Green's tensor, the principal-value
 transform or the fit, so the digests below are what holds their every bit:
@@ -33,6 +34,14 @@ QUAD_WORK_SEED_1 = {
 }
 
 
+# tools/float_cells_check.py --round 1: the cells of one sweep-dense round,
+# the values the export kernel laid out and the cells CPython spelled, the
+# cells the JSON-lines shortest-digit search worked on over its steps, and
+# the bytes its NUL-deleting readout read
+FLOAT_CELLS_ROUND_1 = {"round_seed": 1, "table_cells": 1308000, "kernel_values": 930066,
+                       "cpython_cells": 1, "shortest_cells": 554003, "readout_bytes": 43649000}
+
+
 def _tool(name, *args):
     return subprocess.run([sys.executable, str(ROOT / "tools" / name), *args],
                           capture_output=True, text=True, cwd=ROOT, timeout=120)
@@ -49,6 +58,12 @@ def test_quad_work_seed_1_counts_and_digests_are_pinned():
     done = _tool("quad_work.py", "--root", str(ROOT), "--seed", "1")
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == QUAD_WORK_SEED_1
+
+
+def test_float_cells_round_1_counts_are_pinned():
+    done = _tool("float_cells_check.py", "--root", str(ROOT), "--round", "1")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == FLOAT_CELLS_ROUND_1
 
 
 def _git(repo, *args):

@@ -16,8 +16,11 @@ spellings) and the cells the kernel left to CPython, in all and per family.
 With --round, builds one round of the benchmark's sweep-dense workload for
 the seed (perfbench/workloads.py), runs and exports each operation once,
 and prints the round's table cells, the values the kernel laid out (each
-distinct column of a block once, a constant one as one value) and the
-cells CPython spelled. Nothing is timed, so both outputs are deterministic.
+distinct column of a table once, a constant one as one value), the cells
+CPython spelled, the cells the JSON-lines shortest-digit search worked on,
+summed over its steps (shortest_cells), and the bytes handed to the
+NUL-deleting bytes.translate that reads the rows out (readout_bytes).
+Nothing is timed, so both outputs are deterministic.
 Runs from the checkout at --root (default: the current directory) on
 the standard library and numpy; it takes about a minute per 10^7 values.
 """
@@ -72,8 +75,10 @@ def sweep_round(seed: int, root: Path) -> dict:
 
     import workloads
 
-    counts = {"table_cells": 0, "kernel_values": 0, "cpython_cells": 0}
+    counts = {"table_cells": 0, "kernel_values": 0, "cpython_cells": 0, "shortest_cells": 0,
+              "readout_bytes": 0}
     lay_out, float_cells = _floatcells.lay_out, cli._float_cells
+    neighbours, readout = _floatcells._neighbours, _floatcells._readout
 
     def counted_lay_out(values, fmt):
         counts["kernel_values"] += values.size
@@ -84,7 +89,16 @@ def sweep_round(seed: int, root: Path) -> dict:
         counts["cpython_cells"] += values.size
         return float_cells(values, fmt)
 
+    def counted_neighbours(step, w, state):
+        counts["shortest_cells"] += w.size
+        return neighbours(step, w, state)
+
+    def counted_readout(block):
+        counts["readout_bytes"] += block.size
+        return readout(block)
+
     _floatcells.lay_out, cli._float_cells = counted_lay_out, counted_float_cells
+    _floatcells._neighbours, _floatcells._readout = counted_neighbours, counted_readout
     with tempfile.TemporaryDirectory() as tmp:
         for op in workloads.build("sweep-dense", seed, Path(tmp), root):
             result = op.steps[1](op.steps[0]())
