@@ -60,22 +60,8 @@ def _power_of_ten(k: int) -> tuple[float, float, int]:
     return hi, ((num << 52) - int(hi * 2**52) * den) / (den << 52), s
 
 
-# _power_of_ten(i + _K_MIN) by i, each entry filled when an index first
-# needs it
-_HIS, _LOS = np.zeros((2, 16 - _X_MIN - _K_MIN + 1))
-_SHIFTS = np.zeros(_HIS.size, dtype=np.int64)
-_FILLED = np.zeros(_HIS.size, dtype=bool)
-
-
-def _powers_of_ten(index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arrays (hi, lo, s) of _power_of_ten(i + _K_MIN), filled at each i
-    of index."""
-    new = index[~_FILLED[index]]
-    # a set, not np.unique, whose first call adds 1.7 MB resident
-    for i in set(new.tolist()):
-        _HIS[i], _LOS[i], _SHIFTS[i] = _power_of_ten(i + _K_MIN)
-        _FILLED[i] = True
-    return _HIS, _LOS, _SHIFTS
+# _power_of_ten(i + _K_MIN) by i, for every decimal exponent
+_HIS, _LOS, _SHIFTS = map(np.array, zip(*map(_power_of_ten, range(_K_MIN, 16 - _X_MIN + 1))))
 
 
 def _scaled(m: np.ndarray, q: np.ndarray, x: np.ndarray):
@@ -85,10 +71,9 @@ def _scaled(m: np.ndarray, q: np.ndarray, x: np.ndarray):
     the half-gaps c/2 and c/4 are exact where they are compared. m is int64
     below 2^53."""
     k = 16 - x - _K_MIN
-    his, los, shifts = _powers_of_ten(k)
     # 2^(s+q), built from its bits: c lies in [1, 23], so the power is normal
-    scale = ((shifts[k] + q + 1023) << 52).view(np.float64)
-    hi, lo = his[k] * scale, los[k] * scale
+    scale = ((_SHIFTS[k] + q + 1023) << 52).view(np.float64)
+    hi, lo = _HIS[k] * scale, _LOS[k] * scale
     # Dekker's product m hi = p + err, exact; m splits into 27 + 26 bits
     m_hi = ((m >> 26) << 26).astype(np.float64)
     m_lo = (m & ((1 << 26) - 1)).astype(np.float64)
@@ -225,14 +210,26 @@ def _neighbours(step, w, state):
 _WORDS = 4
 _CELL = 25
 # rows of a block laid out and read out at a time, which bounds the
-# kernel's temporaries. 2048 against 1024 is unresolved: the benchmark's
-# sweep-dense wall_s was lower with 2048 rows in 22 of 24 alternating pairs,
-# but by a median 0.029 s, below the 0.032 s between the quartiles of the
-# 1024-row runs, while exporting a round in one process is 6-10 % faster with
-# 1024 rows, for a reason not yet found. Whole blocks gave a higher wall_s in
-# 2 of 3 pairs, at about 3 MB more. A process running two sweep-dense rounds
-# (seed 1) peaked at 47.9 MB resident (46.6 with 1024 rows, 50.7 with whole
-# blocks)
+# kernel's temporaries. The benchmark's sweep-dense wall_s was lower with
+# 2048 rows than with 1024 in 22 of 24 alternating pairs (by a median 0.029
+# s, below the 0.032 s between the quartiles of the 1024-row runs), while a
+# single export round in a fresh process is faster with 1024 rows. The cause
+# is glibc malloc: it serves a temporary above its mmap threshold (128 KiB
+# at start, raised as such blocks are freed) from a fresh mapping and trims
+# the heap's top, so each such page is faulted in on first touch. The first
+# seed-1 round of a fresh process took 28.2k minor faults, 20.5k of them in
+# lay_out, and 87-111 ms system time with 2048 rows, against 5.6k (1.4k)
+# and 20-57 ms with 1024 (resource.getrusage, CPython 3.11, glibc, two
+# vCPUs); every later round of the process took none with either. The
+# first round's count follows the heap's history: one more environment
+# variable gave 8.7k and 6.8k faults. With both thresholds fixed
+# (MALLOC_MMAP_THRESHOLD_=32 MiB, MALLOC_TRIM_THRESHOLD_=1 GiB) the first
+# round took 1.3k and 0.95k. The benchmark takes each operation's median
+# over its rounds, which are warm, so it sees 2048 rows' fewer numpy calls
+# and not the first round's faults. Whole blocks gave a higher wall_s in 2
+# of 3 pairs, at about 3 MB more. A process running two sweep-dense rounds
+# (seed 1) peaked at 47.9 MB resident (46.6 with 1024 rows, 50.7 with
+# whole blocks)
 _SLICE_ROWS = 2048
 _MINUS = ord("-")
 # per word of a three-word string, the mask of its bytes among the first

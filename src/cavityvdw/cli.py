@@ -10,10 +10,12 @@ failure, 2 tolerance failure in xcheck.
 
 from __future__ import annotations
 
-import gc
+import atexit
 import json
 import math
+import os
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -77,9 +79,10 @@ def _planar_scenario(cfg: RunConfig) -> PlanarScenario:
     )
 
 
-def _grid(cfg: RunConfig, d: float) -> np.ndarray:
+def _grid(cfg: RunConfig, scale: float) -> np.ndarray:
+    """The sweep.points points of sweep.span, times scale."""
     lo, hi = cfg.sweep_span
-    return np.linspace(lo, hi, cfg.sweep_points) * d
+    return np.linspace(lo, hi, cfg.sweep_points) * scale
 
 
 def _sweep(cfg: RunConfig) -> tuple[PlanarScenario, np.ndarray, np.ndarray, float]:
@@ -143,8 +146,7 @@ def _mode_potential_free_space(cfg: RunConfig) -> tuple[Table, dict, int]:
     sep0 = float(np.linalg.norm(b - a))
     dip = cfg.dipole_norm * np.asarray(cfg.orientation, dtype=float)
     e_unit = HBAR * free_decay_rate(cfg.omega10, cfg.dipole_norm)
-    lo, hi = cfg.sweep_span
-    seps = np.linspace(lo, hi, cfg.sweep_points) * sep0
+    seps = _grid(cfg, sep0)
     r = seps[:, None] * ((b - a) / sep0)
     interaction = free_space_resonant_potential(dip, dip, cfg.omega10 / C, r)
     cols = {"separation": seps, "u_interaction": interaction, "u_total": interaction}
@@ -354,6 +356,8 @@ _MODE_RUNNERS = {
     "kk-check": _mode_kk_check,
     "xcheck": _mode_xcheck,
 }
+# the modes with one row per point of _grid, whose arrays grow with sweep.points
+_SWEEP_MODES = ("scan-rabi", "dressed", "potential", "force")
 
 
 # ------------------------------------------------------------------ runner
@@ -600,18 +604,33 @@ def main(argv=None) -> int:
     """Run one subcommand with the arguments argv; returns the exit code.
 
     With argv None, main runs as the program, as the cavityvdw script and
-    `python -m cavityvdw.cli` call it: it reads sys.argv, and on every way
-    out, argparse's SystemExit included, it freezes the collector
-    (gc.freeze). Interpreter shutdown's final collection then skips every
-    object made so far, so the process exits without tracing and freeing a
-    heap the operating system takes back anyway; atexit handlers still run
-    and the standard streams are still flushed. Library callers pass argv,
-    which leaves the host's collector as it was."""
-    try:
+    `python -m cavityvdw.cli` call it: it reads sys.argv and, once the
+    subcommand has returned its exit code, ends the process itself. It runs
+    the atexit handlers, flushes sys.stdout and sys.stderr, and calls
+    os._exit with the code, so interpreter shutdown does not trace and free
+    a heap the operating system takes back anyway. The table and manifest
+    are written through files already closed, so every byte and exit code
+    is the same as main(argv)'s. main returns the code instead, and leaves
+    shutdown to the interpreter, where skipping it could lose something: a
+    trace or profile function is set (coverage, cProfile), a thread other
+    than the main one is alive, or a flush raises. argparse's SystemExit
+    (help, usage errors) and uncaught exceptions propagate either way.
+    Library callers pass argv, and main returns."""
+    if argv is not None:
         return _command(argv)
-    finally:
-        if argv is None:
-            gc.freeze()
+    code = _command(None)
+    if sys.gettrace() is not None or sys.getprofile() is not None \
+            or threading.active_count() > 1:
+        return code
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except (OSError, ValueError):
+        # a broken pipe, a full disk or a closed stream: shutdown reports it
+        return code
+    os._exit(code)
 
 
 def _command(argv) -> int:
@@ -629,6 +648,12 @@ def _command(argv) -> int:
         result = run(cfg)
     except (ConfigError, DomainError, QuadratureError, FitError) as exc:
         print(f"error [{cfg.mode}]: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        if cfg.mode not in _SWEEP_MODES:
+            raise
+        print(f"error [{cfg.mode}]: sweep.points: {cfg.sweep_points} points do not fit in "
+              f"memory", file=sys.stderr)
         return 1
 
     out_path = cfg.out_path or _default_out(cfg)

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +19,8 @@ from cavityvdw.greens import PlanarCavity
 from cavityvdw.tabular import Table
 
 from oracles import SPECIAL_FLOATS, per_cell_export_text
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 MINIMAL = """\
 scenario: planar
@@ -383,6 +390,29 @@ def test_cli_weak_limit_refuses_zero_coupling_by_key(tmp_path, capsys):
                  + "atoms:\n  z_a: 2.5e-7\n  z_b: 7.5e-7\n")
     assert main(["weak-limit", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 1
     assert "error [weak-limit]: atoms.z_a, atoms.z_b: " in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+# address-space limit of the child that is asked for a sweep far beyond it
+MEMORY_MB = 1536
+
+
+@pytest.mark.parametrize("mode, config", [("scan-rabi", MINIMAL), ("dressed", MINIMAL),
+                                          ("potential", MINIMAL), ("force", MINIMAL),
+                                          ("potential", FREE_SPACE)])
+def test_cli_refuses_a_sweep_too_large_for_memory_by_key(tmp_path, mode, config):
+    # 3e9 points need 24 GB per column: the allocation is refused, never made
+    cfg = _write(tmp_path, config + "sweep:\n  points: 3000000000\n")
+    limit = MEMORY_MB << 20
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cavityvdw.cli", mode, "--config", cfg, "--out", "t.csv"],
+        cwd=tmp_path, capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 1
+    assert proc.stderr == (f"error [{mode}]: sweep.points: 3000000000 points do not fit in "
+                           f"memory\n")
     assert not (tmp_path / "t.csv").exists()
 
 

@@ -5,7 +5,7 @@ preceded the array sweeps (tests/goldens/<config>-<mode>.csv, made with
 Grid columns and the kk-check offset, omega and closed-form columns must
 match bit for bit. The kk-check principal values were written by QUADPACK
 and now come from the numpy panel quadrature: each may move by 5e-14 of
-itself (both engines are within 2e-14 of the exact windowed transform),
+itself (both engines are within 2.2e-14 of the exact windowed transform),
 and rel_error by what that move implies. Other columns may move by rounding
 where numpy's sin, hypot and arctan2 replace math's, bounded by 4e-15 of
 the column's largest magnitude; force columns now come from the analytic

@@ -1,14 +1,18 @@
-"""main() run as the program freezes the collector on every way out, and
-main(argv) leaves it alone.
+"""main() run as the program ends the process itself, and main(argv)
+returns.
 
 Run as the program (sys.argv set, main() called with no argument), main
-moves every object it leaves to the collector's permanent generation, so
-interpreter shutdown has nothing to trace. Its exit code, stdout, stderr,
-table and manifest are the bytes main(argv) gives with the same arguments.
+runs the atexit handlers, flushes the standard streams and calls os._exit
+with the exit code, so interpreter shutdown does not run. Its exit code,
+stdout, stderr, table and manifest are the bytes main(argv) gives with the
+same arguments in another interpreter. With a trace or profile function
+set, a thread other than the main one alive, or a failing flush, main
+returns the code and the interpreter shuts down as usual. Each child
+appends to a report file: "atexit" from an atexit handler, and "returned
+<code>" once main has returned, which never happens on the program's way
+out.
 """
 
-import gc
-import json
 import os
 import subprocess
 import sys
@@ -20,6 +24,7 @@ from cavityvdw import cli
 
 GOLDENS = Path(__file__).parent / "goldens"
 SRC = Path(cli.__file__).resolve().parents[1]
+PLANAR = str(GOLDENS / "planar.yaml")
 
 # the cli-modes benchmark's F2 run: with atom B on the node of the nu = 2
 # mode, the sweep of atom A meets Omega_R = Delta = 0, where dressed fails
@@ -38,73 +43,112 @@ sweep:
 """
 
 CHILD = """
-import gc, json, sys
+import atexit, sys, threading
 from cavityvdw.cli import main
 
 report, how, *args = sys.argv[1:]
-if how == "program":
-    sys.argv = ["cavityvdw", *args]
-    code = main()
-    tracked = len(gc.get_objects())
-else:
+
+def note(line):
+    with open(report, "a") as f:
+        f.write(line + "\\n")
+
+atexit.register(note, "atexit")
+if how == "argv":
     code = main(args)
-    tracked = None
-with open(report, "w") as f:
-    json.dump({"code": code, "tracked": tracked, "frozen": gc.get_freeze_count()}, f)
+else:
+    sys.argv = ["cavityvdw", *args]
+    if how == "trace":
+        sys.settrace(lambda *event: None)
+    elif how == "profile":
+        sys.setprofile(lambda *event: None)
+    elif how == "thread":
+        release = threading.Event()
+        threading.Thread(target=release.wait).start()
+    elif how == "flush":
+        class FlushFailsOnce:
+            def __init__(self, stream):
+                self.stream, self.failed = stream, False
+
+            def write(self, text):
+                return self.stream.write(text)
+
+            def flush(self):
+                if not self.failed:
+                    self.failed = True
+                    raise OSError("flush failed")
+                self.stream.flush()
+
+        sys.stdout = FlushFailsOnce(sys.stdout)
+    code = main()
+    sys.settrace(None)
+    sys.setprofile(None)
+    if how == "thread":
+        release.set()
+note(f"returned {code}")
 sys.exit(code)
 """
 
 
-def _child(how, args, cwd, report):
+def _child(how, args, cwd):
+    cwd.mkdir()
+    report = cwd.parent / f"{cwd.name}.report"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    # stdout to a pipe stays block-buffered, so output main does not flush is lost
+    env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.run([sys.executable, "-c", CHILD, str(report), how, *args], cwd=cwd,
                           capture_output=True, env=env, timeout=120)
-    files = {p.name: p.read_bytes() for p in sorted(Path(cwd).iterdir())}
-    return proc, json.loads(report.read_text()), files
+    files = {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
+    return proc, report.read_text().splitlines(), files
 
 
-@pytest.mark.parametrize("mode, config, flags, code", [
-    ("scan-rabi", "planar", [], 0),
-    ("dressed", "f2", [], 1),
-    ("xcheck", "planar", ["--tolerance", "1e-30"], 2),
-])
-def test_main_as_the_program_freezes_and_writes_the_same_bytes(tmp_path, mode, config, flags,
-                                                                code):
+@pytest.mark.parametrize("args, code", [
+    (["scan-rabi", "--config", PLANAR, "--out", "table.csv"], 0),
+    (["dressed", "--config", "../f2.yaml", "--out", "table.csv"], 1),
+    (["xcheck", "--config", PLANAR, "--out", "table.csv", "--tolerance", "1e-30"], 2),
+    (["scan-rabi", "--config", PLANAR, "--out"], 2),
+], ids=["scan-rabi", "f2-dressed", "xcheck-tolerance", "usage-error"])
+def test_main_as_the_program_exits_with_the_bytes_of_main_argv(tmp_path, args, code):
     (tmp_path / "f2.yaml").write_text(F2)
-    path = GOLDENS / "planar.yaml" if config == "planar" else tmp_path / "f2.yaml"
-    args = [mode, "--config", str(path), "--out", "table.csv", *flags]
-    runs = {}
-    for how in ("program", "argv"):
-        (tmp_path / how).mkdir()
-        runs[how] = _child(how, args, tmp_path / how, tmp_path / f"{how}.json")
-    (program, as_program, program_files), (library, as_library, library_files) = \
-        runs["program"], runs["argv"]
+    program, program_report, program_files = _child("program", args, tmp_path / "program")
+    library, library_report, library_files = _child("argv", args, tmp_path / "argv")
 
     assert program.returncode == library.returncode == code
-    assert as_program["code"] == as_library["code"] == code
     assert program.stdout == library.stdout
     assert program.stderr == library.stderr
+    assert program_files == library_files
+    if args[-1] == "--out":
+        # argparse's usage error leaves main by SystemExit on both paths
+        assert b"expected one argument" in program.stderr and program.stdout == b""
+        assert program_report == library_report == ["atexit"]
+        return
     if code == 1:
         assert b"degenerate at Omega_R = Delta = 0" in program.stderr
-    assert program_files == library_files
     assert sorted(program_files) == ([] if code == 1 else ["table.csv",
                                                            "table.csv.manifest.json"])
-    # shutdown's collection has nothing left to walk
-    assert as_program["frozen"] > 0 and as_program["tracked"] == 0
-    assert as_library["frozen"] == 0
+    # the handler ran once, and main never returned to its caller
+    assert program_report == ["atexit"]
+    assert library_report == [f"returned {code}", "atexit"]
 
 
-def test_main_with_argv_leaves_the_collector_alone(tmp_path, capsys):
-    (tmp_path / "f2.yaml").write_text(F2)
-    frozen = gc.get_freeze_count()
-    out = str(tmp_path / "t.csv")
-    assert cli.main(["scan-rabi", "--config", str(GOLDENS / "planar.yaml"), "--out", out]) == 0
-    assert gc.get_freeze_count() == frozen
-    assert cli.main(["dressed", "--config", str(tmp_path / "f2.yaml"), "--out", out]) == 1
-    assert gc.get_freeze_count() == frozen
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["scan-rabi"])
-    assert exc.value.code == 2
-    assert gc.get_freeze_count() == frozen
-    assert "--config" in capsys.readouterr().err
+@pytest.mark.parametrize("how", ["trace", "profile", "thread"])
+def test_main_as_the_program_returns_where_teardown_matters(tmp_path, how):
+    args = ["xcheck", "--config", PLANAR, "--out", "table.csv", "--tolerance", "1e-30"]
+    proc, report, files = _child(how, args, tmp_path / how)
+    _, _, library_files = _child("argv", args, tmp_path / "argv")
+
+    assert proc.returncode == 2
+    assert report == ["returned 2", "atexit"]
+    assert files == library_files
+    assert proc.stdout.endswith(b"wrote table.csv.manifest.json\n")
+
+
+def test_main_as_the_program_returns_when_a_flush_fails(tmp_path):
+    proc, report, files = _child("flush", ["scan-rabi", "--config", PLANAR, "--out",
+                                           "table.csv"], tmp_path / "flush")
+
+    # the handlers ran before the flush, and shutdown does not run them again
+    assert report == ["atexit", "returned 0"]
+    assert proc.returncode == 0
+    assert proc.stdout == b"wrote table.csv (41 rows)\nwrote table.csv.manifest.json\n"
+    assert sorted(files) == ["table.csv", "table.csv.manifest.json"]

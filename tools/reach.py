@@ -17,6 +17,8 @@ checkout at --root (default: the current directory):
   operation;
 - last, one run as the program runs it, `python -m cavityvdw.cli`: sys.argv
   set and the module run as __main__, which calls main() with no argument.
+  As the trace function is set, main returns its exit code instead of
+  ending the process, and sys.exit carries the code here.
 
 The package is imported only from <root>/src, inside the trace, so its
 import-time lines count; outputs go to a temporary directory and no
@@ -36,7 +38,6 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
-import gc
 import io
 import json
 import os
@@ -121,7 +122,6 @@ def _routes(root: Path, tmp: Path) -> dict:
         codes["python -m cavityvdw.cli dressed planar.yaml"] = exc.code
     finally:
         sys.argv = argv
-        gc.unfreeze()
     return codes
 
 

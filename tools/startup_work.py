@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Code compiled, code executed, modules loaded and objects left for shutdown
-by each CLI mode's process.
+"""Code compiled, code executed, modules loaded and objects left at exit by
+each CLI mode's process, and the way it ended.
 
     python3 tools/startup_work.py [--root DIR] [--bytecode {off,on}]
 
@@ -17,13 +17,17 @@ for an AST). It also counts the modules each stage loads beyond
 and names those the run loads.
 
 The run is made as the program runs it: the child sets sys.argv and calls
-main() with no argument. The `exit` stage reads, as the first statement
-after main returns, gc.get_freeze_count() and len(gc.get_objects()): the
-objects frozen out of the collector's reach, and those that interpreter
-shutdown's final collection would still trace and free. These counts, not
-times, are the deterministic side of the cli-modes wall time: the time
-from main's return to the process's end is spent outside every tracer
-span, and it scales with the objects shutdown walks.
+main() with no argument, which ends the process itself (os._exit) once the
+atexit handlers have run and the standard streams are flushed. So the
+child reports from an atexit handler it registers before the run: the
+`run` stage's counts, and the `exit` stage's `way` and `tracked`. `way` is
+"os._exit" when main ended the process, and "return" when main returned to
+the child, as it does where interpreter shutdown must run (a trace or
+profile function set, a thread left, a failing flush). `tracked` is
+len(gc.get_objects()), the objects that interpreter shutdown would trace
+and free, and that os._exit leaves to the operating system. These counts,
+not times, are the deterministic side of the cli-modes wall time: the time
+from main's end to the process's end is spent outside every tracer span.
 
 The copy of src/ starts without bytecode. With --bytecode off (the
 default) the children write none (PYTHONDONTWRITEBYTECODE=1), so the
@@ -55,7 +59,7 @@ RUNS = [(mode, "planar") for mode in ("scan-rabi", "dressed", "potential", "forc
 REPEATS = 2
 
 CHILD = """
-import gc, sys
+import atexit, gc, sys
 import numpy
 
 config, out, mode = sys.argv[1:]
@@ -77,15 +81,21 @@ import cavityvdw.cli
 report = {"import": {**counts, "modules": len(set(sys.modules) - baseline)}}
 counts.update(compile=0, compile_bytes=0, exec=0)
 before = set(sys.modules)
+
+def exit_report():
+    new = set(sys.modules) - before
+    report["run"] = {**counts, "modules": len(new), "loaded": sorted(new)}
+    report["exit"] = {"way": "return" if returned else "os._exit",
+                      "tracked": len(gc.get_objects())}
+    import json
+    print(json.dumps(report))
+
+returned = False
+atexit.register(exit_report)
 sys.argv = ["cavityvdw", mode, "--config", config, "--out", out]
 code = cavityvdw.cli.main()
-tracked = len(gc.get_objects())
-report["exit"] = {"frozen": gc.get_freeze_count(), "tracked": tracked}
-new = set(sys.modules) - before
-report["run"] = {**counts, "modules": len(new), "loaded": sorted(new)}
-report["exit_code"] = code
-import json
-print(json.dumps(report))
+returned = True
+sys.exit(code)
 """
 
 
@@ -113,7 +123,7 @@ def main(argv=None) -> int:
             if proc.returncode != 0:
                 raise SystemExit(f"error: {mode} on {config} exited {proc.returncode}:\n"
                                  f"{proc.stderr}")
-            return json.loads(proc.stdout.splitlines()[-1])
+            return {**json.loads(proc.stdout.splitlines()[-1]), "exit_code": proc.returncode}
 
         if args.bytecode == "on":
             for run in RUNS:
