@@ -613,9 +613,12 @@ def main(argv=None) -> int:
     is the same as main(argv)'s. main returns the code instead, and leaves
     shutdown to the interpreter, where skipping it could lose something: a
     trace or profile function is set (coverage, cProfile), a thread other
-    than the main one is alive, or a flush raises. argparse's SystemExit
-    (help, usage errors) and uncaught exceptions propagate either way.
-    Library callers pass argv, and main returns."""
+    than the main one is alive, or a flush raises other than on a stdout
+    whose reader has gone (a closed pipe, as `| head -c 0` leaves). That
+    stdout loses the report lines and nothing else: the exit code is the
+    one an open stdout gets. argparse's SystemExit (help, usage errors) and
+    uncaught exceptions propagate either way. Library callers pass argv,
+    and main returns."""
     if argv is not None:
         return _command(argv)
     code = _command(None)
@@ -627,8 +630,12 @@ def main(argv=None) -> int:
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:
                 stream.flush()
+    except BrokenPipeError:
+        # a reader has gone (a closed pipe): what it did not read is lost,
+        # and os._exit skips the shutdown flush that would fail again
+        pass
     except (OSError, ValueError):
-        # a broken pipe, a full disk or a closed stream: shutdown reports it
+        # a full disk or a closed stream: shutdown reports it
         return code
     os._exit(code)
 
@@ -665,12 +672,17 @@ def _command(argv) -> int:
         print(f"error [{cfg.mode}]: {exc}", file=sys.stderr)
         return 1
 
-    if cfg.mode == "xcheck":
-        for row in result.table.rows:
-            print(f"[{row['status'].upper():4s}] {row['check']}: "
-                  f"measured {row['measured']:.3e} vs tolerance {row['tolerance']:.3e}")
-    print(f"wrote {out_path} ({len(result.table)} rows)")
-    print(f"wrote {manifest_path}")
+    try:
+        if cfg.mode == "xcheck":
+            for row in result.table.rows:
+                print(f"[{row['status'].upper():4s}] {row['check']}: "
+                      f"measured {row['measured']:.3e} vs tolerance {row['tolerance']:.3e}")
+        print(f"wrote {out_path} ({len(result.table)} rows)")
+        print(f"wrote {manifest_path}")
+    except BrokenPipeError:
+        # stdout's reader has gone (a closed pipe): the report is lost, and
+        # an unbuffered stream keeps none of it to fail on again
+        pass
     return 2 if result.failures else 0
 
 

@@ -18,7 +18,6 @@ and theta_c are substituted. The historical variant carrying an extra
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 
 import numpy as np
@@ -56,13 +55,6 @@ class DressedSystem(Record):
         ref = np.hypot(self.omega_r, self.detuning)
         if not np.all(np.abs(self.omega - ref) <= 1e-9 * np.maximum(np.abs(self.omega), ref)):
             raise DomainError("Omega must equal hypot(Omega_R, Delta)")
-
-
-def rabi_frequency(mode_norm: float, gamma_nu: float) -> float:
-    """Omega_R = sqrt(gamma_nu pi N) [rad/s]."""
-    require("collective norm", "mode_norm", mode_norm, "nonnegative")
-    require("mode width", "gamma_nu", gamma_nu, "positive")
-    return math.sqrt(gamma_nu * math.pi * mode_norm)
 
 
 def eigenenergies(omega_r, detuning):

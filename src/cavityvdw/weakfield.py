@@ -17,14 +17,18 @@ returns the bare integral, larger by pi.
 from __future__ import annotations
 
 import math
-from typing import Literal
 
 import numpy as np
 
 from .constants import EPS0, HBAR, MU0
 from .errors import DomainError, require
-from .greens import ComplexDyad, QuadratureControl, SpectralFunction, kk_real_from_imag
-from .modecoupling import AtomSpec, ModeModel, lorentzian_profile
+from .greens import (
+    ComplexDyad,
+    SpectralFunction,
+    # not called here; perfbench/tracer.py wraps weakfield.kk_real_from_imag by name
+    kk_real_from_imag,  # noqa: F401
+)
+from .modecoupling import AtomSpec, lorentzian_profile
 from .record import Record
 
 _REAL_OK = ("full", "scattering-only")
@@ -110,37 +114,15 @@ def free_space_resonant_potential(d_a, d_b, k, r):
     return float(u) if rv.ndim == 1 else u
 
 
-def _require_off_resonance(detuning) -> None:
-    """Delta, scalar or array, finite and nonzero."""
-    if np.any(require("detuning", "detuning", detuning) == 0.0):
-        raise DomainError("weak-coupling limit is undefined on resonance (Delta = 0)")
-
-
 def weak_limit_potentials(gamma_nu: float, mode_norm: float, detuning):
     """(U+, U-) = (+, -) hbar gamma_nu pi N / (4 Delta) [J]; Delta scalar or
     array."""
     require("mode width", "gamma_nu", gamma_nu, "positive")
     require("collective norm", "mode_norm", mode_norm, "nonnegative")
-    _require_off_resonance(detuning)
+    if np.any(require("detuning", "detuning", detuning) == 0.0):
+        raise DomainError("weak-coupling limit is undefined on resonance (Delta = 0)")
     u = HBAR * gamma_nu * math.pi * mode_norm / (4.0 * detuning)
     return (u, -u)
-
-
-def weak_theta_potential(theta, omega_r: float, detuning: float) -> float:
-    """-(hbar / 4 Delta) cos(2 theta) Omega_R^2 [J]."""
-    require("superposition angle", "theta", theta)
-    require("vacuum Rabi frequency", "omega_r", omega_r)
-    _require_off_resonance(detuning)
-    return -(HBAR / (4.0 * detuning)) * math.cos(2.0 * theta) * omega_r**2
-
-
-def weak_theta_force(theta, omega_r: float, grad_omega_r, detuning: float) -> np.ndarray:
-    """+(hbar / 2 Delta) cos(2 theta) Omega_R grad Omega_R [N]."""
-    require("superposition angle", "theta", theta)
-    require("vacuum Rabi frequency", "omega_r", omega_r)
-    g = require("gradient", "grad_omega_r", np.asarray(grad_omega_r, dtype=float))
-    _require_off_resonance(detuning)
-    return (HBAR / (2.0 * detuning)) * math.cos(2.0 * theta) * omega_r * g
 
 
 def narrow_mode_real_contraction(
@@ -175,70 +157,3 @@ def lorentzian_spectral_function(g2_peak: float, omega_nu: float, gamma_nu: floa
         support=(omega_nu - span, omega_nu + span),
         hint_points=(omega_nu - gamma_nu, omega_nu, omega_nu + gamma_nu),
     )
-
-
-class NarrowModeGreens:
-    """Green's provider for a single narrow mode described by a ModeModel.
-
-    The imaginary part of each contraction is the Lorentzian profile of the
-    stored peak couplings; the real part is its Hilbert image, either in
-    closed form (exact transform of the Lorentzian, valid at any detuning)
-    or through the principal-value quadrature (real_route="kk-numeric").
-    Tensors are returned identity-proportional, so only parallel-dipole
-    contractions are meaningful; positions must match one of the two atoms.
-    """
-
-    def __init__(
-        self,
-        mode: ModeModel,
-        atom_a: AtomSpec,
-        atom_b: AtomSpec,
-        real_route: Literal["closed-form", "kk-numeric"] = "closed-form",
-        control: QuadratureControl | None = None,
-    ):
-        if real_route not in ("closed-form", "kk-numeric"):
-            raise DomainError(f"unknown real_route {real_route!r}")
-        self.mode = mode
-        self.atom_a = atom_a
-        self.atom_b = atom_b
-        self.real_route = real_route
-        self.control = control or QuadratureControl()
-
-    def _identify(self, pos) -> str:
-        p = np.asarray(pos, dtype=float)
-        for label, atom in (("A", self.atom_a), ("B", self.atom_b)):
-            if np.max(np.abs(p - np.asarray(atom.position))) <= 1e-12 * (
-                1.0 + float(np.max(np.abs(atom.position)))
-            ):
-                return label
-        raise DomainError(f"position {pos} matches neither stored atom")
-
-    def _pair(self, r1, r2) -> tuple[float, float]:
-        key = frozenset((self._identify(r1), self._identify(r2)))
-        if key == {"A"}:
-            return self.mode.g2_aa, self.atom_a.dipole_norm**2
-        if key == {"B"}:
-            return self.mode.g2_bb, self.atom_b.dipole_norm**2
-        return self.mode.g2_ab, self.atom_a.dipole_norm * self.atom_b.dipole_norm
-
-    def _re_g2(self, g2_peak: float, omega: float) -> float:
-        m = self.mode
-        if self.real_route == "closed-form":
-            dw = m.omega_nu - omega
-            return g2_peak * (m.gamma_nu / 2.0) * dw / (dw**2 + m.gamma_nu**2 / 4.0)
-        sf = lorentzian_spectral_function(g2_peak, m.omega_nu, m.gamma_nu)
-        return kk_real_from_imag(sf, omega, self.control) / math.pi
-
-    def tensor(self, r1, r2, omega: float) -> ComplexDyad:
-        require("angular frequency", "omega", omega, "positive")
-        g2_peak, dnorm2 = self._pair(require("position", "r1", r1), require("position", "r2", r2))
-        m = self.mode
-        scale = HBAR * math.pi / (MU0 * omega**2 * dnorm2)
-        im_entry = scale * lorentzian_profile(g2_peak, m.omega_nu, m.gamma_nu, omega)
-        re_entry = scale * self._re_g2(g2_peak, omega)
-        coincident = bool(np.all(np.asarray(r1, float) == np.asarray(r2, float)))
-        status = "scattering-only" if coincident else "full"
-        return ComplexDyad(
-            matrix=(re_entry + 1j * im_entry) * np.eye(3, dtype=complex),
-            real_status=status,
-        )

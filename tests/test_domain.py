@@ -25,7 +25,6 @@ from cavityvdw import (
     DressedSystem,
     FreeSpaceGreens,
     ModeModel,
-    NarrowModeGreens,
     PlanarCavity,
     PlanarCavityGreens,
     PlanarScenario,
@@ -45,7 +44,6 @@ BAD = (math.nan, math.inf, -math.inf)
 CAV = PlanarCavity(d=1.0e-6, delta=1.0e-3, nu=1)
 ATOM_A = AtomSpec((0.0, 0.0, 0.3e-6), CAV.omega_nu, (1.0e-29, 0.0, 0.0))
 ATOM_B = AtomSpec((0.0, 0.0, 0.6e-6), CAV.omega_nu, (1.0e-29, 0.0, 0.0))
-MODE = ModeModel(omega_nu=1.0e15, gamma_nu=1.0e11, g2_aa=1.0, g2_bb=4.0, g2_ab=-2.0)
 SCN = PlanarScenario.resonant(CAV, 0.3e-6, 0.6e-6)
 SYS = DressedSystem.from_coupling(4.0e9, 3.0e9)
 
@@ -107,16 +105,10 @@ FUNCTION_BASELINES = {
                                       "zp": 0.6e-6, "omega": 2.0e15}),
     "potential_pm": (cavityvdw.potential_pm, {"omega": 5.0e9}),
     "potential_theta": (cavityvdw.potential_theta, {"theta": 0.3, "sys": SYS}),
-    "rabi_frequency": (cavityvdw.rabi_frequency, {"mode_norm": 1.0, "gamma_nu": 1.0e11}),
     "scan_rabi": (cavityvdw.scan_rabi, {"scn": SCN, "sweep": "joint",
                                         "grid": np.linspace(0.1e-6, 0.9e-6, 5)}),
     "weak_limit_potentials": (cavityvdw.weak_limit_potentials,
                               {"gamma_nu": 1.0e11, "mode_norm": 1.0, "detuning": 1.0e12}),
-    "weak_theta_force": (cavityvdw.weak_theta_force,
-                         {"theta": 0.3, "omega_r": 7.0e9, "grad_omega_r": (0.0, 0.0, 1.0e15),
-                          "detuning": 1.0e12}),
-    "weak_theta_potential": (cavityvdw.weak_theta_potential,
-                             {"theta": 0.3, "omega_r": 7.0e9, "detuning": 1.0e12}),
     "dressed.theta_force": (theta_force, {"theta": 0.3, "grad_omega_r": 1.0}),
     "dressed.theta_force as-printed": (theta_force, {"theta": 0.3, "grad_omega_r": 1.0,
                                                      "omega_r": 7.0e9, "detuning": 1.0e10,
@@ -127,9 +119,6 @@ FUNCTION_BASELINES = {
     "PlanarCavityGreens.tensor": (PlanarCavityGreens(CAV).tensor,
                                   {"r1": ATOM_A.position, "r2": ATOM_B.position,
                                    "omega": CAV.omega_nu}),
-    "NarrowModeGreens.tensor": (NarrowModeGreens(MODE, ATOM_A, ATOM_B).tensor,
-                                {"r1": ATOM_A.position, "r2": ATOM_B.position,
-                                 "omega": 1.0e15 + 1.0e11}),
 }
 FUNCTION_EXEMPT = {
     "load_config": "reads a file; its numbers are refused there when not finite",

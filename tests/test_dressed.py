@@ -18,7 +18,6 @@ from cavityvdw.dressed import (
     grad_rabi,
     potential_pm,
     potential_theta,
-    rabi_frequency,
     richardson_slope,
     theta_force,
 )
@@ -51,24 +50,6 @@ def sinusoidal(amplitude=3.0e10, d=1.0e-6, offset=2.0):
 
 
 # --------------------------------------------------------------- arithmetic
-
-def test_rabi_frequency_values():
-    assert rabi_frequency(0.0, 1e11) == 0.0
-    assert rabi_frequency(4.0, 1.0 / math.pi) == pytest.approx(2.0, rel=1e-15, abs=0.0)
-    with pytest.raises(DomainError):
-        rabi_frequency(-1.0, 1e11)
-    with pytest.raises(DomainError):
-        rabi_frequency(1.0, 0.0)
-
-
-@pytest.mark.parametrize("mode_norm,gamma_nu,name", [
-    (math.nan, 1e11, "mode_norm=nan"), (math.inf, 1e11, "mode_norm=inf"),
-    (1.0, math.nan, "gamma_nu=nan"), (1.0, math.inf, "gamma_nu=inf"),
-])
-def test_rabi_frequency_rejects_non_finite_input_by_name(mode_norm, gamma_nu, name):
-    with pytest.raises(DomainError, match=name):
-        rabi_frequency(mode_norm, gamma_nu)
-
 
 def test_eigenenergies_three_four_five():
     ep, em = eigenenergies(4.0, 3.0)

@@ -827,7 +827,9 @@ def test_kk_lorentzian_matches_exact_principal_value():
 @pytest.mark.parametrize("side", [-1.0, 1.0])
 def test_kk_lorentzian_matches_exact_window_transform(offset, side):
     # the exact principal value over the same finite window, from the
-    # peak to 1e3 widths inside the window's edge
+    # peak to 1e3 widths inside the window's edge. The 5e-14 holds at this
+    # omega_0 / gamma = 1e4; the error grows with omega_0 / gamma (5.5e-13
+    # at 1e6)
     peak, w0, gamma = 2.3, 1.0e15, 1.0e11
     sf = _lorentzian_spectral(peak, w0, gamma)
     w = w0 + side * offset * gamma

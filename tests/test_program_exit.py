@@ -10,7 +10,9 @@ set, a thread other than the main one alive, or a failing flush, main
 returns the code and the interpreter shuts down as usual. Each child
 appends to a report file: "atexit" from an atexit handler, and "returned
 <code>" once main has returned, which never happens on the program's way
-out.
+out. With stdout a pipe whose reader has gone, the program loses its
+report lines and nothing else: no traceback, and the exit code of an open
+stdout.
 """
 
 import os
@@ -89,15 +91,19 @@ sys.exit(code)
 """
 
 
-def _child(how, args, cwd):
-    cwd.mkdir()
-    report = cwd.parent / f"{cwd.name}.report"
+def _env():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
     # stdout to a pipe stays block-buffered, so output main does not flush is lost
     env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _child(how, args, cwd):
+    cwd.mkdir()
+    report = cwd.parent / f"{cwd.name}.report"
     proc = subprocess.run([sys.executable, "-c", CHILD, str(report), how, *args], cwd=cwd,
-                          capture_output=True, env=env, timeout=120)
+                          capture_output=True, env=_env(), timeout=120)
     files = {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
     return proc, report.read_text().splitlines(), files
 
@@ -152,3 +158,32 @@ def test_main_as_the_program_returns_when_a_flush_fails(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout == b"wrote table.csv (41 rows)\nwrote table.csv.manifest.json\n"
     assert sorted(files) == ["table.csv", "table.csv.manifest.json"]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args, code", [
+    (["scan-rabi", "--config", PLANAR, "--out", "table.csv"], 0),
+    (["xcheck", "--config", PLANAR, "--out", "table.csv", "--tolerance", "1e-30"], 2),
+], ids=["scan-rabi", "xcheck-tolerance"])
+def test_a_closed_stdout_loses_the_report_and_nothing_else(tmp_path, args, code, unbuffered):
+    # unbuffered, the first report line raises BrokenPipeError; buffered, the
+    # flush before os._exit does, and once more at shutdown if it returned
+    env = _env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    (tmp_path / "closed").mkdir()
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "cavityvdw.cli", *args],
+                              cwd=tmp_path / "closed", stdout=write, stderr=subprocess.PIPE,
+                              env=env, timeout=120)
+    finally:
+        os.close(write)
+    _, _, library_files = _child("argv", args, tmp_path / "argv")
+
+    assert proc.stderr == b""
+    assert proc.returncode == code
+    assert {p.name: p.read_bytes() for p in sorted((tmp_path / "closed").iterdir())} \
+        == library_files
+    assert sorted(library_files) == ["table.csv", "table.csv.manifest.json"]

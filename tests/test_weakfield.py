@@ -6,21 +6,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cavityvdw.constants import C, EPS0
+from cavityvdw.constants import C, EPS0, HBAR
 from cavityvdw.errors import DomainError
 from cavityvdw.greens import (ComplexDyad, FreeSpaceGreens, PlanarCavity, PlanarCavityGreens,
-                              free_space_green)
-from cavityvdw.modecoupling import AtomSpec, ModeModel
+                              free_space_green, kk_real_from_imag)
+from cavityvdw.modecoupling import AtomSpec, ModeModel, mode_norm
 from cavityvdw.dressed import eigenenergies
 from cavityvdw.weakfield import (
-    NarrowModeGreens,
     ResonantPotentialBreakdown,
     free_space_resonant_potential,
+    lorentzian_spectral_function,
     narrow_mode_real_contraction,
     resonant_potential,
     weak_limit_potentials,
-    weak_theta_force,
-    weak_theta_potential,
 )
 
 RNG = np.random.default_rng(77113)
@@ -199,55 +197,14 @@ def test_weak_limit_potentials_values():
         weak_limit_potentials(-1.0, n, 10.0)
 
 
-def test_weak_theta_potential_reductions():
-    omega_r, delta = 7.0e9, 4.0e12
-    u_minus = -HBAR_LIT * omega_r**2 / (4.0 * delta)
-    assert weak_theta_potential(0.0, omega_r, delta) == pytest.approx(u_minus, rel=1e-12, abs=0.0)
-    assert weak_theta_potential(math.pi / 2, omega_r, delta) == pytest.approx(
-        -u_minus, rel=1e-12, abs=0.0)
-    assert abs(weak_theta_potential(math.pi / 4, omega_r, delta)) < 1e-16 * abs(u_minus)
-    with pytest.raises(DomainError):
-        weak_theta_potential(0.3, omega_r, 0.0)
-
-
-def test_weak_theta_force_is_negative_gradient():
-    # Omega_R(z) sinusoidal; force from the analytic gradient must equal
-    # -d/dz of the potential to 1e-8
-    amp, d, delta = 5.0e9, 1.0e-6, 3.0e12
-    z0 = 0.37 * d
-
-    def omega_r(z):
-        return amp * (1.5 + math.sin(math.pi * z / d))
-
-    grad = amp * math.pi / d * math.cos(math.pi * z0 / d)
-    h = 1e-5 * d
-    for th in (0.0, 0.3, 1.0, math.pi / 2):
-        fd = -(
-            weak_theta_potential(th, omega_r(z0 + h), delta)
-            - weak_theta_potential(th, omega_r(z0 - h), delta)
-        ) / (2.0 * h)
-        got = weak_theta_force(th, omega_r(z0), (0.0, 0.0, grad), delta)[2]
-        assert got == pytest.approx(fd, rel=1e-8, abs=1e-40)
-    f0 = weak_theta_force(0.0, 1e9, (0.0, 0.0, 1e15), delta)
-    f45 = weak_theta_force(math.pi / 4, 1e9, (0.0, 0.0, 1e15), delta)
-    assert np.linalg.norm(f45) <= 1e-15 * np.linalg.norm(f0)
-    f90 = weak_theta_force(math.pi / 2, 1e9, (0.0, 0.0, 1e15), delta)
-    assert np.allclose(f0, -f90, rtol=1e-15)
-    with pytest.raises(DomainError):
-        weak_theta_force(0.0, 1e9, (0.0, 0.0, 1e15), 0.0)
-
-
 @pytest.mark.parametrize("call,name", [
     (lambda: weak_limit_potentials(1e11, math.nan, 1e12), "mode_norm=nan"),
     (lambda: weak_limit_potentials(1e11, math.inf, 1e12), "mode_norm=inf"),
     (lambda: weak_limit_potentials(math.inf, 1.0, 1e12), "gamma_nu=inf"),
     (lambda: weak_limit_potentials(1e11, 1.0, math.nan), "detuning=nan"),
     (lambda: weak_limit_potentials(1e11, 1.0, np.array([1e12, math.nan])), "detuning="),
-    (lambda: weak_theta_potential(0.3, 7e9, math.nan), "detuning=nan"),
-    (lambda: weak_theta_force(0.3, 7e9, (0.0, 0.0, 1e15), math.nan), "detuning=nan"),
 ], ids=["limits-mode_norm-nan", "limits-mode_norm-inf", "limits-gamma_nu-inf",
-        "limits-detuning-nan", "limits-detuning-array", "theta_potential-detuning-nan",
-        "theta_force-detuning-nan"])
+        "limits-detuning-nan", "limits-detuning-array"])
 def test_weak_limits_reject_non_finite_input_by_name(call, name):
     # each once returned NaN
     with pytest.raises(DomainError, match=name):
@@ -288,7 +245,7 @@ def test_narrow_mode_real_contraction_rejects_an_offset_below_omega_resolution()
 
 def test_narrow_mode_matches_kk_quadrature():
     # the quadrature returns the bare principal value, larger by pi
-    from cavityvdw.greens import SpectralFunction, kk_real_from_imag
+    from cavityvdw.greens import SpectralFunction
     from cavityvdw.modecoupling import lorentzian_profile
 
     g2, gamma, w0 = 1.7, 5.0e10, 8.0e14
@@ -304,45 +261,20 @@ def test_narrow_mode_matches_kk_quadrature():
     assert abs(numeric - closed) / abs(closed) < 1e-2
 
 
-# -------------------------------------------------------- narrow-mode provider
-
-def _narrow_setup(real_route="closed-form"):
-    omega_nu, gamma = 1.0e15, 1.0e9
-    g2 = 1.0e8
-    n = 4.0 * g2
-    omega_r = math.sqrt(gamma * math.pi * n)
-    delta = 1.0e3 * omega_r
-    w10 = omega_nu - delta
-    dip = (1.0e-29, 0.0, 0.0)
-    a = AtomSpec(position=(0.0, 0.0, 0.2e-6), omega10=w10, dipole=dip)
-    b = AtomSpec(position=(0.0, 0.0, 0.8e-6), omega10=w10, dipole=dip)
-    mode = ModeModel(omega_nu=omega_nu, gamma_nu=gamma, g2_aa=g2, g2_bb=g2, g2_ab=g2)
-    prov = NarrowModeGreens(mode, a, b, real_route=real_route)
-    return a, b, mode, prov, omega_r, delta
-
+# ---------------------------------------------------- weak limit, Green route
 
 def test_narrow_provider_total_matches_weak_limit():
-    a, b, mode, prov, omega_r, delta = _narrow_setup()
-    out = resonant_potential(a, b, prov)
-    assert out.single_a is not None and out.single_b is not None
-    expect = weak_limit_potentials(mode.gamma_nu, 4.0 * mode.g2_aa, delta)[1]
-    assert out.total == pytest.approx(expect, rel=1e-6, abs=0.0)
+    # one narrow mode's Green's tensor contracted with parallel dipoles: the
+    # singles (-1/2 each) and the interaction (-1) sum to -(hbar/2) N times
+    # the bare principal value of the unit-peak Lorentzian at omega10
+    omega_nu, gamma, g2 = 1.0e15, 1.0e9, 1.0e8
+    mode = ModeModel(omega_nu=omega_nu, gamma_nu=gamma, g2_aa=g2, g2_bb=g2, g2_ab=g2)
+    omega_r = math.sqrt(gamma * math.pi * mode_norm(mode))
+    delta = 1.0e3 * omega_r
+    total = -(HBAR / 2.0) * mode_norm(mode) * kk_real_from_imag(
+        lorentzian_spectral_function(1.0, omega_nu, gamma), omega_nu - delta)
+    expect = weak_limit_potentials(gamma, mode_norm(mode), delta)[1]
+    assert total == pytest.approx(expect, rel=1e-6, abs=0.0)
     # and the dressed ladder agrees through Eq-(35) expansion territory
     e_minus_pos = eigenenergies(omega_r, delta)[1] - eigenenergies(0.0, delta)[1]
-    assert out.total == pytest.approx(e_minus_pos, rel=1e-5, abs=0.0)
-
-
-def test_narrow_provider_kk_route_agrees():
-    a, b, mode, prov_cf, _, delta = _narrow_setup()
-    prov_kk = NarrowModeGreens(mode, a, b, real_route="kk-numeric")
-    t_cf = resonant_potential(a, b, prov_cf).total
-    t_kk = resonant_potential(a, b, prov_kk).total
-    assert t_kk == pytest.approx(t_cf, rel=1e-6, abs=0.0)
-
-
-def test_narrow_provider_rejects_unknown_position():
-    a, b, mode, prov, _, _ = _narrow_setup()
-    with pytest.raises(DomainError):
-        prov.tensor((0.0, 0.0, 0.5e-6), a.position, 1.0e15)
-    with pytest.raises(DomainError):
-        NarrowModeGreens(mode, a, b, real_route="bogus")
+    assert total == pytest.approx(e_minus_pos, rel=1e-5, abs=0.0)
