@@ -526,6 +526,23 @@ def test_weak_limit_rel_dev_exact_to_large_ratios(tmp_path):
         assert row["u_minus_strong"] == -row["u_plus_strong"]
 
 
+@pytest.mark.parametrize("ratio", [0.5, 1.0, 10.0, 1.0e2, 1.0e4])
+def test_weak_limit_weak_side_is_the_perturbative_shift(tmp_path, ratio):
+    # the weak ladder takes N = Omega_R^2 / (pi gamma_nu), the inverse of
+    # Omega_R = sqrt(gamma_nu pi N), so U-_weak = -hbar Omega_R^2 / (4 Delta):
+    # -1 / (4 ratio) in the table's energy unit hbar Omega_R
+    cfg = load_config(_write(tmp_path, MINIMAL + "mode: weak-limit\nsweep:\n"
+                             f"  weak_ratios: [{ratio!r}]\n"))
+    result = run(cfg)
+    (row,) = result.table.rows
+    e_unit = result.manifest["normalization"]["energy_unit"]
+    assert row["u_minus_weak"] == pytest.approx(-e_unit / (4.0 * ratio), rel=1e-14, abs=0.0)
+    assert row["u_plus_weak"] == -row["u_minus_weak"]
+    # the dressed ladder falls short of it by rel_dev
+    assert 1.0 - row["u_minus_strong"] / row["u_minus_weak"] == pytest.approx(
+        row["rel_dev_minus"], rel=1e-12, abs=1e-15)
+
+
 def test_kk_offsets_outside_window_or_below_zero_frequency(tmp_path, capsys):
     cfg = _write(tmp_path, MINIMAL + "sweep:\n  kk_offsets: [-1.0e+4, 1.0e+6]\n")
     assert main(["kk-check", "--config", cfg, "--out", str(tmp_path / "kk.csv")]) == 1

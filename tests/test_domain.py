@@ -35,7 +35,8 @@ from cavityvdw import (
     SpectralFunction,
 )
 from cavityvdw.cli import RunResult
-from cavityvdw.dressed import theta_force
+from cavityvdw.dressed import strong_coupling_potentials, theta_force
+from cavityvdw.planarcavity import sweep_positions
 from cavityvdw.record import Record
 from cavityvdw.weakfield import lorentzian_spectral_function
 
@@ -109,6 +110,13 @@ FUNCTION_BASELINES = {
                                         "grid": np.linspace(0.1e-6, 0.9e-6, 5)}),
     "weak_limit_potentials": (cavityvdw.weak_limit_potentials,
                               {"gamma_nu": 1.0e11, "mode_norm": 1.0, "detuning": 1.0e12}),
+    "DressedSystem.from_coupling": (DressedSystem.from_coupling,
+                                    {"omega_r": 4.0e9, "detuning": 3.0e9}),
+    "dressed.strong_coupling_potentials": (strong_coupling_potentials,
+                                           {"omega_r": 4.0e9, "detuning": 3.0e9}),
+    "planarcavity.sweep_positions": (sweep_positions,
+                                     {"scn": SCN, "sweep": "joint",
+                                      "grid": np.linspace(0.1e-6, 0.9e-6, 5)}),
     "dressed.theta_force": (theta_force, {"theta": 0.3, "grad_omega_r": 1.0}),
     "dressed.theta_force as-printed": (theta_force, {"theta": 0.3, "grad_omega_r": 1.0,
                                                      "omega_r": 7.0e9, "detuning": 1.0e10,

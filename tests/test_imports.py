@@ -211,30 +211,58 @@ def test_cavity_green_and_principal_value_do_not_import_scipy():
 
 
 TRACER_CHILD = """
-import importlib.util, json, sys
+import importlib.util, inspect, json, sys
 sys.dont_write_bytecode = True
 spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
 tracer = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracer)
+
+def name(owner, attr):
+    module = owner.__name__ if inspect.ismodule(owner) else owner.__module__
+    prefix = module.rpartition(".")[2]
+    if not inspect.ismodule(owner):
+        prefix += "." + owner.__qualname__
+    return f"{prefix}.{attr}"
+
 t = tracer.Tracer()
 t.start()
 saved = list(t._saved)
+replaced = {name(o, a): o.__dict__[a] is not orig for o, a, orig in saved}
 t.stop()
-print(json.dumps({
-    "patched": sorted(f"{owner.__name__.rpartition('.')[2]}.{attr}" for owner, attr, _ in saved),
-    "restored": all(owner.__dict__[attr] is orig for owner, attr, orig in saved)}))
+print(json.dumps({name(o, a): {"replaced": replaced[name(o, a)],
+                               "restored": o.__dict__[a] is orig} for o, a, orig in saved}))
 """
 
+# every program name perfbench/tracer.py wraps, as <module>[.<class>].<attribute>
+TRACER_PATCHES = [
+    "cli.load_config", "cli.run", "cli.export", "cli.scan_rabi", "cli.force_theta",
+    "cli.resonant_potential", "cli.kk_real_from_imag", "weakfield.kk_real_from_imag",
+    "greens.kk_real_from_imag", "greens.planar_cavity_green",
+    "greens.planar_scattering_components", "greens.quad", "modecoupling.coupling_strength_sq",
+    "modecoupling.fit_lorentzian", "dressed.grad_rabi", "dressed.DressedSystem.from_coupling",
+    "tabular.Table.__init__", "planarcavity.PlanarScenario.__post_init__",
+    "planarcavity.PlanarScenario.rabi",
+]
 
-def test_names_the_benchmark_tracer_patches_stay():
-    # perfbench/tracer.py wraps the program's names where their callers look
-    # them up, and its start() raises KeyError for a missing attribute; its
-    # own start() and stop() run here, its file only read
-    report = _fresh_interpreter(TRACER_CHILD, str(SRC.parent / "perfbench" / "tracer.py"))
-    assert len(report["patched"]) == 19
-    assert {"cli.force_theta", "greens.quad", "weakfield.kk_real_from_imag"} \
-        <= set(report["patched"])
-    assert report["restored"]
+
+@pytest.fixture(scope="module")
+def tracer_report():
+    """perfbench/tracer.py's own start() and stop(), run in a fresh
+    interpreter with its file only read: per patched name, whether start()
+    replaced it and stop() put the original back."""
+    return _fresh_interpreter(TRACER_CHILD, str(SRC.parent / "perfbench" / "tracer.py"))
+
+
+def test_names_the_benchmark_tracer_patches_stay(tracer_report):
+    # the tracer wraps the program's names where their callers look them up,
+    # and its start() raises KeyError for a missing attribute, which fails
+    # the fixture; so every name it patches is here
+    assert sorted(tracer_report) == sorted(TRACER_PATCHES)
+
+
+@pytest.mark.parametrize("name", TRACER_PATCHES)
+def test_the_benchmark_tracer_wraps_and_restores(tracer_report, name):
+    assert tracer_report[name] == {"replaced": True, "restored": True}
 
 
 # public names that no shipped route names, though one runs them: result

@@ -160,30 +160,50 @@ def test_main_as_the_program_returns_when_a_flush_fails(tmp_path):
     assert sorted(files) == ["table.csv", "table.csv.manifest.json"]
 
 
+FREE_SPACE = str(GOLDENS / "free_space.yaml")
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("args, code", [
     (["scan-rabi", "--config", PLANAR, "--out", "table.csv"], 0),
+    (["dressed", "--config", PLANAR, "--out", "table.csv"], 0),
+    (["potential", "--config", PLANAR, "--out", "table.csv"], 0),
+    (["potential", "--config", FREE_SPACE, "--out", "table.jsonl", "--format", "jsonl"], 0),
+    (["force", "--config", PLANAR, "--out", "table.csv"], 0),
+    (["weak-limit", "--config", PLANAR, "--out", "table.csv"], 0),
+    (["kk-check", "--config", PLANAR, "--out", "table.csv"], 0),
     (["xcheck", "--config", PLANAR, "--out", "table.csv", "--tolerance", "1e-30"], 2),
-], ids=["scan-rabi", "xcheck-tolerance"])
+    (["dressed", "--config", "../../f2.yaml", "--out", "table.csv"], 1),
+    (["scan-rabi", "--config", PLANAR, "--out"], 2),
+], ids=["scan-rabi", "dressed", "potential", "potential-free-space-jsonl", "force",
+        "weak-limit", "kk-check", "xcheck-tolerance", "f2-dressed", "usage-error"])
 def test_a_closed_stdout_loses_the_report_and_nothing_else(tmp_path, args, code, unbuffered):
     # unbuffered, the first report line raises BrokenPipeError; buffered, the
     # flush before os._exit does, and once more at shutdown if it returned
     env = _env()
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    (tmp_path / "closed").mkdir()
+    (tmp_path / "f2.yaml").write_text(F2)
+    (tmp_path / "run" / "closed").mkdir(parents=True)
     read, write = os.pipe()
     os.close(read)
     try:
         proc = subprocess.run([sys.executable, "-m", "cavityvdw.cli", *args],
-                              cwd=tmp_path / "closed", stdout=write, stderr=subprocess.PIPE,
-                              env=env, timeout=120)
+                              cwd=tmp_path / "run" / "closed", stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
     finally:
         os.close(write)
-    _, _, library_files = _child("argv", args, tmp_path / "argv")
+    library, _, library_files = _child("argv", args, tmp_path / "run" / "argv")
 
-    assert proc.stderr == b""
-    assert proc.returncode == code
-    assert {p.name: p.read_bytes() for p in sorted((tmp_path / "closed").iterdir())} \
+    # stderr, the exit code and the files are those of an open stdout
+    assert proc.stderr == library.stderr
+    assert b"Traceback" not in proc.stderr and b"Exception ignored" not in proc.stderr
+    assert proc.returncode == library.returncode == code
+    assert {p.name: p.read_bytes() for p in sorted((tmp_path / "run" / "closed").iterdir())} \
         == library_files
-    assert sorted(library_files) == ["table.csv", "table.csv.manifest.json"]
+    if code == 1 or args[-1] == "--out":
+        # argparse's usage error and F2's refusal write nothing
+        assert library_files == {}
+    else:
+        out = args[args.index("--out") + 1]
+        assert sorted(library_files) == [out, out + ".manifest.json"]
