@@ -29,9 +29,10 @@ end is not spelled here, nor is a zero or a non-finite value: lay_out
 leaves those to the caller, and block_text has CPython spell them.
 
 Each cell is laid out in a fixed row of 25 bytes, NUL where unused; the
-rows of a slice of a block, cells and separators side by side in one array,
-are read out by one bytes.translate that deletes every NUL, since no
-separator and no cell holds one of its own.
+rows of the block that block_text is given, cells and separators side by
+side in one array, are read out by one bytes.translate that deletes every
+NUL, since no separator and no cell holds one of its own. The caller sets
+the block's size, and with it the size of every temporary here.
 """
 
 from __future__ import annotations
@@ -209,28 +210,6 @@ def _neighbours(step, w, state):
 # and two or three digits.
 _WORDS = 4
 _CELL = 25
-# rows of a block laid out and read out at a time, which bounds the
-# kernel's temporaries. The benchmark's sweep-dense wall_s was lower with
-# 2048 rows than with 1024 in 22 of 24 alternating pairs (by a median 0.029
-# s, below the 0.032 s between the quartiles of the 1024-row runs), while a
-# single export round in a fresh process is faster with 1024 rows. The cause
-# is glibc malloc: it serves a temporary above its mmap threshold (128 KiB
-# at start, raised as such blocks are freed) from a fresh mapping and trims
-# the heap's top, so each such page is faulted in on first touch. The first
-# seed-1 round of a fresh process took 28.2k minor faults, 20.5k of them in
-# lay_out, and 87-111 ms system time with 2048 rows, against 5.6k (1.4k)
-# and 20-57 ms with 1024 (resource.getrusage, CPython 3.11, glibc, two
-# vCPUs); every later round of the process took none with either. The
-# first round's count follows the heap's history: one more environment
-# variable gave 8.7k and 6.8k faults. With both thresholds fixed
-# (MALLOC_MMAP_THRESHOLD_=32 MiB, MALLOC_TRIM_THRESHOLD_=1 GiB) the first
-# round took 1.3k and 0.95k. The benchmark takes each operation's median
-# over its rounds, which are warm, so it sees 2048 rows' fewer numpy calls
-# and not the first round's faults. Whole blocks gave a higher wall_s in 2
-# of 3 pairs, at about 3 MB more. A process running two sweep-dense rounds
-# (seed 1) peaked at 47.9 MB resident (46.6 with 1024 rows, 50.7 with
-# whole blocks)
-_SLICE_ROWS = 2048
 _MINUS = ord("-")
 # per word of a three-word string, the mask of its bytes among the first
 # count bytes of the string, by count = 0..18
@@ -356,25 +335,20 @@ def block_text(count: int, spelled: list[np.ndarray], shown: list, seps: list[by
     where the column is constant, else count) and whether the column is
     that array negated, whose cells are its cells with the sign byte
     toggled. spell_left(values) spells, as CPython does, the cells lay_out
-    leaves; they are written from the byte after the sign. The rows are
-    laid out, filled in one array with the separators and read out by
-    _readout _SLICE_ROWS at a time."""
+    leaves; they are written from the byte after the sign. The count rows
+    are laid out, filled in one array with the separators and read out by
+    one _readout."""
     widths = [width for sep in seps[:-1] for width in (len(sep), _CELL)] + [len(seps[-1])]
     starts = np.cumsum([0] + widths).tolist()
-    seps = [np.frombuffer(sep, np.uint8) for sep in seps]
-    text = []
-    for start in range(0, count, _SLICE_ROWS):
-        rows = slice(start, start + _SLICE_ROWS)
-        cells = _float_rows([v if v.size == 1 else v[rows] for v in spelled], fmt, spell_left)
-        block = np.empty((min(count - start, _SLICE_ROWS), starts[-1]), dtype=np.uint8)
-        for sep, a in zip(seps, starts[::2]):
-            block[:, a:a + sep.size] = sep
-        for (part, negated), a in zip(shown, starts[1:-1:2]):
-            block[:, a:a + _CELL] = cells[part]
-            if negated:
-                block[:, a] ^= _MINUS
-        text.append(_readout(block))
-    return b"".join(text)
+    cells = _float_rows(spelled, fmt, spell_left)
+    block = np.empty((count, starts[-1]), dtype=np.uint8)
+    for sep, a in zip(seps, starts[::2]):
+        block[:, a:a + len(sep)] = np.frombuffer(sep, np.uint8)
+    for (part, negated), a in zip(shown, starts[1:-1:2]):
+        block[:, a:a + _CELL] = cells[part]
+        if negated:
+            block[:, a] ^= _MINUS
+    return _readout(block)
 
 
 def _float_rows(spelled: list[np.ndarray], fmt: str, spell_left) -> list[np.ndarray]:

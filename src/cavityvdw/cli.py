@@ -388,14 +388,24 @@ def run(cfg: RunConfig) -> RunResult:
 
 # ------------------------------------------------------------------ export
 
-# rows formatted and written at a time, which bounds the cells and text held
-EXPORT_BLOCK_ROWS = 4096
-# blocks of at least this many rows are laid out by the numpy kernel of
-# _floatcells. Its first block in a process costs ~6 ms more (import and
-# first calls): on eight-column tables a fresh process broke even near 2048
-# rows, where later blocks took 2.4-2.7 times less time than CPython's
-# spelling, and 200-row tables never import it
-EXPORT_KERNEL_ROWS = 2048
+# rows formatted and written at a time. A table of at least this many rows
+# and no str column is laid out in every block by the numpy kernel of
+# _floatcells, whose temporaries the block bounds. The kernel's first block
+# in a process costs ~6 ms more (import and first calls): a fresh process
+# broke even near 2048 rows of eight columns, where later blocks took
+# 2.4-2.7 times less time than CPython's spelling, and 200-row tables never
+# import it. The benchmark's sweep-dense wall_s was lower with 2048 rows per
+# kernel layout than with 1024 in 22 of 24 alternating pairs (median 0.029
+# s, below the 0.032 s between the 1024-row runs' quartiles) and higher
+# with 4096 in 2 of 3. Smaller blocks fault fewer pages: glibc malloc
+# serves a temporary above its mmap threshold (128 KiB at start, raised as
+# such blocks are freed) from a fresh mapping and trims the heap's top, so
+# each page is faulted in on first touch. A fresh process's seed-1 export
+# round took 12.7-17.7k minor faults with 2048 rows and 7.0k with 1024, its
+# second round 10.5k and 4.3k (resource.getrusage, CPython 3.11, glibc, two
+# vCPUs). The counts follow the heap's history, and the benchmark's medians
+# over warm rounds favour 2048
+EXPORT_BLOCK_ROWS = 2048
 _CSV_FLOAT = "%.17g".__mod__  # the spelling of format(v, ".17g"), nan, inf and -0 included
 _JSON_FLOAT = float.__repr__  # the spelling json.dumps gives a finite float
 _SIGN_BIT = np.uint64(1 << 63)
@@ -446,18 +456,12 @@ def _distinct_floats(columns: list) -> tuple[list[np.ndarray], list]:
 
 def _block_text(columns: list, spelled: list[np.ndarray], shown: list, seps: list[str],
                 fmt: str) -> bytes:
-    """UTF-8 text of one block of rows, given its columns and, as
-    _distinct_floats gives them, its distinct float values and each
-    column's reference: laid out by _floatcells when it has
-    EXPORT_KERNEL_ROWS rows or more and only float columns, else one join
-    over interleaved streams, a separator stream, then that column's
-    cells, for each column in turn, then the row ends."""
+    """UTF-8 text of one block of rows spelled by CPython, given its columns
+    and, as _distinct_floats gives them, its distinct float values and each
+    column's reference: one join over interleaved streams, a separator
+    stream, then that column's cells, for each column in turn, then the row
+    ends."""
     n = len(columns[0])
-    if n >= EXPORT_KERNEL_ROWS and None not in shown:
-        from . import _floatcells
-
-        return _floatcells.block_text(n, spelled, shown, [sep.encode("utf-8") for sep in seps],
-                                      fmt, lambda values: _float_cells(values, fmt))
     formatted = [_float_cells(values, fmt) for values in spelled]
     stride = len(seps) + len(columns)
     streams = [""] * (n * stride)
@@ -490,15 +494,16 @@ def export(table: Table, path: str | Path, fmt: str) -> None:
     column that is the negation of an earlier one reuses its cells with the
     sign toggled.
 
-    A block of fewer than EXPORT_KERNEL_ROWS rows, or with a str column, is
-    one join over interleaved streams of separators and cells, each cell
-    spelled by CPython ("%.17g" or float.__repr__). A larger block of float
-    columns is laid out in numpy by _floatcells, which spells the cells of
-    its distinct columns together. It decides ties and interval ends
-    exactly where its arithmetic is exact, and leaves to CPython only zeros,
-    non-finite values and the rare other cells within 2^-20 of a tie or an
-    interval end. The bytes are those of formatting every cell with
-    CPython."""
+    How the cells are spelled is decided once per table. A table of fewer
+    than EXPORT_BLOCK_ROWS rows, or with a str column, is written block by
+    block as one join over interleaved streams of separators and cells, each
+    cell spelled by CPython ("%.17g" or float.__repr__). Every block of a
+    larger table of float columns, its last partial block included, is laid
+    out in numpy by _floatcells, which spells the cells of its distinct
+    columns together. It decides ties and interval ends exactly where its
+    arithmetic is exact, and leaves to CPython only zeros, non-finite values
+    and the rare other cells within 2^-20 of a tie or an interval end. The
+    bytes are those of formatting every cell with CPython."""
     if len(table) == 0:
         raise DomainError("refusing to export an empty table")
     if fmt not in ("csv", "jsonl"):
@@ -518,13 +523,23 @@ def export(table: Table, path: str | Path, fmt: str) -> None:
         keys = [json.dumps(name) for name in names]
         seps = ["{" + keys[0] + ": ", *(f", {key}: " for key in keys[1:]), "}\n"]
     spelled, shown = _distinct_floats(columns)
+    n = len(table)
+    kernel = n >= EXPORT_BLOCK_ROWS and None not in shown
+    if kernel:
+        from . import _floatcells
+
+        seps = [sep.encode("utf-8") for sep in seps]
     with open(path, "wb") as out:
         out.write(head.encode("utf-8"))
-        for start in range(0, len(table), EXPORT_BLOCK_ROWS):
+        for start in range(0, n, EXPORT_BLOCK_ROWS):
             rows = slice(start, start + EXPORT_BLOCK_ROWS)
-            out.write(_block_text([values[rows] for values in columns],
-                                  [values if values.size == 1 else values[rows]
-                                   for values in spelled], shown, seps, fmt))
+            block = [values if values.size == 1 else values[rows] for values in spelled]
+            if kernel:
+                out.write(_floatcells.block_text(min(n - start, EXPORT_BLOCK_ROWS), block, shown,
+                                                 seps, fmt, lambda v: _float_cells(v, fmt)))
+            else:
+                out.write(_block_text([values[rows] for values in columns], block, shown, seps,
+                                      fmt))
 
 
 def write_manifest(manifest: dict, path: str | Path) -> None:
@@ -610,34 +625,44 @@ def main(argv=None) -> int:
     os._exit with the code, so interpreter shutdown does not trace and free
     a heap the operating system takes back anyway. The table and manifest
     are written through files already closed, so every byte and exit code
-    is the same as main(argv)'s. main returns the code instead, and leaves
-    shutdown to the interpreter, where skipping it could lose something: a
-    trace or profile function is set (coverage, cProfile), a thread other
-    than the main one is alive, or a flush raises other than on a stdout
-    whose reader has gone (a closed pipe, as `| head -c 0` leaves). That
-    stdout loses the report lines and nothing else: the exit code is the
-    one an open stdout gets. argparse's SystemExit (help, usage errors) and
-    uncaught exceptions propagate either way. Library callers pass argv,
-    and main returns."""
+    is the same as main(argv)'s. main flushes the streams and returns the
+    code instead, leaving shutdown to the interpreter, where skipping it
+    could lose something: a trace or profile function is set (coverage,
+    cProfile), a thread other than the main one is alive, or a flush raises
+    other than on a stream whose reader has gone (a closed pipe, as `| head
+    -c 0` leaves). That stream loses the report lines and nothing else: the
+    exit code is the one an open stdout gets. argparse's SystemExit (help,
+    usage errors) and uncaught exceptions propagate either way. Library
+    callers pass argv, and main returns."""
     if argv is not None:
         return _command(argv)
     code = _command(None)
     if sys.gettrace() is not None or sys.getprofile() is not None \
             or threading.active_count() > 1:
+        _flush_standard_streams()
         return code
     atexit._run_exitfuncs()
-    try:
-        for stream in (sys.stdout, sys.stderr):
+    if _flush_standard_streams():
+        os._exit(code)
+    return code
+
+
+def _flush_standard_streams() -> bool:
+    """Flush sys.stdout and sys.stderr; False if a flush raised other than
+    BrokenPipeError. A stream whose reader has gone loses what it holds, and
+    its descriptor is pointed at os.devnull, as the SIGPIPE note in Python's
+    signal docs does, so that the shutdown flush cannot fail again."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
             if stream is not None:
                 stream.flush()
-    except BrokenPipeError:
-        # a reader has gone (a closed pipe): what it did not read is lost,
-        # and os._exit skips the shutdown flush that would fail again
-        pass
-    except (OSError, ValueError):
-        # a full disk or a closed stream: shutdown reports it
-        return code
-    os._exit(code)
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)
+        except (OSError, ValueError):
+            return False
+    return True
 
 
 def _command(argv) -> int:

@@ -398,13 +398,13 @@ def _adaptive_quadrature(g, edges, budget, rule):
         error = np.concatenate((error[keep], new_error))
 
 
-def _cavity_panel_edges(d, kd, loss, zsum, zdiff):
+def _cavity_panel_edges(d, kd, loss, zsum):
     """Initial panel edges (in t, in u) of the cavity quadrature, for mirror
-    loss 1 - |r| and points with z + z' = zsum, |z - z'| = zdiff: in t the
-    ends and each resonance t = m pi / kd, flanked at +-_DECADES times the
-    layer loss / kd; in u zero, loss times each power of ten and the
-    cutoff u_max = 45 d / s_min, beyond which every evanescent factor is
-    below e^{-45}."""
+    loss 1 - |r| and points with z + z' = zsum: in t the ends and each
+    resonance t = m pi / kd, flanked at +-_DECADES times the layer loss /
+    kd; in u zero, loss times each power of ten and the cutoff
+    u_max = 45 d / s_min, beyond which every evanescent factor is below
+    e^{-45}."""
     t_res = [m * math.pi / kd for m in range(1, int(kd / math.pi) + 1) if m * math.pi < kd]
     # the shortest path through a mirror, z + z' or 2d - z - z', bounds |z - z'|
     u_max = 45.0 * d / min(zsum, 2.0 * d - zsum)
@@ -489,7 +489,7 @@ def planar_scattering_components(
     # (1 - |r|) / kd in t: at the cavity resonances k_perp = m pi / d, at
     # grazing incidence and, near a resonance, at normal incidence
     loss = 1.0 - max(abs(r_s), abs(r_p))
-    t_edges, u_edges = _cavity_panel_edges(d, kd, loss, zsum, zdiff)
+    t_edges, u_edges = _cavity_panel_edges(d, kd, loss, zsum)
     prop, err_prop = _adaptive_quadrature(f_prop, t_edges, budget, _kronrod_rule)
     evan, err_evan = _adaptive_quadrature(f_evan, u_edges, budget, _kronrod_rule)
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavityvdw import _floatcells, cli
-from cavityvdw.cli import EXPORT_BLOCK_ROWS, EXPORT_KERNEL_ROWS, export, main, run
+from cavityvdw.cli import EXPORT_BLOCK_ROWS, export, main, run
 from cavityvdw.config import load_config
 from cavityvdw.errors import ConfigError, DomainError
 from cavityvdw.greens import PlanarCavity
@@ -166,8 +166,8 @@ def test_export_unknown_format_errors(tmp_path):
         export(Table({"a": np.array([1.0])}), tmp_path / "t.tsv", "tsv")
 
 
-ROW_COUNTS = (1, EXPORT_KERNEL_ROWS - 1, EXPORT_KERNEL_ROWS, EXPORT_BLOCK_ROWS - 1,
-              EXPORT_BLOCK_ROWS, EXPORT_BLOCK_ROWS + 1, 2 * EXPORT_BLOCK_ROWS + 3)
+ROW_COUNTS = (1, EXPORT_BLOCK_ROWS - 1, EXPORT_BLOCK_ROWS, EXPORT_BLOCK_ROWS + 1,
+              2 * EXPORT_BLOCK_ROWS + 3)
 # no surrogates (not encodable) and, in cells, nothing CSV would have to quote
 CELL_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\n\r'),
                     max_size=5)
@@ -181,15 +181,15 @@ FIRST_BLOCK_KINDS = ("first-block copy", "first-block negated", "first-block con
 
 @st.composite
 def export_tables(draw, kernel):
-    """Columns of row counts around the kernel threshold and the block size,
-    whose first block is below the threshold or not as kernel says: random
-    draws from a pool of special and arbitrary floats, constants,
-    bit-identical copies of an earlier column, copies with the sign of every
-    zero flipped, negations of an earlier column, and str columns; and
-    columns that are a copy, the negation or constant only in the first
+    """Columns of row counts around the block size, at least
+    EXPORT_BLOCK_ROWS rows (a kernel table, unless it has a str column) or
+    fewer as kernel says: random draws from a pool of special and arbitrary
+    floats, constants, bit-identical copies of an earlier column, copies
+    with the sign of every zero flipped, negations of an earlier column, and
+    str columns; and columns that are a copy, the negation or constant only in the first
     block of EXPORT_BLOCK_ROWS rows, then other draws, or a copy of the
     last float column with a NaN after that block."""
-    n = draw(st.sampled_from([n for n in ROW_COUNTS if (n >= EXPORT_KERNEL_ROWS) == kernel]))
+    n = draw(st.sampled_from([n for n in ROW_COUNTS if (n >= EXPORT_BLOCK_ROWS) == kernel]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     floats = st.sampled_from(SPECIAL_FLOATS) | st.floats()
     kinds = draw(st.lists(st.sampled_from(
@@ -294,7 +294,7 @@ def test_export_keeps_nul_and_control_characters_of_column_names(tmp_path, monke
     rng = np.random.default_rng(22)
     controls = "".join(map(chr, range(32))).replace("\n", "")
     names = ["\x00", "a\x00b", controls, "\x7f\x00\x1b[0m", "\x00\x00é\x00"]
-    n = EXPORT_KERNEL_ROWS + 5
+    n = EXPORT_BLOCK_ROWS + 5
     columns = [rng.normal(size=n) * 10.0 ** rng.integers(-6, 6, size=n) for _ in names]
     table = Table(dict(zip(names, columns)))
     lists = [table.column(name) for name in names]
@@ -307,7 +307,7 @@ def test_export_keeps_nul_and_control_characters_of_column_names(tmp_path, monke
 
 def test_export_formats_a_negated_column_through_its_partner(tmp_path, monkeypatch):
     # values spelled by CPython or laid out by the kernel: 5000 rows are a
-    # kernel block and a block below the threshold
+    # kernel table, laid out in every block, its last partial one included
     formatted = []
     for owner, name in ((cli, "_float_cells"), (_floatcells, "lay_out")):
         def counted(values, fmt, spell=getattr(owner, name)):
@@ -316,7 +316,7 @@ def test_export_formats_a_negated_column_through_its_partner(tmp_path, monkeypat
 
         monkeypatch.setattr(owner, name, counted)
     a = np.random.default_rng(5).normal(size=5000)
-    assert EXPORT_BLOCK_ROWS >= EXPORT_KERNEL_ROWS > 5000 - EXPORT_BLOCK_ROWS
+    assert 5000 > EXPORT_BLOCK_ROWS and 5000 % EXPORT_BLOCK_ROWS
     names = ("a", "minus_a", "a_third")
     table = Table(dict(zip(names, (a, -a, a / 3.0))))
     lists = [table.column(name) for name in names]
@@ -324,6 +324,36 @@ def test_export_formats_a_negated_column_through_its_partner(tmp_path, monkeypat
         formatted.clear()
         export(table, tmp_path / "t", fmt)
         assert sum(formatted) == 10000, fmt
+        expected = per_cell_export_text(names, lists, fmt).encode("utf-8")
+        assert (tmp_path / "t").read_bytes() == expected, fmt
+
+
+@pytest.mark.parametrize("n, kernel", [
+    (EXPORT_BLOCK_ROWS - 1, False),
+    (EXPORT_BLOCK_ROWS + 1, True),
+    (2 * EXPORT_BLOCK_ROWS + 3, True),
+])
+def test_export_chooses_the_kernel_once_per_table(tmp_path, monkeypatch, n, kernel):
+    # a table of at least EXPORT_BLOCK_ROWS float rows is laid out by the
+    # kernel in every block, its last partial one of 1 or 3 rows included;
+    # a smaller one never reaches it. Of the four columns two are distinct:
+    # a copy and a negation are formatted through them
+    laid = []
+
+    def counted(values, fmt, lay_out=_floatcells.lay_out):
+        laid.append(len(values))
+        return lay_out(values, fmt)
+
+    monkeypatch.setattr(_floatcells, "lay_out", counted)
+    rng = np.random.default_rng(29)
+    x, y = rng.normal(size=(2, n)) * 10.0 ** rng.integers(-8, 8, size=(2, n))
+    names = ("x", "y", "x_copy", "minus_y")
+    table = Table(dict(zip(names, (x, y, x.copy(), -y))))
+    lists = [table.column(name) for name in names]
+    for fmt in ("csv", "jsonl"):
+        laid.clear()
+        export(table, tmp_path / "t", fmt)
+        assert sum(laid) == (2 * n if kernel else 0), fmt
         expected = per_cell_export_text(names, lists, fmt).encode("utf-8")
         assert (tmp_path / "t").read_bytes() == expected, fmt
 

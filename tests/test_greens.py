@@ -466,7 +466,7 @@ def _uniform_bracket_scattering(d, r_s, r_p, z, zp, omega, rel_tol):
         sizes = np.linalg.norm(v.sum(axis=1).reshape(2, -1), axis=1)
         return rel_tol * max(float(sizes.max()), floor)
 
-    t_edges, u_edges = _cavity_panel_edges(d, kd, 1.0 - max(abs(r_s), abs(r_p)), zsum, zdiff)
+    t_edges, u_edges = _cavity_panel_edges(d, kd, 1.0 - max(abs(r_s), abs(r_p)), zsum)
     prop, _ = _adaptive_quadrature(f_prop, t_edges, budget, _kronrod_rule)
     evan, _ = _adaptive_quadrature(f_evan, u_edges, budget, _kronrod_rule)
     p_re_t, p_im_t, p_re_l, p_im_l = map(math.fsum, prop)

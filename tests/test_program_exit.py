@@ -11,8 +11,8 @@ returns the code and the interpreter shuts down as usual. Each child
 appends to a report file: "atexit" from an atexit handler, and "returned
 <code>" once main has returned, which never happens on the program's way
 out. With stdout a pipe whose reader has gone, the program loses its
-report lines and nothing else: no traceback, and the exit code of an open
-stdout.
+report lines and nothing else, whether main ends the process or returns:
+no traceback, and the exit code of an open stdout.
 """
 
 import os
@@ -99,11 +99,11 @@ def _env():
     return env
 
 
-def _child(how, args, cwd):
+def _child(how, args, cwd, stdout=subprocess.PIPE):
     cwd.mkdir()
     report = cwd.parent / f"{cwd.name}.report"
     proc = subprocess.run([sys.executable, "-c", CHILD, str(report), how, *args], cwd=cwd,
-                          capture_output=True, env=_env(), timeout=120)
+                          stdout=stdout, stderr=subprocess.PIPE, env=_env(), timeout=120)
     files = {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
     return proc, report.read_text().splitlines(), files
 
@@ -207,3 +207,27 @@ def test_a_closed_stdout_loses_the_report_and_nothing_else(tmp_path, args, code,
     else:
         out = args[args.index("--out") + 1]
         assert sorted(library_files) == [out, out + ".manifest.json"]
+
+
+@pytest.mark.parametrize("how", ["trace", "profile", "thread"])
+@pytest.mark.parametrize("args, code", [
+    (["scan-rabi", "--config", PLANAR, "--out", "table.csv"], 0),
+    (["xcheck", "--config", PLANAR, "--out", "table.csv", "--tolerance", "1e-30"], 2),
+], ids=["scan-rabi", "xcheck-tolerance"])
+def test_a_closed_stdout_loses_the_report_where_main_returns(tmp_path, args, code, how):
+    # buffered, main's flush raises BrokenPipeError before it returns to the
+    # interpreter, whose shutdown flush must not fail on the same pipe again
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc, report, files = _child(how, args, tmp_path / how, stdout=write)
+    finally:
+        os.close(write)
+    library, _, library_files = _child("argv", args, tmp_path / "argv")
+
+    assert proc.stderr == library.stderr
+    assert b"Traceback" not in proc.stderr and b"Exception ignored" not in proc.stderr
+    assert proc.returncode == library.returncode == code
+    assert report == [f"returned {code}", "atexit"]
+    assert files == library_files
+    assert sorted(files) == ["table.csv", "table.csv.manifest.json"]
