@@ -1,82 +1,41 @@
-"""Independent reference routes used to pin the library numerics.
+"""Reference routes the tests need beyond the benchmark's oracle.
 
-Everything in this module is written directly from closed-form expressions
-and deliberately avoids calling into ``cavityvdw``.  The image expansion
-resums the planar round-trip denominator as a geometric series of source
-images, which converges for any reflection magnitude below one; it shares
-no code with the angular-spectrum quadrature it is used to check. The
-uniform cavity bracket writes that quadrature's integrand in complex
-exponentials of k_perp; the tests run it on the library's panel engine as
-the reference for the per-sector factors the library evaluates. The float
-families are the inputs on which the export kernel's cells are compared
-with CPython's.
+The one numpy-only oracle of this project is perfbench/checks.py: the
+mirror-image series of the planar cavity, the exact principal value of a
+Lorentzian over a finite window, the free-space on-axis entries and the
+check of every table the CLI writes. It is loaded here by file path, from
+the checkout that holds this file, as ``checks``; no sys.path entry is
+added, so no module of that directory can shadow a test module. The tests
+check the library against it, and the benchmark checks its runs against
+it, so both compare with the same numbers.
+
+What stays here, written from closed forms like the oracle and importing
+nothing from ``cavityvdw``, is what the benchmark has no use for: the
+uniform cavity bracket, which writes the angular-spectrum integrand in
+complex exponentials of k_perp, as the reference for the per-sector
+factors the library evaluates; the principal value of a Lorentzian over
+the whole real line; the small-kr series of the free-space tensor; the
+per-cell exporter and the float families on which the export kernel's
+cells are compared with CPython's.
 """
 
-import functools
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 
 
-def free_space_entries(k, s):
-    """Free-space (xx, zz) Green entries for on-axis separation s, that is
-    for x dipoles and for z dipoles; s may be a numpy array."""
-    x = k * s
-    wave = np.exp(1j * x) / (2.0 * math.pi * s)
-    return 0.5 * wave * (1.0 + (1j * x - 1.0) / x**2), wave * (1.0 - 1j * x) / x**2
+def _load_checks():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def transverse_scalar(k, s):
-    """Free-space xx Green entry for on-axis separation s (x dipoles)."""
-    return free_space_entries(k, s)[0]
-
-
-@functools.lru_cache(maxsize=32)
-def _image_series(d, delta, z, zp, omega, c, tol, chunk=1 << 16):
-    """Scattered (xx, zz) components from the mirror-image expansion.
-
-    Even bounce counts connect the two atoms through displaced copies of
-    the source, odd counts go through reflected copies and pick up one
-    extra factor of the reflection coefficient, which is negative for s
-    waves (xx) and positive for p waves (zz) at these symmetric points.
-    Each family ends at its first weight below tol (that term included) or
-    at the bounce cap; the terms are summed in numpy chunks.
-    """
-    k = omega / c
-    r = 1.0 - delta
-    nmax = max(8, int(math.log(1.0 / tol) / (2.0 * delta)) + 2)
-    dz = z - zp
-    # (first m, odd power of r, xx sign, separations of the two images)
-    families = (
-        (1, 0, 1.0, lambda m: (2 * m * d + dz, 2 * m * d - dz)),
-        (0, 1, -1.0, lambda m: (2 * m * d + z + zp, 2 * (m + 1) * d - z - zp)),
-    )
-    xx = zz = 0.0 + 0.0j
-    for first, odd, sign, separations in families:
-        for start in range(first, nmax + 1, chunk):
-            m = np.arange(start, min(start + chunk, nmax + 1))
-            w = r ** (2 * m + odd)
-            below = np.flatnonzero(w < tol)
-            if below.size:
-                m, w = m[: below[0] + 1], w[: below[0] + 1]
-            for s in separations(m):
-                txx, tzz = free_space_entries(k, s)
-                xx += sign * complex(np.sum(w * txx))
-                zz += complex(np.sum(w * tzz))
-            if below.size:
-                break
-    return xx, zz
-
-
-def image_series_xx(d, delta, z, zp, omega, c=299792458.0, tol=1e-14):
-    """Scattered xx component from the mirror-image expansion."""
-    return _image_series(d, delta, z, zp, omega, c, tol)[0]
-
-
-def image_series_zz(d, delta, z, zp, omega, c=299792458.0, tol=1e-14):
-    """Scattered zz component from the mirror-image expansion (all-plus signs)."""
-    return _image_series(d, delta, z, zp, omega, c, tol)[1]
+checks = _load_checks()
 
 
 def uniform_cavity_bracket(kperp, d, r_s, r_p, zsum, zdiff, kp2_over_k2, kpar2_over_k2):
@@ -107,24 +66,6 @@ def lorentzian_principal_value(peak, omega0, gamma, omega):
     """
     dw = omega0 - omega
     return math.pi * peak * (gamma / 2.0) * dw / (dw**2 + gamma**2 / 4.0)
-
-
-def lorentzian_window_principal_value(peak, omega0, gamma, lo, hi, omega):
-    """Exact principal value of integral L(w)/(w - omega) dw over the window
-    [lo, hi], for omega inside it and the Lorentzian L above.
-
-    With x = w - omega0, x0 = omega - omega0 and a = gamma/2, the partial
-    fractions a^2/((x^2 + a^2)(x - x0)) = A [1/(x - x0) - (x + x0)/(x^2 + a^2)],
-    A = a^2/(x0^2 + a^2), integrate to logarithms and an arctangent.
-    """
-    a = gamma / 2.0
-    x0, x1, x2 = omega - omega0, lo - omega0, hi - omega0
-    amp = a * a / (x0 * x0 + a * a)
-    return peak * amp * (
-        math.log((x2 - x0) / (x0 - x1))
-        - 0.5 * math.log((x2 * x2 + a * a) / (x1 * x1 + a * a))
-        - (x0 / a) * (math.atan(x2 / a) - math.atan(x1 / a))
-    )
 
 
 def small_kr_diagonal_imag(k, r_vec):

@@ -99,3 +99,29 @@ def test_kernel_leaves_zeros_and_non_finite_values_to_cpython():
     laid, left = _floatcells.lay_out(values, "csv")
     assert left.tolist() == [0, 1, 2, 3, 4]
     assert not laid[:5].any() and laid[5].any()
+
+
+# y = |v| 10^(16-E) of this double is 4.4e-8 below a tie of the 17th digit,
+# within MARGIN, where c = 2^q 10^(16-E) is not exact: found among 2^20
+# doubles between 1e200 and 1e201
+INEXACT_NEAR_TIE = 6.35523746440621e+200
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_kernel_leaves_a_near_tie_in_the_inexact_range_to_cpython(fmt):
+    assert _floatcells.lay_out(np.array([INEXACT_NEAR_TIE]), fmt)[1].tolist() == [0]
+    assert _kernel_cells(np.array([INEXACT_NEAR_TIE]), fmt) == [SPELL[fmt](INEXACT_NEAR_TIE)]
+
+
+# 1e17 + 208 and 1e17 + 608 (X = 17, c = 1.6): each 16-digit neighbour
+# below lies exactly at the lower end of the rounding interval, outside for
+# the first (m odd) and inside for the second (m even). In units of 5^-1
+# the comparison is exact and the kernel decides it; worked as an inexact
+# one it would fall within MARGIN and be left to CPython
+INTERVAL_ENDS_AT_X_17 = np.array([100000000000000208.0, 100000000000000608.0])
+
+
+def test_kernel_decides_interval_ends_at_x_17_exactly():
+    assert _floatcells.lay_out(INTERVAL_ENDS_AT_X_17, "jsonl")[1].size == 0
+    assert _kernel_cells(INTERVAL_ENDS_AT_X_17, "jsonl") == ["1.0000000000000021e+17",
+                                                           "1.000000000000006e+17"]

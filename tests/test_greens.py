@@ -27,12 +27,9 @@ from cavityvdw.greens import (_adaptive_quadrature, _cavity_panel_edges, _halvin
                               _kronrod_rule, _panel_edges)
 
 from oracles import (
-    image_series_xx,
-    image_series_zz,
+    checks,
     lorentzian_principal_value,
-    lorentzian_window_principal_value,
     small_kr_diagonal_imag,
-    transverse_scalar,
     uniform_cavity_bracket,
 )
 
@@ -153,8 +150,7 @@ def test_planar_scattering_matches_image_series():
     for d, delta, z, zp, omega in _random_geometries(8):
         r = 1.0 - delta
         trans, longi, _ = planar_scattering_components(d, -r, r, z, zp, omega, ctrl)
-        oracle_t = image_series_xx(d, delta, z, zp, omega)
-        oracle_l = image_series_zz(d, delta, z, zp, omega)
+        oracle_t, oracle_l = checks.image_series(d, delta, z, zp, omega)
         st = max(abs(oracle_t), omega / C / (6.0 * math.pi))
         sl = max(abs(oracle_l), omega / C / (6.0 * math.pi))
         assert abs(trans - oracle_t) / st < 5e-9
@@ -215,8 +211,7 @@ def test_planar_scattering_matches_image_series_narrow_fifth_mode(delta, zp_over
     for offset in (-2.0, -0.7, 0.0, 0.7, 2.0):
         omega = cav.omega_nu + offset * cav.gamma_nu
         trans, longi, _ = planar_scattering_components(cav.d, cav.r_s, cav.r_p, z, zp, omega)
-        oracle_t = image_series_xx(cav.d, delta, z, zp, omega)
-        oracle_l = image_series_zz(cav.d, delta, z, zp, omega)
+        oracle_t, oracle_l = checks.image_series(cav.d, delta, z, zp, omega)
         floor = omega / C / (6.0 * math.pi)
         assert abs(trans - oracle_t) / max(abs(oracle_t), floor) < 5e-9
         assert abs(longi - oracle_l) / max(abs(oracle_l), floor) < 5e-9
@@ -233,8 +228,7 @@ def test_planar_scattering_matches_image_series_next_to_a_mirror(nu):
     for offset in (-2.0, 0.0, 2.0):
         omega = cav.omega_nu + offset * cav.gamma_nu
         trans, longi, _ = planar_scattering_components(cav.d, cav.r_s, cav.r_p, z, z, omega)
-        oracle_t = image_series_xx(cav.d, cav.delta, z, z, omega)
-        oracle_l = image_series_zz(cav.d, cav.delta, z, z, omega)
+        oracle_t, oracle_l = checks.image_series(cav.d, cav.delta, z, z, omega)
         floor = omega / C / (6.0 * math.pi)
         assert abs(trans - oracle_t) / max(abs(oracle_t), floor) < 5e-9
         assert abs(longi - oracle_l) / max(abs(oracle_l), floor) < 5e-9
@@ -256,8 +250,7 @@ def test_planar_scattering_matches_image_series_property(nu, log_delta, z_over_d
     got = planar_scattering_components(cav.d, cav.r_s, cav.r_p, z, zp, omega)
     assert planar_scattering_components(cav.d, cav.r_s, cav.r_p, zp, z, omega) == got
     trans, longi, _ = got
-    oracle_t = image_series_xx(cav.d, cav.delta, z, zp, omega)
-    oracle_l = image_series_zz(cav.d, cav.delta, z, zp, omega)
+    oracle_t, oracle_l = checks.image_series(cav.d, cav.delta, z, zp, omega)
     floor = omega / C / (6.0 * math.pi)
     assert abs(trans - oracle_t) / max(abs(oracle_t), floor) < 5e-9
     assert abs(longi - oracle_l) / max(abs(oracle_l), floor) < 5e-9
@@ -614,8 +607,7 @@ def test_planar_cavity_green_distinct_points_total():
     assert g.real_status == "full"
     k = omega / C
     direct = free_space_green(k, np.array([0.0, 0.0, z - zp])).matrix
-    scat_xx = image_series_xx(cav.d, cav.delta, z, zp, omega)
-    scat_zz = image_series_zz(cav.d, cav.delta, z, zp, omega)
+    scat_xx, scat_zz = checks.image_series(cav.d, cav.delta, z, zp, omega)
     assert g.matrix[0, 0] == pytest.approx(direct[0, 0] + scat_xx, rel=2e-8, abs=0.0)
     assert g.matrix[1, 1] == pytest.approx(direct[1, 1] + scat_xx, rel=2e-8, abs=0.0)
     assert g.matrix[2, 2] == pytest.approx(direct[2, 2] + scat_zz, rel=2e-8, abs=0.0)
@@ -629,7 +621,7 @@ def test_planar_cavity_green_coincident_keeps_imag_only_bulk():
     g = planar_cavity_green(cav, z, z, omega)
     assert g.real_status == "scattering-only"
     k = omega / C
-    scat_xx = image_series_xx(cav.d, cav.delta, z, z, omega)
+    scat_xx, _ = checks.image_series(cav.d, cav.delta, z, z, omega)
     assert g.matrix[0, 0].imag == pytest.approx(k / (6.0 * math.pi) + scat_xx.imag, rel=2e-8,
                                                 abs=0.0)
     # real part is the scattering contribution alone
@@ -642,9 +634,12 @@ def test_planar_quadrature_weak_reflection_one_bounce():
     z = zp = 0.5 * d
     r = 1.0 - delta
     trans, _, _ = planar_scattering_components(d, -r, r, z, zp, omega, QuadratureControl(rel_tol=1e-10))
-    k = omega / C
-    one_bounce = r * (-(transverse_scalar(k, z + zp) + transverse_scalar(k, 2 * d - z - zp)))
-    two_bounce = r**2 * 2.0 * transverse_scalar(k, 2 * d)
+
+    def direct(s):  # free-space xx entry at on-axis separation s
+        return checks.bulk_entries(omega, 0.0, s)[0]
+
+    one_bounce = r * (-(direct(z + zp) + direct(2 * d - z - zp)))
+    two_bounce = r**2 * 2.0 * direct(2 * d)
     assert abs(trans - one_bounce) < 3.0 * abs(two_bounce)
 
 
@@ -802,13 +797,17 @@ def test_single_mode_closed_form_matches_quadrature_slope(delta):
 
 # ----------------------------------------------------------------- KK route
 
+# half-width of the transforms' support, in line widths
+KK_WINDOW = 5e4
+
+
 def _lorentzian_spectral(peak, w0, gamma):
     def f(w):
         return peak * (gamma**2 / 4.0) / ((w - w0) ** 2 + gamma**2 / 4.0)
 
     return SpectralFunction(
         func=f,
-        support=(w0 - 5e4 * gamma, w0 + 5e4 * gamma),
+        support=(w0 - KK_WINDOW * gamma, w0 + KK_WINDOW * gamma),
         hint_points=(w0 - gamma, w0, w0 + gamma),
     )
 
@@ -833,7 +832,7 @@ def test_kk_lorentzian_matches_exact_window_transform(offset, side):
     peak, w0, gamma = 2.3, 1.0e15, 1.0e11
     sf = _lorentzian_spectral(peak, w0, gamma)
     w = w0 + side * offset * gamma
-    exact = lorentzian_window_principal_value(peak, w0, gamma, *sf.support, w)
+    exact = checks.lorentzian_pv_window(peak, w0, gamma, w, KK_WINDOW * gamma)
     assert kk_real_from_imag(sf, w) == pytest.approx(exact, rel=5e-14, abs=0.0)
 
 
@@ -844,7 +843,7 @@ def test_kk_halving_resolves_a_peak_without_hint_points():
     control = QuadratureControl(rel_tol=1e-9)
     for offset in (-1.0e3, -2.0, 0.3, 1.0e3):
         w = w0 + offset * gamma
-        exact = lorentzian_window_principal_value(peak, w0, gamma, *sf.support, w)
+        exact = checks.lorentzian_pv_window(peak, w0, gamma, w, KK_WINDOW * gamma)
         assert kk_real_from_imag(sf, w, control) == pytest.approx(exact, rel=1e-9, abs=0.0)
 
 

@@ -12,9 +12,10 @@ swapped for another (+ and -, * and /, // for *, % for *, << and >>, & and |,
 and ~ dropped, `not` dropped) and each int literal n as n + 1. It samples
 --sites of them with random.Random(--seed), ordered by line.
 
-src/, tests/ and pyproject.toml of the checkout at --root (default: the
-current directory) are copied into a temporary directory; the checkout is
-never written. Each mutant is the module parsed, changed at one site and
+src/, tests/, pyproject.toml and perfbench/checks.py (the oracle that
+tests/oracles.py loads) of the checkout at --root (default: the current
+directory) are copied into a temporary directory; the checkout is never
+written. Each mutant is the module parsed, changed at one site and
 written back with ast.unparse into that copy, and its tests run there
 (pytest -x, no bytecode written, one numpy thread, under --timeout seconds
 and an address-space limit of MEMORY_MB). A failing run kills the mutant,
@@ -161,6 +162,8 @@ def main(argv=None) -> int:
         for part in ("src", "tests"):
             shutil.copytree(root / part, copy / part, ignore=skip)
         shutil.copy2(root / "pyproject.toml", copy)
+        (copy / "perfbench").mkdir()
+        shutil.copy2(root / "perfbench" / "checks.py", copy / "perfbench")
         target = copy / args.module
         target.write_text(ast.unparse(ast.parse(source)), encoding="utf-8")
         baseline = run_tests(copy, args.tests, args.keyword, args.timeout)
