@@ -309,7 +309,9 @@ def _mode_xcheck(cfg: RunConfig) -> tuple[Table, dict, int]:
     z_a, z_b, omega_r = z_a[used], z_b[used], omega_r[used]
     detuning = draws[used, 2] * omega_r
     theta = draws[used, 3] + np.where(draws[used, 4] < 0.5, math.pi / 2.0, 0.0)
-    h = FD_STEP * cav.d
+    # a fixed fraction of the mode wavelength, k h = pi FD_STEP, so that the
+    # reference's truncation does not grow with nu
+    h = FD_STEP * cav.d / cav.nu
     fd, _ = richardson_slope(lambda dz: potential_theta(theta, DressedSystem.from_coupling(
         rabi_omega(probe, z_a + dz[:, None], z_b), detuning)), h)
     ends = probe.mode_value(z_a + np.array([[h], [-h]])) + probe.mode_value(z_b)

@@ -27,53 +27,65 @@ with D_sigma = 1 - r_sigma^2 e^{2 i d k_perp} and k_perp = sqrt(k^2 - k_par^2)
 (positive imaginary for evanescent waves). The i/(8 pi) radial prefactor is
 fixed by the free-space Weyl identity (coincident imaginary part k/(6 pi));
 the single-bounce exponent is the convergent e^{+i k_perp (2d-z-z')} form,
-which is required for the evanescent sector to be integrable and is verified
+which is required for the evanescent waves to be integrable and is verified
 against an image-series resummation in the test suite.
 
-The propagating sector is integrated in t = k_perp/k on (0, 1), the
-evanescent sector in u = kappa d on (0, u_max), with an exponential-tail
-cutoff u_max. Both run on one numpy engine of adaptive panels, which the
+The quadrature runs along a path in the complex k_perp plane, not along the
+real k_par axis (Michalski and Mosig, IEEE Trans. Antennas Propag. 45, 508
+(1997); Paulus, Gay-Balmaz and Martin, Phys. Rev. E 62, 5797 (2000)):
+
+- Poles. The mirror reflectivities are constants with |r| < 1, so every
+  zero of D_sigma lies at Im k_perp = ln|r_sigma| / d < 0, below the real
+  axis, one at each resonance Re k_perp = m pi / d.
+- Measure. k_par dk_par / k_perp = -dk_perp, and the bracket is a
+  polynomial in k_perp times exponentials of it, so there is no branch
+  point: the real k_par axis is the path k_perp: k -> 0 -> i infinity.
+- Deformation. The bracket decays as e^{-s Im k_perp}, where the shortest
+  path through a mirror s = min(z + z', 2d - z - z') bounds |z - z'|. The
+  quarter plane between the path and the vertical k_perp = k + i y, y > 0,
+  holds no pole, so the path closes onto the vertical and
+  (G_xx, G_zz) scattering = (1/8 pi) Int_0^inf bracket(k + i y) dy.
+- Factors. Along it every factor is e^{i k a} e^{-y a} for a path length a:
+  the round trip 2d, the direct pair 2d +- |z - z'| (the round trip times
+  2 cos(k_perp (z - z'))) and the single bounces z + z' and 2d - z - z'.
+  The phases e^{i k a} are constants; each numerator is one fixed
+  combination of the five real decays e^{-y a}, so the integrand is one
+  real exp per decay and node, one matrix product for the combinations and
+  complex arithmetic with the reciprocal denominators and (k_perp/k)^2.
+- Grading. The path meets one feature, at y = 0: the nearest pole, a
+  distance w = -ln(max |r|)/d below it. No resonance lies on the path, so
+  the work does not grow with kd. The initial panel edges are 0 and
+  {0.1, 0.3, 1, 10, 100, ...} x w: a panel [a, 10 a] beside a pole at
+  distance a has Bernstein ellipse parameter ~1.9, so its K41 sum is good
+  to round-off. Transparent walls, r_s = r_p = 0, have no pole, and the
+  integrand is zero at every node.
+- Cutoff. The edges stop at y_max = 45 / s, beyond which every factor is
+  below e^{-45}; in decades up to it no panel is wider than the near field
+  of points close to a mirror, which peaks at y ~ 1/s.
+
+The path runs on one numpy engine of adaptive panels, which the
 principal-value transform kk_real_from_imag shares, each on its own rule:
 the cavity on 41-node Gauss-Kronrod panels (K41, the extension of the
 20-node Gauss-Legendre rule G20), the transform on G20 panels checked
 against their halves.
 
-- The integrand is vector-valued: one evaluation of the bracket on an array
-  of nodes gives every component, (Re T, Im T, Re L, Im L) for propagating
-  and (T, L) for evanescent waves (T transverse, L longitudinal).
-- Each sector supplies the bracket's three factors, the round trip
-  e^{2 i k_perp d}, 2 cos(k_perp (z-z')) and the single-bounce pair, and one
-  combiner turns them into (T, L). Propagating waves (k_perp = k t) take
-  them from h = cos(k_perp d) + i sin(k_perp d): h^2, the real cosine and
-  2 h cos(k_perp (d-z-z')). Evanescent waves (k_perp = i kappa) have every
-  factor real, e^{-2u}, 2 cosh(kappa |z-z'|) and
-  e^{-kappa (z+z')} + e^{-kappa (2d-z-z')}, so their bracket is computed in
-  float arithmetic.
-- The cavity denominators make Lorentzian features of width
-  layer = (1 - |r|)/(kd) in t, at each resonance t = m pi/(kd) and at both
-  ends (grazing incidence, and normal incidence near a mode). The initial
-  panel edges are graded toward each of them in decades, at
-  +-{1, 10, 100, 1e3, 1e4} x layer: a panel [s, 10 s] beside a Lorentzian
-  of half-width s has Bernstein ellipse parameter ~1.9, so its G20 sum is
-  good to ~1e-12 and its K41 sum to round-off. In u the edges are 0, every
-  (1 - |r|) x 10^j below u_max, and u_max, so no panel spans more than a
-  decade up to the cutoff; a wider last panel can hide the near field of
-  points close to a mirror from the error estimate. The principal-value
-  transform grades its edges in half decades, +-{1, 3, 10, ..., 3e4} x
-  its smallest breakpoint gap. The edges are a few dozen points, so they
-  are built and sorted as Python floats, by the same IEEE operations as an
-  array expression.
+- The integrand is vector-valued: one evaluation on an array of nodes
+  gives both complex components, (T, L) (T transverse, L longitudinal).
+- The principal-value transform grades its edges in half decades,
+  +-{1, 3, 10, ..., 3e4} x its smallest breakpoint gap. The edges are a few
+  dozen points, so they are built and sorted as Python floats, by the same
+  IEEE operations as an array expression.
 - A cavity panel's value is its K41 sum and its error |K41 - G20|, summed
   over components: the G20 sum is that of the odd-indexed K41 nodes, so
   one call of the integrand on 41 nodes gives both, where a G20 panel
   checked against its halves costs 60. A transform panel's value is the sum
-  of its halves' G20 sums and its error |panel - its two halves|. While a
-  sector's summed error exceeds its budget (rel_tol times the larger of the
-  sector's |T|, its |L| and the free-space floor k/6 pi), every panel whose
-  error exceeds budget/n_panels is halved, with at most _QUAD_LIMIT
-  halvings in all. Each level is one call of the integrand: the first on
-  the initial panels, each later one on the halves of the panels being
-  split, which get 41 fresh nodes each on K41 and 60 on G20.
+  of its halves' G20 sums and its error |panel - its two halves|. While the
+  summed error exceeds its budget (for the cavity rel_tol times the larger
+  of |T|, |L| and the free-space floor k/6 pi), every panel whose error
+  exceeds budget/n_panels is halved, with at most _QUAD_LIMIT halvings in
+  all. Each level is one call of the integrand: the first on the initial
+  panels, each later one on the halves of the panels being split, which get
+  41 fresh nodes each on K41 and 60 on G20.
 
 The integrand depends on the points only through z + z' and |z - z'|, so
 the tensor is reciprocal bit for bit.
@@ -258,12 +270,11 @@ def quad(f, a, b, **kwargs):
 
 # adaptive panel engine shared by the cavity tensor and the principal-value
 # transform, on G20 panels checked against their halves or on G20/K41
-# panels: initial panel edges graded away from each sharp feature at +- a
-# grading times the feature's width, in half decades for the transform and
-# in decades for the cavity
+# panels: initial panel edges graded away from each sharp feature at a
+# grading times the feature's width, in half decades on both sides for the
+# transform and in decades on one side for the cavity
 _HALF_DECADES = tuple(sign * g for sign in (-1.0, 1.0)
                       for g in (1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1.0e3, 3.0e3, 1.0e4, 3.0e4))
-_DECADES = tuple(sign * g for sign in (-1.0, 1.0) for g in (1.0, 10.0, 100.0, 1.0e3, 1.0e4))
 
 
 # the 20-node Gauss-Legendre rule on [-1, 1], bit for bit
@@ -398,21 +409,6 @@ def _adaptive_quadrature(g, edges, budget, rule):
         error = np.concatenate((error[keep], new_error))
 
 
-def _cavity_panel_edges(d, kd, loss, zsum):
-    """Initial panel edges (in t, in u) of the cavity quadrature, for mirror
-    loss 1 - |r| and points with z + z' = zsum: in t the ends and each
-    resonance t = m pi / kd, flanked at +-_DECADES times the layer loss /
-    kd; in u zero, loss times each power of ten and the cutoff
-    u_max = 45 d / s_min, beyond which every evanescent factor is below
-    e^{-45}."""
-    t_res = [m * math.pi / kd for m in range(1, int(kd / math.pi) + 1) if m * math.pi < kd]
-    # the shortest path through a mirror, z + z' or 2d - z - z', bounds |z - z'|
-    u_max = 45.0 * d / min(zsum, 2.0 * d - zsum)
-    return (_panel_edges(0.0, 1.0, [0.0, *t_res, 1.0], loss / kd, _DECADES),
-            _panel_edges(0.0, u_max, [0.0], loss,
-                         [10.0 ** j for j in range(math.ceil(math.log10(u_max / loss)))]))
-
-
 def planar_scattering_components(
     d: float,
     r_s: float,
@@ -440,64 +436,61 @@ def planar_scattering_components(
     if not (abs(r_s) < 1.0 and abs(r_p) < 1.0):
         raise DomainError(f"reflection coefficients must satisfy |r| < 1, got r_s={r_s}, r_p={r_p}")
     k = omega / C
-    kd = k * d
     zsum, zdiff = z + zp, abs(z - zp)
     rs2, rp2 = r_s**2, r_p**2
+    # the shortest path through a mirror, z + z' or 2d - z - z', bounds |z - z'|
+    s_min = min(zsum, 2.0 * d - zsum)
 
-    def bracket(e2d, two_cos, pair, kp2_over_k2, kpar2_over_k2):
-        # (T, L) from the sector's round trip e^{2 i k_perp d},
-        # 2 cos(k_perp |z - z'|) and single-bounce pair, real or complex;
+    # the bracket from the real decays e^{-y a} of the five path lengths a
+    # (module docstring): the rows of weights, one per length, times the
+    # phases e^{i k a}, give the s numerator, the p numerators of T (the pair
+    # entering as -r_p) and of L (+r_p, doubled), all three with the measure
+    # 1 / 8 pi, and r_s^2 and r_p^2 times the round trip. Viewed as floats,
+    # mix holds their real and imaginary parts interleaved, so one product
+    # with the decays gives all five as complex rows
+    lengths = np.array((2.0 * d, 2.0 * d + zdiff, 2.0 * d - zdiff, zsum, 2.0 * d - zsum))
+    m = 1.0 / (8.0 * math.pi)
+    direct = (m * rs2, m * rp2, 2.0 * m * rp2, 0.0, 0.0)
+    pair = (m * r_s, -m * r_p, 2.0 * m * r_p, 0.0, 0.0)
+    weights = np.array(((0.0, 0.0, 0.0, rs2, rp2), direct, direct, pair, pair))
+    mix = (weights * np.exp(1j * k * lengths)[:, None]).view(float)
+    decay_rates = -lengths[:, None]
+    i_over_k = 1j / k
+
+    def f(y):
+        # (T, L) of the bracket at k_perp = k + i y, times the measure 1 / 8 pi
+        flat = y.ravel()
+        s_num, p_minus, p_plus, s_trip, p_trip = (
+            (np.exp(decay_rates * flat).T @ mix).view(complex).T)
+        q = 1.0 + i_over_k * flat  # k_perp / k
+        kp2_over_k2 = q * q
+        inv_s = 1.0 / (1.0 - s_trip)
         # r_s^2 = r_p^2 (every PlanarCavity) gives both one denominator
-        ds = 1.0 - rs2 * e2d
-        dp = ds if rs2 == rp2 else 1.0 - rp2 * e2d
-        direct = e2d * two_cos
-        p_direct, p_pair = rp2 * direct, r_p * pair
-        trans = (rs2 * direct + r_s * pair) / ds + kp2_over_k2 * (p_direct - p_pair) / dp
-        longi = 2.0 * kpar2_over_k2 * (p_direct + p_pair) / dp
-        return trans, longi
-
-    # propagating sector: t = k_perp / k on (0, 1), measure k dt, components
-    # (Re T, Im T, Re L, Im L) of the bracket; the tensor takes i times them
-    def f_prop(t):
-        phase = kd * t
-        h = np.empty(t.shape, complex)  # e^{i k_perp d}
-        h.real = np.cos(phase)
-        h.imag = np.sin(phase)
-        two_cos = 2.0 * np.cos((k * zdiff) * t)
-        tr, lo = bracket(h * h, two_cos, 2.0 * h * np.cos(phase - k * zsum * t), t * t, 1.0 - t * t)
-        return (k / (8.0 * math.pi)) * np.array((tr.real, tr.imag, lo.real, lo.imag))
-
-    # evanescent sector: u = kappa d on (0, u_max), components (T, L), all
-    # factors real; cosh(kappa |z - z'|) stays below cosh 45 on it
-    def f_evan(u):
-        q2 = (u / kd) ** 2
-        tr, lo = bracket(np.exp(-2.0 * u), 2.0 * np.cosh((zdiff / d) * u),
-                         np.exp(-(zsum / d) * u) + np.exp(-(2.0 - zsum / d) * u), -q2, 1.0 + q2)
-        return np.array((tr, lo)) / (8.0 * math.pi * d)
+        inv_p = inv_s if rs2 == rp2 else 1.0 / (1.0 - p_trip)
+        out = np.empty((2, flat.size), complex)
+        out[0] = s_num * inv_s + kp2_over_k2 * p_minus * inv_p
+        out[1] = (1.0 - kp2_over_k2) * p_plus * inv_p
+        return out.reshape((2,) + y.shape)
 
     # floor: the free-space coincident Im G, k / 6 pi
     floor = k / (6.0 * math.pi)
 
     def budget(v):
-        # the larger of |T| and |L| in the sector's running totals, whose
-        # components are the first and second half of v's rows
-        sums = v.sum(axis=1).tolist()
-        half = len(sums) // 2
-        return control.rel_tol * max(math.hypot(*sums[:half]), math.hypot(*sums[half:]), floor)
+        trans, longi = v.sum(axis=1).tolist()
+        return control.rel_tol * max(abs(trans), abs(longi), floor)
 
-    # both sectors have Lorentzian features of width (1 - |r|) in u and
-    # (1 - |r|) / kd in t: at the cavity resonances k_perp = m pi / d, at
-    # grazing incidence and, near a resonance, at normal incidence
-    loss = 1.0 - max(abs(r_s), abs(r_p))
-    t_edges, u_edges = _cavity_panel_edges(d, kd, loss, zsum)
-    prop, err_prop = _adaptive_quadrature(f_prop, t_edges, budget, _kronrod_rule)
-    evan, err_evan = _adaptive_quadrature(f_evan, u_edges, budget, _kronrod_rule)
-
-    p_re_t, p_im_t, p_re_l, p_im_l = map(math.fsum, prop.tolist())
-    e_t, e_l = map(math.fsum, evan.tolist())
-    trans = complex(e_t - p_im_t, p_re_t)
-    longi = complex(e_l - p_im_l, p_re_l)
-    err_total = err_prop + err_evan
+    # the one feature on the path is at y = 0, of the width w of the nearest
+    # pole's distance below it; the edges grade away from it in decades of w
+    # up to the cutoff, beyond which every factor is below e^{-45}.
+    # Transparent walls have no pole, and an integrand of exact zeros
+    r_max = max(abs(r_s), abs(r_p))
+    y_max = 45.0 / s_min
+    w = -math.log(r_max) / d if r_max else y_max
+    grading = (0.1, 0.3, *(10.0 ** j for j in range(math.ceil(math.log10(y_max / w)))))
+    values, err_total = _adaptive_quadrature(f, _panel_edges(0.0, y_max, [0.0], w, grading),
+                                             budget, _kronrod_rule)
+    trans, longi = (complex(math.fsum(v.real.tolist()), math.fsum(v.imag.tolist()))
+                    for v in values)
     target = control.rel_tol * max(abs(trans), abs(longi), floor)
     if not err_total <= 10.0 * target:
         raise QuadratureError(

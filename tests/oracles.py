@@ -12,11 +12,11 @@ it, so both compare with the same numbers.
 What stays here, written from closed forms like the oracle and importing
 nothing from ``cavityvdw``, is what the benchmark has no use for: the
 uniform cavity bracket, which writes the angular-spectrum integrand in
-complex exponentials of k_perp, as the reference for the per-sector
-factors the library evaluates; the principal value of a Lorentzian over
-the whole real line; the small-kr series of the free-space tensor; the
-per-cell exporter and the float families on which the export kernel's
-cells are compared with CPython's.
+complex exponentials of k_perp, as the reference for the real decays and
+constant phases the library evaluates along its contour; the principal
+value of a Lorentzian over the whole real line; the small-kr series of
+the free-space tensor; the per-cell exporter and the float families on
+which the export kernel's cells are compared with CPython's.
 """
 
 import importlib.util
@@ -42,8 +42,9 @@ def uniform_cavity_bracket(kperp, d, r_s, r_p, zsum, zdiff, kp2_over_k2, kpar2_o
     """Transverse and longitudinal brackets of the on-axis cavity integrand,
     as complex exponentials of k_perp, so one expression serves real
     (propagating) and positive imaginary (evanescent) k_perp alike; zsum is
-    z + z' and zdiff |z - z'|. This is the form the library evaluated before
-    it took each sector's factors apart, kept as a reference for them."""
+    z + z' and zdiff |z - z'|; complex k_perp off both axes, as on the
+    library's contour k + i y, works the same way. It is kept as the
+    reference for the library's factors."""
     e2d = np.exp(2j * kperp * d)
     ds = 1.0 - r_s**2 * e2d
     dp = 1.0 - r_p**2 * e2d

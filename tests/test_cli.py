@@ -664,6 +664,16 @@ def test_xcheck_skips_force_samples_whose_stencil_crosses_the_kink(tmp_path):
     assert samples["force-gradient-corrected"] < 100
 
 
+@pytest.mark.parametrize("nu", [500, 1000])
+def test_xcheck_passes_at_high_mode_index(tmp_path, nu):
+    # the force row's finite-difference reference steps by a fixed fraction
+    # of the mode wavelength; a step of 1e-4 d missed by 1.3e-6 at nu = 500
+    # and 2.0e-5 at nu = 1000, against a tolerance of 1e-6
+    text = MINIMAL.replace("nu: 1", f"nu: {nu}") + "mode: xcheck\n"
+    assert main(["xcheck", "--config", _write(tmp_path, text), "--out",
+                 str(tmp_path / "x.csv")]) == 0
+
+
 def test_xcheck_free_space_row_near_a_zero_of_the_potential(tmp_path):
     # seed 301082727 draws a free-space sample near a zero of the oscillating
     # potential, where a miss relative to the potential itself blows up

@@ -23,8 +23,7 @@ from cavityvdw.greens import (
     planar_scattering_components,
 )
 from cavityvdw import greens
-from cavityvdw.greens import (_adaptive_quadrature, _cavity_panel_edges, _halving_rule,
-                              _kronrod_rule, _panel_edges)
+from cavityvdw.greens import _adaptive_quadrature, _halving_rule, _kronrod_rule, _panel_edges
 
 from oracles import (
     checks,
@@ -234,6 +233,22 @@ def test_planar_scattering_matches_image_series_next_to_a_mirror(nu):
         assert abs(longi - oracle_l) / max(abs(oracle_l), floor) < 5e-9
 
 
+@pytest.mark.parametrize("zp_over_d", [0.3, 0.37])
+@pytest.mark.parametrize("nu", [50, 300, 1000])
+def test_planar_scattering_matches_image_series_at_high_mode_index(nu, zp_over_d):
+    # kd up to 1000 pi: the path k_perp = k + i y meets none of the nu
+    # resonances, so the default control holds the gate without more panels
+    cav = PlanarCavity(d=1.0e-6, delta=1.0e-3, nu=nu)
+    z, zp = 0.3 * cav.d, zp_over_d * cav.d
+    for offset in (-2.0, 0.0, 2.0):
+        omega = cav.omega_nu + offset * cav.gamma_nu
+        trans, longi, _ = planar_scattering_components(cav.d, cav.r_s, cav.r_p, z, zp, omega)
+        oracle_t, oracle_l = checks.image_series(cav.d, cav.delta, z, zp, omega)
+        floor = omega / C / (6.0 * math.pi)
+        assert abs(trans - oracle_t) / max(abs(oracle_t), floor) < 5e-9
+        assert abs(longi - oracle_l) / max(abs(oracle_l), floor) < 5e-9
+
+
 @settings(max_examples=15, deadline=None)
 @given(nu=st.integers(1, 5),
        log_delta=st.floats(-5.0, -1.1),
@@ -256,11 +271,12 @@ def test_planar_scattering_matches_image_series_property(nu, log_delta, z_over_d
     assert abs(longi - oracle_l) / max(abs(oracle_l), floor) < 5e-9
 
 
-# the cavity is symmetric under z -> d - z. Reflecting both points moves the
-# panels of z + z' and so the rounding of the quadrature: over 9 000
-# hypothesis draws from the domain above (and 6 300 uniform ones) the entries
-# moved by at most 3.9e-13 of max(|entry|, k / 6 pi), with both points at
-# 1e-3 d from a mirror
+# the cavity is symmetric under z -> d - z. Reflecting both points swaps the
+# path lengths z + z' and 2d - z - z', which round differently, and so the
+# rounding of the quadrature: over 6 300 uniform draws from the domain above,
+# one in ten with both points 1e-3 d from a mirror, the entries moved by at
+# most 2.3e-13 of max(|entry|, k / 6 pi), with both points at 1e-3 d from a
+# mirror
 MIRROR_PARITY_TOL = 1.0e-12
 
 
@@ -313,7 +329,7 @@ def test_cavity_green_scales_with_length_bit_for_bit_by_powers_of_two():
 
 
 # with any other factor the quadrature's panels round differently: over this
-# test's draws, lam = 10^U(-1, 1), the entries moved by at most 7.3e-12 of
+# test's draws, lam = 10^U(-1, 1), the entries moved by at most 4.1e-12 of
 # max(|entry|, k / 6 pi)
 LENGTH_SCALING_TOL = 3.0e-11
 
@@ -327,9 +343,11 @@ def test_cavity_green_scales_with_length():
 
 
 # integrand nodes and levels of one on-resonance call, as measured on G20/K41
-# panels with decade-graded edges in both sectors: (nu, delta, z/d, z'/d,
-# nodes, levels)
-_CAVITY_WORK = [(5, 1.0e-3, 0.3, 0.375, 2255, 2), (1, 1.0e-5, 0.3, 0.3, 861, 3)]
+# panels along k_perp = k + i y: (nu, delta, z/d, z'/d, nodes, levels). The
+# path meets no resonance, so the work does not grow with nu: the nu = 1000
+# rows hold the nu = 1 ceiling
+_CAVITY_WORK = [(5, 1.0e-3, 0.3, 0.375, 328, 1), (1, 1.0e-5, 0.3, 0.3, 410, 1),
+                (1000, 1.0e-3, 0.3, 0.375, 410, 1), (1000, 1.0e-5, 0.3, 0.3, 410, 1)]
 
 
 @pytest.mark.parametrize("nu,delta,z_over_d,zp_over_d,nodes,levels", _CAVITY_WORK)
@@ -353,7 +371,7 @@ def test_planar_cavity_green_work_per_call(monkeypatch, nu, delta, z_over_d, zp_
     monkeypatch.setattr(greens, "_adaptive_quadrature", counting_quadrature)
     cav = PlanarCavity(d=1.0e-6, delta=delta, nu=nu)
     planar_cavity_green(cav, z_over_d * cav.d, zp_over_d * cav.d, cav.omega_nu)
-    assert 0 < counted[0] <= nodes and 2 <= counted[1] <= levels
+    assert 0 < counted[0] <= nodes and counted[1] == levels
     assert counted[0] % 41 == 0
 
 
@@ -369,33 +387,33 @@ def test_planar_scattering_swapped_points_bit_identical():
 # the bits of the cavity quadrature and of the principal-value transform,
 # pinned so that a rearrangement of the engine that is meant to leave every
 # value unchanged shows any change. Tensor rows: (nu, delta, z/d, z'/d,
-# detuning in widths) and the float.hex of Re/Im G_xx, Re/Im G_zz; the first
-# call's t sector takes two levels, the fourth and fifth have a point 1e-3 d
-# from a mirror. The tensor and scattering rows are those of G20/K41 panels.
+# detuning in widths) and the float.hex of Re/Im G_xx, Re/Im G_zz; the fourth
+# and fifth have a point 1e-3 d from a mirror. The tensor and scattering rows
+# are those of G20/K41 panels along k_perp = k + i y.
 _PINNED_TENSORS = [
-    ((1, 1e-5, 0.3, 0.3, 1.5), ("0x1.0abc0408e31eap+20", "0x1.1ed9b17b31e9cp+18",
-                                "0x1.6a5f68bb901f0p+16", "0x1.e84acc2849c23p+17")),
-    ((5, 1e-3, 0.3, 0.375, 0.0), ("-0x1.2382dccbd2d80p+18", "0x1.4ec548b81076bp+19",
-                                  "0x1.107a6a3c2c354p+21", "0x1.64e371b37b614p+19")),
-    ((5, 1e-3, 0.21, 0.64, -0.7), ("0x1.361a67de7fd0cp+17", "0x1.a17d42692a035p+15",
-                                   "0x1.1e7c3df55f81ep+15", "-0x1.17433c8aaaaa3p+16")),
-    ((1, 1e-3, 1e-3, 0.4, 0.3), ("0x1.8e4abf6bf83c0p+10", "0x1.8a5dde7811c00p+10",
-                                 "0x1.678b35c8bd63cp+19", "0x1.e8874bb1f2f4cp+17")),
-    ((2, 1e-4, 0.999, 0.999, 0.0), ("0x1.d53cd455351d2p+37", "0x1.790f7b8826000p+5",
-                                    "0x1.d54fcca0e095ap+38", "0x1.312e65a6e5dfap+19")),
+    ((1, 1e-5, 0.3, 0.3, 1.5), ("0x1.0abc0408e2729p+20", "0x1.1ed9b17b3cd56p+18",
+                                "0x1.6a5f68bb90789p+16", "0x1.e84acc2849d40p+17")),
+    ((5, 1e-3, 0.3, 0.375, 0.0), ("-0x1.2382dccbd2f49p+18", "0x1.4ec548b81025bp+19",
+                                  "0x1.107a6a3c2c373p+21", "0x1.64e371b37b781p+19")),
+    ((5, 1e-3, 0.21, 0.64, -0.7), ("0x1.361a67de7fcbbp+17", "0x1.a17d426927688p+15",
+                                   "0x1.1e7c3df55f6eep+15", "-0x1.17433c8aab207p+16")),
+    ((1, 1e-3, 1e-3, 0.4, 0.3), ("0x1.8e4abf6bf8980p+10", "0x1.8a5dde7811cc0p+10",
+                                 "0x1.678b35c8bd63ap+19", "0x1.e8874bb1f2f24p+17")),
+    ((2, 1e-4, 0.999, 0.999, 0.0), ("0x1.d53cd45535558p+37", "0x1.790f7b81b2000p+5",
+                                    "0x1.d54fcca0e0ce2p+38", "0x1.312e65a6e882ap+19")),
 ]
 # scattering rows at omega = 1.3 pi c / d: (r_s, r_p, z/d, z'/d) and the
 # float.hex of Re/Im transverse, Re/Im longitudinal and the error estimate
 _PINNED_SCATTERING = [
-    ((-0.9, 0.995, 0.3, 0.55), ("0x1.0446cd11d5658p+13", "0x1.0cac50e1cc456p+17",
-                                "-0x1.923f348fd0c30p+15", "0x1.1a9c23eeb05e9p+15",
-                                "0x1.16519e5f60b84p-17")),
-    ((-0.995, 0.6, 0.3, 0.55), ("0x1.575fafeb7cfdep+14", "0x1.b6a3ee57121f8p+16",
-                                "-0x1.03caad1aa35b0p+15", "0x1.6a6ddf2fd2287p+14",
-                                "0x1.0683b4b039bb2p-19")),
-    ((-0.99, 0.99, 1.0 - 1e-3, 1.0 - 1e-3), ("0x1.12eb3aac63bedp+39", "-0x1.a2f34267feff6p+17",
-                                             "0x1.12efed2dc5572p+40", "0x1.cab5487d8a7ddp+17",
-                                             "0x1.fb2749db209f1p-8")),
+    ((-0.9, 0.995, 0.3, 0.55), ("0x1.0446cd11d5546p+13", "0x1.0cac50e1cc440p+17",
+                                "-0x1.923f348fd0c21p+15", "0x1.1a9c23eeb05e6p+15",
+                                "0x1.e1f7cea23b8fcp-20")),
+    ((-0.995, 0.6, 0.3, 0.55), ("0x1.575fafeb7cf03p+14", "0x1.b6a3ee57121aap+16",
+                                "-0x1.03caad1aa35a3p+15", "0x1.6a6ddf2fd227fp+14",
+                                "0x1.2771f5c6dac60p-20")),
+    ((-0.99, 0.99, 1.0 - 1e-3, 1.0 - 1e-3), ("0x1.12eb3aac63e04p+39", "-0x1.a2f34267f761cp+17",
+                                             "0x1.12efed2dc5787p+40", "0x1.cab5487d9378bp+17",
+                                             "0x1.fed051ba7198ap-8")),
 ]
 # principal-value transforms of a unit Lorentzian on omega_1 +- 5e4 widths
 # of the nu = 1, delta = 1e-3 cavity, at rel_tol 1e-9: (offset in widths,
@@ -436,22 +454,20 @@ def test_kk_pinned_bits(offset, hinted, bits):
 
 
 def _uniform_bracket_scattering(d, r_s, r_p, z, zp, omega, rel_tol):
-    """(transverse, longitudinal) from the sectors and budgets of
-    planar_scattering_components on the library's panel engine and rule and
-    its own initial panel edges, with the integrand built from
-    oracles.uniform_cavity_bracket."""
+    """(transverse, longitudinal) along the contour k_perp = k + i y of
+    planar_scattering_components, on the library's panel engine and rule,
+    with the integrand built from oracles.uniform_cavity_bracket and the
+    initial edges written out here: 0, {0.1, 0.3, 1, 10, ...} times the
+    poles' distance -ln(max |r|) / d below the path, and the cutoff
+    45 / min(z + z', 2d - z - z')."""
     k = omega / C
-    kd = k * d
     zsum, zdiff = z + zp, abs(z - zp)
 
-    def f_prop(t):
-        tr, lo = uniform_cavity_bracket(k * t, d, r_s, r_p, zsum, zdiff, t * t, 1.0 - t * t)
-        return (k / (8.0 * math.pi)) * np.stack((tr.real, tr.imag, lo.real, lo.imag))
-
-    def f_evan(u):
-        q2 = (u / kd) ** 2
-        tr, lo = uniform_cavity_bracket(1j * u / d, d, r_s, r_p, zsum, zdiff, -q2, 1.0 + q2)
-        return np.stack((tr.real, lo.real)) / (8.0 * math.pi * d)
+    def f(y):
+        kp2_over_k2 = ((k + 1j * y) / k) ** 2
+        tr, lo = uniform_cavity_bracket(k + 1j * y, d, r_s, r_p, zsum, zdiff, kp2_over_k2,
+                                        1.0 - kp2_over_k2)
+        return np.stack((tr.real, tr.imag, lo.real, lo.imag)) / (8.0 * math.pi)
 
     floor = k / (6.0 * math.pi)
 
@@ -459,12 +475,13 @@ def _uniform_bracket_scattering(d, r_s, r_p, z, zp, omega, rel_tol):
         sizes = np.linalg.norm(v.sum(axis=1).reshape(2, -1), axis=1)
         return rel_tol * max(float(sizes.max()), floor)
 
-    t_edges, u_edges = _cavity_panel_edges(d, kd, 1.0 - max(abs(r_s), abs(r_p)), zsum)
-    prop, _ = _adaptive_quadrature(f_prop, t_edges, budget, _kronrod_rule)
-    evan, _ = _adaptive_quadrature(f_evan, u_edges, budget, _kronrod_rule)
-    p_re_t, p_im_t, p_re_l, p_im_l = map(math.fsum, prop)
-    e_t, e_l = map(math.fsum, evan)
-    return complex(e_t - p_im_t, p_re_t), complex(e_l - p_im_l, p_re_l)
+    width = -math.log(max(abs(r_s), abs(r_p))) / d
+    y_max = 45.0 / min(zsum, 2.0 * d - zsum)
+    grading = [0.1, 0.3] + [10.0 ** j for j in range(math.ceil(math.log10(y_max / width)))]
+    values, _ = _adaptive_quadrature(f, _panel_edges(0.0, y_max, [0.0], width, grading), budget,
+                                     _kronrod_rule)
+    re_t, im_t, re_l, im_l = map(math.fsum, values)
+    return complex(re_t, im_t), complex(re_l, im_l)
 
 
 def _reference_route_cases():
@@ -488,9 +505,9 @@ def _reference_route_cases():
 
 @pytest.mark.parametrize("d,r_s,r_p,z,zp,omega,rel_tol", _reference_route_cases())
 def test_planar_scattering_matches_uniform_bracket_route(d, r_s, r_p, z, zp, omega, rel_tol):
-    # the per-sector factors against the complex-exponential bracket they
-    # replace, on the same panels: a slip in one sector shows far below the
-    # image-series gate
+    # the library's real decays and constant phases against the
+    # complex-exponential bracket, on the same panels: a slip in one factor
+    # shows far below the image-series gate
     ctrl = QuadratureControl(rel_tol=rel_tol)
     trans, longi, _ = planar_scattering_components(d, r_s, r_p, z, zp, omega, ctrl)
     ref_t, ref_l = _uniform_bracket_scattering(d, r_s, r_p, z, zp, omega, rel_tol)
@@ -568,7 +585,7 @@ def _panel_edge_inputs(draw):
     features = draw(st.lists(point, max_size=8))
     if features:
         features += draw(st.lists(st.sampled_from(features), max_size=4))
-    grading = draw(st.sampled_from([greens._DECADES, greens._HALF_DECADES])
+    grading = draw(st.sampled_from([(0.1, 0.3, 1.0, 10.0, 100.0), greens._HALF_DECADES])
                    | st.lists(st.floats(-1e4, 1e4) | st.just(0.0), min_size=1, max_size=8))
     return (lo, hi, features, draw(st.floats(1e-9, 3.0)), grading,
             tuple(draw(st.lists(point, max_size=2))))
@@ -592,7 +609,7 @@ def test_planar_scattering_unreachable_tolerance_raises_with_its_estimate():
     r = 1.0 - delta
     with pytest.raises(QuadratureError) as info:
         planar_scattering_components(d, -r, r, 0.31 * d, 0.77 * d, omega,
-                                     QuadratureControl(rel_tol=1e-17))
+                                     QuadratureControl(rel_tol=1e-20))
     assert info.value.achieved > info.value.target
     assert len(info.value.value) == 2
     assert all(cmath.isfinite(v) for v in info.value.value)

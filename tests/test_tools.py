@@ -23,12 +23,12 @@ TOOLS = sorted((ROOT / "tools").glob("*.py"))
 # panel levels, and the SHA-256 of every value the round's timed steps return
 QUAD_WORK_SEED_1 = {
     "seed": 1,
-    "green": {"nodes": 45756, "levels": 74, "sha256":
-              "f6f83dfb8e40357d00db795a6ee717a89ca4d87454c7e5ff290831f6256f1093"},
+    "green": {"nodes": 11070, "levels": 34, "sha256":
+              "05a4b6a36f09def81f9f5024b2a63300e03ec8f9ab86da90c89da9f68fb90ef5"},
     "kk": {"nodes": 38400, "levels": 8, "sha256":
            "8909a2a634c46f8e81a67d67f4870177cf3415d93dab2fdc02b4117c729afbd4"},
-    "coupling_strength_sq": {"nodes": 1845, "levels": 6, "sha256":
-                             "1227b7514353fa76d7044b3ba446cfdc6c65700bad426a1e38702a38d6af27e2"},
+    "coupling_strength_sq": {"nodes": 984, "levels": 3, "sha256":
+                             "8b510b7ddb20f36b0fedfeebeb78da3c0884fb0e9e264ac339ee98ad251bc3be"},
     "fit_lorentzian": {"nodes": 0, "levels": 0, "sha256":
                        "3e15af34300eaca5eefdf8a8bbce32b785e2996b1422965647593f8d33d07cd6"},
 }
