@@ -12,6 +12,10 @@ the column's largest magnitude; force columns now come from the analytic
 gradient instead of finite differences and are bounded by 1e-8 of the
 column's largest magnitude.
 
+planar_tight_quadrature-kk-check.csv was written by the numpy panel
+quadrature itself, at a target of 1e-14 under which the transform splits
+panels; it is held to the same bounds.
+
 The JSON lines goldens (tests/goldens/<config>-<mode>.jsonl, made with
 `--format jsonl` by the per-cell exporter that preceded the blocked one)
 hold the bytes of the planar modes and the free-space potential fixed:
@@ -32,7 +36,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavityvdw import cli
+from cavityvdw import cli, greens
 from cavityvdw.cli import main, run
 from cavityvdw.config import RunConfig, load_config
 from cavityvdw.dressed import force_theta
@@ -45,7 +49,7 @@ PLANAR_MODES = ("dressed", "potential", "force")
 CASES = (
     [("planar", m) for m in ("scan-rabi", *PLANAR_MODES, "kk-check")]
     + [(c, m) for c in ("planar_below_a", "planar_above_b_as_printed") for m in PLANAR_MODES]
-    + [("free_space", "potential")]
+    + [("free_space", "potential"), ("planar_tight_quadrature", "kk-check")]
 )
 EXACT = ("z_A", "z_B", "separation")
 KK_EXACT = ("offset_widths", "omega", "closed_form")
@@ -121,6 +125,31 @@ def test_flag_run_manifest_matches_golden_bytes(tmp_path, monkeypatch, mode, fla
     monkeypatch.chdir(tmp_path)
     assert main([mode, "--config", str(GOLDENS / "planar.yaml"), *flags]) == code
     _assert_manifest_matches(tmp_path / f"cavityvdw-{mode}.csv", run_name)
+
+
+def test_tight_quadrature_golden_splits_panels(tmp_path, monkeypatch):
+    # the config is the shipped route through the engine's split loop: at
+    # the default target every transform converges on its initial panels
+    levels = []
+    engine = greens._adaptive_quadrature
+
+    def counting_quadrature(g, edges, budget, rule):
+        calls = [0]
+
+        def g_counted(x):
+            calls[0] += 1
+            return g(x)
+
+        values = engine(g_counted, edges, budget, rule)
+        levels.append(calls[0])
+        return values
+
+    monkeypatch.setattr(greens, "_adaptive_quadrature", counting_quadrature)
+    for config, most in (("planar", 1), ("planar_tight_quadrature", 2)):
+        levels.clear()
+        out = tmp_path / f"{config}.csv"
+        assert main(["kk-check", "--config", str(GOLDENS / f"{config}.yaml"), "--out", str(out)]) == 0
+        assert len(levels) == 6 and max(levels) == most
 
 
 @pytest.mark.parametrize("config", ("planar", "planar_below_a", "planar_above_b_as_printed"))
