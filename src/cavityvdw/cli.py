@@ -223,7 +223,14 @@ def _kk_columns(cav: PlanarCavity, offsets, rel_tol: float) -> dict:
     # the transform is linear in the peak value
     sf = lorentzian_spectral_function(1.0, om_nu, gamma)
     control = QuadratureControl(rel_tol=rel_tol)
-    numeric = np.array([kk_real_from_imag(sf, w, control) for w in omegas.tolist()]) / math.pi
+    try:
+        numeric = np.array([kk_real_from_imag(sf, w, control) for w in omegas.tolist()]) / math.pi
+    except QuadratureError as exc:
+        raise ConfigError(
+            f"tolerances.quadrature_rel: {rel_tol:g} is not attainable for this cavity; the "
+            f"principal-value transform achieved {exc.achieved:.3e} against a target of "
+            f"{exc.target:.3e}"
+        ) from exc
     closed = np.array([narrow_mode_real_contraction(1.0, gamma, om_nu, offset)
                        for offset in offsets.tolist()])
     return {"offset_widths": offsets, "omega": omegas, "kk_numeric_over_pi": numeric,

@@ -112,9 +112,11 @@ def potential_theta(theta, sys: DressedSystem):
 
 
 # finite-difference step as a fraction of the scenario length scale, on
-# every axis: one Richardson level leaves a relative truncation error
-# ~(k h)^4 / 480 and a rounding error ~eps / (k h), both below 1e-11 for
-# mode wavenumbers pi / d <= k <= 10 pi / d
+# every axis. A planar scenario's is its mode's length d / nu, so k h =
+# pi FD_STEP at every mode index: one Richardson level leaves a relative
+# truncation error (k h)^4 / 480 ~ 2e-17 and a rounding error ~eps / (k h)
+# ~ 7e-13. The positions z + h round to ulp(z), which adds ~ulp(z) / h and
+# grows with nu: 3e-9 of the largest gradient at nu = 1000 in a 1 um cavity
 FD_STEP = 1e-4
 # a half-step error estimate above this fraction of the reference scale
 # means a kink or noise inside the stencil

@@ -93,10 +93,24 @@ against their halves.
 
 The integrand depends on the points only through z + z' and |z - z'|, so
 the tensor is reciprocal bit for bit.
+
+A cavity call's layout does not depend on omega: the initial edges, their
+half-widths and K41 nodes, the five path lengths a and the decays e^{-y a}
+at the nodes are functions of d, max |r_sigma|, z + z' and |z - z'| alone.
+_contour_layout builds them once per such key, read-only, and keeps the
+last _LAYOUTS = 32 in an LRU cache (functools.lru_cache). A layout holds
+41 x 6 floats a panel, 12-26 KB for the 6-13 panels of a call (~20 KB at
+most points), so the cache holds under 1 MB. A spectrum at fixed heights
+thus builds its layout once, and every later frequency pays only for the
+phases e^{i k a}, the products and the complex arithmetic. Only the first
+level reads the laid-out nodes and decays; the halves of split panels get
+their own. The arithmetic is that of a layout built for the call, so the
+cache changes no bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -363,16 +377,36 @@ def _halving_rule(g, a, b):
     return left + right, abs(whole - left - right).sum(axis=0)
 
 
+class _Panels:
+    """Initial G20/K41 panels laid out once: their edges, half-widths and
+    K41 nodes (panels x 41)."""
+
+    __slots__ = ("edges", "half", "nodes")
+
+    def __init__(self, edges: np.ndarray, half: np.ndarray, nodes: np.ndarray):
+        self.edges, self.half, self.nodes = edges, half, nodes
+
+
+def _kronrod_nodes(a, b):
+    """(half-widths, K41 nodes (panels x 41)) of the panels [a_i, b_i]."""
+    half = 0.5 * (b - a)
+    return half, (0.5 * (a + b))[:, None] + half[:, None] * _K41_NODES
+
+
+def _kronrod_sums(at_nodes, half):
+    """(values, errors) of G20/K41 panels from the integrand on their nodes."""
+    sums = (at_nodes @ _K41_RULE) * half[:, None]
+    values = sums[..., 0]
+    return values, np.maximum(abs(sums[..., 1]), 50.0 * 2.0**-52 * abs(values)).sum(axis=0)
+
+
 def _kronrod_rule(g, a, b):
     """G20/K41 panels: a panel's value is its K41 sum and its error
     |K41 - G20|, at least 50 eps |K41|, summed over components, both from
     one call of g (which stacks its components along a new first axis) on
     the 41 nodes of every panel. Returns (values, errors)."""
-    half = 0.5 * (b - a)
-    nodes = (0.5 * (a + b))[:, None] + half[:, None] * _K41_NODES
-    sums = (g(nodes) @ _K41_RULE) * half[:, None]
-    values = sums[..., 0]
-    return values, np.maximum(abs(sums[..., 1]), 50.0 * 2.0**-52 * abs(values)).sum(axis=0)
+    half, nodes = _kronrod_nodes(a, b)
+    return _kronrod_sums(g(nodes), half)
 
 
 def _adaptive_quadrature(g, edges, budget, rule):
@@ -388,10 +422,18 @@ def _adaptive_quadrature(g, edges, budget, rule):
     the halves of the split panels, placed after the kept panels, are the
     next level's one call of rule.
 
+    edges may instead be _Panels, initial G20/K41 panels with their nodes
+    laid out (rule is then _kronrod_rule): the first level calls g on those
+    very nodes, and only the halves of split panels get nodes of their own.
+
     Returns (values, error): the final panel values and the summed error.
     """
+    if isinstance(edges, _Panels):
+        values, error = _kronrod_sums(g(edges.nodes), edges.half)
+        edges = edges.edges
+    else:
+        values, error = rule(g, edges[:-1], edges[1:])
     a, b = edges[:-1], edges[1:]
-    values, error = rule(g, a, b)
     splits = 0
     while True:
         target = budget(values)
@@ -412,6 +454,36 @@ def _adaptive_quadrature(g, edges, budget, rule):
         b = np.concatenate((b[keep], new_b))
         values = np.concatenate((values[:, keep], new_values), axis=1)
         error = np.concatenate((error[keep], new_error))
+
+
+# contour layouts _contour_layout keeps, ~20 KB each: a spectrum at fixed
+# heights, or a sweep of a few geometries, reuses its own
+_LAYOUTS = 32
+
+
+@functools.lru_cache(maxsize=_LAYOUTS)
+def _contour_layout(d: float, r_max: float, zsum: float, zdiff: float):
+    """The frequency-independent part of planar_scattering_components for
+    plate separation d, largest |r_sigma| r_max and the points' z + z' and
+    |z - z'|: (panels, lengths, decays), the initial _Panels along the
+    contour, the five path lengths a and their decays e^{-y a} at the
+    panels' nodes (5 x nodes), all read-only."""
+    # the shortest path through a mirror, z + z' or 2d - z - z', bounds |z - z'|
+    y_max = 45.0 / min(zsum, 2.0 * d - zsum)
+    # edges in decades of the nearest pole's distance w below y = 0, up to
+    # the cutoff (module docstring); transparent walls have no pole
+    w = -math.log(r_max) / d if r_max else y_max
+    grading = (0.1, 0.3, *(10.0 ** j for j in range(math.ceil(math.log10(y_max / w)))))
+    # the five path lengths a (module docstring), then the edges
+    floats = np.array((2.0 * d, 2.0 * d + zdiff, 2.0 * d - zdiff, zsum, 2.0 * d - zsum,
+                       0.0, *[w * g for g in grading if w * g < y_max], y_max))
+    floats.setflags(write=False)
+    lengths, edges = floats[:5], floats[5:]
+    half, nodes = _kronrod_nodes(edges[:-1], edges[1:])
+    decays = np.exp(-lengths[:, None] * nodes.ravel())
+    for arr in (half, nodes, decays):
+        arr.setflags(write=False)
+    return _Panels(edges, half, nodes), lengths, decays
 
 
 def planar_scattering_components(
@@ -443,28 +515,26 @@ def planar_scattering_components(
     k = omega / C
     zsum, zdiff = z + zp, abs(z - zp)
     rs2, rp2 = r_s**2, r_p**2
-    # the shortest path through a mirror, z + z' or 2d - z - z', bounds |z - z'|
-    s_min = min(zsum, 2.0 * d - zsum)
+    panels, lengths, decays = _contour_layout(d, max(abs(r_s), abs(r_p)), zsum, zdiff)
 
     # the numerators from the five real decays e^{-y a} (module docstring):
     # weights times the phases e^{i k a} and the measure 1 / 8 pi give the s
     # numerator, the p numerators of T (pair as -r_p) and L (+r_p, doubled)
     # and r_sigma^2 times the round trip; as interleaved floats, one real
     # product with the decays gives all five as complex rows
-    lengths = np.array((2.0 * d, 2.0 * d + zdiff, 2.0 * d - zdiff, zsum, 2.0 * d - zsum))
     m = 1.0 / (8.0 * math.pi)
     direct = (m * rs2, m * rp2, 2.0 * m * rp2, 0.0, 0.0)
     pair = (m * r_s, -m * r_p, 2.0 * m * r_p, 0.0, 0.0)
-    weights = np.array(((0.0, 0.0, 0.0, rs2, rp2), direct, direct, pair, pair))
+    weights = np.array((0.0, 0.0, 0.0, rs2, rp2, *direct, *direct, *pair, *pair)).reshape(5, 5)
     mix = (weights * np.exp(1j * k * lengths)[:, None]).view(float)
-    decay_rates = -lengths[:, None]
     i_over_k = 1j / k
 
     def f(y):
         # (T, L) of the bracket at k_perp = k + i y, times the measure 1 / 8 pi
         flat = y.ravel()
-        s_num, p_minus, p_plus, s_trip, p_trip = (
-            (np.exp(decay_rates * flat).T @ mix).view(complex).T)
+        # the first level's decays are laid out; split levels' are fresh
+        at_y = decays if y is panels.nodes else np.exp(-lengths[:, None] * flat)
+        s_num, p_minus, p_plus, s_trip, p_trip = (at_y.T @ mix).view(complex).T
         q = 1.0 + i_over_k * flat  # k_perp / k
         kp2_over_k2 = q * q
         inv_s = 1.0 / (1.0 - s_trip)
@@ -482,14 +552,7 @@ def planar_scattering_components(
         trans, longi = v.sum(axis=1).tolist()
         return control.rel_tol * max(abs(trans), abs(longi), floor)
 
-    # edges in decades of the nearest pole's distance w below y = 0, up to
-    # the cutoff (module docstring); transparent walls have no pole
-    r_max = max(abs(r_s), abs(r_p))
-    y_max = 45.0 / s_min
-    w = -math.log(r_max) / d if r_max else y_max
-    grading = (0.1, 0.3, *(10.0 ** j for j in range(math.ceil(math.log10(y_max / w)))))
-    values, err_total = _adaptive_quadrature(f, _panel_edges(0.0, y_max, [0.0], w, grading),
-                                             budget, _kronrod_rule)
+    values, err_total = _adaptive_quadrature(f, panels, budget, _kronrod_rule)
     trans, longi = (complex(math.fsum(v.real.tolist()), math.fsum(v.imag.tolist()))
                     for v in values)
     target = control.rel_tol * max(abs(trans), abs(longi), floor)

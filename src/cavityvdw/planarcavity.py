@@ -19,6 +19,8 @@ boundaries.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from functools import cached_property
 
@@ -32,6 +34,7 @@ from .record import Record
 from .tabular import Table, with_dimless
 
 _EDGE = 1e-6  # interior clamp, fraction of d
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 def free_decay_rate(omega10: float, dipole_norm: float) -> float:
@@ -51,10 +54,20 @@ def _clamp_interior(z: float, d: float, label: str) -> float:
         warnings.warn(
             f"{label} = {z:.6g} clamped to the interior value {clamped:.6g} "
             f"(mirror planes are idealized boundaries)",
-            stacklevel=3,
+            stacklevel=_caller_stacklevel(),
         )
         return clamped
     return z
+
+
+def _caller_stacklevel() -> int:
+    """warnings.warn's stacklevel, in the function that calls this one, of
+    the first frame outside the package: the code that built the scenario,
+    however many package frames lie between."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 class PlanarScenario(Record):
@@ -117,7 +130,9 @@ class PlanarScenario(Record):
 
     @property
     def length_scale(self) -> float:
-        return self.cavity.d
+        """The mode's length d / nu [m]: grad_rabi's step is a fixed
+        fraction of it, so k h = pi FD_STEP at every mode index."""
+        return self.cavity.d / self.cavity.nu
 
     @property
     def on_resonance(self) -> bool:

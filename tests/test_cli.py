@@ -531,6 +531,19 @@ def test_kk_check_runs_at_its_default_hundred_width_offsets(tmp_path, capsys, d,
         assert row["rel_error"] <= 1e-2
 
 
+@pytest.mark.parametrize("mode", ["kk-check", "xcheck"])
+def test_unreachable_quadrature_tolerance_is_refused_by_key(tmp_path, capsys, mode):
+    # at delta = 1e-5 the transform stops at 1.487e-14 of a 1.316e-15 target;
+    # the refusal names the key and keeps both values, and writes nothing
+    cfg = _write(tmp_path, "scenario: planar\ncavity: {d: 1.0e-6, delta: 1.0e-5, nu: 1}\n"
+                 "tolerances:\n  quadrature_rel: 1.0e-14\n")
+    assert main([mode, "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [{mode}]: tolerances.quadrature_rel: 1e-14 ")
+    assert "achieved 1.487e-14" in err and "target of 1.316e-15" in err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_run_manifest_contents(tmp_path):
     cfg = load_config(_write(tmp_path, MINIMAL))
     result = run(cfg)

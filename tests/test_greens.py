@@ -516,6 +516,76 @@ def test_planar_scattering_matches_uniform_bracket_route(d, r_s, r_p, z, zp, ome
     assert abs(longi - ref_l) / max(abs(ref_l), floor) < 1e-12
 
 
+def _layout_cases():
+    """(nu, delta, z/d, z'/d): coincident, distinct and swapped points."""
+    return [(nu, delta, z, zp) for nu in (1, 5, 1000) for delta in (1e-5, 1e-3, 0.05)
+            for z, zp in ((0.3, 0.3), (0.3, 0.37), (0.37, 0.3))]
+
+
+@pytest.mark.parametrize("nu,delta,z_over_d,zp_over_d", _layout_cases())
+def test_cavity_green_bits_do_not_depend_on_the_layout_cache(nu, delta, z_over_d, zp_over_d):
+    # the layout holds no frequency: a call on a layout another frequency,
+    # or the swapped points, built gives the bits of a call on a cold cache
+    cav = PlanarCavity(d=1.0e-6, delta=delta, nu=nu)
+    z, zp = z_over_d * cav.d, zp_over_d * cav.d
+    omegas = (cav.omega_nu + 0.7 * cav.gamma_nu, cav.omega_nu - 2.0 * cav.gamma_nu)
+    cold = []
+    for omega in omegas:
+        greens._contour_layout.cache_clear()
+        cold.append(planar_cavity_green(cav, z, zp, omega).matrix.tobytes())
+    greens._contour_layout.cache_clear()
+    planar_cavity_green(cav, zp, z, omegas[1])
+    warm = [planar_cavity_green(cav, z, zp, omega).matrix.tobytes() for omega in omegas]
+    assert warm == cold
+    assert greens._contour_layout.cache_info()[:2] == (2, 1)  # hits, misses
+
+
+def test_split_levels_evaluate_fresh_nodes_on_a_warm_layout(monkeypatch):
+    # at rel_tol 1e-14 the call splits panels over several levels; the warm
+    # call's split levels get no laid-out decays, so it matches both the cold
+    # call and the plain complex-exponential route on the same panels
+    d, r = 1.0e-6, 1.0 - 1.0e-3
+    z, zp, omega = 1e-3 * d, 0.4 * d, math.pi * C / d
+    ctrl = QuadratureControl(rel_tol=1e-14)
+    levels = []
+    engine = greens._adaptive_quadrature
+
+    def counting_quadrature(g, edges, budget, rule):
+        def g_counted(x):
+            levels.append(x.size)
+            return g(x)
+
+        return engine(g_counted, edges, budget, rule)
+
+    greens._contour_layout.cache_clear()
+    cold = planar_scattering_components(d, -r, r, z, zp, omega, ctrl)
+    monkeypatch.setattr(greens, "_adaptive_quadrature", counting_quadrature)
+    warm = planar_scattering_components(d, -r, r, z, zp, omega, ctrl)
+    assert len(levels) > 2 and greens._contour_layout.cache_info().hits == 1
+    assert warm == cold
+    ref_t, ref_l = _uniform_bracket_scattering(d, -r, r, z, zp, omega, 1e-14)
+    floor = omega / C / (6.0 * math.pi)
+    assert abs(warm[0] - ref_t) / max(abs(ref_t), floor) < 1e-12
+    assert abs(warm[1] - ref_l) / max(abs(ref_l), floor) < 1e-12
+
+
+def test_layout_cache_is_bounded_and_read_only():
+    greens._contour_layout.cache_clear()
+    d = 1.0e-6
+    for j in range(greens._LAYOUTS + 5):
+        planar_scattering_components(d, -0.99, 0.99, 0.3 * d, (0.31 + 0.001 * j) * d, 3.0e15)
+    info = greens._contour_layout.cache_info()
+    assert info.maxsize == greens._LAYOUTS and info.currsize == greens._LAYOUTS
+    panels, lengths, decays = greens._contour_layout(d, 0.99, 0.61 * d, 0.01 * d)
+    for arr in (panels.edges, panels.half, panels.nodes, lengths, decays):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # 41 nodes a panel, and one decay per path length and node
+    assert panels.nodes.shape == (panels.edges.size - 1, 41)
+    assert decays.shape == (5, panels.nodes.size)
+
+
 def test_gl_quadrature_converged_first_level_is_one_call():
     # the initial panels and their halves share one call of the integrand
     calls = []

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from cavityvdw import constants
 from cavityvdw.constants import C, HBAR
-from cavityvdw.dressed import DressedSystem, grad_rabi, potential_pm
+from cavityvdw.dressed import DressedSystem, force_theta, grad_rabi, potential_pm, theta_force
 from cavityvdw.errors import DomainError, QuadratureError
 from cavityvdw.greens import ComplexDyad, PlanarCavity, planar_resonant_im_gxx
 from cavityvdw.modecoupling import AtomSpec, ModeModel, coupling_strength_sq, mode_norm
@@ -69,6 +70,9 @@ def test_scenario_validation():
     scn = PlanarScenario.resonant(cav, 0.3 * cav.d, 0.6 * cav.d)
     assert scn.on_resonance and scn.detuning == 0.0
     assert scn.length_scale == cav.d
+    # the mode's length, d / nu
+    assert PlanarScenario.resonant(PlanarCavity(d=1.0e-6, delta=1.0e-3, nu=5), 0.3e-6,
+                                   0.6e-6).length_scale == 1.0e-6 / 5
     w = cav.omega_nu
     dip = (1e-29, 0.0, 0.0)
     with pytest.raises(DomainError):
@@ -100,6 +104,26 @@ def test_scenario_clamps_edge_positions_with_warning():
         PlanarScenario.resonant(cav, -0.1 * cav.d, 0.6 * cav.d)
     with pytest.raises(DomainError):
         PlanarScenario.resonant(cav, 1.1 * cav.d, 0.6 * cav.d)
+
+
+@pytest.mark.parametrize("entry", ["constructor", "resonant"])
+def test_clamp_warning_points_at_the_caller(entry):
+    # the warning names the line that built the scenario, not a frame of
+    # the package between it and the clamp
+    cav = PlanarCavity(d=1.0e-6, delta=1.0e-3, nu=1)
+    dip = (1e-29, 0.0, 0.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if entry == "resonant":
+            PlanarScenario.resonant(cav, 1e-13, 0.6 * cav.d)
+        else:
+            w = cav.omega_nu
+            PlanarScenario(cavity=cav,
+                           atom_a=AtomSpec(position=(0.0, 0.0, 1e-13), omega10=w, dipole=dip),
+                           atom_b=AtomSpec(position=(0.0, 0.0, 0.6 * cav.d), omega10=w,
+                                           dipole=dip))
+    assert len(caught) == 1 and "clamped" in str(caught[0].message)
+    assert caught[0].filename == __file__
 
 
 # ------------------------------------------------------------- contributions
@@ -280,6 +304,28 @@ def test_grad_rabi_matches_analytic_gradient_near_mirrors():
         expect = rabi_gradient_a(scn, frac * cav.d, 0.3 * cav.d)
         got = grad_rabi(scn, "A").value[2]
         assert got == pytest.approx(expect, rel=1e-10, abs=0.0), frac
+
+
+# force_theta's finite difference against the analytic gradient, relative to
+# the largest gradient A nu pi / d. The step is FD_STEP d / nu, so the
+# Richardson truncation stays ~1e-17; what grows with nu is the rounding of
+# z + h, ~ulp(z) / h: over 400 random points per nu the miss was 2.9e-12 at
+# nu = 1, 3.1e-10 at 100, 5.8e-10 at 300 and 3.1e-9 at 1000
+FORCE_FD_TOL_PER_NU = 1.0e-11
+
+
+@pytest.mark.parametrize("nu", [1, 100, 300, 1000])
+def test_force_theta_matches_the_analytic_gradient_at_high_mode_index(nu):
+    rng = np.random.default_rng(nu)
+    cav = PlanarCavity(d=1.0e-6, delta=1.0e-3, nu=nu)
+    for z_a, z_b, theta in zip(*rng.uniform(0.05, 0.95, (2, 50)) * cav.d,
+                               rng.uniform(0.1, 1.45, 50)):
+        scn = PlanarScenario.resonant(cav, z_a, z_b)
+        got = force_theta(scn, theta, "A")
+        want = theta_force(theta, rabi_gradient_a(scn, z_a, z_b))
+        scale = abs(theta_force(theta, math.sqrt(scn.amp2) * nu * math.pi / cav.d))
+        assert got[0] == got[1] == 0.0
+        assert abs(got[2] - want) <= FORCE_FD_TOL_PER_NU * nu * scale, (z_a, z_b, theta)
 
 
 def test_pipeline_equality_with_coupling_route():

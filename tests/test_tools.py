@@ -19,17 +19,18 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 TOOLS = sorted((ROOT / "tools").glob("*.py"))
 
-# tools/quad_work.py --seed 1: per operation group, integrand nodes and
-# panel levels, and the SHA-256 of every value the round's timed steps return
+# tools/quad_work.py --seed 1: per operation group, integrand nodes, panel
+# levels and contour layouts built (13 for the round's 37 tensor calls: one
+# per geometry), and the SHA-256 of every value the round's timed steps return
 QUAD_WORK_SEED_1 = {
     "seed": 1,
-    "green": {"nodes": 11070, "levels": 34, "sha256":
+    "green": {"nodes": 11070, "levels": 34, "layouts": 10, "sha256":
               "05a4b6a36f09def81f9f5024b2a63300e03ec8f9ab86da90c89da9f68fb90ef5"},
-    "kk": {"nodes": 38400, "levels": 8, "sha256":
+    "kk": {"nodes": 38400, "levels": 8, "layouts": 0, "sha256":
            "8909a2a634c46f8e81a67d67f4870177cf3415d93dab2fdc02b4117c729afbd4"},
-    "coupling_strength_sq": {"nodes": 984, "levels": 3, "sha256":
+    "coupling_strength_sq": {"nodes": 984, "levels": 3, "layouts": 3, "sha256":
                              "8b510b7ddb20f36b0fedfeebeb78da3c0884fb0e9e264ac339ee98ad251bc3be"},
-    "fit_lorentzian": {"nodes": 0, "levels": 0, "sha256":
+    "fit_lorentzian": {"nodes": 0, "levels": 0, "layouts": 0, "sha256":
                        "3e15af34300eaca5eefdf8a8bbce32b785e2996b1422965647593f8d33d07cd6"},
 }
 

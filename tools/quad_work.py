@@ -10,14 +10,17 @@ steps of each operation once. The panel engine,
 greens._adaptive_quadrature (one split loop on the G20-halving rule of the
 principal-value transform or the G20/K41 rule of the cavity tensor), is
 wrapped from outside so that every call of an integrand is counted: its
-nodes and one level.
+nodes and one level. The cavity's contour layouts (greens._contour_layout)
+start from an empty cache, and the layouts a group builds are the cache's
+misses during it; a checkout without that cache reports 0.
 Prints one JSON object: per operation group (the operation name up to its
 first ':', so "green" is the planar_cavity_green calls), the integrand
-nodes and levels of the round, and the SHA-256 of the bytes of every value
-its timed steps return, in round order: a tensor's complex matrix, and the
-float64 bytes of the KK and coupling floats and of the fit's fields.
-Nothing is timed, so the counts and digests are deterministic: two commits
-that print the same digests return the same bits on the round.
+nodes, levels and layouts of the round, and the SHA-256 of the bytes of
+every value its timed steps return, in round order: a tensor's complex
+matrix, and the float64 bytes of the KK and coupling floats and of the
+fit's fields. Nothing is timed, so the counts and digests are
+deterministic: two commits that print the same digests return the same
+bits on the round.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ def main(argv=None) -> int:
 
     import workloads
 
-    counts: dict = defaultdict(lambda: {"nodes": 0, "levels": 0})
+    counts: dict = defaultdict(lambda: {"nodes": 0, "levels": 0, "layouts": 0})
     digests: dict = defaultdict(hashlib.sha256)
     group = [""]
 
@@ -67,16 +70,25 @@ def main(argv=None) -> int:
             return value.matrix.tobytes()
         return np.asarray(value, dtype=float).tobytes()
 
+    layouts = getattr(greens, "_contour_layout", None)
+
+    def built() -> int:
+        return layouts.cache_info().misses if layouts else 0
+
     greens._adaptive_quadrature = counting_quadrature
+    if layouts:
+        layouts.cache_clear()
     with tempfile.TemporaryDirectory() as tmp:
         for op in workloads.build("green-spectrum", args.seed, Path(tmp), root):
             group[0] = op.name.partition(":")[0]
             digest = digests[group[0]]
+            before = built()
             out = op.steps[0]()
             digest.update(value_bytes(out))
             for step in op.steps[1:]:
                 out = step(out)
                 digest.update(value_bytes(out))
+            counts[group[0]]["layouts"] += built() - before
     print(json.dumps({"seed": args.seed,
                       **{name: {**counts[name], "sha256": digest.hexdigest()}
                          for name, digest in digests.items()}}))
