@@ -12,18 +12,20 @@ Forces are taken with the superposition angle theta held fixed: the state is
 prescribed, it does not follow theta_c(r) adiabatically. Under that reading
 the superposition force is exactly -grad U_theta, which reduces to
 -(hbar/2) sin(2 theta) grad Omega_R once the gradient identities for Omega
-and theta_c are substituted. The historical variant carrying an extra
-1/sin(2 theta_c) is kept behind variant="as-printed" for comparison runs.
+and theta_c are substituted. grad Omega_R is the planar cavity's closed form
+(planarcavity.rabi_gradient_a); richardson_slope with step FD_STEP d / nu is
+only the independent reference that xcheck and the tests check it against.
+The historical variant carrying an extra 1/sin(2 theta_c) is kept behind
+variant="as-printed" for comparison runs.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 import numpy as np
 
 from .constants import HBAR
-from .errors import DomainError, QuadratureError, require
+from .errors import DomainError, require
+from .planarcavity import rabi_gradient_a
 from .record import Record
 
 
@@ -111,16 +113,14 @@ def potential_theta(theta, sys: DressedSystem):
     return HBAR * sys.omega / 2.0 * np.cos(2.0 * (th - sys.theta_c))
 
 
-# finite-difference step as a fraction of the scenario length scale, on
-# every axis. A planar scenario's is its mode's length d / nu, so k h =
-# pi FD_STEP at every mode index: one Richardson level leaves a relative
-# truncation error (k h)^4 / 480 ~ 2e-17 and a rounding error ~eps / (k h)
-# ~ 7e-13. The positions z + h round to ulp(z), which adds ~ulp(z) / h and
-# grows with nu: 3e-9 of the largest gradient at nu = 1000 in a 1 um cavity
+# the reference finite difference's step as a fraction of the mode's length
+# d / nu, the step of xcheck's force row and of the tests' force references:
+# k h = pi FD_STEP at every mode index, so one Richardson level leaves a
+# relative truncation error (k h)^4 / 480 ~ 2e-17 and a rounding error
+# ~eps / (k h) ~ 7e-13. The positions z + h round to ulp(z), which adds
+# ~ulp(z) / h and grows with nu: 3e-9 of the largest gradient at nu = 1000
+# in a 1 um cavity
 FD_STEP = 1e-4
-# a half-step error estimate above this fraction of the reference scale
-# means a kink or noise inside the stencil
-KINK_TOLERANCE = 1e-4
 _STENCIL = np.array([1.0, -1.0, 0.5, -0.5])
 
 
@@ -137,56 +137,17 @@ def richardson_slope(f, h):
     return slope, np.abs(slope - half)
 
 
-class Gradient(namedtuple("Gradient", ("value", "error"))):
-    """grad_rabi's result: the gradient (ndarray, one slope per axis) [rad/s
-    per m] and its largest per-axis error estimate (float)."""
-
-    __slots__ = ()
-
-
-def _pick_atom(scenario, atom: str):
+def grad_rabi(scenario, atom: str = "A") -> np.ndarray:
+    """Gradient of Omega_R with respect to one atom's position [rad/s per m]:
+    the closed form rabi_gradient_a along the cavity axis, 0 across it.
+    Omega_R is symmetric in the heights, so atom B's is atom A's with them
+    swapped; 0 at the kink s_A + s_B = 0, where no derivative exists."""
     if atom not in ("A", "B"):
         raise DomainError(f"atom selector must be 'A' or 'B', got {atom!r}")
-    return np.asarray(scenario.position_a if atom == "A" else scenario.position_b, dtype=float)
-
-
-def grad_rabi(scenario, atom: str = "A") -> Gradient:
-    """Gradient of Omega_R with respect to one atom's position by
-    richardson_slope on each axis, step FD_STEP x length_scale [rad/s per m].
-
-    The scenario is any object with detuning [rad/s], position_a and
-    position_b [m], length_scale [m] and rabi(r_a, r_b) -> Omega_R [rad/s],
-    a pure function of trial positions; force_theta reads the same.
-
-    The error estimate is the largest of the axes' estimates; it blows up
-    where Omega_R has a kink inside the stencil, and a QuadratureError
-    reports it.
-    """
-    base = _pick_atom(scenario, atom)
-    other = np.asarray(scenario.position_b if atom == "A" else scenario.position_a, dtype=float)
-
-    def omega_r_at(p):
-        if atom == "A":
-            return scenario.rabi(p, other)
-        return scenario.rabi(other, p)
-
-    h = FD_STEP * scenario.length_scale
-    slopes = [richardson_slope(lambda dz: [omega_r_at(base + t * axis) for t in dz], h)
-              for axis in np.eye(3)]
-    refined = np.array([slope for slope, _ in slopes])
-    err = float(max(e for _, e in slopes))
-
-    scale = float(np.linalg.norm(refined))
-    ref = scale + abs(omega_r_at(base)) / scenario.length_scale + 1e-300
-    if err > KINK_TOLERANCE * ref:
-        raise QuadratureError(
-            f"gradient error estimate {err:.3e} exceeds {KINK_TOLERANCE:.1e} "
-            f"of the reference scale {ref:.3e} (kink or noise at the evaluation point)",
-            achieved=err,
-            target=KINK_TOLERANCE * ref,
-            value=tuple(refined),
-        )
-    return Gradient(refined, err)
+    z_a, z_b = scenario.position_a[2], scenario.position_b[2]
+    if atom == "B":
+        z_a, z_b = z_b, z_a
+    return np.array([0.0, 0.0, rabi_gradient_a(scenario, z_a, z_b)])
 
 
 def theta_force(theta, grad_omega_r, omega_r=None, detuning=None, variant: str = "corrected"):
@@ -216,11 +177,11 @@ def theta_force(theta, grad_omega_r, omega_r=None, detuning=None, variant: str =
 
 
 def force_theta(scenario, theta, atom: str = "A", variant: str = "corrected") -> np.ndarray:
-    """Force on the chosen atom in the prescribed superposition [N], with the
-    finite-difference gradient of grad_rabi; see theta_force for the
+    """Force on the chosen atom of a PlanarScenario in the prescribed
+    superposition [N], with grad_rabi's gradient; see theta_force for the
     variants."""
     grad = grad_rabi(scenario, atom)
     omega_r = None
     if variant == "as-printed":
         omega_r = scenario.rabi(scenario.position_a, scenario.position_b)
-    return theta_force(theta, grad.value, omega_r, scenario.detuning, variant)
+    return theta_force(theta, grad, omega_r, scenario.detuning, variant)

@@ -71,8 +71,8 @@ def _caller_stacklevel() -> int:
 
 
 class PlanarScenario(Record):
-    """Coupling scenario for the planar cavity; its detuning, positions,
-    length_scale and rabi are what grad_rabi and force_theta read."""
+    """Coupling scenario for the planar cavity; its detuning, positions and
+    rabi are what grad_rabi and force_theta read."""
 
     cavity: PlanarCavity
     atom_a: AtomSpec
@@ -127,12 +127,6 @@ class PlanarScenario(Record):
     @property
     def position_b(self) -> tuple[float, float, float]:
         return self.atom_b.position
-
-    @property
-    def length_scale(self) -> float:
-        """The mode's length d / nu [m]: grad_rabi's step is a fixed
-        fraction of it, so k h = pi FD_STEP at every mode index."""
-        return self.cavity.d / self.cavity.nu
 
     @property
     def on_resonance(self) -> bool:

@@ -1,17 +1,15 @@
 import math
 from decimal import Decimal, localcontext
-from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import pytest
 
-from cavityvdw.errors import DomainError, QuadratureError
+from cavityvdw.errors import DomainError
 from cavityvdw.greens import PlanarCavity
-from cavityvdw.planarcavity import PlanarScenario
+from cavityvdw.modecoupling import AtomSpec
+from cavityvdw.planarcavity import PlanarScenario, rabi_gradient_a, rabi_omega
 from cavityvdw.dressed import (
     DressedSystem,
-    Gradient,
     coupling_angle,
     eigenenergies,
     force_theta,
@@ -28,25 +26,22 @@ HBAR_LIT = 1.054571817e-34
 ARCTAN_2 = 1.1071487177940904
 
 
-@dataclass
-class ToyScenario:
-    fn: Callable
-    detuning: float = 0.0
-    position_a: tuple = (0.0, 0.0, 0.3e-6)
-    position_b: tuple = (0.0, 0.0, 0.7e-6)
-    length_scale: float = 1.0e-6
-
-    def rabi(self, r_a, r_b) -> float:
-        return float(self.fn(np.asarray(r_a, dtype=float), np.asarray(r_b, dtype=float)))
+CAV = PlanarCavity(d=1.0e-6, delta=1.0e-3, nu=1)
 
 
-def sinusoidal(amplitude=3.0e10, d=1.0e-6, offset=2.0):
-    def fn(ra, rb):
-        return amplitude * (
-            offset + math.sin(math.pi * ra[2] / d) + math.sin(math.pi * rb[2] / d)
-        )
+def scenario(detuning=0.0, z_a=0.3e-6, z_b=0.7e-6, cav=CAV):
+    """Atoms at heights z_a, z_b with omega10 offset from the cavity's
+    omega_nu by the detuning [rad/s]."""
+    dip = (1.0e-29, 0.0, 0.0)
+    w = cav.omega_nu - detuning
+    return PlanarScenario(cavity=cav,
+                          atom_a=AtomSpec(position=(0.0, 0.0, z_a), omega10=w, dipole=dip),
+                          atom_b=AtomSpec(position=(0.0, 0.0, z_b), omega10=w, dipole=dip))
 
-    return fn
+
+def rabi_at(scn, z):
+    """Omega_R with atom A moved to height z."""
+    return scn.rabi((0.0, 0.0, z), scn.position_b)
 
 
 # --------------------------------------------------------------- arithmetic
@@ -196,73 +191,19 @@ def test_richardson_slope_exact_for_quartics_along_trailing_axes():
     assert np.all(err <= 1e-3 * np.abs(slope))
 
 
-def test_grad_rabi_linear_exact():
-    slope = 4.0e16
-    scn = ToyScenario(fn=lambda ra, rb: 1.0e10 + slope * ra[2], detuning=1e9)
-    g = grad_rabi(scn, "A")
-    assert isinstance(g, Gradient)
-    assert g.value[2] == pytest.approx(slope, rel=1e-12, abs=0.0)
-    assert abs(g.value[0]) < 1e-6 * slope and abs(g.value[1]) < 1e-6 * slope
-    # the same scenario seen from atom B has no dependence at all
-    gb = grad_rabi(scn, "B")
-    assert np.all(gb.value == 0.0)
-    # a named tuple: unpacks, indexes and prints its fields
-    value, error = g
-    assert value is g[0] is g.value and error == g[1] == g.error
-    assert Gradient._fields == ("value", "error") and repr(g).startswith("Gradient(value=")
-
-
-def test_grad_rabi_quadratic_exact():
-    d = 1.0e-6
-    scn = ToyScenario(fn=lambda ra, rb: 1.0e10 * (1.0 + (ra[2] / d) ** 2), detuning=1e9)
-    z = scn.position_a[2]
-    g = grad_rabi(scn, "A")
-    # no truncation error for a quadratic; what remains is subtraction
-    # round-off at the 1e-9 level for the default step
-    assert g.value[2] == pytest.approx(2.0e10 * z / d**2, rel=1e-8, abs=0.0)
-
-
-def test_grad_rabi_sinusoidal_vs_analytic():
-    amp, d = 3.0e10, 1.0e-6
-    scn = ToyScenario(fn=sinusoidal(amp, d), detuning=5.0e9)
-    for atom, zpos in (("A", scn.position_a[2]), ("B", scn.position_b[2])):
-        g = grad_rabi(scn, atom)
-        expect = amp * math.pi / d * math.cos(math.pi * zpos / d)
-        assert g.value[2] == pytest.approx(expect, rel=1e-6, abs=0.0)
-        assert g.error <= 1e-4 * (abs(expect) + amp / d)
-
-
-def test_grad_rabi_kink_raises():
-    # |sum of opposite-sign mode values| has a kink where the sum crosses
-    # zero with nonzero slope; evaluate a fraction of a step away from the
-    # crossing so the stencil straddles it asymmetrically
-    d = 1.0e-6
-
-    def fn(ra, rb):
-        return 2.0e10 * abs(
-            math.sin(2 * math.pi * ra[2] / d) + math.sin(2 * math.pi * rb[2] / d)
-        )
-
-    scn = ToyScenario(fn=fn, detuning=1e9, position_a=(0.0, 0.0, 0.2 * d + 1e-13),
-                      position_b=(0.0, 0.0, 0.7 * d))
-    with pytest.raises(QuadratureError):
-        grad_rabi(scn, "A")
-
-
 @pytest.mark.parametrize("z_b", [0.5, 0.3])
-def test_grad_rabi_is_exactly_zero_at_the_antinode(z_b):
-    # on the axis, at the nu = 1 antinode, the stencil's values cancel
-    # exactly: error 0 passes the kink check only against a positive
-    # reference scale, |grad| + |Omega_R| / length_scale
-    cav = PlanarCavity(d=1.0e-6, delta=1.0e-3, nu=1)
-    g = grad_rabi(PlanarScenario.resonant(cav, 0.5 * cav.d, z_b * cav.d), "A")
-    assert g.value.tolist() == [0.0, 0.0, 0.0] and g.error == 0.0
+def test_grad_rabi_at_the_antinode_is_zero_to_rounding(z_b):
+    # on the axis, at the nu = 1 antinode, the closed form's cos(nu pi z / d)
+    # is cos(fl(pi / 2)) = 6.1e-17, not 0, of the scale A nu pi / d
+    scn = PlanarScenario.resonant(CAV, 0.5 * CAV.d, z_b * CAV.d)
+    g = grad_rabi(scn, "A")
+    assert g[0] == g[1] == 0.0
+    assert abs(g[2]) <= 1e-16 * math.sqrt(scn.amp2) * math.pi / CAV.d
 
 
 def test_grad_rabi_selector_validation():
-    scn = ToyScenario(fn=sinusoidal())
     with pytest.raises(DomainError):
-        grad_rabi(scn, "C")
+        grad_rabi(scenario(), "C")
 
 
 # ------------------------------------------------------------------- forces
@@ -276,16 +217,13 @@ def test_force_theta_at_coupling_angle_is_eigenstate_force():
     # whose forces are -grad U+- = -+ d/dz of hbar Omega(z) / 2, differenced
     # on the composed potential
     for detuning in (7.0e9, 0.0):
-        scn = ToyScenario(fn=sinusoidal(), detuning=detuning)
+        scn = scenario(detuning)
 
         def upot(z, sgn):
-            trial = ToyScenario(fn=scn.fn, detuning=scn.detuning,
-                                position_a=(0.0, 0.0, z), position_b=scn.position_b)
-            omega_r = trial.rabi(trial.position_a, trial.position_b)
-            return potential_pm(math.hypot(omega_r, scn.detuning))[0 if sgn > 0 else 1]
+            return potential_pm(math.hypot(rabi_at(scn, z), scn.detuning))[0 if sgn > 0 else 1]
 
         z0 = scn.position_a[2]
-        h = 1e-4 * scn.length_scale
+        h = 1e-4 * CAV.d
         th = _theta_c(scn)
         for sgn, theta in ((+1, th), (-1, th + math.pi / 2.0)):
             fd = -(upot(z0 + h, sgn) - upot(z0 - h, sgn)) / (2.0 * h)
@@ -293,33 +231,25 @@ def test_force_theta_at_coupling_angle_is_eigenstate_force():
             assert got[2] == pytest.approx(fd, rel=1e-6, abs=0.0)
             assert got[0] == got[1] == 0.0
     # on resonance theta_c = pi/4, so they are -+ (hbar/2) grad Omega_R
-    g = grad_rabi(scn, "A").value
+    g = grad_rabi(scn, "A")
     assert _theta_c(scn) == pytest.approx(math.pi / 4.0, rel=1e-15, abs=0.0)
     assert np.allclose(force_theta(scn, math.pi / 4.0, "A"), -(HBAR_LIT / 2.0) * g, rtol=1e-12)
     assert np.allclose(force_theta(scn, 3.0 * math.pi / 4.0, "A"), (HBAR_LIT / 2.0) * g,
                        rtol=1e-12)
 
 
-def test_force_theta_constant_rabi_is_zero():
-    # a flat Omega_R has no kink to report and exerts no force in any state
-    scn = ToyScenario(fn=lambda ra, rb: 5.0e10, detuning=3.0e9)
-    th = _theta_c(scn)
-    for theta in (th, th + math.pi / 2.0, 0.7):
-        assert np.all(force_theta(scn, theta, "A") == 0.0)
-
-
 def test_force_theta_endpoint_zeros():
-    scn = ToyScenario(fn=sinusoidal(), detuning=4.0e9)
+    scn = scenario(4.0e9)
     for variant in ("corrected", "as-printed"):
         f0 = force_theta(scn, 0.0, "A", variant)
         f90 = force_theta(scn, math.pi / 2.0, "A", variant)
-        scale = HBAR_LIT * float(np.linalg.norm(grad_rabi(scn, "A").value))
+        scale = HBAR_LIT * float(np.linalg.norm(grad_rabi(scn, "A")))
         assert np.linalg.norm(f0) <= 1e-15 * scale
         assert np.linalg.norm(f90) <= 1e-12 * scale
 
 
 def test_force_theta_variants_coincide_on_resonance():
-    scn = ToyScenario(fn=sinusoidal(), detuning=0.0)
+    scn = scenario(0.0)
     th = 0.7
     assert np.allclose(
         force_theta(scn, th, "A", "corrected"),
@@ -333,16 +263,13 @@ def test_force_theta_variants_coincide_on_resonance():
 def test_force_theta_corrected_matches_potential_gradient():
     # theta fixed, theta_c varying with position: the corrected variant is
     # the exact -grad of potential_theta
-    scn = ToyScenario(fn=sinusoidal(), detuning=6.0e9)
+    scn = scenario(6.0e9)
 
     def utheta(z, th):
-        trial = ToyScenario(fn=scn.fn, detuning=scn.detuning,
-                            position_a=(0.0, 0.0, z), position_b=scn.position_b)
-        omega_r = trial.rabi(trial.position_a, trial.position_b)
-        return potential_theta(th, DressedSystem.from_coupling(omega_r, scn.detuning))
+        return potential_theta(th, DressedSystem.from_coupling(rabi_at(scn, z), scn.detuning))
 
     z0 = scn.position_a[2]
-    h = 1e-4 * scn.length_scale
+    h = 1e-4 * CAV.d
     for th in (0.3, 0.9, 1.4, 2.2):
         fd = -(utheta(z0 + h, th) - utheta(z0 - h, th)) / (2.0 * h)
         got = force_theta(scn, th, "A", "corrected")[2]
@@ -350,17 +277,41 @@ def test_force_theta_corrected_matches_potential_gradient():
 
 
 def test_force_theta_as_printed_ratio():
-    scn = ToyScenario(fn=sinusoidal(), detuning=6.0e9)
+    scn = scenario(6.0e9)
     omega_r = scn.rabi(scn.position_a, scn.position_b)
     s2 = math.sin(2.0 * coupling_angle(omega_r, scn.detuning))
     th = 1.1
     corrected = force_theta(scn, th, "A", "corrected")
     printed = force_theta(scn, th, "A", "as-printed")
     assert np.allclose(printed, corrected / s2, rtol=1e-12)
-    # singular when the coupling vanishes
-    degenerate = ToyScenario(fn=lambda ra, rb: 0.0, detuning=6.0e9)
+    # singular when the coupling vanishes: s_A = -1 and s_B = 1 at nu = 2
+    two = PlanarCavity(d=1.0e-6, delta=1.0e-3, nu=2)
+    degenerate = scenario(6.0e9, 0.75 * two.d, 0.25 * two.d, two)
+    assert degenerate.rabi(degenerate.position_a, degenerate.position_b) == 0.0
     with pytest.raises(DomainError):
         force_theta(degenerate, th, "A", "as-printed")
+
+
+def test_force_theta_at_the_kink_of_omega_r():
+    # at nu = 2, z_B = 0.7 d, s_A + s_B is exactly 0 at z_A = 0.2 d and
+    # crosses zero there with nonzero slope: Omega_R = A |s_A + s_B| has a
+    # kink. (At 3d/4, d/4 it does not, since s_A has zero slope there.)
+    two = PlanarCavity(d=1.0e-6, delta=1.0e-3, nu=2)
+    z_b, th = 0.7 * two.d, 1.1
+    node = scenario(5.0e9, 0.2 * two.d, z_b, two)
+    assert node.rabi(node.position_a, node.position_b) == 0.0
+    assert np.all(force_theta(node, th, "A", "corrected") == 0.0)
+    with pytest.raises(DomainError, match="Omega_R = 0"):
+        force_theta(node, th, "A", "as-printed")
+    z_a = 0.2 * two.d + 1e-13
+    beside = scenario(5.0e9, z_a, z_b, two)
+    omega_r = rabi_omega(beside, z_a, z_b)
+    assert omega_r > 0.0
+    for variant in ("corrected", "as-printed"):
+        got = force_theta(beside, th, "A", variant)
+        want = theta_force(th, rabi_gradient_a(beside, z_a, z_b), omega_r, beside.detuning,
+                           variant)
+        assert got[0] == got[1] == 0.0 and got[2] == want != 0.0, variant
 
 
 @pytest.mark.parametrize("ratio", [1e2, 1e4, 1e6, 1e8, -1e2, -1e4, -1e6, -1e8])
@@ -383,16 +334,15 @@ def test_theta_force_as_printed_ratio_is_exact_far_from_resonance(ratio):
 
 def test_gradient_identity_for_omega():
     # grad Omega = sin(2 theta_c) grad Omega_R wherever Omega_R > 0
-    scn = ToyScenario(fn=sinusoidal(), detuning=8.0e9)
+    scn = scenario(8.0e9)
     omega_r = scn.rabi(scn.position_a, scn.position_b)
     th = coupling_angle(omega_r, scn.detuning)
-    g = grad_rabi(scn, "A").value[2]
+    g = grad_rabi(scn, "A")[2]
     z0 = scn.position_a[2]
-    h = 1e-5 * scn.length_scale
+    h = 1e-5 * CAV.d
 
     def omega_at(z):
-        r = scn.rabi((0.0, 0.0, z), scn.position_b)
-        return math.hypot(r, scn.detuning)
+        return math.hypot(rabi_at(scn, z), scn.detuning)
 
     fd = (omega_at(z0 + h) - omega_at(z0 - h)) / (2.0 * h)
     assert fd == pytest.approx(math.sin(2.0 * th) * g, rel=1e-8, abs=0.0)
@@ -400,15 +350,15 @@ def test_gradient_identity_for_omega():
 
 def test_gradient_identity_for_theta_c():
     # grad theta_c = -cos^2(2 theta_c) grad Omega_R / (2 Delta)
-    scn = ToyScenario(fn=sinusoidal(), detuning=-9.0e9)
+    scn = scenario(-9.0e9)
     omega_r = scn.rabi(scn.position_a, scn.position_b)
     th = coupling_angle(omega_r, scn.detuning)
-    g = grad_rabi(scn, "A").value[2]
+    g = grad_rabi(scn, "A")[2]
     z0 = scn.position_a[2]
-    h = 1e-5 * scn.length_scale
+    h = 1e-5 * CAV.d
 
     def theta_at(z):
-        return coupling_angle(scn.rabi((0.0, 0.0, z), scn.position_b), scn.detuning)
+        return coupling_angle(rabi_at(scn, z), scn.detuning)
 
     fd = (theta_at(z0 + h) - theta_at(z0 - h)) / (2.0 * h)
     expect = -math.cos(2.0 * th) ** 2 * g / (2.0 * scn.detuning)

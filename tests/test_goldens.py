@@ -39,7 +39,7 @@ import pytest
 from cavityvdw import cli, greens
 from cavityvdw.cli import main, run
 from cavityvdw.config import RunConfig, load_config
-from cavityvdw.dressed import force_theta
+from cavityvdw.dressed import FD_STEP, richardson_slope, theta_force
 from cavityvdw.greens import PlanarCavity
 from cavityvdw.modecoupling import AtomSpec
 from cavityvdw.planarcavity import PlanarScenario
@@ -169,8 +169,12 @@ def test_analytic_force_matches_finite_difference_reference(config):
         if abs(np.sin(phase).sum()) < 0.05 or abs(np.cos(phase[0])) < 0.05:
             continue
         scn = PlanarScenario(cavity=cav, atom_a=atom(row["z_A"]), atom_b=atom(row["z_B"]))
+        z_a = scn.position_a[2]
+        grad, _ = richardson_slope(lambda dz: [scn.rabi((0.0, 0.0, z_a + t), scn.position_b)
+                                               for t in dz], FD_STEP * (cav.d / cav.nu))
+        omega_r = scn.rabi(scn.position_a, scn.position_b)
         for variant in ("corrected", "as-printed"):
-            ref = force_theta(scn, cfg.theta, "A", variant)[2]
+            ref = theta_force(cfg.theta, grad, omega_r, scn.detuning, variant)
             col = "f_theta_corrected_z" if variant == "corrected" else "f_theta_as_printed_z"
             assert row[col] == pytest.approx(ref, rel=1e-8, abs=0.0), (variant, row)
         checked += 1
