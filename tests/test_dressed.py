@@ -9,6 +9,7 @@ from cavityvdw.greens import PlanarCavity
 from cavityvdw.modecoupling import AtomSpec
 from cavityvdw.planarcavity import PlanarScenario, rabi_gradient_a, rabi_omega
 from cavityvdw.dressed import (
+    FD_STEP,
     DressedSystem,
     coupling_angle,
     eigenenergies,
@@ -191,6 +192,65 @@ def test_richardson_slope_exact_for_quartics_along_trailing_axes():
     assert np.all(err <= 1e-3 * np.abs(slope))
 
 
+def test_richardson_slope_linear_exact():
+    # a line has no truncation error at any level, so the refined and the
+    # half-step slopes agree to rounding
+    slope, err = richardson_slope(lambda dz: 1.0e10 + 4.0e16 * (0.3e-6 + dz), 1.0e-10)
+    assert slope == pytest.approx(4.0e16, rel=1e-6, abs=0.0)
+    assert err <= 1e-6 * 4.0e16
+
+
+def test_richardson_slope_sinusoid_error_estimate_bounds_the_miss():
+    # |refined - half-step| is the half-step slope's error, which exceeds
+    # the refined slope's by (k h)^2: the estimate is a bound, not a guess
+    k = math.pi / 1.0e-6
+    for z in (0.1e-6, 0.3e-6, 0.45e-6):
+        slope, err = richardson_slope(lambda dz: np.sin(k * (z + dz)), 1.0e-2 / k)
+        expect = k * math.cos(k * z)
+        assert slope == pytest.approx(expect, rel=1e-8, abs=0.0)
+        assert 0.0 < abs(slope - expect) <= err <= 1e-4 * k
+
+
+def test_richardson_slope_error_estimate_flags_a_kink():
+    # straddling |x|'s kink asymmetrically the two levels disagree by a
+    # fraction of the one-sided slopes, not by a (k h)^2 truncation
+    slope, err = richardson_slope(lambda dz: np.abs(0.3e-4 + dz), 1.0e-4)
+    assert err > 0.1
+
+
+@pytest.mark.parametrize("atom", ["A", "B"])
+def test_grad_rabi_matches_the_finite_difference_of_either_height(atom):
+    # the closed form against the reference along the selected atom's
+    # height, at a detuned nu = 3 pair where both mode values are nonzero
+    three = PlanarCavity(d=1.0e-6, delta=1.0e-3, nu=3)
+    scn = scenario(5.0e9, 0.21e-6, 0.58e-6, three)
+    idx = 0 if atom == "A" else 1
+
+    def omega_r(dz):
+        z = [scn.position_a[2], scn.position_b[2]]
+        z[idx] = z[idx] + dz
+        return rabi_omega(scn, *z)
+
+    fd, _ = richardson_slope(omega_r, FD_STEP * three.d / three.nu)
+    g = grad_rabi(scn, atom)
+    assert g[0] == g[1] == 0.0
+    assert g[2] == pytest.approx(fd, rel=1e-10, abs=0.0)
+
+
+def test_grad_rabi_at_the_kink_is_zero_between_opposite_one_sided_slopes():
+    # nu = 2, z_B = 0.7 d: s_A + s_B crosses 0 at z_A = 0.2 d, where
+    # Omega_R = A |s_A + s_B| has no derivative; the closed form gives 0
+    # there and +-A (nu pi / d) cos(nu pi z_A / d) on either side
+    two = PlanarCavity(d=1.0e-6, delta=1.0e-3, nu=2)
+    z0, z_b = 0.2 * two.d, 0.7 * two.d
+    assert grad_rabi(scenario(5.0e9, z0, z_b, two), "A").tolist() == [0.0, 0.0, 0.0]
+    k = 2.0 * math.pi / two.d
+    for dz, sign in ((-1e-13, -1.0), (1e-13, 1.0)):
+        scn = scenario(5.0e9, z0 + dz, z_b, two)
+        slope = sign * math.sqrt(scn.amp2) * k * abs(math.cos(k * (z0 + dz)))
+        assert grad_rabi(scn, "A")[2] == pytest.approx(slope, rel=1e-12, abs=0.0), dz
+
+
 @pytest.mark.parametrize("z_b", [0.5, 0.3])
 def test_grad_rabi_at_the_antinode_is_zero_to_rounding(z_b):
     # on the axis, at the nu = 1 antinode, the closed form's cos(nu pi z / d)
@@ -199,6 +259,19 @@ def test_grad_rabi_at_the_antinode_is_zero_to_rounding(z_b):
     g = grad_rabi(scn, "A")
     assert g[0] == g[1] == 0.0
     assert abs(g[2]) <= 1e-16 * math.sqrt(scn.amp2) * math.pi / CAV.d
+
+
+def test_force_theta_vanishes_where_omega_r_is_flat():
+    # at the nu = 1 antinode grad Omega_R is 0 up to cos(fl(pi / 2)), so no
+    # state theta exerts more than that rounding's share of a force
+    scn = scenario(3.0e9, 0.5 * CAV.d, 0.3 * CAV.d)
+    scale = HBAR_LIT / 2.0 * math.sqrt(scn.amp2) * math.pi / CAV.d
+    th = _theta_c(scn)
+    for theta in (th, th + math.pi / 2.0, 0.7):
+        for variant in ("corrected", "as-printed"):
+            f = force_theta(scn, theta, "A", variant)
+            assert f[0] == f[1] == 0.0
+            assert abs(f[2]) <= 1e-16 * scale / math.sin(2.0 * th), (theta, variant)
 
 
 def test_grad_rabi_selector_validation():

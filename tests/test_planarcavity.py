@@ -285,6 +285,26 @@ def test_rabi_protocol_consistent_with_contributions():
     assert omega_r**2 == pytest.approx(rabi_contributions(scn).omega2_total, rel=1e-13, abs=0.0)
 
 
+def test_grad_rabi_matches_analytic_gradient_near_mirrors():
+    # the closed form against the finite-difference reference where the
+    # mode function is small and steep (z_A within 0.001 d of a mirror)
+    cav = PlanarCavity(d=1.0e-6, delta=1.0e-3, nu=1)
+    dip = (1.0e-29, 0.0, 0.0)
+    w = cav.omega_nu + 2.0e10
+
+    def atom(z):
+        return AtomSpec(position=(0.0, 0.0, z), omega10=w, dipole=dip)
+
+    for frac in (0.001, 0.01, 0.999):
+        scn = PlanarScenario(cavity=cav, atom_a=atom(frac * cav.d), atom_b=atom(0.3 * cav.d))
+        assert scn.detuning == pytest.approx(-2.0e10, rel=1e-3, abs=0.0)
+        expect, _ = richardson_slope(lambda dz: rabi_omega(scn, frac * cav.d + dz, 0.3 * cav.d),
+                                     FD_STEP * cav.d)
+        got = grad_rabi(scn, "A")[2]
+        assert got == rabi_gradient_a(scn, frac * cav.d, 0.3 * cav.d)
+        assert got == pytest.approx(expect, rel=1e-10, abs=0.0), frac
+
+
 # force_theta on the analytic gradient against a finite difference of
 # Omega_R, relative to the largest gradient A nu pi / d. The reference steps
 # by FD_STEP d / nu, so its Richardson truncation stays ~1e-17; what grows
