@@ -1,106 +1,45 @@
 """Two correlated atoms in a cavity: Green's tensors, mode couplings,
 dressed-state energetics and van der Waals forces, with a deterministic
-CLI for tabular sweeps."""
+CLI for tabular sweeps.
 
-from .config import RunConfig, load_config
-from .constants import C, EPS0, HBAR, MU0
-from .dressed import (
-    DressedSystem,
-    coupling_angle,
-    eigenenergies,
-    force_theta,
-    grad_rabi,
-    potential_pm,
-    potential_theta,
-)
-from .errors import ConfigError, DomainError, FitError, QuadratureError
-from .greens import (
-    ComplexDyad,
-    FreeSpaceGreens,
-    PlanarCavity,
-    PlanarCavityGreens,
-    QuadratureControl,
-    SpectralFunction,
-    free_space_green,
-    free_space_im_green_coincident,
-    kk_real_from_imag,
-    planar_cavity_green,
-    planar_resonant_im_gxx,
-    planar_scattering_components,
-)
-from .modecoupling import (
-    AtomSpec,
-    LorentzianFit,
-    ModeModel,
-    coupling_strength_sq,
-    fit_lorentzian,
-    lorentzian_profile,
-    mode_norm,
-    mode_overlap,
-)
-from .planarcavity import (
-    PlanarScenario,
-    RabiBreakdown,
-    free_decay_rate,
-    rabi_contributions,
-    scan_rabi,
-)
-from .tabular import Table
-from .weakfield import (
-    ResonantPotentialBreakdown,
-    free_space_resonant_potential,
-    narrow_mode_real_contraction,
-    resonant_potential,
-    weak_limit_potentials,
-)
+Each public name imports its module on first access (PEP 562), so
+`import cavityvdw` loads no submodule, and a process loads only the
+modules of the names it uses."""
 
-__all__ = [
-    "AtomSpec",
-    "C",
-    "ComplexDyad",
-    "ConfigError",
-    "DomainError",
-    "DressedSystem",
-    "EPS0",
-    "FitError",
-    "FreeSpaceGreens",
-    "HBAR",
-    "LorentzianFit",
-    "MU0",
-    "ModeModel",
-    "PlanarCavity",
-    "PlanarCavityGreens",
-    "PlanarScenario",
-    "QuadratureControl",
-    "QuadratureError",
-    "RabiBreakdown",
-    "ResonantPotentialBreakdown",
-    "RunConfig",
-    "SpectralFunction",
-    "Table",
-    "coupling_angle",
-    "coupling_strength_sq",
-    "eigenenergies",
-    "fit_lorentzian",
-    "force_theta",
-    "free_decay_rate",
-    "free_space_green",
-    "free_space_im_green_coincident",
-    "free_space_resonant_potential",
-    "grad_rabi",
-    "kk_real_from_imag",
-    "load_config",
-    "lorentzian_profile",
-    "mode_norm",
-    "mode_overlap",
-    "narrow_mode_real_contraction",
-    "planar_cavity_green",
-    "planar_resonant_im_gxx",
-    "planar_scattering_components",
-    "potential_pm",
-    "potential_theta",
-    "rabi_contributions",
-    "resonant_potential",
-    "scan_rabi",
-    "weak_limit_potentials",
-]
+import importlib
+
+# the module of every public name
+_MODULES = {
+    "config": ("RunConfig", "load_config"),
+    "constants": ("C", "EPS0", "HBAR", "MU0"),
+    "dressed": ("DressedSystem", "coupling_angle", "eigenenergies", "force_theta", "grad_rabi",
+                "potential_pm", "potential_theta"),
+    "errors": ("ConfigError", "DomainError", "FitError", "QuadratureError"),
+    "greens": ("ComplexDyad", "FreeSpaceGreens", "PlanarCavityGreens", "free_space_green",
+               "free_space_im_green_coincident", "planar_cavity_green", "planar_resonant_im_gxx",
+               "planar_scattering_components"),
+    "modecoupling": ("LorentzianFit", "ModeModel", "coupling_strength_sq", "fit_lorentzian",
+                     "mode_norm", "mode_overlap"),
+    "planarcavity": ("AtomSpec", "PlanarCavity", "PlanarScenario", "RabiBreakdown",
+                     "free_decay_rate", "rabi_contributions", "scan_rabi"),
+    "quadrature": ("QuadratureControl", "SpectralFunction", "kk_real_from_imag"),
+    "tabular": ("Table",),
+    "weakfield": ("ResonantPotentialBreakdown", "free_space_resonant_potential",
+                  "lorentzian_profile", "narrow_mode_real_contraction", "resonant_potential",
+                  "weak_limit_potentials"),
+}
+_HOME = {name: module for module, names in _MODULES.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -35,9 +35,9 @@ from .dressed import (
     theta_force,
 )
 from .errors import ConfigError, DomainError, FitError, QuadratureError
-from .greens import FreeSpaceGreens, PlanarCavity, QuadratureControl, kk_real_from_imag
-from .modecoupling import AtomSpec
 from .planarcavity import (
+    AtomSpec,
+    PlanarCavity,
     PlanarScenario,
     free_decay_rate,
     rabi_gradient_a,
@@ -45,6 +45,7 @@ from .planarcavity import (
     scan_rabi,
     sweep_positions,
 )
+from .quadrature import QuadratureControl, kk_real_from_imag
 from .record import Record
 from .tabular import Table, with_dimless
 from .weakfield import (
@@ -266,6 +267,9 @@ _FORCE_DRAW_HIGH = (0.95, 0.95, 3.0, 1.45, 1.0)
 
 
 def _mode_xcheck(cfg: RunConfig) -> tuple[Table, dict, int]:
+    # the one mode that evaluates a Green's tensor: no other loads greens
+    from .greens import FreeSpaceGreens
+
     rng = np.random.default_rng(cfg.seed)
     if cfg.scenario == "planar":
         cav = _cavity(cfg)

@@ -63,33 +63,25 @@ real k_par axis (Michalski and Mosig, IEEE Trans. Antennas Propag. 45, 508
   below e^{-45}; in decades up to it no panel is wider than the near field
   of points close to a mirror, which peaks at y ~ 1/s.
 
-The path runs on one numpy engine of adaptive panels, which the
-principal-value transform kk_real_from_imag shares, each on its own rule:
-the cavity on 41-node Gauss-Kronrod panels (K41, the extension of the
-20-node Gauss-Legendre rule G20), the transform on G20 panels checked
-against their halves.
+The path runs on the adaptive panel engine of quadrature, which the
+principal-value transform kk_real_from_imag shares, on 41-node
+Gauss-Kronrod panels (K41, the extension of the 20-node Gauss-Legendre
+rule G20), where the transform's rule is G20 checked against halves.
 
 - The integrand is vector-valued: one evaluation on an array of nodes
   gives both complex components, (T, L) (T transverse, L longitudinal).
-- The principal-value transform grades its edges in half decades,
-  +-{1, 3, 10, ..., 3e4} x its smallest breakpoint gap. The edges are a few
-  dozen points, so they are built and sorted as Python floats, by the same
-  IEEE operations as an array expression.
-- A cavity panel's value is its K41 sum and its error |K41 - G20|, summed
-  over components: the G20 sum is that of the odd-indexed K41 nodes, so
-  one call of the integrand on 41 nodes gives both, where a G20 panel
-  checked against its halves costs 60. The error is at least 50 eps |K41|,
+- A panel's value is its K41 sum and its error |K41 - G20|, summed over
+  components: the G20 sum is that of the odd-indexed K41 nodes, so one
+  call of the integrand on 41 nodes gives both, where a G20 panel checked
+  against its halves costs 60. The error is at least 50 eps |K41|,
   QUADPACK's qk41 round-off floor with |K41| for Sum |w_i f_i| (the
   factors' phases are constant along the path; summed over a call, the two
   differ by at most a factor 1.3 in 300 random calls), so that a target
-  float64 cannot hold raises. A transform panel's value is the sum
-  of its halves' G20 sums and its error |panel - its two halves|. While the
-  summed error exceeds its budget (for the cavity rel_tol times the larger
-  of |T|, |L| and the free-space floor k/6 pi), every panel whose error
-  exceeds budget/n_panels is halved, with at most _QUAD_LIMIT halvings in
-  all. Each level is one call of the integrand: the first on the initial
-  panels, each later one on the halves of the panels being split, which get
-  41 fresh nodes each on K41 and 60 on G20.
+  float64 cannot hold raises.
+- The budget is rel_tol times the larger of |T|, |L| and the free-space
+  floor k/6 pi. Each level is one call of the integrand: the first on the
+  initial panels, each later one on the halves of the panels the engine
+  splits, which get 41 fresh nodes each.
 
 The integrand depends on the points only through z + z' and |z - z'|, so
 the tensor is reciprocal bit for bit.
@@ -112,14 +104,26 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .constants import C
 from .errors import DomainError, QuadratureError, require
-from .modecoupling import lorentzian_profile
+from .planarcavity import PlanarCavity
+from .quadrature import (
+    _DEFAULT_CONTROL,
+    _GL_WEIGHTS,
+    QuadratureControl,
+    # not used here: greens.SpectralFunction resolves as it did before
+    # quadrature held it, and perfbench/tracer.py wraps
+    # greens.kk_real_from_imag by name
+    SpectralFunction,  # noqa: F401
+    _refine,
+    kk_real_from_imag,  # noqa: F401
+)
 from .record import Record
+from .weakfield import lorentzian_profile
 
 _AXES = {"x": 0, "y": 1, "z": 2}
 
@@ -160,85 +164,8 @@ class ComplexDyad(Record):
         return self.matrix.real.copy()
 
 
-class PlanarCavity(Record):
-    """Symmetric planar cavity: plate separation d, reflectivity deviation
-    delta (r_p = -r_s = 1 - delta, always derived), mode index nu."""
-
-    d: float
-    delta: float
-    nu: int = 1
-
-    def __post_init__(self):
-        # an infinite d has no modes
-        require("plate separation", "d", self.d, "positive")
-        # model validity: almost perfectly reflecting plates
-        require("reflectivity deviation", "delta", self.delta, (0.0, 0.1))
-        if int(require("mode index", "nu", self.nu)) != self.nu or self.nu < 1:
-            raise DomainError(f"mode index must be an integer >= 1, got nu={self.nu}")
-        object.__setattr__(self, "nu", int(self.nu))
-
-    @property
-    def r_s(self) -> float:
-        return -(1.0 - self.delta)
-
-    @property
-    def r_p(self) -> float:
-        return 1.0 - self.delta
-
-    @property
-    def omega_nu(self) -> float:
-        """Resonance angular frequency nu pi c / d [rad/s]."""
-        return self.nu * math.pi * C / self.d
-
-    @property
-    def gamma_nu(self) -> float:
-        """Mode width 2 c delta / d [rad/s]."""
-        return 2.0 * C * self.delta / self.d
-
-
-# panel halvings allowed to each adaptive quadrature
-_QUAD_LIMIT = 800
 # detunings, in mode widths, over which the single-mode model is declared
 _SINGLE_MODE_WINDOW = 1e3
-
-
-class QuadratureControl(Record):
-    """Adaptive-quadrature budget: the relative error target."""
-
-    rel_tol: float = 1e-8
-
-    def __post_init__(self):
-        # an infinite rel_tol would accept any first level unchecked
-        require("relative error target", "rel_tol", self.rel_tol, "positive")
-
-
-_DEFAULT_CONTROL = QuadratureControl()
-
-
-class SpectralFunction(Record):
-    """Real-valued function of angular frequency for principal-value
-    transforms.
-
-    func is called on numpy arrays of quadrature nodes and must return an
-    array of the same shape, or a constant, which is broadcast.
-    support is the caller-declared window containing all non-negligible mass
-    (the integrable-decay statement). hint_points are interior sharp
-    features (for example a narrow peak) passed to the quadrature.
-    """
-
-    func: Callable[[np.ndarray], np.ndarray | float]
-    support: tuple[float, float]
-    hint_points: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        # the panels need a finite window
-        lo, hi = require("support window", "support", self.support)
-        if not lo < hi:
-            raise DomainError(f"support must be a window lo < hi, got support=({lo}, {hi})")
-        require("hint point", "hint_points", self.hint_points)
-
-    def __call__(self, omega: float) -> float:
-        return float(self.func(omega))
 
 
 def _free_space_terms(k: float, rn: float) -> tuple[complex, complex, complex]:
@@ -286,36 +213,9 @@ def quad(f, a, b, **kwargs):
     return scipy_quad(f, a, b, **kwargs)
 
 
-# adaptive panel engine shared by the cavity tensor and the principal-value
-# transform, on G20 panels checked against their halves or on G20/K41
-# panels: initial panel edges graded away from each sharp feature at a
-# grading times the feature's width, in half decades on both sides for the
-# transform and in decades on one side for the cavity
-_HALF_DECADES = tuple(sign * g for sign in (-1.0, 1.0)
-                      for g in (1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1.0e3, 3.0e3, 1.0e4, 3.0e4))
-
-
-# the 20-node Gauss-Legendre rule on [-1, 1], bit for bit
-# numpy.polynomial.legendre.leggauss(20); written out because importing
-# numpy.polynomial costs every CLI process milliseconds. Read-only, as every
-# quadrature shares them.
-_GL_NODES = np.array([
-    -0.993128599185095, -0.9639719272779138, -0.912234428251326, -0.8391169718222188,
-    -0.7463319064601508, -0.636053680726515, -0.5108670019508271, -0.37370608871541955,
-    -0.22778585114164507, -0.07652652113349734, 0.07652652113349734, 0.22778585114164507,
-    0.37370608871541955, 0.5108670019508271, 0.636053680726515, 0.7463319064601508,
-    0.8391169718222188, 0.912234428251326, 0.9639719272779138, 0.993128599185095])
-_GL_WEIGHTS = np.array([
-    0.017614007139150893, 0.040601429800386446, 0.06267204833410879, 0.08327674157670471,
-    0.1019301198172407, 0.1181945319615186, 0.1316886384491769, 0.1420961093183824,
-    0.14917298647260424, 0.15275338713072628, 0.15275338713072628, 0.14917298647260424,
-    0.1420961093183824, 0.1316886384491769, 0.1181945319615186, 0.1019301198172407,
-    0.08327674157670471, 0.06267204833410879, 0.040601429800386446, 0.017614007139150893])
-_GL_NODES.flags.writeable = _GL_WEIGHTS.flags.writeable = False
-
-# its 41-node Gauss-Kronrod extension on [-1, 1] (Laurie, Math. Comp. 66,
-# 1133 (1997); QUADPACK's qk41), nodes ascending, the odd-indexed ones the
-# 20 Gauss nodes; exact for polynomials of degree 61. Computed once with
+# the 41-node Gauss-Kronrod extension of quadrature's G20 rule on [-1, 1]
+# (Laurie, Math. Comp. 66, 1133 (1997); QUADPACK's qk41), nodes ascending,
+# the odd-indexed ones the 20 Gauss nodes; exact for polynomials of degree 61. Computed once with
 # mpmath at 60 digits and rounded to nearest: the other 21 nodes are the
 # roots of the Stieltjes polynomial E_21 = P_21 + sum_{odd j < 21} c_j P_j,
 # with the c_j making E_21 P_20 orthogonal to P_k for every odd k < 20, one
@@ -352,31 +252,6 @@ _K41_RULE[1::2, 1] -= _GL_WEIGHTS
 _K41_NODES.flags.writeable = _K41_WEIGHTS.flags.writeable = _K41_RULE.flags.writeable = False
 
 
-def _panel_edges(lo, hi, features, width, grading, fixed=()):
-    """Sorted distinct panel edges on [lo, hi]: the ends, the fixed points,
-    and each feature point flanked at grading * width."""
-    steps = [width * s for s in grading]
-    edges = {lo, hi, *fixed, *features}
-    edges.update([f + step for f in features for step in steps])
-    return np.array(sorted([e for e in edges if lo <= e <= hi]), dtype=float)
-
-
-def _halving_rule(g, a, b):
-    """G20 panels checked against their halves: a panel's value is the sum
-    of its two halves' G20 sums and its error |whole - two halves| summed
-    over components, whole being the panel's own G20 sum; all three come
-    from one call of g on the 60 nodes of every panel. Returns (values,
-    errors)."""
-    n = a.size
-    mid = 0.5 * (a + b)
-    lo, hi = np.concatenate((a, a, mid)), np.concatenate((b, mid, b))
-    half = 0.5 * (hi - lo)
-    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_NODES
-    sums = np.atleast_2d(half * (g(nodes) @ _GL_WEIGHTS))
-    whole, left, right = sums[:, :n], sums[:, n:2 * n], sums[:, 2 * n:]
-    return left + right, abs(whole - left - right).sum(axis=0)
-
-
 class _Panels:
     """Initial G20/K41 panels laid out once: their edges, half-widths and
     K41 nodes (panels x 41)."""
@@ -409,51 +284,14 @@ def _kronrod_rule(g, a, b):
     return _kronrod_sums(g(nodes), half)
 
 
-def _adaptive_quadrature(g, edges, budget, rule):
-    """Adaptive quadrature of a vector-valued integrand over the panels
-    between consecutive edges, on _halving_rule or _kronrod_rule.
-
-    g maps an array of nodes to the integrand's components stacked along a
-    new first axis (or, on _halving_rule, to a single component of the
-    nodes' shape). rule(g, a, b) gives the values (components x panels) and
-    errors of the panels [a_i, b_i] from one call of g. While the summed
-    error exceeds budget(values), every panel whose error exceeds
-    budget / n_panels is halved, with at most _QUAD_LIMIT halvings in all;
-    the halves of the split panels, placed after the kept panels, are the
-    next level's one call of rule.
-
-    edges may instead be _Panels, initial G20/K41 panels with their nodes
-    laid out (rule is then _kronrod_rule): the first level calls g on those
-    very nodes, and only the halves of split panels get nodes of their own.
-
-    Returns (values, error): the final panel values and the summed error.
-    """
-    if isinstance(edges, _Panels):
-        values, error = _kronrod_sums(g(edges.nodes), edges.half)
-        edges = edges.edges
-    else:
-        values, error = rule(g, edges[:-1], edges[1:])
-    a, b = edges[:-1], edges[1:]
-    splits = 0
-    while True:
-        target = budget(values)
-        total = math.fsum(error.tolist())
-        if not total > target:
-            return values, total
-        split = error > target / error.size
-        n_split = int(np.count_nonzero(split))
-        if splits + n_split > _QUAD_LIMIT:
-            return values, total
-        splits += n_split
-        keep = ~split
-        mid = 0.5 * (a[split] + b[split])
-        new_a = np.concatenate((a[split], mid))
-        new_b = np.concatenate((mid, b[split]))
-        new_values, new_error = rule(g, new_a, new_b)
-        a = np.concatenate((a[keep], new_a))
-        b = np.concatenate((b[keep], new_b))
-        values = np.concatenate((values[:, keep], new_values), axis=1)
-        error = np.concatenate((error[keep], new_error))
+def _adaptive_quadrature(g, panels, budget, rule):
+    """The panel engine on the contour's initial _Panels, on rule =
+    _kronrod_rule: the first level is the K41 sums of g on the laid-out
+    nodes, and quadrature._refine splits from there, so only the halves of
+    split panels get nodes of their own. Returns (values, error), the final
+    panel values and the summed error."""
+    values, error = _kronrod_sums(g(panels.nodes), panels.half)
+    return _refine(g, panels.edges, values, error, budget, rule)
 
 
 # contour layouts _contour_layout keeps, ~20 KB each: a spectrum at fixed
@@ -629,62 +467,6 @@ def planar_resonant_im_gxx(
         cav.nu * math.pi * z_a / d
     ) * math.sin(cav.nu * math.pi * z_b / d)
     return float(lorentzian_profile(peak, om_nu, gam, omega))
-
-
-def kk_real_from_imag(
-    f: SpectralFunction,
-    omega: float,
-    control: QuadratureControl | None = None,
-) -> float:
-    """Principal-value transform P Int f(w') / (w' - omega) dw' over the
-    declared support window, via symmetric-interval pole subtraction.
-
-    Adaptive 20-node Gauss-Legendre panels checked against their halves, on
-    the engine the cavity tensor shares with its own rule: breakpoints at
-    the support ends, omega and the hint points, graded geometrically away
-    from the interior ones in units of the smallest breakpoint gap; the
-    error budget is rel_tol * (|total| + sum of |panel values|).
-
-    Note the bare integral is returned; dispersion-relation callers supply
-    their own 1/pi prefactor.
-    """
-    control = control or _DEFAULT_CONTROL
-    require("angular frequency", "omega", omega)
-    lo, hi = f.support
-    radius = f0 = 0.0
-    if lo < omega < hi:
-        radius = min(omega - lo, hi - omega)
-        f0 = f(omega)
-
-    def g(w):
-        fw = np.asarray(f.func(w), dtype=float)
-        dw = w - omega
-        # np.where broadcasts a constant fw to the nodes' shape
-        num = np.where(np.abs(dw) < radius, fw - f0, fw)
-        # omega itself is a removable point of the subtracted integrand
-        return np.divide(num, dw, out=np.zeros_like(num), where=dw != 0.0)
-
-    inner = [p for p in (omega, *f.hint_points) if lo < p < hi]
-    points = sorted([lo, hi, *inner])
-    gap = min([q - p for p, q in zip(points, points[1:]) if q > p])
-    # the integrand jumps by f0 / radius at the ends of the subtracted interval
-    edges = _panel_edges(lo, hi, inner, gap, _HALF_DECADES, fixed=(omega - radius, omega + radius))
-    values, err = _adaptive_quadrature(
-        g, edges, lambda v: control.rel_tol * (abs(v.sum()) + np.abs(v).sum()), _halving_rule)
-    total = math.fsum(values[0].tolist())
-    ref = math.fsum(np.abs(values[0]).tolist())
-    # reference scale: panel L1 magnitudes guard against cancellation to ~0
-    # (odd integrands); a tiny absolute floor guards the exactly-zero case
-    bound = 10.0 * control.rel_tol * (abs(total) + ref) + 1e-15 * (1.0 + ref)
-    if not err <= bound:
-        raise QuadratureError(
-            f"principal-value quadrature did not converge: achieved {err:.3e}, "
-            f"target {bound:.3e}",
-            achieved=err,
-            target=bound,
-            value=total,
-        )
-    return total
 
 
 class FreeSpaceGreens:

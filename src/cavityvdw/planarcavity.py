@@ -1,6 +1,6 @@
-"""Two atoms on the axis of a planar cavity: derived cavity rates, the
-position-dependent Rabi frequency, its squared contributions and gradient,
-and sweep tables.
+"""Two atoms on the axis of a planar cavity: the cavity and its derived
+rates, the two-level atom, the position-dependent Rabi frequency, its
+squared contributions and gradient, and sweep tables.
 
 At exact resonance (omega10 = omega_nu) the squared Rabi frequency has the
 mode-product closed form
@@ -28,13 +28,72 @@ import numpy as np
 
 from .constants import C, EPS0, HBAR
 from .errors import DomainError, require
-from .greens import PlanarCavity
-from .modecoupling import AtomSpec
 from .record import Record
 from .tabular import Table, with_dimless
 
 _EDGE = 1e-6  # interior clamp, fraction of d
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+class PlanarCavity(Record):
+    """Symmetric planar cavity: plate separation d, reflectivity deviation
+    delta (r_p = -r_s = 1 - delta, always derived), mode index nu."""
+
+    d: float
+    delta: float
+    nu: int = 1
+
+    def __post_init__(self):
+        # an infinite d has no modes
+        require("plate separation", "d", self.d, "positive")
+        # model validity: almost perfectly reflecting plates
+        require("reflectivity deviation", "delta", self.delta, (0.0, 0.1))
+        if int(require("mode index", "nu", self.nu)) != self.nu or self.nu < 1:
+            raise DomainError(f"mode index must be an integer >= 1, got nu={self.nu}")
+        object.__setattr__(self, "nu", int(self.nu))
+
+    @property
+    def r_s(self) -> float:
+        return -(1.0 - self.delta)
+
+    @property
+    def r_p(self) -> float:
+        return 1.0 - self.delta
+
+    @property
+    def omega_nu(self) -> float:
+        """Resonance angular frequency nu pi c / d [rad/s]."""
+        return self.nu * math.pi * C / self.d
+
+    @property
+    def gamma_nu(self) -> float:
+        """Mode width 2 c delta / d [rad/s]."""
+        return 2.0 * C * self.delta / self.d
+
+
+class AtomSpec(Record):
+    """Two-level atom: position [m], transition angular frequency
+    omega10 [rad/s], real dipole vector [C m]."""
+
+    position: tuple[float, float, float]
+    omega10: float
+    dipole: tuple[float, float, float]
+
+    def __post_init__(self):
+        pos = np.asarray(self.position, dtype=float)
+        dip = np.asarray(self.dipole, dtype=float)
+        if pos.shape != (3,) or dip.shape != (3,):
+            raise DomainError("position and dipole must be 3-vectors")
+        require("atom position", "position", pos)
+        require("transition frequency", "omega10", self.omega10, "positive")
+        if not float(np.linalg.norm(require("dipole vector", "dipole", dip))) > 0.0:
+            raise DomainError(f"dipole vector must be nonzero, got dipole={self.dipole}")
+        object.__setattr__(self, "position", tuple(float(v) for v in pos))
+        object.__setattr__(self, "dipole", tuple(float(v) for v in dip))
+
+    @property
+    def dipole_norm(self) -> float:
+        return float(np.linalg.norm(self.dipole))
 
 
 def free_decay_rate(omega10: float, dipole_norm: float) -> float:

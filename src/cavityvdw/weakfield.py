@@ -1,6 +1,7 @@
 """Perturbative (weak-coupling) resonant potentials: the Green's-tensor
 contraction route, its free-space closed form, and the narrow-mode limits
-that the dressed-state ladder must reproduce far from resonance.
+that the dressed-state ladder must reproduce far from resonance, with the
+Lorentzian line profile they rest on.
 
 Conventions: the excited-state resonant potential splits into two
 single-atom terms weighted -1/2 and an interaction term weighted -1, each a
@@ -17,19 +18,23 @@ returns the bare integral, larger by pi.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .constants import EPS0, HBAR, MU0
 from .errors import DomainError, require
-from .greens import (
-    ComplexDyad,
+from .planarcavity import AtomSpec
+from .quadrature import (
     SpectralFunction,
     # not called here; perfbench/tracer.py wraps weakfield.kk_real_from_imag by name
     kk_real_from_imag,  # noqa: F401
 )
-from .modecoupling import AtomSpec, lorentzian_profile
 from .record import Record
+
+if TYPE_CHECKING:
+    # an annotation only: the closed-form routes load no Green's tensors
+    from .greens import ComplexDyad
 
 _REAL_OK = ("full", "scattering-only")
 
@@ -123,6 +128,16 @@ def weak_limit_potentials(gamma_nu: float, mode_norm: float, detuning):
         raise DomainError("weak-coupling limit is undefined on resonance (Delta = 0)")
     u = HBAR * gamma_nu * math.pi * mode_norm / (4.0 * detuning)
     return (u, -u)
+
+
+def lorentzian_profile(peak: float, omega_nu: float, gamma_nu: float, omega) -> float:
+    """peak * (gamma^2/4) / ((omega - omega_nu)^2 + gamma^2/4)."""
+    require("peak value", "peak", peak)
+    require("line centre", "omega_nu", omega_nu)
+    require("line width", "gamma_nu", gamma_nu, "positive")
+    require("angular frequency", "omega", omega)
+    quarter = gamma_nu**2 / 4.0
+    return peak * quarter / ((np.asarray(omega, dtype=float) - omega_nu) ** 2 + quarter)
 
 
 def narrow_mode_real_contraction(

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavityvdw import cli, greens
+from cavityvdw import cli, quadrature
 from cavityvdw.cli import main, run
 from cavityvdw.config import RunConfig, load_config
 from cavityvdw.dressed import FD_STEP, richardson_slope, theta_force
@@ -131,7 +131,7 @@ def test_tight_quadrature_golden_splits_panels(tmp_path, monkeypatch):
     # the config is the shipped route through the engine's split loop: at
     # the default target every transform converges on its initial panels
     levels = []
-    engine = greens._adaptive_quadrature
+    engine = quadrature._adaptive_quadrature
 
     def counting_quadrature(g, edges, budget, rule):
         calls = [0]
@@ -144,7 +144,7 @@ def test_tight_quadrature_golden_splits_panels(tmp_path, monkeypatch):
         levels.append(calls[0])
         return values
 
-    monkeypatch.setattr(greens, "_adaptive_quadrature", counting_quadrature)
+    monkeypatch.setattr(quadrature, "_adaptive_quadrature", counting_quadrature)
     for config, most in (("planar", 1), ("planar_tight_quadrature", 2)):
         levels.clear()
         out = tmp_path / f"{config}.csv"

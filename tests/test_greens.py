@@ -22,8 +22,9 @@ from cavityvdw.greens import (
     planar_resonant_im_gxx,
     planar_scattering_components,
 )
-from cavityvdw import greens
-from cavityvdw.greens import _adaptive_quadrature, _halving_rule, _kronrod_rule, _panel_edges
+from cavityvdw import greens, quadrature
+from cavityvdw.greens import _kronrod_rule
+from cavityvdw.quadrature import _adaptive_quadrature, _halving_rule, _panel_edges
 
 from oracles import (
     checks,
@@ -652,7 +653,7 @@ def test_kronrod_rule_extends_the_gauss_rule():
     assert math.fsum(w.tolist()) == 2.0
     assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1]) and x[20] == 0.0
     assert np.all(np.diff(x) > 0.0)
-    gauss = greens._GL_NODES
+    gauss = quadrature._GL_NODES
     assert np.all(np.abs(x[1::2] - gauss) <= np.spacing(np.abs(gauss)))
     assert not any(a.flags.writeable for a in (x, w, greens._K41_RULE))
 
@@ -667,7 +668,7 @@ def _panel_edge_inputs(draw):
     features = draw(st.lists(point, max_size=8))
     if features:
         features += draw(st.lists(st.sampled_from(features), max_size=4))
-    grading = draw(st.sampled_from([(0.1, 0.3, 1.0, 10.0, 100.0), greens._HALF_DECADES])
+    grading = draw(st.sampled_from([(0.1, 0.3, 1.0, 10.0, 100.0), quadrature._HALF_DECADES])
                    | st.lists(st.floats(-1e4, 1e4) | st.just(0.0), min_size=1, max_size=8))
     return (lo, hi, features, draw(st.floats(1e-9, 3.0)), grading,
             tuple(draw(st.lists(point, max_size=2))))

@@ -4,10 +4,12 @@ no CLI mode and no fit_lorentzian call loads scipy; no CLI mode loads
 numpy.polynomial or dataclasses, nor argparse, gettext or locale; no CLI
 mode on the golden configs, and no load of README's full key set, loads
 PyYAML; no closed-form mode loads OpenSSL's _hashlib; importing the CLI
-generates no code beyond the two namedtuples' constructors; every name
-the benchmark's tracer patches is there; and every public name is named by
-a shipped route, or is a result type or free-space helper that a route
-runs without naming it.
+generates no code beyond the two namedtuples' constructors; `import
+cavityvdw` loads no submodule, every public name resolves on first access,
+and no mode but xcheck loads greens or modecoupling; every name the
+benchmark's tracer patches is there; and every public name is named by a
+shipped route, or is a result type or free-space helper that a route runs
+without naming it.
 
 Every CLI mode evaluates closed forms or the numpy principal-value
 quadrature, and the cavity Green's tensor runs on the same numpy panel
@@ -30,7 +32,7 @@ from pathlib import Path
 import pytest
 
 import cavityvdw
-from cavityvdw import cli, greens
+from cavityvdw import cli, quadrature
 from cavityvdw.config import MODES
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -44,6 +46,12 @@ QUADRATURE_RUNS = [("kk-check", "planar"), ("xcheck", "planar"), ("xcheck", "fre
 
 CHILD = """
 import json, sys
+import cavityvdw
+
+def package():
+    return sorted(m for m in sys.modules if m.startswith("cavityvdw."))
+
+report = {"codes": {}, "package": {"import cavityvdw": package()}}
 from cavityvdw import cli
 
 def loaded():
@@ -51,16 +59,23 @@ def loaded():
             for top in ("scipy", "numpy.polynomial", "dataclasses", "argparse", "gettext",
                         "locale", "yaml", "_hashlib")}
 
-report = {"codes": {}, "import": loaded()}
+report["import"] = loaded()
 for stage, runs in zip(("closed_form", "quadrature"), json.loads(sys.argv[3])):
     for mode, config in runs:
         out = f"{sys.argv[2]}/{mode}-{config}.csv"
         report["codes"][f"{mode}:{config}"] = cli.main(
             [mode, "--config", f"{sys.argv[1]}/{config}.yaml", "--out", out])
+        report["package"][f"{mode}:{config}"] = package()
     report[stage] = loaded()
 from cavityvdw.modecoupling import fit_lorentzian
 report["fit_width"] = fit_lorentzian([(w, 1.0 / (1.0 + (w - 4.0) ** 2)) for w in range(9)])[1]
 report["fit"] = loaded()
+star = {}
+exec("from cavityvdw import *", star)
+report["public"] = {"all": cavityvdw.__all__,
+                    "attribute": [name for name in cavityvdw.__all__ if hasattr(cavityvdw, name)],
+                    "dir": sorted(set(dir(cavityvdw)) & set(cavityvdw.__all__)),
+                    "star": sorted(set(star) - {"__builtins__"})}
 print(json.dumps(report))
 """
 
@@ -88,6 +103,25 @@ def test_no_cli_mode_imports_scipy(cli_report):
     assert all(code == 0 for code in cli_report["codes"].values()), cli_report["codes"]
     assert [cli_report[stage]["scipy"] for stage in ("import", "closed_form", "quadrature")] \
         == [[], [], []]
+
+
+def test_each_cli_mode_loads_only_the_library_it_runs(cli_report):
+    # the runs share one interpreter, in order, and xcheck's come last: no
+    # run before it loads the Green's tensors or the coupling model
+    package = dict(cli_report["package"])
+    assert package.pop("import cavityvdw") == []
+    assert list(package) == list(cli_report["codes"])
+    for run, modules in package.items():
+        if not run.startswith("xcheck:"):
+            assert {"cavityvdw.greens", "cavityvdw.modecoupling"}.isdisjoint(modules), run
+    assert "cavityvdw.greens" in package["xcheck:planar"]
+
+
+def test_public_names_resolve_on_first_access(cli_report):
+    public = cli_report["public"]
+    assert len(public["all"]) == len(set(public["all"])) == 48
+    assert public["attribute"] == public["all"]
+    assert public["dir"] == public["star"] == sorted(public["all"])
 
 
 def test_fit_lorentzian_does_not_import_scipy(cli_report):
@@ -187,9 +221,9 @@ def test_gauss_legendre_rule_is_leggauss_bit_for_bit():
     from numpy.polynomial.legendre import leggauss
 
     nodes, weights = leggauss(20)
-    assert greens._GL_NODES.tobytes() == nodes.tobytes()
-    assert greens._GL_WEIGHTS.tobytes() == weights.tobytes()
-    assert not greens._GL_NODES.flags.writeable and not greens._GL_WEIGHTS.flags.writeable
+    assert quadrature._GL_NODES.tobytes() == nodes.tobytes()
+    assert quadrature._GL_WEIGHTS.tobytes() == weights.tobytes()
+    assert not quadrature._GL_NODES.flags.writeable and not quadrature._GL_WEIGHTS.flags.writeable
 
 
 GREENS_CHILD = """
@@ -282,9 +316,7 @@ def test_every_public_name_is_reached_by_a_shipped_route():
     # reached: named in another package module, in an acceptance criterion
     # or in the benchmark
     package = SRC / "cavityvdw"
-    home = {alias.name: node.module
-            for node in ast.parse((package / "__init__.py").read_text()).body
-            if isinstance(node, ast.ImportFrom) for alias in node.names}
+    home = cavityvdw._HOME
     assert set(home) >= set(cavityvdw.__all__)
     routes = {p.stem: p.read_text() for p in package.glob("*.py") if p.name != "__init__.py"}
     shipped = [(Path(__file__).parent / "test_acceptance.py").read_text()]

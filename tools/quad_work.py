@@ -6,13 +6,16 @@ benchmark workload.
 
 Builds the round perfbench/workloads.py makes for the seed, from the
 checkout at --root (default: the current directory), and runs the timed
-steps of each operation once. The panel engine,
-greens._adaptive_quadrature (one split loop on the G20-halving rule of the
-principal-value transform or the G20/K41 rule of the cavity tensor), is
-wrapped from outside so that every call of an integrand is counted: its
-nodes and one level. The cavity's contour layouts (greens._contour_layout)
-start from an empty cache, and the layouts a group builds are the cache's
-misses during it; a checkout without that cache reports 0.
+steps of each operation once. The panel engine is wrapped from outside
+where its callers look it up, so that every call of an integrand is
+counted: its nodes and one level. The cavity tensor calls
+greens._adaptive_quadrature (its G20/K41 panels, laid out along the
+contour) and the principal-value transform quadrature._adaptive_quadrature
+(its G20-halving panels); a checkout without the quadrature module runs
+both through the greens name. The cavity's contour layouts
+(greens._contour_layout) start from an empty cache, and the layouts a
+group builds are the cache's misses during it; a checkout without that
+cache reports 0.
 Prints one JSON object: per operation group (the operation name up to its
 first ':', so "green" is the planar_cavity_green calls), the integrand
 nodes, levels and layouts of the round, and the SHA-256 of the bytes of
@@ -48,21 +51,27 @@ def main(argv=None) -> int:
 
     import workloads
 
+    try:
+        from cavityvdw import quadrature
+    except ImportError:
+        quadrature = None
+
     counts: dict = defaultdict(lambda: {"nodes": 0, "levels": 0, "layouts": 0})
     digests: dict = defaultdict(hashlib.sha256)
     group = [""]
 
-    engine = greens._adaptive_quadrature
+    def counting(engine):
+        def counting_quadrature(g, *args):
+            tally = counts[group[0]]
 
-    def counting_quadrature(g, *args):
-        tally = counts[group[0]]
+            def g_counted(x):
+                tally["nodes"] += x.size
+                tally["levels"] += 1
+                return g(x)
 
-        def g_counted(x):
-            tally["nodes"] += x.size
-            tally["levels"] += 1
-            return g(x)
+            return engine(g_counted, *args)
 
-        return engine(g_counted, *args)
+        return counting_quadrature
 
     def value_bytes(value) -> bytes:
         # a tensor's matrix, else a float or a sequence of floats
@@ -75,7 +84,9 @@ def main(argv=None) -> int:
     def built() -> int:
         return layouts.cache_info().misses if layouts else 0
 
-    greens._adaptive_quadrature = counting_quadrature
+    for module in (greens, quadrature):
+        if module is not None:
+            module._adaptive_quadrature = counting(module._adaptive_quadrature)
     if layouts:
         layouts.cache_clear()
     with tempfile.TemporaryDirectory() as tmp:

@@ -12,9 +12,10 @@ The child imports numpy, then installs an audit hook
 stages, `import cavityvdw.cli` and the run of `cli.main`, and sums the
 source bytes the `compile` events were given (`compile_bytes`, from the
 event's source argument: UTF-8 bytes of a str, the length of a buffer, 0
-for an AST). It also counts the modules each stage loads beyond
-`import numpy`, so PyYAML's modules count in the stage that loads them,
-and names those the run loads.
+for an AST), and names the package modules whose source the stage
+compiles (`package`, from the event's file name). It also counts the
+modules each stage loads beyond `import numpy`, so PyYAML's modules count
+in the stage that loads them, and names those the run loads.
 
 The run is made as the program runs it: the child sets sys.argv and calls
 main() with no argument, which ends the process itself (os._exit) once the
@@ -62,29 +63,37 @@ CHILD = """
 import atexit, gc, sys
 import numpy
 
-config, out, mode = sys.argv[1:]
+config, out, mode, package_dir = sys.argv[1:]
 baseline = set(sys.modules)
 counts = {"compile": 0, "compile_bytes": 0, "exec": 0}
+compiled = []
 
 def hook(event, args):
     if event in ("compile", "exec"):
         counts[event] += 1
     if event == "compile":
-        source = args[0]
+        source, filename = args[0], args[1]
         if isinstance(source, str):
             counts["compile_bytes"] += len(source.encode("utf-8", "surrogatepass"))
         elif isinstance(source, (bytes, bytearray, memoryview)):
             counts["compile_bytes"] += memoryview(source).nbytes
+        name = str(filename)
+        if name.startswith(package_dir) and name.endswith(".py"):
+            stem = name[len(package_dir) + 1:-3]
+            compiled.append("cavityvdw" if stem == "__init__" else "cavityvdw." + stem)
 
 sys.addaudithook(hook)
 import cavityvdw.cli
-report = {"import": {**counts, "modules": len(set(sys.modules) - baseline)}}
+report = {"import": {**counts, "modules": len(set(sys.modules) - baseline),
+                     "package": sorted(compiled)}}
 counts.update(compile=0, compile_bytes=0, exec=0)
+compiled.clear()
 before = set(sys.modules)
 
 def exit_report():
     new = set(sys.modules) - before
-    report["run"] = {**counts, "modules": len(new), "loaded": sorted(new)}
+    report["run"] = {**counts, "modules": len(new), "package": sorted(compiled),
+                     "loaded": sorted(new)}
     report["exit"] = {"way": "return" if returned else "os._exit",
                       "tracked": len(gc.get_objects())}
     import json
@@ -118,7 +127,7 @@ def main(argv=None) -> int:
 
         def child(mode, config):
             cmd = [sys.executable, "-c", CHILD, str(root / "tests" / "goldens" / f"{config}.yaml"),
-                   f"{tmp}/{mode}-{config}.csv", mode]
+                   f"{tmp}/{mode}-{config}.csv", mode, str(src / "cavityvdw")]
             proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=300)
             if proc.returncode != 0:
                 raise SystemExit(f"error: {mode} on {config} exited {proc.returncode}:\n"
