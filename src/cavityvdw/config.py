@@ -21,7 +21,9 @@ from typing import Any, Callable, Mapping
 
 from .constants import C
 from .errors import ConfigError
+from .planarcavity import DELTA_BOUND
 from .record import Record
+from .weakfield import KK_MIN_OFFSET_WIDTHS
 
 SCENARIOS = ("free-space", "planar")
 MODES = ("scan-rabi", "dressed", "potential", "force", "weak-limit", "kk-check", "xcheck")
@@ -212,8 +214,8 @@ SETTINGS = (
     _Setting("seed", "seed", _intval, 0, ((lambda v, f: v >= 0, "must be >= 0"),)),
     _Setting("cavity.d", "cavity_d", _num, _REQUIRED, _POSITIVE, "planar"),
     _Setting("cavity.delta", "cavity_delta", _num, _REQUIRED,
-             ((lambda v, f: 0.0 < v < 0.1,
-               "must satisfy 0 < delta < 0.1 (model-validity bound)"),), "planar"),
+             ((lambda v, f: 0.0 < v < DELTA_BOUND,
+               f"must satisfy 0 < delta < {DELTA_BOUND:g} (model-validity bound)"),), "planar"),
     _Setting("cavity.nu", "cavity_nu", _intval, _REQUIRED,
              ((lambda v, f: v >= 1, "must be >= 1"),), "planar"),
     _Setting("atoms.z_a", "z_a", _num, lambda f: f["cavity_d"] / 2.0, _IN_CAVITY,
@@ -243,8 +245,8 @@ SETTINGS = (
                "must be > 0 (multiples of the configured separation)"),), "free-space"),
     _Setting("sweep.kk_offsets", "kk_offsets", _floats,
              (-1.0e3, -3.0e2, -1.0e2, 1.0e2, 3.0e2, 1.0e3),
-             ((lambda v, f: all(abs(o) >= 100.0 for o in v),
-               "offsets must be at least 100 mode widths from resonance "
+             ((lambda v, f: all(abs(o) >= KK_MIN_OFFSET_WIDTHS for o in v),
+               f"offsets must be at least {KK_MIN_OFFSET_WIDTHS:g} mode widths from resonance "
                "(asymptotic-regime comparison)"),)),
     _Setting("sweep.weak_ratios", "weak_ratios", _floats, (1.0e1, 1.0e2, 1.0e3, 1.0e4),
              ((lambda v, f: all(r > 0.0 for r in v), "ratios must be > 0"),)),

@@ -32,6 +32,8 @@ from .record import Record
 from .tabular import Table, with_dimless
 
 _EDGE = 1e-6  # interior clamp, fraction of d
+# model validity: almost perfectly reflecting plates, 0 < delta < DELTA_BOUND
+DELTA_BOUND = 0.1
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
@@ -46,8 +48,7 @@ class PlanarCavity(Record):
     def __post_init__(self):
         # an infinite d has no modes
         require("plate separation", "d", self.d, "positive")
-        # model validity: almost perfectly reflecting plates
-        require("reflectivity deviation", "delta", self.delta, (0.0, 0.1))
+        require("reflectivity deviation", "delta", self.delta, (0.0, DELTA_BOUND))
         if int(require("mode index", "nu", self.nu)) != self.nu or self.nu < 1:
             raise DomainError(f"mode index must be an integer >= 1, got nu={self.nu}")
         object.__setattr__(self, "nu", int(self.nu))

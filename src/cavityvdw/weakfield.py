@@ -40,6 +40,8 @@ _REAL_OK = ("full", "scattering-only")
 
 # half-width of the principal-value support window, in mode widths
 KK_WINDOW_WIDTHS = 5.0e4
+# least |offset| of the far-detuned contraction, in mode widths
+KK_MIN_OFFSET_WIDTHS = 100.0
 
 
 class ResonantPotentialBreakdown(Record):
@@ -145,17 +147,16 @@ def narrow_mode_real_contraction(
 ) -> float:
     """Far-detuned Hilbert image of a Lorentzian squared coupling [rad/s] at
     omega = omega_nu + offset_widths gamma_nu: gamma_nu g2_peak / (2
-    (omega_nu - omega)). The offset must be at least 100 mode widths; it is
-    checked as given, so an offset of exactly 100 is accepted whatever the
-    rounding of omega."""
+    (omega_nu - omega)). The offset must be at least KK_MIN_OFFSET_WIDTHS
+    mode widths; it is checked as given, so an offset of exactly that many is
+    accepted whatever the rounding of omega."""
     require("peak coupling", "g2_peak", g2_peak)
     require("mode width", "gamma_nu", gamma_nu, "positive")
     require("mode frequency", "omega_nu", omega_nu)
     require("offset", "offset_widths", offset_widths)
-    if abs(offset_widths) < 100.0:
-        raise DomainError(
-            f"asymptotic contraction needs |offset_widths| >= 100; got {offset_widths:.3g}"
-        )
+    if abs(offset_widths) < KK_MIN_OFFSET_WIDTHS:
+        raise DomainError(f"asymptotic contraction needs |offset_widths| >= "
+                          f"{KK_MIN_OFFSET_WIDTHS:g}; got {offset_widths:.3g}")
     omega = omega_nu + offset_widths * gamma_nu
     if omega == omega_nu:
         raise DomainError("offset_widths * gamma_nu is below the resolution of omega_nu")

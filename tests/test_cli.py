@@ -1,10 +1,8 @@
 import json
 import math
-import os
 import resource
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +17,6 @@ from cavityvdw.greens import PlanarCavity
 from cavityvdw.tabular import Table
 
 from oracles import SPECIAL_FLOATS, per_cell_export_text
-
-SRC = Path(cli.__file__).resolve().parents[1]
 
 MINIMAL = """\
 scenario: planar
@@ -430,15 +426,14 @@ MEMORY_MB = 1536
 @pytest.mark.parametrize("mode, config", [("scan-rabi", MINIMAL), ("dressed", MINIMAL),
                                           ("potential", MINIMAL), ("force", MINIMAL),
                                           ("potential", FREE_SPACE)])
-def test_cli_refuses_a_sweep_too_large_for_memory_by_key(tmp_path, mode, config):
+def test_cli_refuses_a_sweep_too_large_for_memory_by_key(tmp_path, child_env, mode, config):
     # 3e9 points need 24 GB per column: the allocation is refused, never made
     cfg = _write(tmp_path, config + "sweep:\n  points: 3000000000\n")
     limit = MEMORY_MB << 20
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
     proc = subprocess.run(
         [sys.executable, "-m", "cavityvdw.cli", mode, "--config", cfg, "--out", "t.csv"],
-        cwd=tmp_path, capture_output=True, text=True, env=env, timeout=120,
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        env=dict(child_env, OPENBLAS_NUM_THREADS="1"),
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
     assert proc.returncode == 1
     assert proc.stderr == (f"error [{mode}]: sweep.points: 3000000000 points do not fit in "

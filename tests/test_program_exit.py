@@ -13,6 +13,11 @@ appends to a report file: "atexit" from an atexit handler, and "returned
 out. With stdout a pipe whose reader has gone, the program loses its
 report lines and nothing else, whether main ends the process or returns:
 no traceback, and the exit code of an open stdout.
+
+Each way out runs once, against one main(argv) child per command line.
+Every mode prints its report through the same lines, so each mode's closed
+stdout is checked in-process, with a stdout whose write raises
+BrokenPipeError.
 """
 
 import os
@@ -25,8 +30,8 @@ import pytest
 from cavityvdw import cli
 
 GOLDENS = Path(__file__).parent / "goldens"
-SRC = Path(cli.__file__).resolve().parents[1]
 PLANAR = str(GOLDENS / "planar.yaml")
+FREE_SPACE = str(GOLDENS / "free_space.yaml")
 
 # the cli-modes benchmark's F2 run: with atom B on the node of the nu = 2
 # mode, the sweep of atom A meets Omega_R = Delta = 0, where dressed fails
@@ -67,20 +72,13 @@ else:
         release = threading.Event()
         threading.Thread(target=release.wait).start()
     elif how == "flush":
-        class FlushFailsOnce:
-            def __init__(self, stream):
-                self.stream, self.failed = stream, False
+        real_flush = sys.stdout.flush
 
-            def write(self, text):
-                return self.stream.write(text)
+        def flush_fails_once():
+            sys.stdout.flush = real_flush
+            raise OSError("flush failed")
 
-            def flush(self):
-                if not self.failed:
-                    self.failed = True
-                    raise OSError("flush failed")
-                self.stream.flush()
-
-        sys.stdout = FlushFailsOnce(sys.stdout)
+        sys.stdout.flush = flush_fails_once
     code = main()
     sys.settrace(None)
     sys.setprofile(None)
@@ -90,144 +88,119 @@ note(f"returned {code}")
 sys.exit(code)
 """
 
-
-def _env():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    # stdout to a pipe stays block-buffered, so output main does not flush is lost
-    env.pop("PYTHONUNBUFFERED", None)
-    return env
+SCAN_RABI = ["scan-rabi", "--config", PLANAR, "--out", "table.csv"]
+XCHECK = ["xcheck", "--config", PLANAR, "--out", "table.csv", "--tolerance", "1e-30"]
+CODES = {"scan-rabi": 0, "f2-dressed": 1, "xcheck-tolerance": 2, "usage-error": 2}
+TABLE = ["table.csv", "table.csv.manifest.json"]
 
 
-def _child(how, args, cwd, stdout=subprocess.PIPE):
+def _child(env, how, args, cwd, stdout="open"):
+    """main run in a child as `how` says, with stdout a pipe read here
+    ("open") or one whose reader has gone ("closed", "closed-unbuffered"):
+    (process, report lines, files)."""
     cwd.mkdir()
     report = cwd.parent / f"{cwd.name}.report"
-    proc = subprocess.run([sys.executable, "-c", CHILD, str(report), how, *args], cwd=cwd,
-                          stdout=stdout, stderr=subprocess.PIPE, env=_env(), timeout=120)
-    files = {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
-    return proc, report.read_text().splitlines(), files
+    read, write = os.pipe()
+    os.close(read)
+    with os.fdopen(write, "wb") as closed:
+        proc = subprocess.run([sys.executable, "-c", CHILD, str(report), how, *args], cwd=cwd,
+                              stdout=subprocess.PIPE if stdout == "open" else closed,
+                              stderr=subprocess.PIPE, timeout=120,
+                              # empty, PYTHONUNBUFFERED is off: stdout to a pipe stays
+                              # block-buffered, so output main does not flush is lost
+                              env=dict(env, PYTHONUNBUFFERED="1" if stdout == "closed-unbuffered"
+                                       else ""))
+    return proc, report.read_text().splitlines(), _files(cwd)
 
 
-@pytest.mark.parametrize("args, code", [
-    (["scan-rabi", "--config", PLANAR, "--out", "table.csv"], 0),
-    (["dressed", "--config", "../f2.yaml", "--out", "table.csv"], 1),
-    (["xcheck", "--config", PLANAR, "--out", "table.csv", "--tolerance", "1e-30"], 2),
-    (["scan-rabi", "--config", PLANAR, "--out"], 2),
-], ids=["scan-rabi", "f2-dressed", "xcheck-tolerance", "usage-error"])
-def test_main_as_the_program_exits_with_the_bytes_of_main_argv(tmp_path, args, code):
-    (tmp_path / "f2.yaml").write_text(F2)
-    program, program_report, program_files = _child("program", args, tmp_path / "program")
-    library, library_report, library_files = _child("argv", args, tmp_path / "argv")
+def _files(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
-    assert program.returncode == library.returncode == code
-    assert program.stdout == library.stdout
-    assert program.stderr == library.stderr
-    assert program_files == library_files
-    if args[-1] == "--out":
-        # argparse's usage error leaves main by SystemExit on both paths
-        assert b"expected one argument" in program.stderr and program.stdout == b""
-        assert program_report == library_report == ["atexit"]
+
+@pytest.fixture(scope="module")
+def reference(tmp_path_factory, child_env):
+    """Per name in CODES, its command line and its main(argv) child."""
+    root = tmp_path_factory.mktemp("reference")
+    (root / "f2.yaml").write_text(F2)
+    commands = {"scan-rabi": SCAN_RABI,
+                "f2-dressed": ["dressed", "--config", str(root / "f2.yaml"), "--out", "table.csv"],
+                "xcheck-tolerance": XCHECK,
+                "usage-error": ["scan-rabi", "--config", PLANAR, "--out"]}
+    return {name: (args, *_child(child_env, "argv", args, root / name))
+            for name, args in commands.items()}
+
+
+# a closed stdout needs a child only where buffering or the exit code changes
+# the way out: unbuffered, the first report line raises BrokenPipeError;
+# buffered, main's flush does, before os._exit or before it returns, and the
+# interpreter's shutdown flush must not fail on the same pipe again
+@pytest.mark.parametrize("name, how, stdout", [
+    ("scan-rabi", "program", "open"), ("f2-dressed", "program", "open"),
+    ("xcheck-tolerance", "program", "open"), ("usage-error", "program", "open"),
+    ("xcheck-tolerance", "trace", "open"), ("xcheck-tolerance", "profile", "open"),
+    ("xcheck-tolerance", "thread", "open"), ("scan-rabi", "flush", "open"),
+    ("scan-rabi", "program", "closed"), ("scan-rabi", "program", "closed-unbuffered"),
+    ("xcheck-tolerance", "program", "closed"),
+    ("xcheck-tolerance", "program", "closed-unbuffered"),
+    ("f2-dressed", "program", "closed"), ("usage-error", "program", "closed"),
+    ("xcheck-tolerance", "thread", "closed"),
+])
+def test_each_way_out_gives_the_bytes_of_main_argv(tmp_path, child_env, reference, name, how,
+                                                    stdout):
+    args, library, library_report, library_files = reference[name]
+    proc, report, files = _child(child_env, how, args, tmp_path / how, stdout)
+    code = CODES[name]
+
+    assert proc.returncode == library.returncode == code
+    assert proc.stderr == library.stderr
+    assert b"Traceback" not in proc.stderr and b"Exception ignored" not in proc.stderr
+    assert files == library_files
+    assert proc.stdout == (library.stdout if stdout == "open" else None)
+    if name == "usage-error":
+        # argparse's usage error leaves main by SystemExit on every path
+        assert b"expected one argument" in proc.stderr and library.stdout == b""
+        assert report == library_report == ["atexit"]
         return
     if code == 1:
-        assert b"degenerate at Omega_R = Delta = 0" in program.stderr
-    assert sorted(program_files) == ([] if code == 1 else ["table.csv",
-                                                           "table.csv.manifest.json"])
-    # the handler ran once, and main never returned to its caller
-    assert program_report == ["atexit"]
-    assert library_report == [f"returned {code}", "atexit"]
-
-
-@pytest.mark.parametrize("how", ["trace", "profile", "thread"])
-def test_main_as_the_program_returns_where_teardown_matters(tmp_path, how):
-    args = ["xcheck", "--config", PLANAR, "--out", "table.csv", "--tolerance", "1e-30"]
-    proc, report, files = _child(how, args, tmp_path / how)
-    _, _, library_files = _child("argv", args, tmp_path / "argv")
-
-    assert proc.returncode == 2
-    assert report == ["returned 2", "atexit"]
-    assert files == library_files
-    assert proc.stdout.endswith(b"wrote table.csv.manifest.json\n")
-
-
-def test_main_as_the_program_returns_when_a_flush_fails(tmp_path):
-    proc, report, files = _child("flush", ["scan-rabi", "--config", PLANAR, "--out",
-                                           "table.csv"], tmp_path / "flush")
-
-    # the handlers ran before the flush, and shutdown does not run them again
-    assert report == ["atexit", "returned 0"]
-    assert proc.returncode == 0
-    assert proc.stdout == b"wrote table.csv (41 rows)\nwrote table.csv.manifest.json\n"
-    assert sorted(files) == ["table.csv", "table.csv.manifest.json"]
-
-
-FREE_SPACE = str(GOLDENS / "free_space.yaml")
-
-
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("args, code", [
-    (["scan-rabi", "--config", PLANAR, "--out", "table.csv"], 0),
-    (["dressed", "--config", PLANAR, "--out", "table.csv"], 0),
-    (["potential", "--config", PLANAR, "--out", "table.csv"], 0),
-    (["potential", "--config", FREE_SPACE, "--out", "table.jsonl", "--format", "jsonl"], 0),
-    (["force", "--config", PLANAR, "--out", "table.csv"], 0),
-    (["weak-limit", "--config", PLANAR, "--out", "table.csv"], 0),
-    (["kk-check", "--config", PLANAR, "--out", "table.csv"], 0),
-    (["xcheck", "--config", PLANAR, "--out", "table.csv", "--tolerance", "1e-30"], 2),
-    (["dressed", "--config", "../../f2.yaml", "--out", "table.csv"], 1),
-    (["scan-rabi", "--config", PLANAR, "--out"], 2),
-], ids=["scan-rabi", "dressed", "potential", "potential-free-space-jsonl", "force",
-        "weak-limit", "kk-check", "xcheck-tolerance", "f2-dressed", "usage-error"])
-def test_a_closed_stdout_loses_the_report_and_nothing_else(tmp_path, args, code, unbuffered):
-    # unbuffered, the first report line raises BrokenPipeError; buffered, the
-    # flush before os._exit does, and once more at shutdown if it returned
-    env = _env()
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    (tmp_path / "f2.yaml").write_text(F2)
-    (tmp_path / "run" / "closed").mkdir(parents=True)
-    read, write = os.pipe()
-    os.close(read)
-    try:
-        proc = subprocess.run([sys.executable, "-m", "cavityvdw.cli", *args],
-                              cwd=tmp_path / "run" / "closed", stdout=write,
-                              stderr=subprocess.PIPE, env=env, timeout=120)
-    finally:
-        os.close(write)
-    library, _, library_files = _child("argv", args, tmp_path / "run" / "argv")
-
-    # stderr, the exit code and the files are those of an open stdout
-    assert proc.stderr == library.stderr
-    assert b"Traceback" not in proc.stderr and b"Exception ignored" not in proc.stderr
-    assert proc.returncode == library.returncode == code
-    assert {p.name: p.read_bytes() for p in sorted((tmp_path / "run" / "closed").iterdir())} \
-        == library_files
-    if code == 1 or args[-1] == "--out":
-        # argparse's usage error and F2's refusal write nothing
-        assert library_files == {}
+        assert b"degenerate at Omega_R = Delta = 0" in proc.stderr and files == {}
     else:
-        out = args[args.index("--out") + 1]
-        assert sorted(library_files) == [out, out + ".manifest.json"]
+        assert sorted(files) == TABLE
+        assert library.stdout.endswith(b"wrote table.csv.manifest.json\n")
+    if name == "scan-rabi":
+        assert library.stdout == b"wrote table.csv (41 rows)\nwrote table.csv.manifest.json\n"
+    assert library_report == [f"returned {code}", "atexit"]
+    # os._exit: the handler ran once, and main never returned to its caller;
+    # after a failed flush, the handlers ran before it and not at shutdown
+    assert report == {"program": ["atexit"], "flush": ["atexit", f"returned {code}"]}.get(
+        how, [f"returned {code}", "atexit"])
 
 
-@pytest.mark.parametrize("how", ["trace", "profile", "thread"])
-@pytest.mark.parametrize("args, code", [
-    (["scan-rabi", "--config", PLANAR, "--out", "table.csv"], 0),
-    (["xcheck", "--config", PLANAR, "--out", "table.csv", "--tolerance", "1e-30"], 2),
-], ids=["scan-rabi", "xcheck-tolerance"])
-def test_a_closed_stdout_loses_the_report_where_main_returns(tmp_path, args, code, how):
-    # buffered, main's flush raises BrokenPipeError before it returns to the
-    # interpreter, whose shutdown flush must not fail on the same pipe again
-    read, write = os.pipe()
-    os.close(read)
-    try:
-        proc, report, files = _child(how, args, tmp_path / how, stdout=write)
-    finally:
-        os.close(write)
-    library, _, library_files = _child("argv", args, tmp_path / "argv")
+class _ReaderGone:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
 
-    assert proc.stderr == library.stderr
-    assert b"Traceback" not in proc.stderr and b"Exception ignored" not in proc.stderr
-    assert proc.returncode == library.returncode == code
-    assert report == [f"returned {code}", "atexit"]
-    assert files == library_files
-    assert sorted(files) == ["table.csv", "table.csv.manifest.json"]
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("args", [
+    *([mode, "--config", PLANAR, "--out", "table.csv"]
+      for mode in ("scan-rabi", "dressed", "potential", "force", "weak-limit", "kk-check")),
+    ["potential", "--config", FREE_SPACE, "--out", "table.jsonl", "--format", "jsonl"], XCHECK,
+], ids=lambda args: f"{args[0]}-{Path(args[2]).stem}")
+def test_a_closed_stdout_loses_the_report_in_every_mode(tmp_path, capsys, monkeypatch, args):
+    runs = []
+    for name, stdout in (("open", sys.stdout), ("closed", _ReaderGone())):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", stdout)
+            exit_code = cli.main(args)
+        runs.append((exit_code, *capsys.readouterr(), _files(tmp_path / name)))
+    exits, stdouts, stderrs, files = zip(*runs)
+
+    out = args[args.index("--out") + 1]
+    assert stdouts[0].endswith(f"wrote {out}.manifest.json\n") and stdouts[1] == ""
+    # the exit code, stderr and the files are those of an open stdout
+    assert exits == ((2, 2) if args == XCHECK else (0, 0))
+    assert stderrs[1] == stderrs[0] and "Traceback" not in stderrs[1]
+    assert files[1] == files[0] and sorted(files[1]) == [out, out + ".manifest.json"]
