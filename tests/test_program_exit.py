@@ -15,9 +15,9 @@ report lines and nothing else, whether main ends the process or returns:
 no traceback, and the exit code of an open stdout.
 
 Each way out runs once, against one main(argv) child per command line.
-Every mode prints its report through the same lines, so each mode's closed
-stdout is checked in-process, with a stdout whose write raises
-BrokenPipeError.
+Every mode prints its report through the same lines, so each command line's
+closed stdout is checked in-process: unbuffered, every write raises
+BrokenPipeError; buffered, the program's flush does.
 """
 
 import os
@@ -88,8 +88,6 @@ note(f"returned {code}")
 sys.exit(code)
 """
 
-SCAN_RABI = ["scan-rabi", "--config", PLANAR, "--out", "table.csv"]
-XCHECK = ["xcheck", "--config", PLANAR, "--out", "table.csv", "--tolerance", "1e-30"]
 CODES = {"scan-rabi": 0, "f2-dressed": 1, "xcheck-tolerance": 2, "usage-error": 2}
 TABLE = ["table.csv", "table.csv.manifest.json"]
 
@@ -118,16 +116,26 @@ def _files(directory):
 
 
 @pytest.fixture(scope="module")
-def reference(tmp_path_factory, child_env):
+def commands(tmp_path_factory):
+    """Per name, a command line; F2's config is written to one absolute path."""
+    f2 = tmp_path_factory.mktemp("f2") / "f2.yaml"
+    f2.write_text(F2)
+    return {**{mode: [mode, "--config", PLANAR, "--out", "table.csv"] for mode in
+               ("scan-rabi", "dressed", "potential", "force", "weak-limit", "kk-check")},
+            "potential-free-space-jsonl": ["potential", "--config", FREE_SPACE,
+                                           "--out", "table.jsonl", "--format", "jsonl"],
+            "xcheck-tolerance": ["xcheck", "--config", PLANAR, "--out", "table.csv",
+                                 "--tolerance", "1e-30"],
+            "f2-dressed": ["dressed", "--config", str(f2), "--out", "table.csv"],
+            "usage-error": ["scan-rabi", "--config", PLANAR, "--out"]}
+
+
+@pytest.fixture(scope="module")
+def reference(tmp_path_factory, child_env, commands):
     """Per name in CODES, its command line and its main(argv) child."""
     root = tmp_path_factory.mktemp("reference")
-    (root / "f2.yaml").write_text(F2)
-    commands = {"scan-rabi": SCAN_RABI,
-                "f2-dressed": ["dressed", "--config", str(root / "f2.yaml"), "--out", "table.csv"],
-                "xcheck-tolerance": XCHECK,
-                "usage-error": ["scan-rabi", "--config", PLANAR, "--out"]}
-    return {name: (args, *_child(child_env, "argv", args, root / name))
-            for name, args in commands.items()}
+    return {name: (commands[name], *_child(child_env, "argv", commands[name], root / name))
+            for name in CODES}
 
 
 # a closed stdout needs a child only where buffering or the exit code changes
@@ -176,31 +184,55 @@ def test_each_way_out_gives_the_bytes_of_main_argv(tmp_path, child_env, referenc
 
 
 class _ReaderGone:
-    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+    """A stdout whose reader has gone. Buffered, it holds the report until a
+    flush raises BrokenPipeError; unbuffered, every write raises it."""
+
+    def __init__(self, buffered, fd):
+        self.buffered, self.fd, self.held = buffered, fd, ""
 
     def write(self, text):
+        if not self.buffered:
+            self.flush()
+        self.held += text
+
+    def flush(self):
         raise BrokenPipeError(32, "Broken pipe")
 
+    def fileno(self):
+        return self.fd
 
-@pytest.mark.parametrize("args", [
-    *([mode, "--config", PLANAR, "--out", "table.csv"]
-      for mode in ("scan-rabi", "dressed", "potential", "force", "weak-limit", "kk-check")),
-    ["potential", "--config", FREE_SPACE, "--out", "table.jsonl", "--format", "jsonl"], XCHECK,
-], ids=lambda args: f"{args[0]}-{Path(args[2]).stem}")
-def test_a_closed_stdout_loses_the_report_in_every_mode(tmp_path, capsys, monkeypatch, args):
-    runs = []
-    for name, stdout in (("open", sys.stdout), ("closed", _ReaderGone())):
-        (tmp_path / name).mkdir()
-        monkeypatch.chdir(tmp_path / name)
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("name", ["scan-rabi", "dressed", "potential", "potential-free-space-jsonl",
+                                  "force", "weak-limit", "kk-check", *list(CODES)[1:]])
+def test_a_closed_stdout_loses_the_report_and_nothing_else(tmp_path, capsys, monkeypatch,
+                                                           commands, name, buffered):
+    args, runs = commands[name], []
+    gone = _ReaderGone(buffered, os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT))
+    for cwd, stdout in ((tmp_path / "open", sys.stdout), (tmp_path / "closed", gone)):
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
         with monkeypatch.context() as patch:
             patch.setattr(sys, "stdout", stdout)
-            exit_code = cli.main(args)
-        runs.append((exit_code, *capsys.readouterr(), _files(tmp_path / name)))
-    exits, stdouts, stderrs, files = zip(*runs)
+            try:
+                exit_code = cli.main(args)
+            except SystemExit as usage_error:
+                exit_code = usage_error.code
+            # main's flush on the program's way out
+            flushed = cli._flush_standard_streams()
+        runs.append((exit_code, flushed, *capsys.readouterr(), _files(cwd)))
+    devnull = os.path.samestat(os.fstat(gone.fd), os.stat(os.devnull))
+    os.close(gone.fd)
+    (code, _, out, err, files), closed = runs
 
-    out = args[args.index("--out") + 1]
-    assert stdouts[0].endswith(f"wrote {out}.manifest.json\n") and stdouts[1] == ""
-    # the exit code, stderr and the files are those of an open stdout
-    assert exits == ((2, 2) if args == XCHECK else (0, 0))
-    assert stderrs[1] == stderrs[0] and "Traceback" not in stderrs[1]
-    assert files[1] == files[0] and sorted(files[1]) == [out, out + ".manifest.json"]
+    # the exit code, stderr and the files are those of an open stdout, and
+    # the descriptor points at os.devnull, so shutdown cannot fail on it
+    assert runs[0][1] and closed == (code, True, "", err, files) and devnull
+    assert code == CODES.get(name, 0) and "Traceback" not in err
+    assert gone.held == (out if buffered else "")
+    if code == 1 or name == "usage-error":
+        assert out == "" and files == {}
+    else:
+        table = args[args.index("--out") + 1]
+        assert out.endswith(f"wrote {table}.manifest.json\n")
+        assert sorted(files) == [table, table + ".manifest.json"]
